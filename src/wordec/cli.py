@@ -11,6 +11,7 @@ from pathlib import Path
 import click
 
 from . import fixtures
+from .analysis import AnalysisError
 from .egraph import EGraphError, init_pair, saturate
 from .extract import (ExtractionError, export_lp, extract_greedy, extract_ilp,
                       shared)
@@ -23,8 +24,10 @@ from .rewrites import RuleError, baseline_rules, parse_rules, validate_rule
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNPROVEN, EXIT_ERROR = 0, 1, 2, 3
 
+# AnalysisError: an unsound user rule merged classes with disjoint intervals
 _USER_ERRORS = (ParseError, RuleError, EGraphError, ExtractionError,
-                ProofError, OracleError, OSError, ValueError, KeyError)
+                ProofError, OracleError, AnalysisError, OSError, ValueError,
+                KeyError)
 
 
 def _load_design(path: str, fmt: str) -> Design:
@@ -112,6 +115,24 @@ def _extract(g, method: str, timeout: float):
     return extract_ilp(g, timeout=float(timeout))
 
 
+def _waterfall(spec, impl, rules, iter_limit, node_limit, time_limit,
+               extraction="ilp", extract_timeout=10.0,
+               normalize_widths=True, dump_graph=None):
+    """The pipeline behind check, waterfall and bench: saturate (and dump
+    the graph, before anything later can fail), extract, build the
+    waterfall and check that its steps are adjacent."""
+    g, rep, _ = _saturated_graph(spec, impl, rules, iter_limit, node_limit,
+                                 time_limit)
+    if dump_graph:
+        Path(dump_graph).write_text(
+            json.dumps(g.dump(shared(g)), indent=2, sort_keys=True) + "\n")
+    res = _extract(g, extraction, extract_timeout)
+    w = build_waterfall(g, spec, impl, res, rules,
+                        normalize_widths=normalize_widths)
+    check_adjacency(w)
+    return g, rep, res, w
+
+
 @click.group()
 @click.option("--config", "config_path", default=None,
               type=click.Path(),
@@ -180,18 +201,10 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
           node_limit, time_limit,
           max_exhaustive_bits, samples, seed, external_checker):
     """Full flow: saturate, extract, build the waterfall, prove, report."""
-    spec = _load_design(spec_path, fmt)
-    impl = _load_design(impl_path, fmt)
-    rls = _load_rules(rules)
-    g, rep, _ = _saturated_graph(spec, impl, rls, iter_limit, node_limit,
-                                 time_limit)
-    if dump_graph:
-        Path(dump_graph).write_text(
-            json.dumps(g.dump(shared(g)), indent=2, sort_keys=True) + "\n")
-    res = _extract(g, extraction, extract_timeout)
-    w = build_waterfall(g, spec, impl, res, rls,
-                        normalize_widths=width_normalization)
-    check_adjacency(w)
+    g, rep, res, w = _waterfall(
+        _load_design(spec_path, fmt), _load_design(impl_path, fmt),
+        _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
+        extract_timeout, width_normalization, dump_graph)
     manifest = write_waterfall(w, outdir)
     ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
     t0 = time.time()
@@ -284,15 +297,10 @@ def waterfall_cmd(spec_path, impl_path, outdir, extraction, extract_timeout,
                   width_normalization, fmt, rules, iter_limit, node_limit,
                   time_limit):
     """Build and emit the waterfall directory without proving it."""
-    spec = _load_design(spec_path, fmt)
-    impl = _load_design(impl_path, fmt)
-    rls = _load_rules(rules)
-    g, _, _ = _saturated_graph(spec, impl, rls, iter_limit, node_limit,
-                               time_limit)
-    res = _extract(g, extraction, extract_timeout)
-    w = build_waterfall(g, spec, impl, res, rls,
-                        normalize_widths=width_normalization)
-    check_adjacency(w)
+    _, _, _, w = _waterfall(
+        _load_design(spec_path, fmt), _load_design(impl_path, fmt),
+        _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
+        extract_timeout, width_normalization)
     manifest = write_waterfall(w, outdir)
     click.echo(f"{len(manifest['designs'])} designs, "
                f"{len(manifest['obligations'])} obligations -> {outdir}")
@@ -351,11 +359,8 @@ def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
     worst = EXIT_PASS
     for name in names:
         t0 = time.time()
-        spec, impl = fixtures.load_pair(name)
-        g, rep, _ = _saturated_graph(spec, impl, rls, iter_limit,
-                                     node_limit, time_limit)
-        res = _extract(g, "ilp", 10.0)
-        w = build_waterfall(g, spec, impl, res, rls)
+        g, rep, _, w = _waterfall(*fixtures.load_pair(name), rls,
+                                  iter_limit, node_limit, time_limit)
         report = run_waterfall(w, ocfg)
         worst = max(worst, _report_exit(report))
         click.echo(f"{name:12s} {rep.iterations:5d} {g.num_nodes():6d} "

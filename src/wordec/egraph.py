@@ -230,37 +230,6 @@ class EGraph:
 
     # -- representative extraction (cheapest finite term per class) ---------
 
-    def chosen_nodes(self) -> dict[int, int]:
-        """Per canonical class, the node heading the smallest finite term.
-        Deterministic; cycle members are never chosen while an acyclic
-        alternative exists."""
-        INF = float("inf")
-        size: dict[int, float] = {c: INF for c in self.classes}
-        pick: dict[int, int] = {}
-        changed = True
-        while changed:
-            changed = False
-            for cid in sorted(self.classes):
-                for nid in self.classes[cid].node_ids:
-                    n = self.nodes[nid]
-                    s = 1.0
-                    ok = True
-                    for ch in n.children:
-                        cs = size[self.find(ch)]
-                        if cs == INF:
-                            ok = False
-                            break
-                        s += cs
-                    if ok and (s < size[cid]
-                               or (s == size[cid] and nid < pick.get(cid, 1 << 60))):
-                        if size[cid] != s or pick.get(cid) != nid:
-                            size[cid], pick[cid] = s, nid
-                            changed = True
-        missing = [c for c in self.classes if c not in pick]
-        if missing:
-            raise EGraphError(f"classes with no finite representative: {missing}")
-        return pick
-
     def node_to_term(self, nid: int, pick: dict[int, int]) -> Term:
         n = self.nodes[nid]
         if n.op == "var":

@@ -104,13 +104,14 @@ def _result_from_selection(g: EGraph, sh: SharedSets, sel: dict[int, int],
 # Greedy extraction
 # ---------------------------------------------------------------------------
 
-def extract_greedy(g: EGraph, sh: SharedSets | None = None) -> ExtractionResult:
-    """Bottom-up per-class representative choice: cost(n) = w(n) + sum of the
-    best child-class costs, with w(n) = 0 for nodes in shared classes and 1
-    otherwise.  Tree-style cost addition deliberately double-counts common
-    subexpressions — that is the known limitation this greedy has."""
-    if sh is None:
-        sh = shared(g)
+def pick_nodes(g: EGraph, free: frozenset[int] = frozenset()
+               ) -> dict[int, int]:
+    """Per canonical class, the node heading its cheapest finite term, by
+    bottom-up fixpoint: cost(n) = w(class) + sum of the best child-class
+    costs, with w = 0 for classes in `free` and 1 otherwise (so with no free
+    classes the cost is the term size).  Ties go to the smaller term, then
+    the smaller node id.  Cycle members are never picked while an acyclic
+    alternative exists; a class with no finite term is left out."""
     INF = (float("inf"), float("inf"))
     cost: dict[int, tuple] = {c: INF for c in g.classes}
     pick: dict[int, int] = {}
@@ -118,7 +119,7 @@ def extract_greedy(g: EGraph, sh: SharedSets | None = None) -> ExtractionResult:
     while changed:
         changed = False
         for cid in sorted(g.classes):
-            w0 = 0 if cid in sh.c_shared else 1
+            w0 = 0 if cid in free else 1
             for nid in g.classes[cid].node_ids:
                 n = g.nodes[nid]
                 c, s = float(w0), 1.0
@@ -138,6 +139,16 @@ def extract_greedy(g: EGraph, sh: SharedSets | None = None) -> ExtractionResult:
                     if cost[cid] != key or pick.get(cid) != nid:
                         cost[cid], pick[cid] = key, nid
                         changed = True
+    return pick
+
+
+def extract_greedy(g: EGraph, sh: SharedSets | None = None) -> ExtractionResult:
+    """Greedy extraction: `pick_nodes` with the shared classes free.
+    Tree-style cost addition deliberately double-counts common
+    subexpressions — that is the known limitation this greedy has."""
+    if sh is None:
+        sh = shared(g)
+    pick = pick_nodes(g, sh.c_shared)
     for r in g.roots:
         if g.find(r) not in pick:
             raise ExtractionError("no finite representative for a root class")

@@ -9,8 +9,9 @@ term language self-contained: no context-dependent sizing remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -244,15 +245,16 @@ def evaluate(t: Term, env: Environment) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation (int64).  Only usable when every intermediate exact
-# result fits in 62 bits; callers check vectorizable() first.
+# Vectorized evaluation.  One opcode table over two lane types: int64 when
+# every exact intermediate fits in 62 bits (vectorizable), numpy object
+# arrays of exact Python ints otherwise.  Both agree with `evaluate`.
 # ---------------------------------------------------------------------------
 
 def _range_bound(t: Term) -> int:
     """Max bits any exact intermediate of `t` can need (pre-truncation)."""
     worst = t.out.width + 1  # +1: signed magnitude
     for slot, child in t.operands:
-        worst = max(worst, _range_bound(child))
+        worst = max(worst, slot.width + 1, _range_bound(child))
     if t.kind in ARITY:
         slots = tuple(slot for slot, _ in t.operands)
         lohi = [(s.lo, s.hi) for s in slots]
@@ -262,31 +264,47 @@ def _range_bound(t: Term) -> int:
 
 
 def vectorizable(t: Term) -> bool:
+    """True when `evaluate_many` can run `t` on int64 lanes."""
     return _range_bound(t) <= 62
 
 
-def evaluate_many(t: Term, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Vectorized `evaluate` over int64 arrays of input values."""
-    def mask(w: int) -> int:
-        return (1 << w) - 1
+class _Lanes:
+    """One batch of input rows on one lane type: int64, or exact Python
+    ints.  `value` is the shared opcode table.  (A class rather than nested
+    closures: a self-referencing closure would keep each batch alive until
+    the cycle collector runs.)"""
 
-    def fb(bits: np.ndarray, a: Annotation) -> np.ndarray:
+    def __init__(self, exact: bool, env: Mapping[str, np.ndarray]):
+        self.dtype = object if exact else np.int64
+        self.env = env
+        self.rows = len(next(iter(env.values()))) if env else 1
+
+    def bits(self, v, a: Annotation):
+        """Two's-complement pattern of `v` in `a.width` bits."""
+        return v & ((1 << a.width) - 1)
+
+    def interpret(self, bits, a: Annotation):
         if a.signed:
-            half = np.int64(1) << np.int64(a.width - 1)
+            half = 1 << (a.width - 1)
             return np.where(bits >= half, bits - (half << 1), bits)
         return bits
 
-    def co(v: np.ndarray, dst: Annotation) -> np.ndarray:
-        return fb(v & np.int64(mask(dst.width)), dst)
+    def coerce(self, v, src: Annotation, dst: Annotation):
+        """`coerce` of values representable in `src`."""
+        if dst.lo <= src.lo and src.hi <= dst.hi:
+            return v  # every src value is representable in dst: unchanged
+        return self.interpret(self.bits(v, dst), dst)
 
-    def go(t: Term) -> np.ndarray:
+    def value(self, t: Term):
         if t.kind == "var":
-            if t.name not in env:
+            if t.name not in self.env:
                 raise UnboundVariableError(t.name)
-            return env[t.name].astype(np.int64)
+            return np.asarray(self.env[t.name], dtype=self.dtype)
         if t.kind == "const":
-            return np.int64(t.value)
-        vals = [co(go(child), slot) for slot, child in t.operands]
+            return np.broadcast_to(np.array(t.value, dtype=self.dtype),
+                                   self.rows)
+        vals = [self.coerce(self.value(child), child.out, slot)
+                for slot, child in t.operands]
         slots = [slot for slot, _ in t.operands]
         k = t.kind
         if k == "+":
@@ -306,40 +324,101 @@ def evaluate_many(t: Term, env: Mapping[str, np.ndarray]) -> np.ndarray:
         elif k == "^":
             r = vals[0] ^ vals[1]
         elif k in SHIFT_OPS:
-            amt = vals[1] & np.int64(mask(slots[1].width))
+            # Amounts are unsigned.  Past the output width (<<) or the
+            # operand width (>>, >>>) every amount gives the same truncated
+            # result, so clamp there: int64 shifts are modular in the
+            # count, and object lanes would build huge ints.
+            amt = self.bits(vals[1], slots[1])
             if k == "<<":
-                # np shifts are modular in the shift count; clamp over-shifts
-                big = amt >= 62
-                r = np.where(big, np.int64(0),
-                             vals[0] << np.minimum(amt, np.int64(61)))
+                r = vals[0] << np.minimum(amt, t.out.width)
             elif k == ">>":
-                pat = vals[0] & np.int64(mask(slots[0].width))
-                r = pat >> np.minimum(amt, np.int64(62))
+                r = (self.bits(vals[0], slots[0])
+                     >> np.minimum(amt, slots[0].width))
             else:
-                r = vals[0] >> np.minimum(amt, np.int64(62))
+                r = vals[0] >> np.minimum(amt, slots[0].width)
         elif k == "mux":
             r = np.where(vals[0] != 0, vals[1], vals[2])
         elif k == "concat":
-            r = ((vals[0] & np.int64(mask(slots[0].width)))
-                 << np.int64(slots[1].width)) | (vals[1] & np.int64(mask(slots[1].width)))
+            r = ((self.bits(vals[0], slots[0]) << slots[1].width)
+                 | self.bits(vals[1], slots[1]))
         elif k == "slice":
             hi, lo = t.indices
-            pat = vals[0] & np.int64(mask(slots[0].width))
-            r = (pat >> np.int64(lo)) & np.int64(mask(hi - lo + 1))
+            field = (1 << (hi - lo + 1)) - 1
+            r = (self.bits(vals[0], slots[0]) >> lo) & field
         elif k == "==":
-            r = (vals[0] == vals[1]).astype(np.int64)
+            r = (vals[0] == vals[1]).astype(self.dtype)
         elif k == "<":
-            r = (vals[0] < vals[1]).astype(np.int64)
+            r = (vals[0] < vals[1]).astype(self.dtype)
         elif k == "zext":
-            r = vals[0] & np.int64(mask(slots[0].width))
+            r = self.bits(vals[0], slots[0])
         elif k == "sext":
-            r = fb(vals[0] & np.int64(mask(slots[0].width)),
-                   Annotation(slots[0].width, True))
+            r = self.interpret(self.bits(vals[0], slots[0]),
+                               Annotation(slots[0].width, True))
         else:
             raise IrError(f"unknown opcode: {k}")
-        return fb(r & np.int64(mask(t.out.width)), t.out)
+        return self.interpret(self.bits(r, t.out), t.out)
 
-    return go(t)
+
+def evaluate_many(t: Term, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Vectorized `evaluate` over equal-length arrays of input values, each
+    representable in its variable's annotation (an empty env is one row).
+    Runs on int64 lanes when `vectorizable(t)`, on object lanes of exact
+    Python ints otherwise."""
+    return _Lanes(exact=not vectorizable(t), env=env).value(t)
+
+
+# Rows per batch in first_mismatch, by lane type.  Samples are drawn per
+# batch, so the int64 cap also fixes which inputs a seed draws on int64
+# lanes.  Object lanes hold one boxed int per value: a smaller cap bounds
+# peak memory.
+INT64_ROWS = 1 << 16
+OBJECT_ROWS = 1 << 12
+
+
+def _draw(rng: np.random.Generator, a: Annotation, n: int) -> np.ndarray:
+    """`n` uniform values of `a`; past 62 bits, built from 32-bit words."""
+    if a.width <= 62:
+        return rng.integers(a.lo, a.hi + 1, size=n, dtype=np.int64)
+    words = rng.integers(0, 1 << 32, size=((a.width + 31) // 32, n),
+                         dtype=np.uint64).astype(object)
+    L = _Lanes(exact=True, env={})
+    pattern = sum(w << (32 * i) for i, w in enumerate(words))
+    return L.interpret(L.bits(pattern, a), a)
+
+
+def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
+                   samples: int | None = None, seed: int = 0
+                   ) -> tuple[dict[str, int], int, int] | None:
+    """First input assignment on which `a` and `b` differ, with both values,
+    or None.  With `samples` None the joint input space is enumerated in
+    lexicographic order (inputs in the given order, each low to high), so
+    the result is the lexicographically first counterexample; otherwise
+    `samples` seeded uniform draws are checked."""
+    names = [n for n, _ in inputs]
+    anns = [x for _, x in inputs]
+    sizes = [x.hi - x.lo + 1 for x in anns]
+    total = math.prod(sizes) if samples is None else samples  # no inputs: 1
+    # a space that fits one object batch needs no lane-type test
+    rows = (INT64_ROWS if total > OBJECT_ROWS and vectorizable(a)
+            and vectorizable(b) else OBJECT_ROWS)
+    rng = np.random.default_rng(seed) if samples is not None else None
+    for start in range(0, total, rows):
+        n = min(rows, total - start)
+        if samples is None:
+            idx = (np.unravel_index(np.arange(start, start + n), sizes)
+                   if sizes else ())
+            for i, x in zip(idx, anns):
+                i += x.lo
+            env = dict(zip(names, idx))
+        else:
+            env = {nm: _draw(rng, x, n) for nm, x in zip(names, anns)}
+        va, vb = evaluate_many(a, env), evaluate_many(b, env)
+        bad = np.flatnonzero(va != vb)
+        if bad.size:
+            i = int(bad[0])
+            return ({nm: int(env[nm][i]) for nm in names},
+                    int(va[i]), int(vb[i]))
+    return None
 
 
 # ---------------------------------------------------------------------------

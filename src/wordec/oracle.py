@@ -10,7 +10,6 @@ an emitted directory — and folds the verdicts into a single report.
 from __future__ import annotations
 
 import json
-import random
 import shlex
 import subprocess
 import tempfile
@@ -18,10 +17,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .frontend import Design, emit_sv, parse_sexpr
-from .ir import evaluate, evaluate_many, vectorizable
+from .ir import first_mismatch
 
 
 class OracleError(Exception):
@@ -81,62 +78,6 @@ def _check_ports(d1: Design, d2: Design) -> None:
             f"output annotation mismatch: {d1.output[1]} vs {d2.output[1]}")
 
 
-def _exhaustive(d1: Design, d2: Design, t0: float) -> Verdict:
-    names = [n for n, _ in d1.inputs]
-    anns = [a for _, a in d1.inputs]
-    if vectorizable(d1.body) and vectorizable(d2.body):
-        axes = [np.arange(a.lo, a.hi + 1, dtype=np.int64) for a in anns]
-        grids = np.meshgrid(*axes, indexing="ij") if axes else []
-        env = {n: g.ravel() for n, g in zip(names, grids)}
-        if not env:
-            env = {}
-        v1 = evaluate_many(d1.body, env)
-        v2 = evaluate_many(d2.body, env)
-        bad = np.nonzero(v1 != v2)[0]
-        if bad.size:
-            i = int(bad[0])   # meshgrid "ij" ravel order is lexicographic
-            cex = {n: int(env[n][i]) for n in names}
-            return Verdict("fail", "exhaustive", time.time() - t0, cex)
-        return Verdict("pass", "exhaustive", time.time() - t0)
-    import itertools
-    for combo in itertools.product(*(range(a.lo, a.hi + 1) for a in anns)):
-        env = dict(zip(names, combo))
-        if evaluate(d1.body, env) != evaluate(d2.body, env):
-            return Verdict("fail", "exhaustive", time.time() - t0, env)
-    return Verdict("pass", "exhaustive", time.time() - t0)
-
-
-def _sample(d1: Design, d2: Design, samples: int, seed: int,
-            t0: float) -> Verdict:
-    names = [n for n, _ in d1.inputs]
-    anns = [a for _, a in d1.inputs]
-    method = f"random({samples})"
-    if vectorizable(d1.body) and vectorizable(d2.body):
-        rng = np.random.default_rng(seed)
-        done = 0
-        while done < samples:
-            chunk = min(samples - done, 1 << 16)
-            env = {n: rng.integers(a.lo, a.hi + 1, size=chunk, dtype=np.int64)
-                   for n, a in zip(names, anns)}
-            v1 = evaluate_many(d1.body, env)
-            v2 = evaluate_many(d2.body, env)
-            bad = np.nonzero(v1 != v2)[0]
-            if bad.size:
-                i = int(bad[0])
-                cex = {n: int(env[n][i]) for n in names}
-                return Verdict("fail", method, time.time() - t0, cex)
-            done += chunk
-        return Verdict("unproven", method, time.time() - t0,
-                       note="no counterexample found by sampling")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        env = {n: rng.randint(a.lo, a.hi) for n, a in zip(names, anns)}
-        if evaluate(d1.body, env) != evaluate(d2.body, env):
-            return Verdict("fail", method, time.time() - t0, env)
-    return Verdict("unproven", method, time.time() - t0,
-                   note="no counterexample found by sampling")
-
-
 def _external(d1: Design, d2: Design, cmd_template: str,
               t0: float) -> Verdict:
     with tempfile.TemporaryDirectory(prefix="wordec-ec-") as tmp:
@@ -176,14 +117,19 @@ def check_equiv(d1: Design, d2: Design,
         return Verdict("pass", "exhaustive", time.time() - t0)
     total_bits = sum(a.width for _, a in d1.inputs)
     if total_bits <= cfg.max_exhaustive_bits:
-        return _exhaustive(d1, d2, t0)
-    samples = cfg.trivial_samples if hint == "trivial" else cfg.samples
-    v = _sample(d1, d2, samples, cfg.seed, t0)
-    if v.status == "fail":
-        return v
+        samples, method = None, "exhaustive"
+    else:
+        samples = cfg.trivial_samples if hint == "trivial" else cfg.samples
+        method = f"random({samples})"
+    cex = first_mismatch(d1.body, d2.body, d1.inputs, samples, cfg.seed)
+    if cex is not None:
+        return Verdict("fail", method, time.time() - t0, cex[0])
+    if samples is None:
+        return Verdict("pass", method, time.time() - t0)
     if cfg.external_cmd:
         return _external(d1, d2, cfg.external_cmd, t0)
-    return v
+    return Verdict("unproven", method, time.time() - t0,
+                   note="no counterexample found by sampling")
 
 
 def _obligation_dicts(w) -> tuple[list[dict], list[Design | None]]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .egraph import CONGRUENCE, EGraph, Leaf, RuleJust
+from .extract import pick_nodes
 from .frontend import Design, emit_sexpr, emit_sv
 from .ir import Term, exact_width
 
@@ -123,7 +124,7 @@ class _Explainer:
     def fallback(self, cid: int) -> Term:
         cid = self.g.find(cid)
         if not hasattr(self, "_pick"):
-            self._pick = self.g.chosen_nodes()
+            self._pick = pick_nodes(self.g)
         return self.g.class_term(cid, self._pick)
 
     def realize(self, skel, binding: dict) -> Term:

@@ -24,11 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .egraph import EGraph, Leaf, NodeRec, RuleJust, Skeleton
-from .ir import (Annotation, ARITY, SIGNED, UNSIGNED, Term, evaluate,
-                 evaluate_many, vectorizable)
+from .ir import Annotation, ARITY, SIGNED, UNSIGNED, Term, first_mismatch
 
 
 class RuleError(Exception):
@@ -565,10 +562,11 @@ class ZextIntroRule:
                 x = var("x", a)
                 wrapped = Term("sext" if signed else "zext", a,
                                operands=((a, x),))
-                for v in range(a.lo, a.hi + 1):
-                    if evaluate(x, {"x": v}) != evaluate(wrapped, {"x": v}):
-                        violations.append({"rule": self.id, "width": w,
-                                           "signed": signed, "value": v})
+                cex = first_mismatch(x, wrapped, [("x", a)])
+                if cex is not None:
+                    violations.append({"rule": self.id, "width": w,
+                                       "signed": signed,
+                                       "value": cex[0]["x"]})
         return violations
 
 
@@ -616,12 +614,10 @@ class WidthReduceRule:
                 wide = op("+", o, (a, x), (a, y))
                 nar = Annotation(narrow_w)
                 reduced = op("zext", o, (nar, op("+", nar, (a, x), (a, y))))
-                for vx in range(a.hi + 1):
-                    for vy in range(a.hi + 1):
-                        env = {"x": vx, "y": vy}
-                        if evaluate(wide, env) != evaluate(reduced, env):
-                            violations.append({"rule": self.id, "wa": wa,
-                                               "wo": wo, "env": env})
+                cex = first_mismatch(wide, reduced, [("x", a), ("y", a)])
+                if cex is not None:
+                    violations.append({"rule": self.id, "wa": wa,
+                                       "wo": wo, "env": cex[0]})
         return violations
 
 
@@ -919,33 +915,12 @@ def _check_instance(rule, env: dict) -> dict | None:
     if lhs_t.out != rhs_t.out:
         return {"rule": rule.id, "params": dict(env),
                 "error": f"annotation mismatch {lhs_t.out} vs {rhs_t.out}"}
-    names = sorted(v.lstrip("?") for v in var_anns)
     anns = {v.lstrip("?"): a for v, a in var_anns.items()}
-    total_bits = sum(anns[n].width for n in names)
-    if total_bits > 22:
+    if sum(a.width for a in anns.values()) > 22:
         raise RuleError(f"{rule.id}: operand space too large to enumerate")
-    if vectorizable(lhs_t) and vectorizable(rhs_t):
-        axes = [np.arange(anns[n].lo, anns[n].hi + 1, dtype=np.int64)
-                for n in names]
-        grids = np.meshgrid(*axes, indexing="ij") if axes else []
-        venv = {n: gr.ravel() for n, gr in zip(names, grids)}
-        lv = evaluate_many(lhs_t, venv)
-        rv = evaluate_many(rhs_t, venv)
-        bad = np.nonzero(lv != rv)[0] if axes else (
-            [0] if evaluate(lhs_t, {}) != evaluate(rhs_t, {}) else [])
-        if len(bad):
-            i = int(bad[0])
-            witness = {n: int(venv[n][i]) for n in names}
-            return {"rule": rule.id, "params": {k: v for k, v in env.items()},
-                    "witness": witness,
-                    "lhs": int(lv[i]), "rhs": int(rv[i])}
+    cex = first_mismatch(lhs_t, rhs_t, sorted(anns.items()))
+    if cex is None:
         return None
-    ranges = [range(anns[n].lo, anns[n].hi + 1) for n in names]
-    for combo in itertools.product(*ranges):
-        witness = dict(zip(names, combo))
-        lv = evaluate(lhs_t, witness)
-        rv = evaluate(rhs_t, witness)
-        if lv != rv:
-            return {"rule": rule.id, "params": dict(env), "witness": witness,
-                    "lhs": lv, "rhs": rv}
-    return None
+    witness, lv, rv = cex
+    return {"rule": rule.id, "params": dict(env), "witness": witness,
+            "lhs": lv, "rhs": rv}

@@ -8,7 +8,7 @@ import pytest
 
 from wordec.egraph import init_pair, saturate
 from wordec.extract import (enumerate_optimum, extract_greedy, extract_ilp,
-                            shared)
+                            pick_nodes, shared)
 from wordec.fixtures import load_pair, names
 from wordec.ir import evaluate
 from wordec.oracle import OracleConfig, run_waterfall
@@ -103,7 +103,7 @@ def test_c5_class_members_agree(report):
     checked = 0
     for name in ("fig1-scaled", "fig4", "adpcm", "vbsme4", "boxfilter"):
         spec, _, g, _, _ = _saturated(name)
-        pick = g.chosen_nodes()
+        pick = pick_nodes(g)
         envs = [{n: rng.randint(a.lo, a.hi) for n, a in spec.inputs}
                 for _ in range(1000)]
         for cid in list(g.classes):
@@ -178,7 +178,7 @@ def test_c8_interval_soundness(report):
     checked = 0
     for name in ("fig1-scaled", "fig4", "adpcm", "boxfilter"):
         spec, _, g, _, _ = _saturated(name)
-        pick = g.chosen_nodes()
+        pick = pick_nodes(g)
         envs = [{n: rng.randint(a.lo, a.hi) for n, a in spec.inputs}
                 for _ in range(1000)]
         for cid, cls in g.classes.items():

@@ -3,6 +3,7 @@ import pytest
 from wordec.analysis import (AnalysisError, Interval, interval_merge,
                              refine_intervals, width_reduction_pass)
 from wordec.egraph import EGraph, init_pair, saturate
+from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair
 from wordec.frontend import Design, parse_sexpr
 from wordec.ir import Annotation, const, evaluate, op, var
@@ -102,7 +103,7 @@ class TestSoundnessOnFixtures:
         g = init_pair(spec, impl)
         saturate(g, baseline_rules())
         rng = random.Random(5)
-        pick = g.chosen_nodes()
+        pick = pick_nodes(g)
         for _ in range(200):
             env = {n: rng.randint(a.lo, a.hi) for n, a in spec.inputs}
             for cid, cls in g.classes.items():

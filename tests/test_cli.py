@@ -71,6 +71,17 @@ class TestCheck:
                                  "--out", str(tmp_path / "out")])
         assert r.exit_code == 3, r.output
 
+    def test_unsound_rule_is_error(self, runner, tmp_path):
+        sp, ip = _emit_pair(tmp_path, "fig4", fmt="sv")
+        rules = tmp_path / "unsound.rules"
+        rules.write_text("bad : (zext ?wo ?so ?wa ?sa ?a)"
+                         " => (const 1 ?wo ?so) ;\n")
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(tmp_path / "out"),
+                                 "--rules", str(rules)])
+        assert r.exit_code == 3, r.output
+        assert "error:" in r.output
+
     def test_greedy_extraction(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4")
         r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,

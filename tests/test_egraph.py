@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wordec.egraph import CONGRUENCE, EGraph, EGraphError, init_pair, saturate
+from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design
 from wordec.ir import Annotation, const, evaluate, op, var
@@ -163,7 +164,7 @@ class TestSemanticSoundness:
         g = init_pair(spec, impl)
         saturate(g, baseline_rules())
         rng = random.Random(2)
-        pick = g.chosen_nodes()
+        pick = pick_nodes(g)
         envs = [{n: rng.randint(a.lo, a.hi) for n, a in spec.inputs}
                 for _ in range(100)]
         for cid in list(g.classes):

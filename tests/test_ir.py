@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordec.ir import (Annotation, IrError, Term, UnboundVariableError, coerce,
-                       const, evaluate, evaluate_many, exact_width, min_width,
-                       op, op_value_range, var, vectorizable)
+from wordec.ir import (ARITY, SHIFT_OPS, Annotation, IrError, Term,
+                       UnboundVariableError, coerce, const, evaluate,
+                       evaluate_many, exact_width, min_width, op,
+                       op_value_range, var, vectorizable)
 
 
 def ann(w, s=False):
@@ -118,34 +119,52 @@ class TestMinWidth:
         assert min_width(-129, 0, True) == 9
 
 
+def _random_ann(rng):
+    return ann(rng.choice([1, 2, 3, 4, 5, 8, 13, 33, 47, 64, 70]),
+               rng.random() < 0.5)
+
+
 def _random_term(rng, depth, inputs):
-    if depth == 0 or rng.random() < 0.3:
+    """Random term over every opcode, with random slot and output
+    annotations, so operands get resized and results truncated."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.2:
+            a = _random_ann(rng)
+            return const(rng.randint(a.lo, a.hi), a)
         name, a = inputs[rng.randrange(len(inputs))]
         return var(name, a)
-    kind = rng.choice(["+", "*", "&", "|", "^", "<<"])
-    l = _random_term(rng, depth - 1, inputs)
-    r = (_random_term(rng, depth - 1, inputs) if kind != "<<"
-         else const(rng.randrange(4), ann(2)))
-    out = exact_width(kind, (l.out, r.out))
-    return op(kind, out, (l.out, l), (r.out, r))
+    kind = rng.choice(sorted(ARITY))
+    operands = []
+    for i in range(ARITY[kind]):
+        slot = (ann(rng.randint(1, 6), rng.random() < 0.5)
+                if kind in SHIFT_OPS and i == 1 else _random_ann(rng))
+        operands.append((slot, _random_term(rng, depth - 1, inputs)))
+    indices = None
+    if kind == "slice":
+        lo = rng.randrange(operands[0][0].width)
+        indices = (rng.randint(lo, operands[0][0].width - 1), lo)
+    return op(kind, _random_ann(rng), *operands, indices=indices)
 
 
 class TestEvaluateMany:
     def test_matches_scalar_on_random_terms(self):
         import random
         rng = random.Random(11)
-        inputs = [("a", ann(4)), ("b", ann(5)), ("c", ann(3, True))]
-        for _ in range(25):
+        inputs = [("a", ann(4)), ("b", ann(5)), ("c", ann(3, True)),
+                  ("d", ann(45, True))]
+        kinds, lanes = set(), set()
+        for _ in range(300):
             t = _random_term(rng, 3, inputs)
-            if not vectorizable(t):
-                continue
+            kinds.add(t.kind)
+            lanes.add(vectorizable(t))
             envs = [{n: rng.randint(a.lo, a.hi) for n, a in inputs}
                     for _ in range(64)]
             arrs = {n: np.array([e[n] for e in envs], dtype=np.int64)
                     for n, _ in inputs}
             got = evaluate_many(t, arrs)
             want = [evaluate(t, e) for e in envs]
-            assert got.tolist() == want
+            assert got.tolist() == want, t
+        assert kinds >= set(ARITY) and lanes == {True, False}
 
     def test_not_vectorizable_when_wide(self):
         a = var("a", ann(40))

@@ -7,7 +7,7 @@ from wordec.egraph import init_pair, saturate
 from wordec.extract import extract_ilp
 from wordec.fixtures import load_pair
 from wordec.frontend import Design, parse_sexpr
-from wordec.ir import Annotation, op, var
+from wordec.ir import Annotation, evaluate, op, var
 from wordec.oracle import (OracleConfig, OracleError, check_equiv,
                            run_waterfall, run_waterfall_dir)
 from wordec.proof import build_waterfall, write_waterfall
@@ -32,10 +32,13 @@ class TestCheckEquiv:
         v = check_equiv(d1, d2)
         assert v.status == "pass" and v.method == "exhaustive"
 
-    def test_exhaustive_first_cex_lexicographic(self):
+    # a 70-bit output is past int64 lanes, so the oracle runs object lanes
+    @pytest.mark.parametrize("out_width", [5, 70], ids=["int64", "object"])
+    def test_exhaustive_first_cex_lexicographic(self, out_width):
         a, b, ins = _ab()
-        d1 = _design("d1", op("+", Annotation(5), (a.out, a), (b.out, b)), ins)
-        d2 = _design("d2", op("|", Annotation(5), (a.out, a), (b.out, b)), ins)
+        out = Annotation(out_width)
+        d1 = _design("d1", op("+", out, (a.out, a), (b.out, b)), ins)
+        d2 = _design("d2", op("|", out, (a.out, a), (b.out, b)), ins)
         v = check_equiv(d1, d2)
         assert v.status == "fail"
         assert v.counterexample == {"a": 1, "b": 1}
@@ -62,6 +65,20 @@ class TestCheckEquiv:
         v2 = check_equiv(d1, d2, cfg)
         assert v1.status == v2.status == "fail"
         assert v1.counterexample == v2.counterexample
+
+    def test_sampled_wide_inputs_give_real_counterexample(self):
+        # 70-bit signed inputs are drawn from 32-bit words
+        w = Annotation(70, True)
+        a, b = var("a", w), var("b", w)
+        ins = [("a", w), ("b", w)]
+        out = Annotation(71, True)
+        d1 = _design("d1", op("+", out, (w, a), (w, b)), ins)
+        d2 = _design("d2", op("|", out, (w, a), (w, b)), ins)
+        v = check_equiv(d1, d2, OracleConfig(samples=100, seed=3))
+        assert v.status == "fail"
+        cex = v.counterexample
+        assert all(w.lo <= cex[n] <= w.hi for n in ("a", "b"))
+        assert evaluate(d1.body, cex) != evaluate(d2.body, cex)
 
     def test_identical_bodies_short_circuit(self):
         a, b, ins = _ab(16)

@@ -49,6 +49,14 @@ class TestValidateRule:
         violations = validate_rule(bad, maxw=2)
         assert violations
 
+    def test_var_free_rule_checked_on_one_row(self):
+        bad = parse_rules(
+            "bad : (+ 2 unsigned 1 unsigned (const 1 1 unsigned)"
+            " 1 unsigned (const 1 1 unsigned)) => (const 3 2 unsigned) ;")[0]
+        violations = validate_rule(bad, maxw=2)
+        assert len(violations) == 1
+        assert (violations[0]["lhs"], violations[0]["rhs"]) == (2, 3)
+
     def test_mult_to_add_clean(self):
         rules = {r.id: r for r in parse_rules(CATALOGUE_TEXT)}
         assert validate_rule(rules["mult-to-add"], maxw=3) == []
