@@ -189,7 +189,8 @@ def _print_report(report):
 @click.option("--extraction", default="ilp",
               type=click.Choice(["ilp", "greedy"]), show_default=True)
 @click.option("--extract-timeout", default=10.0, show_default=True,
-              help="Branch-and-bound budget; greedy incumbent on timeout.")
+              help="Branch-and-bound budget in seconds; on timeout, the best "
+                   "selection found so far, or greedy if none was found.")
 @click.option("--width-normalization/--no-width-normalization", default=True)
 @click.option("--dump-graph", default=None, type=click.Path(),
               help="Write the saturated e-graph as JSON.")
@@ -215,12 +216,14 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
         "roots_merged": rep.roots_merged, "stop_reason": rep.stop_reason,
     }
     report_json["extraction"] = {"method": res.method,
-                                 "objective": res.objective}
+                                 "objective": res.objective,
+                                 "timed_out": res.timed_out}
     (Path(outdir) / "report.json").write_text(
         json.dumps(report_json, indent=2, sort_keys=True) + "\n")
     click.echo(f"saturation: {rep.iterations} iterations, {g.num_nodes()} "
                f"nodes, roots merged: {rep.roots_merged} ({rep.stop_reason})")
-    click.echo(f"extraction: {res.method}, objective {res.objective}")
+    click.echo(f"extraction: {res.method}, objective {res.objective}, "
+               f"timed_out: {res.timed_out}")
     click.echo(f"waterfall: {len(manifest['obligations'])} obligations "
                f"-> {outdir} (proved in {time.time() - t0:.2f}s)")
     _print_report(report)
@@ -257,7 +260,8 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
 @click.option("--extraction", default="ilp",
               type=click.Choice(["ilp", "greedy"]), show_default=True)
 @click.option("--extract-timeout", default=10.0, show_default=True,
-              help="Branch-and-bound budget; greedy incumbent on timeout.")
+              help="Branch-and-bound budget in seconds; on timeout, the best "
+                   "selection found so far, or greedy if none was found.")
 @click.option("--lp", "lp_path", default=None, type=click.Path(),
               help="Export the extraction ILP in CPLEX LP format.")
 @_common
@@ -273,7 +277,8 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
         Path(lp_path).write_text(export_lp(g))
     res = _extract(g, extraction, extract_timeout)
     click.echo(f"method: {res.method}  objective: {res.objective}  "
-               f"shared nodes: {res.shared_node_count}")
+               f"shared nodes: {res.shared_node_count}  "
+               f"timed_out: {res.timed_out}")
     click.echo("S*: " + emit_sexpr(Design("s_star", spec.inputs,
                                           (spec.output[0], res.s_star.out),
                                           res.s_star)).strip())
@@ -289,7 +294,8 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
 @click.option("--extraction", default="ilp",
               type=click.Choice(["ilp", "greedy"]), show_default=True)
 @click.option("--extract-timeout", default=10.0, show_default=True,
-              help="Branch-and-bound budget; greedy incumbent on timeout.")
+              help="Branch-and-bound budget in seconds; on timeout, the best "
+                   "selection found so far, or greedy if none was found.")
 @click.option("--width-normalization/--no-width-normalization", default=True)
 @_common
 @_cmd_errors
@@ -355,16 +361,17 @@ def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
     rls = baseline_rules()
     ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
     click.echo(f"{'name':12s} {'iters':>5s} {'nodes':>6s} {'merged':>6s} "
-               f"{'obls':>4s} {'overall':>8s} {'time':>7s}")
+               f"{'timed_out':>9s} {'obls':>4s} {'overall':>8s} {'time':>7s}")
     worst = EXIT_PASS
     for name in names:
         t0 = time.time()
-        g, rep, _, w = _waterfall(*fixtures.load_pair(name), rls,
-                                  iter_limit, node_limit, time_limit)
+        g, rep, res, w = _waterfall(*fixtures.load_pair(name), rls,
+                                    iter_limit, node_limit, time_limit)
         report = run_waterfall(w, ocfg)
         worst = max(worst, _report_exit(report))
         click.echo(f"{name:12s} {rep.iterations:5d} {g.num_nodes():6d} "
-                   f"{str(rep.roots_merged):>6s} {len(report.verdicts):4d} "
+                   f"{str(rep.roots_merged):>6s} {str(res.timed_out):>9s} "
+                   f"{len(report.verdicts):4d} "
                    f"{report.overall:>8s} {time.time() - t0:6.2f}s")
     sys.exit(worst)
 

@@ -8,13 +8,12 @@ steps are later reconstructed.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from . import analysis
-from .ir import Annotation, IrError, Term, ARITY
+from .ir import Annotation, Term
 
 
 class EGraphError(Exception):
@@ -33,6 +32,13 @@ class NodeRec:
     name: str | None = None
     value: int | None = None
     indices: tuple[int, int] | None = None
+
+    def term(self, operands: Sequence[tuple[Annotation, Term]],
+             out: Annotation) -> Term:
+        """This node's head over the given (slot, child term) operands, with
+        output annotation `out`."""
+        return Term(self.op, out, name=self.name, value=self.value,
+                    operands=tuple(operands), indices=self.indices)
 
 
 @dataclass(frozen=True)
@@ -132,20 +138,31 @@ class EGraph:
 
     def add_term(self, t: Term) -> tuple[int, int]:
         """Insert a term bottom-up; returns (class id, node id) of the root."""
-        if t.kind == "var":
-            cid, nid = self.add_node(NodeRec("var", t.out, (), (), name=t.name))
-        elif t.kind == "const":
-            cid, nid = self.add_node(NodeRec("const", t.out, (), (), value=t.value))
-        else:
-            kids = []
-            slots = []
-            for slot, child in t.operands:
-                ccid, _ = self.add_term(child)
-                kids.append(ccid)
-                slots.append(slot)
-            cid, nid = self.add_node(NodeRec(
-                t.kind, t.out, tuple(slots), tuple(kids), indices=t.indices))
-        return cid, nid
+        nid = self._term_node(t, insert=True)
+        return self.class_of(nid), nid
+
+    def lookup(self, t: Term) -> int | None:
+        """Node id of the canonical node heading term t, or None when some
+        subterm of t is not in the graph."""
+        return self._term_node(t, insert=False)
+
+    def _term_node(self, t: Term, insert: bool) -> int | None:
+        kids = []
+        for _, child in t.operands:
+            nid = self._term_node(child, insert)
+            if nid is None:
+                return None
+            kids.append(self.class_of(nid))
+        # NodeRec's fields, in order, with canonical children: the node's key
+        fields = (t.kind, t.out, tuple(s for s, _ in t.operands), tuple(kids),
+                  t.name, t.value, t.indices)
+        if insert:
+            return self.add_node(NodeRec(*fields))[1]
+        return self.hashcons.get(fields)
+
+    def congruent(self, a: int, b: int) -> bool:
+        """Nodes a and b have the same head and the same child classes."""
+        return self._key(self.nodes[a]) == self._key(self.nodes[b])
 
     # -- merging and the explanation forest ---------------------------------
 
@@ -162,6 +179,34 @@ class EGraph:
             self.proof_parent[par] = (child, j)
         self.proof_parent[b] = (a, just)
 
+    def forest_path(self, a: int, b: int) -> list[tuple[int, int, object]]:
+        """Edges (x, y, justification) on the explanation-forest path from
+        node a to node b."""
+        up_a: list[int] = [a]
+        seen = {a: 0}
+        cur = a
+        while cur in self.proof_parent:
+            cur = self.proof_parent[cur][0]
+            seen[cur] = len(up_a)
+            up_a.append(cur)
+        chain_b: list[int] = [b]
+        cur = b
+        while cur not in seen:
+            if cur not in self.proof_parent:
+                raise EGraphError(f"nodes {a} and {b} are not connected")
+            cur = self.proof_parent[cur][0]
+            chain_b.append(cur)
+        path: list[tuple[int, int, object]] = []
+        for x in up_a[:seen[cur]]:
+            par, just = self.proof_parent[x]
+            path.append((x, par, just))
+        down = []
+        for x in chain_b[:-1]:
+            par, just = self.proof_parent[x]
+            down.append((par, x, just))
+        path.extend(reversed(down))
+        return path
+
     def merge(self, c1: int, c2: int, justification: object = None,
               edge: tuple[int, int] | None = None) -> int:
         """Union two classes.  `edge` names the two concrete nodes whose
@@ -172,10 +217,16 @@ class EGraph:
         if edge is None:
             raise EGraphError("merge of distinct classes needs a witness edge")
         keep, drop = (c1, c2) if c1 < c2 else (c2, c1)
+        try:
+            iv = analysis.interval_merge(self.classes[keep].interval,
+                                         self.classes[drop].interval)
+        except analysis.AnalysisError as e:
+            rule = getattr(justification, "rule_id", justification)
+            raise analysis.AnalysisError(f"merge by {rule}: {e}") from None
         self.parent[drop] = keep
         kc, dc = self.classes[keep], self.classes.pop(drop)
         kc.node_ids.extend(dc.node_ids)
-        kc.interval = analysis.interval_merge(kc.interval, dc.interval)
+        kc.interval = iv
         self._forest_link(edge[0], edge[1], justification)
         self.unions += 1
         return keep
@@ -199,16 +250,13 @@ class EGraph:
                                CONGRUENCE, edge=(other, nid))
                     changed = True
             self.hashcons = table
-        # drop within-class canonical duplicates from the member lists
-        for cls in self.classes.values():
-            seen: dict[tuple, int] = {}
-            uniq = []
-            for nid in cls.node_ids:
-                key = self._key(self.nodes[nid])
-                if key not in seen:
-                    seen[key] = nid
-                    uniq.append(self.hashcons[key])
-            cls.node_ids = sorted(set(uniq))
+        # member lists: the canonical nodes, which the last pass found
+        # congruent only within their class; table order is node-id order
+        members: dict[int, list[int]] = {c: [] for c in self.classes}
+        for nid in self.hashcons.values():
+            members[self.class_of(nid)].append(nid)
+        for cid, cls in self.classes.items():
+            cls.node_ids = members[cid]
         analysis.refine_intervals(self)
 
     # -- queries ------------------------------------------------------------
@@ -228,21 +276,33 @@ class EGraph:
     def roots_merged(self) -> bool:
         return self.find(self.roots[0]) == self.find(self.roots[1])
 
-    # -- representative extraction (cheapest finite term per class) ---------
+    # -- terms from a per-class pick ----------------------------------------
 
-    def node_to_term(self, nid: int, pick: dict[int, int]) -> Term:
-        n = self.nodes[nid]
-        if n.op == "var":
-            return Term("var", n.out, name=n.name)
-        if n.op == "const":
-            return Term("const", n.out, value=n.value)
-        ops = tuple(
-            (slot, self.node_to_term(pick[self.find(ch)], pick))
-            for slot, ch in zip(n.slots, n.children))
-        return Term(n.op, n.out, operands=ops, indices=n.indices)
+    def term(self, nid: int, pick: Mapping[int, int],
+             memo: dict[int, Term]) -> Term:
+        """The term headed by node nid in which every child class c is
+        realised by node pick[c], recursively.  `memo` maps each class
+        realised so far to its term and may be shared between calls with the
+        same pick.  A pick that reaches its own class again is cyclic and
+        raises EGraphError; a class missing from pick raises KeyError."""
+        onpath: set[int] = set()
 
-    def class_term(self, cid: int, pick: dict[int, int]) -> Term:
-        return self.node_to_term(pick[self.find(cid)], pick)
+        def realize_class(c: int) -> Term:
+            c = self.find(c)
+            if c not in memo:
+                if c in onpath:
+                    raise EGraphError(f"cyclic selection through class {c}")
+                onpath.add(c)
+                memo[c] = realize_node(pick[c])
+                onpath.discard(c)
+            return memo[c]
+
+        def realize_node(i: int) -> Term:
+            n = self.nodes[i]
+            return n.term([(slot, realize_class(ch))
+                           for slot, ch in zip(n.slots, n.children)], n.out)
+
+        return realize_node(nid)
 
     # -- dumping ------------------------------------------------------------
 

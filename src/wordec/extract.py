@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .egraph import EGraph
+from .egraph import EGraph, EGraphError
 from .ir import Term
 
 
@@ -63,36 +63,16 @@ def shared(g: EGraph) -> SharedSets:
     return SharedSets(c_spec, c_impl, c_spec & c_impl, g.num_classes())
 
 
-def _selection_term(g: EGraph, cid: int, sel: dict[int, int],
-                    memo: dict[int, Term], onpath: set[int]) -> Term:
-    cid = g.find(cid)
-    if cid in memo:
-        return memo[cid]
-    if cid in onpath:
-        raise ExtractionError(f"cyclic selection through class {cid}")
-    onpath.add(cid)
-    n = g.nodes[sel[cid]]
-    if n.op == "var":
-        t = Term("var", n.out, name=n.name)
-    elif n.op == "const":
-        t = Term("const", n.out, value=n.value)
-    else:
-        ops = tuple(
-            (slot, _selection_term(g, ch, sel, memo, onpath))
-            for slot, ch in zip(n.slots, n.children))
-        t = Term(n.op, n.out, operands=ops, indices=n.indices)
-    onpath.discard(cid)
-    memo[cid] = t
-    return t
-
-
 def _result_from_selection(g: EGraph, sh: SharedSets, sel: dict[int, int],
                            method: str, timed_out: bool = False
                            ) -> ExtractionResult:
+    roots = [g.find(r) for r in g.roots]
     memo: dict[int, Term] = {}
-    s_star = _selection_term(g, g.roots[0], sel, memo, set())
-    i_star = _selection_term(g, g.roots[1], sel, memo, set())
-    used = set(memo)  # classes actually used by either design
+    try:
+        s_star, i_star = (g.term(sel[r], sel, memo) for r in roots)
+    except EGraphError as e:
+        raise ExtractionError(str(e)) from None
+    used = set(memo) | set(roots)  # classes actually used by either design
     sel = {c: n for c, n in sel.items() if c in used}
     shared_n = sum(1 for c in sel if c in sh.c_shared)
     obj = sh.K * shared_n - (len(sel) - shared_n)
@@ -180,10 +160,11 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
     cand = {c: sorted(g.classes[c].node_ids,
                       key=lambda nid: (len(g.nodes[nid].children), nid))
             for c in universe}
+    kids_of = {nid: sorted({g.find(ch) for ch in g.nodes[nid].children})
+               for c in universe for nid in cand[c]}
     obj_of = {c: (K if c in sh.c_shared else -1) for c in universe}
 
     sel: dict[int, int] = {}
-    edges: dict[int, list[int]] = {}  # chosen class -> child classes
 
     def reaches(src: int, dst: int) -> bool:
         stack, seen = [src], set()
@@ -194,7 +175,8 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
             if c in seen:
                 continue
             seen.add(c)
-            stack.extend(edges.get(c, ()))
+            if c in sel:
+                stack.extend(kids_of[sel[c]])
         return False
 
     def bound(obj: int, need: list[int]) -> int:
@@ -219,9 +201,8 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
                 best_obj = obj
                 best_sel = dict(sel)
             return
-        if bound(obj, need) <= best_obj and best_sel is not None:
-            return
-        if bound(obj, need) < best_obj:
+        b = bound(obj, need)
+        if b < best_obj or (b == best_obj and best_sel is not None):
             return
         c = need[-1]
         rest = need[:-1]
@@ -229,15 +210,13 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
             dfs(rest, obj)
             return
         for nid in cand[c]:
-            kids = sorted({g.find(ch) for ch in g.nodes[nid].children})
+            kids = kids_of[nid]
             if any(reaches(k, c) for k in kids):
                 continue  # would close a cycle in the selected child relation
             sel[c] = nid
-            edges[c] = kids
             new = [k for k in kids if k not in sel]
             dfs(rest + new, obj + obj_of[c])
             del sel[c]
-            del edges[c]
             if timed_out:
                 return
 

@@ -59,53 +59,6 @@ class _Explainer:
         self.steps: list[RewriteStep] = []
         self.whole: Term | None = None
 
-    # -- node lookup --------------------------------------------------------
-
-    def node_of(self, t: Term) -> int:
-        g = self.g
-        if t.kind == "var":
-            key = ("var", t.out, (), (), t.name, None, None)
-        elif t.kind == "const":
-            key = ("const", t.out, (), (), None, t.value, None)
-        else:
-            kids = tuple(g.class_of(self.node_of(c)) for _, c in t.operands)
-            key = (t.kind, t.out, tuple(s for s, _ in t.operands), kids,
-                   None, None, t.indices)
-        if key not in g.hashcons:
-            raise ProofError(f"term not present in the e-graph: {t.kind} ({t.out})")
-        return g.hashcons[key]
-
-    # -- forest -------------------------------------------------------------
-
-    def forest_path(self, a: int, b: int) -> list[tuple[int, int, object]]:
-        """Edges (x, y, justification) from a to b in the proof forest."""
-        g = self.g
-        up_a: list[int] = [a]
-        seen = {a: 0}
-        cur = a
-        while cur in g.proof_parent:
-            cur = g.proof_parent[cur][0]
-            seen[cur] = len(up_a)
-            up_a.append(cur)
-        chain_b: list[int] = [b]
-        cur = b
-        while cur not in seen:
-            if cur not in g.proof_parent:
-                raise ProofError(f"nodes {a} and {b} are not connected")
-            cur = g.proof_parent[cur][0]
-            chain_b.append(cur)
-        meet = cur
-        path: list[tuple[int, int, object]] = []
-        for x in up_a[:seen[meet]]:
-            par, just = g.proof_parent[x]
-            path.append((x, par, just))
-        down = []
-        for x in chain_b[:-1]:
-            par, just = g.proof_parent[x]
-            down.append((par, x, just))
-        path.extend(reversed(down))
-        return path
-
     # -- term surgery -------------------------------------------------------
 
     def record(self, pos: tuple[int, ...], after_sub: Term, rule_id: str,
@@ -121,55 +74,39 @@ class _Explainer:
 
     # -- realization --------------------------------------------------------
 
-    def fallback(self, cid: int) -> Term:
-        cid = self.g.find(cid)
-        if not hasattr(self, "_pick"):
-            self._pick = pick_nodes(self.g)
-        return self.g.class_term(cid, self._pick)
+    def bound(self, c: int, binding: dict) -> Term:
+        """The term bound to class c; an unbound class is bound to its
+        smallest term."""
+        c = self.g.find(c)
+        if c not in binding:
+            if not hasattr(self, "_pick"):
+                self._pick, self._memo = pick_nodes(self.g), {}
+            binding[c] = self.g.term(self._pick[c], self._pick, self._memo)
+        return binding[c]
 
     def realize(self, skel, binding: dict) -> Term:
-        g = self.g
         if isinstance(skel, Leaf):
-            c = g.class_of(skel.node)
-            if c not in binding:
-                binding[c] = self.fallback(c)
-            return binding[c]
-        n = g.nodes[skel.node]
-        if n.op == "var":
-            return Term("var", n.out, name=n.name)
-        if n.op == "const":
-            return Term("const", n.out, value=n.value)
-        ops = []
-        for i, sub in enumerate(skel.subs):
-            slot = n.slots[i]
-            if sub is None:
-                c = g.find(n.children[i])
-                if c not in binding:
-                    binding[c] = self.fallback(c)
-                ops.append((slot, binding[c]))
-            else:
-                ops.append((slot, self.realize(sub, binding)))
-        return Term(n.op, n.out, operands=tuple(ops), indices=n.indices)
+            return self.bound(self.g.class_of(skel.node), binding)
+        n = self.g.nodes[skel.node]
+        return n.term([
+            (slot, self.bound(ch, binding) if sub is None
+             else self.realize(sub, binding))
+            for slot, ch, sub in zip(n.slots, n.children, skel.subs)], n.out)
 
     # -- traversal ----------------------------------------------------------
 
-    def shape(self, nid: int) -> tuple:
-        return self.g._key(self.g.nodes[nid])
-
     def walk(self, pos: tuple[int, ...], cur: Term, target: int) -> Term:
-        """Transform the subterm at pos so that its head is (shape-identical
-        to) `target`; children end up as members of target's child classes."""
+        """Transform the subterm at pos so that its head is congruent to
+        `target`; children end up as members of target's child classes."""
         g = self.g
-        u = self.node_of(cur)
+        u = g.lookup(cur)
         if g.class_of(u) != g.class_of(target):
             raise ProofError("walk between nodes of different classes")
-        if self.shape(u) == self.shape(target):
-            return cur  # already congruent: nothing to rewrite
-        for x, y, just in self.forest_path(u, target):
+        if g.congruent(u, target):
+            return cur  # nothing to rewrite
+        for x, y, just in g.forest_path(u, target):
             if just == CONGRUENCE:
-                nx, ny = g.nodes[x], g.nodes[y]
-                if (nx.op, nx.out, nx.slots, nx.name, nx.value, nx.indices) != \
-                   (ny.op, ny.out, ny.slots, ny.name, ny.value, ny.indices):
+                if not g.congruent(x, y):
                     raise ProofError("congruence edge between unequal shapes")
                 continue  # identical modulo child classes: nothing to rewrite
             assert isinstance(just, RuleJust)
@@ -215,7 +152,7 @@ class _Explainer:
         """Transform the subterm at pos into exactly `target` (same class)."""
         if cur == target:
             return cur
-        cur = self.walk(pos, cur, self.node_of(target))
+        cur = self.walk(pos, cur, self.g.lookup(target))
         for i, (_, tchild) in enumerate(target.operands):
             child = cur.operands[i][1]
             if child != tchild:
@@ -231,7 +168,9 @@ class _Explainer:
     def explain(self, a: Term, b: Term) -> list[RewriteStep]:
         self.steps = []
         self.whole = a
-        na, nb = self.node_of(a), self.node_of(b)
+        na, nb = self.g.lookup(a), self.g.lookup(b)
+        if na is None or nb is None:
+            raise ProofError("term not present in the e-graph")
         if self.g.class_of(na) != self.g.class_of(nb):
             raise ProofError("terms are not in the same class")
         self.equalize((), a, b)
@@ -267,21 +206,16 @@ def _realize_wide(g: EGraph, skel, binding: dict) -> Term:
     if isinstance(skel, Leaf):
         return binding[g.class_of(skel.node)]
     n = g.nodes[skel.node]
-    if n.op == "var":
-        return Term("var", n.out, name=n.name)
-    if n.op == "const":
-        return Term("const", n.out, value=n.value)
+    if not skel.subs:
+        return n.term((), n.out)
     ops = []
-    for i, sub in enumerate(skel.subs):
+    for slot, ch, sub in zip(n.slots, n.children, skel.subs):
         if sub is None:
-            c = g.find(n.children[i])
-            ops.append((n.slots[i], binding[c]))
+            ops.append((slot, binding[g.find(ch)]))
         else:
             t = _realize_wide(g, sub, binding)
             ops.append((t.out, t))
-    slots = tuple(s for s, _ in ops)
-    out = exact_width(n.op, slots, n.indices)
-    return Term(n.op, out, operands=tuple(ops), indices=n.indices)
+    return n.term(ops, exact_width(n.op, tuple(s for s, _ in ops), n.indices))
 
 
 def widen_step(g: EGraph, step: RewriteStep) -> list[RewriteStep] | None:

@@ -112,7 +112,7 @@ def test_c5_class_members_agree(report):
             terms = []
             for nid in g.classes[cid].node_ids:
                 try:
-                    terms.append(g.node_to_term(nid, pick))
+                    terms.append(g.term(nid, pick, {}))
                 except Exception:
                     continue
             if len(terms) < 2:
@@ -184,7 +184,7 @@ def test_c8_interval_soundness(report):
         for cid, cls in g.classes.items():
             if g.find(cid) != cid or cid not in pick:
                 continue
-            t = g.class_term(cid, pick)
+            t = g.term(pick[cid], pick, {})
             checked += 1
             for env in envs:
                 v = evaluate(t, env)

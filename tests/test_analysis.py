@@ -109,6 +109,6 @@ class TestSoundnessOnFixtures:
             for cid, cls in g.classes.items():
                 if g.find(cid) != cid or cid not in pick:
                     continue
-                t = g.class_term(cid, pick)
+                t = g.term(pick[cid], pick, {})
                 v = evaluate(t, env)
                 assert cls.interval.lo <= v <= cls.interval.hi, (name, cid)

@@ -81,6 +81,19 @@ class TestCheck:
                                  "--rules", str(rules)])
         assert r.exit_code == 3, r.output
         assert "error:" in r.output
+        assert "bad" in r.output
+
+    def test_extraction_timeout_reported(self, runner, tmp_path):
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(out), "--extract-timeout", "0"])
+        assert r.exit_code == 0, r.output
+        assert "extraction: greedy" in r.output
+        assert "timed_out: True" in r.output
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["extraction"]["method"] == "greedy"
+        assert rep["extraction"]["timed_out"] is True
 
     def test_greedy_extraction(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4")

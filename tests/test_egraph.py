@@ -96,6 +96,26 @@ class TestInitPair:
         g = init_pair(spec, spec)
         assert g.roots_merged()
 
+    @pytest.mark.parametrize("name", names())
+    def test_lookup_finds_every_subterm(self, name):
+        spec, impl = load_pair(name)
+        g = init_pair(spec, impl)
+
+        def subterms(t):
+            yield t
+            for _, c in t.operands:
+                yield from subterms(c)
+
+        for t in (*subterms(spec.body), *subterms(impl.body)):
+            nid = g.lookup(t)
+            assert nid is not None, (name, t.kind)
+            n = g.nodes[nid]
+            assert (n.op, n.out, n.name, n.value) == \
+                (t.kind, t.out, t.name, t.value)
+        absent = var("no_such_input", ann(4))
+        assert g.lookup(absent) is None
+        assert g.lookup(_add(absent, absent, 5)) is None
+
     def test_port_mismatch_rejected(self):
         spec, _ = load_pair("fig1")
         other = Design("other", (("Z", ann(4)),), ("O", ann(4)),
@@ -140,6 +160,17 @@ class TestSaturate:
         with pytest.raises(EGraphError):
             saturate(g, [], {"iter": 0})
 
+    @pytest.mark.parametrize("name", names())
+    def test_members_are_the_canonical_nodes(self, name):
+        spec, impl = load_pair(name)
+        g = init_pair(spec, impl)
+        saturate(g, baseline_rules())
+        by_class = {c: [] for c in g.classes}
+        for nid in sorted(g.hashcons.values()):
+            by_class[g.class_of(nid)].append(nid)
+        for c, cls in g.classes.items():
+            assert cls.node_ids == by_class[c], (name, c)
+
     def test_determinism(self):
         spec, impl = load_pair("vbsme4")
         reports = []
@@ -173,7 +204,7 @@ class TestSemanticSoundness:
             terms = []
             for nid in g.classes[cid].node_ids:
                 try:
-                    terms.append(g.node_to_term(nid, pick))
+                    terms.append(g.term(nid, pick, {}))
                 except Exception:
                     continue
             if len(terms) < 2:

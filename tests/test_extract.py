@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from wordec.egraph import CONGRUENCE, EGraph, NodeRec, init_pair, saturate
-from wordec.extract import (enumerate_optimum, export_lp, extract_greedy,
+from wordec.extract import (ExtractionError, _result_from_selection,
+                            enumerate_optimum, export_lp, extract_greedy,
                             extract_ilp, reachable, shared)
 from wordec.fixtures import load_pair
-from wordec.ir import Annotation, evaluate
+from wordec.ir import Annotation, Term, evaluate
 from wordec.oracle import OracleConfig, check_equiv
 from wordec.frontend import Design
 from wordec.rewrites import baseline_rules
@@ -149,6 +152,22 @@ class TestExtractedDesigns:
         res = extract_greedy(g)
         env = {"x": 11}
         assert evaluate(res.s_star, env) == evaluate(spec.body, env)
+
+
+class TestRealization:
+    def test_cyclic_selection_rejected(self):
+        # class {x, neg(x)}: selecting neg for it realises an infinite term
+        g = EGraph()
+        x, nx = _leaf(g, "x")
+        n, nn = _node(g, [x])
+        g.merge(x, n, CONGRUENCE, edge=(nx, nn))
+        g.rebuild()
+        c = g.find(x)
+        g.roots = (c, c)
+        assert _result_from_selection(g, shared(g), {c: nx}, "ilp").s_star \
+            == Term("var", U4, name="x")
+        with pytest.raises(ExtractionError):
+            _result_from_selection(g, shared(g), {c: nn}, "ilp")
 
 
 class TestLpExport:
