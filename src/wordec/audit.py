@@ -1,0 +1,301 @@
+"""The exhaustive sufficiency audit of pattern rules, batched.
+
+`rewrites.validate_rule` enumerates a rule's parameter grid (every width up
+to maxw, shift-amount widths up to min(maxw, 3), both signages, then every
+value of each constant) and, wherever the condition holds, compares both
+sides over all operand values.  This module does that work in batches:
+
+- the condition and every width, signage and constant expression is
+  tabulated once per rule with the scalar `eval_expr`, over the product of
+  the domains of the parameters it reads, and read by flat index;
+- the grid is read in blocks of at most AUDIT_VECTORS vectors;
+- the operand grids of a block's surviving instances run back to back
+  through `ir.first_mismatches` in batches of at most AUDIT_ROWS rows,
+  whose annotations differ row by row.
+
+The violations, the blocked instances and the errors raised are those of
+checking one instance and one operand assignment at a time, in order.
+`eval_expr` is looked up on `rewrites` at each call, so a substitute
+installed there is the one used (perfbench/tracing.py counts condition
+evaluations that way).
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from . import rewrites
+from .ir import (SIGNED, UNSIGNED, Annotation, IrError, RowAnnotation,
+                 RowTerm, first_mismatches)
+from .rewrites import (BlockedMatch, PatConst, PatOp, PatVar, Pattern, Rule,
+                       RuleError, _is_signed, _width, expr_params)
+
+# Grid vectors per block, and operand rows per evaluator batch.  Each block
+# and batch holds a few dozen arrays of its length: 4096 of each measured
+# about 10 % faster on the built-in catalogue at maxw=3, for about 1 MB
+# more peak RSS.
+AUDIT_VECTORS = 1 << 10
+AUDIT_ROWS = 1 << 11
+# Widest operand space, in bits, that the audit enumerates for one instance.
+MAX_OPERAND_BITS = 22
+# Errors of an expression that `eval_expr` can raise on a bound environment
+# besides BlockedMatch (an unbound condition parameter, a signage in
+# arithmetic).  A table keeps them until a live instance reads the entry.
+_EXPR_ERRORS = (RuleError, TypeError, ValueError)
+
+
+def _shift_amount_width_params(p: Pattern, out: set[str]) -> None:
+    if not isinstance(p, PatOp):
+        return
+    for i, (w, s, sub) in enumerate(p.operands):
+        if p.op in ("<<", ">>", ">>>") and i == 1 and isinstance(w, str):
+            out.add(w)
+        _shift_amount_width_params(sub, out)
+
+
+class _Table:
+    """An expression tabulated with the scalar `eval_expr` over the product
+    of the domains of the parameters it reads, in C order.  `blocked` marks
+    the entries that raised BlockedMatch or one of `_EXPR_ERRORS`; `errors`
+    keeps the latter by flat index."""
+
+    def __init__(self, e, domains: dict, convert, fill: int):
+        names: set[str] = set()
+        expr_params(e, names)
+        self.params = sorted(names & domains.keys())
+        sizes = [len(domains[p]) for p in self.params]
+        self.strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        self.errors: dict[int, Exception] = {}
+        # int64 unless a value needs exact Python ints
+        self.value = np.full(math.prod(sizes), fill, dtype=np.int64)
+        self.blocked = np.zeros(len(self.value), dtype=bool)
+        for i, combo in enumerate(
+                itertools.product(*(domains[p] for p in self.params))):
+            env = dict(zip(self.params, combo))
+            try:
+                v = convert(rewrites.eval_expr(e, env))
+            except BlockedMatch:
+                self.blocked[i] = True
+                continue
+            except _EXPR_ERRORS as exc:
+                self.errors[i] = exc
+                self.blocked[i] = True
+                continue
+            try:
+                self.value[i] = v
+            except OverflowError:
+                self.value = self.value.astype(object)
+                self.value[i] = v
+
+
+class _Block:
+    """The instances of one block in enumeration order: a column of domain
+    indices per parameter, which instances are still live, and the earliest
+    error a live instance raised, as (enumeration position, exception)."""
+
+    def __init__(self, cols: dict[str, np.ndarray], n: int):
+        self.cols = cols
+        self.order = np.arange(n)
+        self.live = np.ones(n, dtype=bool)
+        self.error: tuple[int, Exception] | None = None
+        self.anns: dict[tuple[int, int], RowAnnotation] = {}
+
+    def fail(self, i: int, exc: Exception) -> None:
+        pos = self.order[i]
+        if self.error is None or pos < self.error[0]:
+            self.error = (pos, exc)
+        self.live[i] = False
+
+    def read(self, table: _Table) -> np.ndarray:
+        """`table`'s entry for every instance.  An instance that reads a
+        blocked entry stops being live; the first live one that reads a
+        kept error fails with it."""
+        flat = np.zeros(len(self.live), dtype=np.int64)
+        for p, stride in zip(table.params, table.strides):
+            flat += self.cols[p] * stride
+        hit = table.blocked[flat] & self.live
+        if table.errors:
+            for i in np.flatnonzero(hit):
+                exc = table.errors.get(int(flat[i]))
+                if exc is not None:
+                    self.fail(int(i), exc)
+                    break
+        self.live &= ~hit
+        return table.value[flat]
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.cols = {p: c[rows] for p, c in self.cols.items()}
+        self.order = self.order[rows]
+        self.live = self.live[rows]
+
+
+class RuleAudit:
+    """One pattern rule's audit: its parameter grid (widths, then signages,
+    each sorted, in C order) and the tables of its expressions, built once
+    and read by every block."""
+
+    def __init__(self, rule: Rule, maxw: int):
+        self.rule = rule
+        shift_widths: set[str] = set()
+        _shift_amount_width_params(rule.lhs, shift_widths)
+        _shift_amount_width_params(rule.rhs, shift_widths)
+
+        # classify parameters by where they occur on the lhs
+        width_ps, sig_ps, val_ann = set(), set(), {}
+
+        def scan(p):
+            if isinstance(p, PatConst):
+                if isinstance(p.value, str):
+                    val_ann[p.value] = (p.width, p.sig)
+                if isinstance(p.width, str):
+                    width_ps.add(p.width)
+                if isinstance(p.sig, str):
+                    sig_ps.add(p.sig)
+                return
+            if isinstance(p, PatVar):
+                return
+            if isinstance(p.out_w, str):
+                width_ps.add(p.out_w)
+            if isinstance(p.out_s, str):
+                sig_ps.add(p.out_s)
+            for w, s, sub in p.operands:
+                if isinstance(w, str):
+                    width_ps.add(w)
+                if isinstance(s, str):
+                    sig_ps.add(s)
+                scan(sub)
+
+        scan(rule.lhs)
+        self.grid = sorted(width_ps) + sorted(sig_ps)
+        self.vals = sorted(val_ann)
+        self.val_ann = val_ann
+        self.domains: dict[str, Sequence] = {
+            w: range(1, (min(maxw, 3) if w in shift_widths else maxw) + 1)
+            for w in width_ps}
+        self.domains.update((s, (UNSIGNED, SIGNED)) for s in sig_ps)
+        self.shape = [len(self.domains[p]) for p in self.grid]
+        self.tables: dict[tuple, _Table] = {}
+        # a constant value ranges over every annotation its constant takes
+        for v in self.vals:
+            w = self.table(val_ann[v][0], _width, fill=1)
+            s = self.table(val_ann[v][1], _is_signed)
+            anns = [Annotation(wv, bool(sv))
+                    for wv in set(w.value[~w.blocked].tolist())
+                    for sv in set(s.value[~s.blocked].tolist())]
+            self.domains[v] = range(min((a.lo for a in anns), default=0),
+                                    max((a.hi for a in anns), default=-1) + 1)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        total = math.prod(self.shape)
+        for start in range(0, total, AUDIT_VECTORS):
+            yield start, min(start + AUDIT_VECTORS, total)
+
+    def table(self, e, convert, fill=0) -> _Table:
+        key = (e, convert)
+        if key not in self.tables:
+            self.tables[key] = _Table(e, self.domains, convert, fill)
+        return self.tables[key]
+
+    def ann(self, b: _Block, w, s) -> RowAnnotation:
+        """The annotation (w, s) of every instance in the block.  Reading
+        the same tables again blocks and raises nothing new, so the block
+        keeps one annotation per pair of tables."""
+        wt = self.table(w, _width, fill=1)
+        st = self.table(s, _is_signed)
+        key = (id(wt), id(st))
+        if key not in b.anns:
+            b.anns[key] = RowAnnotation.of(b.read(wt),
+                                           b.read(st).astype(bool))
+        return b.anns[key]
+
+    def block(self, start: int, stop: int) -> _Block:
+        """The instances of grid vectors start..stop-1: each vector once per
+        assignment of its constant values (each low to high).  A constant's
+        annotation reads only grid parameters and literals, so it can block
+        a vector but raise nothing."""
+        n = stop - start
+        idx = np.unravel_index(np.arange(start, stop), self.shape) \
+            if self.shape else ()
+        b = _Block(dict(zip(self.grid, idx)), n)
+        if not self.vals:
+            return b
+        anns = [self.ann(b, *self.val_ann[v]) for v in self.vals]
+        counts = np.where(b.live, 1 << sum(a.width for a in anns), 0)
+        starts = np.cumsum(counts) - counts
+        vec = np.repeat(np.arange(n), counts)
+        cols = {p: c[vec] for p, c in b.cols.items()}
+        local = np.arange(len(vec)) - starts[vec]
+        for v, a in reversed(list(zip(self.vals, anns))):
+            value = (local & a.mask[vec]) - a.sign[vec]
+            cols[v] = value - self.domains[v].start
+            local >>= a.width[vec]
+        return _Block(cols, len(vec))
+
+    def term(self, b: _Block, p: Pattern, var_anns: dict) -> RowTerm:
+        """`p` instantiated for the block's instances, reading expressions
+        in the order `rewrites.instantiate` evaluates them.  An instance
+        with a blocked expression or an unrepresentable constant stops being
+        live.  A variable takes the annotation of its first lhs slot."""
+        if isinstance(p, PatVar):
+            return RowTerm("var", var_anns[p.name], name=p.name.lstrip("?"))
+        if isinstance(p, PatConst):
+            a = self.ann(b, p.width, p.sig)
+            v = b.read(self.table(p.value, int))
+            b.live &= ((-a.sign <= v) & (v <= a.mask - a.sign)).astype(bool)
+            return RowTerm("const", a, value=v)
+        out = self.ann(b, p.out_w, p.out_s)
+        operands = []
+        for w, s, sub in p.operands:
+            slot = self.ann(b, w, s)
+            if isinstance(sub, PatVar):
+                var_anns.setdefault(sub.name, slot)
+            operands.append((slot, self.term(b, sub, var_anns)))
+        if p.op == "slice" and b.live.any():
+            b.fail(np.flatnonzero(b.live)[0],
+                   IrError("slice needs (hi, lo) indices"))
+        return RowTerm(p.op, out, tuple(operands))
+
+    def params(self, b: _Block, i: int) -> dict:
+        return {p: self.domains[p][int(b.cols[p][i])]
+                for p in self.grid + self.vals}
+
+    def check(self, start: int, stop: int) -> list[dict]:
+        """Check grid vectors start..stop-1: keep the instances whose
+        condition holds and whose expressions are not blocked, then report,
+        per instance in enumeration order, an annotation mismatch or the
+        first operand assignment on which the sides differ."""
+        rule = self.rule
+        b = self.block(start, stop)
+        if rule.cond is not True:
+            holds = b.read(self.table(rule.cond, bool))
+            b.keep(b.live & holds.astype(bool))
+        var_anns: dict[str, RowAnnotation] = {}
+        lhs = self.term(b, rule.lhs, var_anns)
+        rhs = self.term(b, rule.rhs, var_anns)
+        inputs = [(v.lstrip("?"), var_anns[v]) for v in sorted(var_anns)]
+        mismatch = b.live & ((lhs.out.width != rhs.out.width)
+                             | (lhs.out.signed != rhs.out.signed))
+        bits = sum(a.width for _, a in inputs)
+        wide = b.live & ~mismatch & (bits > MAX_OPERAND_BITS)
+        if wide.any():
+            b.fail(np.flatnonzero(wide)[0], RuleError(
+                f"{rule.id}: operand space too large to enumerate"))
+        if b.error is not None:
+            raise b.error[1]
+
+        def ann_at(a: RowAnnotation, i: int) -> Annotation:
+            return Annotation(int(a.width[i]), bool(a.signed[i]))
+
+        found = {int(i): {"error": f"annotation mismatch {ann_at(lhs.out, i)}"
+                                   f" vs {ann_at(rhs.out, i)}"}
+                 for i in np.flatnonzero(mismatch)}
+        rows = np.flatnonzero(b.live & ~mismatch)
+        for i, (witness, lv, rv) in first_mismatches(
+                lhs, rhs, inputs, rows, AUDIT_ROWS).items():
+            found[i] = {"witness": witness, "lhs": lv, "rhs": rv}
+        return [{"rule": rule.id, "params": self.params(b, i), **found[i]}
+                for i in sorted(found)]

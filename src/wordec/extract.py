@@ -165,6 +165,7 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
     obj_of = {c: (K if c in sh.c_shared else -1) for c in universe}
 
     sel: dict[int, int] = {}
+    open_shared = len(sh.c_shared)  # shared classes not in sel
 
     def reaches(src: int, dst: int) -> bool:
         stack, seen = [src], set()
@@ -180,19 +181,11 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
         return False
 
     def bound(obj: int, need: list[int]) -> int:
-        b = obj
-        needset = set(need)
-        for c in universe:
-            if c in sel:
-                continue
-            if c in sh.c_shared:
-                b += K
-            elif c in needset:
-                b -= 1
-        return b
+        return obj + K * open_shared - sum(
+            1 for c in set(need) if c not in sel and c not in sh.c_shared)
 
     def dfs(need: list[int], obj: int):
-        nonlocal best_obj, best_sel, timed_out
+        nonlocal best_obj, best_sel, timed_out, open_shared
         if time.monotonic() > deadline:
             timed_out = True
             return
@@ -214,9 +207,11 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
             if any(reaches(k, c) for k in kids):
                 continue  # would close a cycle in the selected child relation
             sel[c] = nid
+            open_shared -= c in sh.c_shared
             new = [k for k in kids if k not in sel]
             dfs(rest + new, obj + obj_of[c])
             del sel[c]
+            open_shared += c in sh.c_shared
             if timed_out:
                 return
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +61,15 @@ class Annotation:
     @property
     def hi(self) -> int:
         return (1 << (self.width - 1)) - 1 if self.signed else (1 << self.width) - 1
+
+    @property
+    def mask(self) -> int:
+        return (1 << self.width) - 1
+
+    @property
+    def sign(self) -> int:
+        """Weight of the sign bit when signed, else 0."""
+        return 1 << (self.width - 1) if self.signed else 0
 
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
@@ -268,30 +277,55 @@ def vectorizable(t: Term) -> bool:
     return _range_bound(t) <= 62
 
 
+class RowAnnotation(NamedTuple):
+    """Annotations that differ from row to row of one batch, one array entry
+    per row: `width` and `signed`, and from them the `mask` and `sign` that
+    `Annotation` computes.  `_Lanes` takes one wherever it takes an
+    `Annotation`."""
+
+    width: np.ndarray
+    signed: np.ndarray
+    mask: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def of(cls, width: np.ndarray, signed: np.ndarray) -> "RowAnnotation":
+        if width.max(initial=0) > 62:  # masks past int64: exact ints
+            width = width.astype(object)
+        mask = (1 << width) - 1
+        return cls(width, signed, mask, np.where(signed, (mask >> 1) + 1, 0))
+
+
 class _Lanes:
     """One batch of input rows on one lane type: int64, or exact Python
-    ints.  `value` is the shared opcode table.  (A class rather than nested
-    closures: a self-referencing closure would keep each batch alive until
-    the cycle collector runs.)"""
+    ints.  `value` is the shared opcode table; its terms carry `Annotation`s
+    or `RowAnnotation`s.  (A class rather than nested closures: a
+    self-referencing closure would keep each batch alive until the cycle
+    collector runs.)"""
 
-    def __init__(self, exact: bool, env: Mapping[str, np.ndarray]):
+    def __init__(self, exact: bool, env: Mapping[str, np.ndarray],
+                 rows: int | None = None):
         self.dtype = object if exact else np.int64
         self.env = env
-        self.rows = len(next(iter(env.values()))) if env else 1
+        if rows is None:
+            rows = len(next(iter(env.values()))) if env else 1
+        self.rows = rows
 
-    def bits(self, v, a: Annotation):
+    def bits(self, v, a):
         """Two's-complement pattern of `v` in `a.width` bits."""
-        return v & ((1 << a.width) - 1)
+        return v & a.mask
 
-    def interpret(self, bits, a: Annotation):
-        if a.signed:
-            half = 1 << (a.width - 1)
-            return np.where(bits >= half, bits - (half << 1), bits)
-        return bits
+    def interpret(self, bits, a):
+        """Read `a.width`-bit patterns under `a`'s signage."""
+        if isinstance(a, Annotation) and not a.signed:
+            return bits
+        return (bits ^ a.sign) - a.sign
 
-    def coerce(self, v, src: Annotation, dst: Annotation):
+    def coerce(self, v, src, dst):
         """`coerce` of values representable in `src`."""
-        if dst.lo <= src.lo and src.hi <= dst.hi:
+        if src is dst or (isinstance(src, Annotation)
+                          and isinstance(dst, Annotation)
+                          and dst.lo <= src.lo and src.hi <= dst.hi):
             return v  # every src value is representable in dst: unchanged
         return self.interpret(self.bits(v, dst), dst)
 
@@ -301,7 +335,7 @@ class _Lanes:
                 raise UnboundVariableError(t.name)
             return np.asarray(self.env[t.name], dtype=self.dtype)
         if t.kind == "const":
-            return np.broadcast_to(np.array(t.value, dtype=self.dtype),
+            return np.broadcast_to(np.asarray(t.value, dtype=self.dtype),
                                    self.rows)
         vals = [self.coerce(self.value(child), child.out, slot)
                 for slot, child in t.operands]
@@ -352,8 +386,8 @@ class _Lanes:
         elif k == "zext":
             r = self.bits(vals[0], slots[0])
         elif k == "sext":
-            r = self.interpret(self.bits(vals[0], slots[0]),
-                               Annotation(slots[0].width, True))
+            sign = 1 << (slots[0].width - 1)
+            r = (self.bits(vals[0], slots[0]) ^ sign) - sign
         else:
             raise IrError(f"unknown opcode: {k}")
         return self.interpret(self.bits(r, t.out), t.out)
@@ -419,6 +453,92 @@ def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
             return ({nm: int(env[nm][i]) for nm in names},
                     int(va[i]), int(vb[i]))
     return None
+
+
+# A batch may mix instances of one term pair whose annotations differ: a
+# `RowTerm` holds each annotation as a `RowAnnotation` and each constant as
+# an array, both indexed by instance.  Such a batch runs on int64 lanes when
+# no annotation is wider than ROW_INT64_WIDTH: with slots at most W bits
+# wide and shift amounts clamped, every exact intermediate fits in 2W + 1
+# bits.
+ROW_INT64_WIDTH = 31
+
+
+class RowTerm(NamedTuple):
+    """A term whose annotations and constants differ per instance.
+    `_Lanes.value` reads one, taken at the instance of each row, like a
+    `Term`."""
+
+    kind: str
+    out: RowAnnotation
+    operands: tuple = ()
+    name: str | None = None
+    value: np.ndarray | None = None
+
+    def annotations(self):
+        yield self.out
+        for slot, child in self.operands:
+            yield slot
+            yield from child.annotations()
+
+    def take(self, at: np.ndarray, memo: dict, exact: bool) -> "RowTerm":
+        """This term with its annotations and constants read at instances
+        `at` (exact ints on object lanes); `memo` shares the reads."""
+        def ann(a: RowAnnotation) -> RowAnnotation:
+            if id(a) not in memo:
+                memo[id(a)] = RowAnnotation(*(
+                    x[at].astype(object) if exact and x.dtype != bool
+                    else x[at] for x in a))
+            return memo[id(a)]
+
+        return self._replace(
+            out=ann(self.out),
+            value=None if self.value is None else self.value[at],
+            operands=tuple((ann(s), c.take(at, memo, exact))
+                           for s, c in self.operands))
+
+
+def first_mismatches(a: RowTerm, b: RowTerm,
+                     inputs: Sequence[tuple[str, RowAnnotation]],
+                     instances: np.ndarray, rows: int
+                     ) -> dict[int, tuple[dict[str, int], int, int]]:
+    """`first_mismatch` for each of `instances`: the first input assignment
+    on which `a` and `b` differ, with both values.  Each instance's joint
+    input space is enumerated in lexicographic order (inputs in the given
+    order, each low to high); the spaces run back to back through batches
+    of at most `rows` rows."""
+    if not len(instances):
+        return {}
+    inputs = [(name, RowAnnotation(*(x[instances] for x in ann)))
+              for name, ann in inputs]
+    counts = 1 << sum((x.width for _, x in inputs), np.zeros_like(instances))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    exact = max(int(x.width[instances].max()) for x in
+                (*a.annotations(), *b.annotations())) > ROW_INT64_WIDTH
+    found: dict[int, tuple[dict[str, int], int, int]] = {}
+    for begin in range(0, int(ends[-1]), rows):
+        g = np.arange(begin, min(begin + rows, int(ends[-1])))
+        inst = np.searchsorted(ends, g, side="right")
+        local = g - starts[inst]
+        env = {}
+        for name, x in reversed(inputs):
+            env[name] = (local & x.mask[inst]) - x.sign[inst]
+            local >>= x.width[inst]
+        at = instances[inst]
+        memo: dict = {}
+        lanes = _Lanes(exact, env, rows=len(g))
+        va = lanes.value(a.take(at, memo, exact))
+        vb = lanes.value(b.take(at, memo, exact))
+        bad = np.flatnonzero(va != vb)
+        first = np.ones(len(bad), dtype=bool)  # rows run instance by instance
+        first[1:] = inst[bad[1:]] != inst[bad[:-1]]
+        for r in bad[first]:
+            i = int(at[r])
+            if i not in found:
+                found[i] = ({n: int(env[n][r]) for n, _ in inputs},
+                            int(va[r]), int(vb[r]))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,16 @@ parameter variables binding widths, signages and constant values:
     (const ?v ?vw ?vs)
 
 Right-hand sides may compute widths/values with +, -, *, 2^e, min, max,
-width(e) and log2(e).  Conditions are boolean expressions over the bound
-parameters.  A rule's condition must be *sufficient*: whenever it holds, the
-two sides are extensionally equal under the IR semantics; validate_rule
-audits this exhaustively at small widths.
+width(e) and log2(e); an instance where one is undefined (log2 of a value
+below 1, 2^e for a negative e) is blocked.  Conditions are boolean
+expressions over the bound parameters.  A rule's condition must be
+*sufficient*: whenever it holds, the two sides are extensionally equal
+under the IR semantics; validate_rule audits this exhaustively at small
+widths.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -207,6 +208,8 @@ def eval_expr(e, env: dict):
     if op == "^":
         if args[1] > 1 << 20:
             raise BlockedMatch("exponent too large")
+        if args[1] < 0:
+            raise BlockedMatch("negative exponent")
         return args[0] ** args[1]
     if op == "min":
         return min(args)
@@ -469,12 +472,18 @@ def _match_pattern(g: EGraph, p: Pattern, cid: int, env: dict
             yield e, Skeleton(nid, tuple(skels))
 
 
+def _width(value) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise BlockedMatch(f"computed width {value!r} invalid")
+    return value
+
+
+def _is_signed(value) -> bool:
+    return value == SIGNED
+
+
 def _eval_ann(w, s, env) -> Annotation:
-    width = eval_expr(w, env)
-    sig = eval_expr(s, env)
-    if not isinstance(width, int) or width < 1:
-        raise BlockedMatch(f"computed width {width!r} invalid")
-    return Annotation(width, sig == SIGNED)
+    return Annotation(_width(eval_expr(w, env)), _is_signed(eval_expr(s, env)))
 
 
 def instantiate(g: EGraph, p: Pattern, env: dict
@@ -790,137 +799,27 @@ def baseline_rules() -> list:
 # Rule validation (exhaustive sufficiency audit at small widths)
 # ---------------------------------------------------------------------------
 
-def _shift_amount_width_params(p: Pattern, out: set[str]) -> None:
-    if not isinstance(p, PatOp):
-        return
-    for i, (w, s, sub) in enumerate(p.operands):
-        if p.op in ("<<", ">>", ">>>") and i == 1 and isinstance(w, str):
-            out.add(w)
-        _shift_amount_width_params(sub, out)
-
-
-def _pattern_to_term(p: Pattern, env: dict, var_anns: dict,
-                     out_ann: Annotation | None = None) -> Term:
-    if isinstance(p, PatVar):
-        return Term("var", var_anns[p.name], name=p.name.lstrip("?"))
-    if isinstance(p, PatConst):
-        a = _eval_ann(p.width, p.sig, env)
-        v = eval_expr(p.value, env)
-        if not a.contains(v):
-            raise BlockedMatch(f"constant {v} not representable")
-        return Term("const", a, value=v)
-    out = _eval_ann(p.out_w, p.out_s, env)
-    ops = []
-    for w, s, sub in p.operands:
-        slot = _eval_ann(w, s, env)
-        if isinstance(sub, PatVar) and sub.name not in var_anns:
-            var_anns[sub.name] = slot
-        ops.append((slot, _pattern_to_term(sub, env, var_anns)))
-    return Term(p.op, out, operands=tuple(ops))
-
-
 def validate_rule(rule, maxw: int = 4) -> list[dict]:
     """Exhaustively audit a rule's condition for sufficiency.
 
     Enumerates every parameter vector with widths <= maxw (shift-amount
     widths <= min(maxw, 3)) and both signages; wherever the condition holds,
-    checks lhs == rhs over all operand values.  Returns the violations."""
+    checks lhs == rhs over all operand values.  Returns the violations, one
+    per violating instance, in enumeration order.  A pattern rule's grid is
+    checked in blocks by `_check_instance` (see `wordec.audit`)."""
     if maxw < 1:
         raise RuleError("maxw must be >= 1")
     if hasattr(rule, "validate"):
         return rule.validate(maxw)
-
-    params: set[str] = set()
-    pattern_params(rule.lhs, params)
-    pattern_params(rule.rhs, params)
-    expr_params(rule.cond if rule.cond is not True else 0, params)
-    shift_widths: set[str] = set()
-    _shift_amount_width_params(rule.lhs, shift_widths)
-    _shift_amount_width_params(rule.rhs, shift_widths)
-
-    # classify parameters by where they occur on the lhs
-    width_ps, sig_ps, val_ps = set(), set(), set()
-    val_ann: dict[str, tuple] = {}
-
-    def scan(p):
-        if isinstance(p, PatConst):
-            if isinstance(p.value, str):
-                val_ps.add(p.value)
-                val_ann[p.value] = (p.width, p.sig)
-            if isinstance(p.width, str):
-                width_ps.add(p.width)
-            if isinstance(p.sig, str):
-                sig_ps.add(p.sig)
-            return
-        if isinstance(p, PatVar):
-            return
-        if isinstance(p.out_w, str):
-            width_ps.add(p.out_w)
-        if isinstance(p.out_s, str):
-            sig_ps.add(p.out_s)
-        for w, s, sub in p.operands:
-            if isinstance(w, str):
-                width_ps.add(w)
-            if isinstance(s, str):
-                sig_ps.add(s)
-            scan(sub)
-
-    scan(rule.lhs)
-
-    widths = sorted(width_ps)
-    sigs = sorted(sig_ps)
-    vals = sorted(val_ps)
-    width_ranges = [range(1, (min(maxw, 3) if w in shift_widths else maxw) + 1)
-                    for w in widths]
+    from .audit import RuleAudit  # it imports this module
+    audit = RuleAudit(rule, maxw)
     violations: list[dict] = []
-
-    for wvec in itertools.product(*width_ranges):
-        base = dict(zip(widths, wvec))
-        for svec in itertools.product((UNSIGNED, SIGNED), repeat=len(sigs)):
-            env = dict(base)
-            env.update(zip(sigs, svec))
-            val_ranges = []
-            ok = True
-            for vp in vals:
-                wexpr, sexpr = val_ann[vp]
-                try:
-                    a = _eval_ann(wexpr, sexpr, env)
-                except (BlockedMatch, RuleError):
-                    ok = False
-                    break
-                val_ranges.append(range(a.lo, a.hi + 1))
-            if not ok:
-                continue
-            for vvec in itertools.product(*val_ranges):
-                e = dict(env)
-                e.update(zip(vals, vvec))
-                try:
-                    if rule.cond is not True and not eval_expr(rule.cond, e):
-                        continue
-                except BlockedMatch:
-                    continue
-                v = _check_instance(rule, e)
-                if v is not None:
-                    violations.append(v)
+    for start, stop in audit.blocks():
+        violations += _check_instance(audit, start, stop)
     return violations
 
 
-def _check_instance(rule, env: dict) -> dict | None:
-    var_anns: dict[str, Annotation] = {}
-    try:
-        lhs_t = _pattern_to_term(rule.lhs, env, var_anns)
-        rhs_t = _pattern_to_term(rule.rhs, env, var_anns)
-    except BlockedMatch:
-        return None
-    if lhs_t.out != rhs_t.out:
-        return {"rule": rule.id, "params": dict(env),
-                "error": f"annotation mismatch {lhs_t.out} vs {rhs_t.out}"}
-    anns = {v.lstrip("?"): a for v, a in var_anns.items()}
-    if sum(a.width for a in anns.values()) > 22:
-        raise RuleError(f"{rule.id}: operand space too large to enumerate")
-    cex = first_mismatch(lhs_t, rhs_t, sorted(anns.items()))
-    if cex is None:
-        return None
-    witness, lv, rv = cex
-    return {"rule": rule.id, "params": dict(env), "witness": witness,
-            "lhs": lv, "rhs": rv}
+def _check_instance(audit, start: int, stop: int) -> list[dict]:
+    """The violations among grid vectors start..stop-1 of a rule's audit
+    (one block), in enumeration order."""
+    return audit.check(start, stop)

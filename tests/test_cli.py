@@ -155,6 +155,15 @@ class TestValidateRules:
         assert r.exit_code == 1, r.output
         assert "violation" in r.output.lower()
 
+    def test_operand_space_past_guard_is_error(self, runner, tmp_path):
+        p = tmp_path / "wide.rules"
+        p.write_text("wide : (+ 12 unsigned 12 unsigned ?a 12 unsigned ?b)"
+                     " => (+ 12 unsigned 12 unsigned ?b 12 unsigned ?a) ;\n")
+        r = runner.invoke(main, ["validate-rules", "--rules", str(p),
+                                 "--maxw", "2"])
+        assert r.exit_code == 3, r.output
+        assert "error: wide: operand space too large" in r.output
+
     def test_unparseable_rule_file_is_error(self, runner, tmp_path):
         p = tmp_path / "syntax.rules"
         p.write_text("r : (+ ?wo => ;")
