@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -214,6 +215,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
     report_json["saturation"] = {
         "iterations": rep.iterations, "nodes": g.num_nodes(),
         "roots_merged": rep.roots_merged, "stop_reason": rep.stop_reason,
+        "per_iteration": [asdict(st) for st in rep.per_iteration],
     }
     report_json["extraction"] = {"method": res.method,
                                  "objective": res.objective,
@@ -248,6 +250,11 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
         Path(dump_graph).write_text(
             json.dumps(g.dump(sh1), indent=2, sort_keys=True) + "\n")
     click.echo(f"iterations: {rep.iterations} ({rep.stop_reason})")
+    for i, st in enumerate(rep.per_iteration, 1):
+        click.echo(f"  iteration {i}: {st.matches} matches, "
+                   f"{st.redundant_applications} redundant; match "
+                   f"{st.match_s:.3f}s apply {st.apply_s:.3f}s width-reduce "
+                   f"{st.width_reduce_s:.3f}s rebuild {st.rebuild_s:.3f}s")
     click.echo(f"nodes: {' -> '.join(map(str, rep.node_counts))}")
     click.echo(f"classes: {' -> '.join(map(str, rep.class_counts))}")
     click.echo(f"shared classes: {len(sh0.c_shared)} -> {len(sh1.c_shared)}")

@@ -79,6 +79,19 @@ class EClass:
 
 
 @dataclass
+class IterationStats:
+    """One saturation iteration: its matches, the applications that added
+    nothing, and the seconds of each phase."""
+
+    matches: int
+    redundant_applications: int
+    match_s: float
+    apply_s: float
+    width_reduce_s: float
+    rebuild_s: float
+
+
+@dataclass
 class SaturationReport:
     iterations: int = 0
     node_counts: list[int] = field(default_factory=list)
@@ -86,6 +99,7 @@ class SaturationReport:
     stop_reason: str = ""
     roots_merged: bool = False
     redundant_applications: int = 0
+    per_iteration: list[IterationStats] = field(default_factory=list)
 
 
 class EGraph:
@@ -381,14 +395,23 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
             reason = "timeout"
             break
         before = (g.num_nodes(), g.num_classes(), g.unions)
+        t0 = time.perf_counter()
         matches = []
         for r in rules:
             matches.extend(r.matches(g))
+        t1 = time.perf_counter()
+        redundant = 0
         for m in matches:
             if not m.apply(g):
-                report.redundant_applications += 1
+                redundant += 1
+        t2 = time.perf_counter()
         analysis.width_reduction_pass(g)
+        t3 = time.perf_counter()
         g.rebuild()
+        report.per_iteration.append(IterationStats(
+            len(matches), redundant, t1 - t0, t2 - t1, t3 - t2,
+            time.perf_counter() - t3))
+        report.redundant_applications += redundant
         report.iterations = it + 1
         report.node_counts.append(g.num_nodes())
         report.class_counts.append(g.num_classes())

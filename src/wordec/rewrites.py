@@ -22,8 +22,8 @@ widths.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .egraph import EGraph, Leaf, NodeRec, RuleJust, Skeleton
 from .ir import Annotation, ARITY, SIGNED, UNSIGNED, Term, first_mismatch
@@ -176,7 +176,39 @@ def parse_expr(text: str):
     return e
 
 
+def _compare(op: str, a, b) -> bool:
+    # every comparison is taken, so operands that do not order (a width
+    # against a signage) raise TypeError whatever the operator
+    return {"==": a == b, "!=": a != b,
+            "<=": a <= b, ">=": a >= b,
+            "<": a < b, ">": a > b}[op]
+
+
+def _power(a, b):
+    if b > 1 << 20:
+        raise BlockedMatch("exponent too large")
+    if b < 0:
+        raise BlockedMatch("negative exponent")
+    return a ** b
+
+
+def _width_of(a) -> int:
+    return max(1, int(a).bit_length())
+
+
+def _log2(a) -> int:
+    if a < 1:
+        raise BlockedMatch("log2 of non-positive value")
+    return int(a).bit_length() - 1
+
+
+def _unknown_operator(op: str, *_args):
+    raise RuleError(f"unknown operator {op!r}")
+
+
 def eval_expr(e, env: dict):
+    """The reference semantics of the expression language; rule programs
+    compile the same operators (see `_expr_code`)."""
     if isinstance(e, int):
         return e
     if isinstance(e, str):
@@ -196,9 +228,7 @@ def eval_expr(e, env: dict):
     args = [eval_expr(x, env) for x in e[1:]]
     if op in _CMP:
         a, b = args
-        return {"==": a == b, "!=": a != b,
-                "<=": a <= b, ">=": a >= b,
-                "<": a < b, ">": a > b}[op]
+        return _compare(op, a, b)
     if op == "+":
         return args[0] + args[1]
     if op == "-":
@@ -206,22 +236,16 @@ def eval_expr(e, env: dict):
     if op == "*":
         return args[0] * args[1]
     if op == "^":
-        if args[1] > 1 << 20:
-            raise BlockedMatch("exponent too large")
-        if args[1] < 0:
-            raise BlockedMatch("negative exponent")
-        return args[0] ** args[1]
+        return _power(args[0], args[1])
     if op == "min":
         return min(args)
     if op == "max":
         return max(args)
     if op == "width":
-        return max(1, int(args[0]).bit_length())
+        return _width_of(args[0])
     if op == "log2":
-        if args[0] < 1:
-            raise BlockedMatch("log2 of non-positive value")
-        return int(args[0]).bit_length() - 1
-    raise RuleError(f"unknown operator {op!r}")
+        return _log2(args[0])
+    return _unknown_operator(op)
 
 
 def expr_params(e, out: set[str]) -> None:
@@ -376,100 +400,19 @@ class Rule:
         # over lhs parameters are fine; a fresh rhs parameter is not)
         if not rp <= lp:
             raise RuleError(f"{self.id}: rhs parameters {rp - lp} unbound")
+        cp: set[str] = set()
+        expr_params(self.cond, cp)
+        if not cp <= lp:
+            raise RuleError(f"{self.id}: condition parameters "
+                            f"{', '.join(sorted(cp - lp))} unbound")
 
     # -- matching -----------------------------------------------------------
 
     def matches(self, g: EGraph) -> list["Match"]:
-        out = []
-        for cid in sorted(g.classes):
-            for env, skel in _match_pattern(g, self.lhs, cid, {}):
-                if self.cond is not True:
-                    try:
-                        if not eval_expr(self.cond, env):
-                            continue
-                    except BlockedMatch:
-                        continue
-                if isinstance(self.rhs, PatVar):
-                    # merging with a bare class requires matching annotations
-                    tgt = g.nodes[g.classes[cid].node_ids[0]].out
-                    bcid = env[("class", self.rhs.name)]
-                    bann = g.nodes[g.classes[g.find(bcid)].node_ids[0]].out
-                    if bann != tgt:
-                        continue
-                out.append(Match(self, cid, env, skel))
-        return out
-
-
-def _unify(env: dict, key, value) -> dict | None:
-    """Unify a slot expression (param, literal int, or signage literal)."""
-    if isinstance(key, int):
-        return env if key == value else None
-    if isinstance(key, tuple) and key[0] == "sig":
-        return env if key[1] == value else None
-    if isinstance(key, str) and key.startswith("?"):
-        if key in env:
-            return env if env[key] == value else None
-        env = dict(env)
-        env[key] = value
-        return env
-    raise RuleError(f"unmatchable slot expression {key!r} on lhs")
-
-
-def _match_pattern(g: EGraph, p: Pattern, cid: int, env: dict
-                   ) -> Iterator[tuple[dict, Skeleton | None]]:
-    cid = g.find(cid)
-    if isinstance(p, PatVar):
-        key = ("class", p.name)
-        if key in env:
-            if g.find(env[key]) == cid:
-                yield env, None
-            return
-        env = dict(env)
-        env[key] = cid
-        yield env, None
-        return
-    if isinstance(p, PatConst):
-        for nid in g.classes[cid].node_ids:
-            n = g.nodes[nid]
-            if n.op != "const":
-                continue
-            e = _unify(env, p.value, n.value)
-            if e is None:
-                continue
-            e = _unify(e, p.width, n.out.width)
-            if e is None:
-                continue
-            e = _unify(e, p.sig, n.out.signage)
-            if e is not None:
-                yield e, Skeleton(nid, ())
-        return
-    for nid in g.classes[cid].node_ids:
-        n = g.nodes[nid]
-        if n.op != p.op:
-            continue
-        e0 = _unify(env, p.out_w, n.out.width)
-        if e0 is None:
-            continue
-        e0 = _unify(e0, p.out_s, n.out.signage)
-        if e0 is None:
-            continue
-        states = [(e0, [])]
-        for i, (wp, sp, sub) in enumerate(p.operands):
-            nxt = []
-            for e1, skels in states:
-                e2 = _unify(e1, wp, n.slots[i].width)
-                if e2 is None:
-                    continue
-                e2 = _unify(e2, sp, n.slots[i].signage)
-                if e2 is None:
-                    continue
-                for e3, sk in _match_pattern(g, sub, n.children[i], e2):
-                    nxt.append((e3, skels + [sk]))
-            states = nxt
-            if not states:
-                break
-        for e, skels in states:
-            yield e, Skeleton(nid, tuple(skels))
+        """Every match of the lhs whose condition holds, by class id, then
+        by node order at each structured pattern position.  A bare-variable
+        rhs only matches a class with the annotation of the matched one."""
+        return rule_program(self).match(g, self)
 
 
 def _width(value) -> int:
@@ -482,33 +425,355 @@ def _is_signed(value) -> bool:
     return value == SIGNED
 
 
-def _eval_ann(w, s, env) -> Annotation:
-    return Annotation(_width(eval_expr(w, env)), _is_signed(eval_expr(s, env)))
+# ---------------------------------------------------------------------------
+# Rule programs
+# ---------------------------------------------------------------------------
+#
+# A pattern rule runs as Python generated from it and compiled once per
+# process for each distinct (lhs, cond, rhs):
+#
+# - the matcher walks the lhs with one nested loop per structured position
+#   and returns the rule's matches in the order described at Rule.matches;
+# - the condition is one function of the parameters it reads;
+# - the builder walks the rhs in pre-order (a node's output annotation, then
+#   per operand its slot annotation and its subterm, then the node itself),
+#   so a BlockedMatch partway leaves the nodes added before it.
+#
+# eval_expr stays the reference semantics of the expression language.
+
+# Structured lhs positions per matcher: one nested loop each, and CPython
+# allows 20 nested blocks in a function.
+_MAX_POSITIONS = 16
+
+# Interned rhs annotations, by (width, signed).
+_ANNOTATIONS: dict[tuple[int, bool], Annotation] = {}
+
+
+def _unrepresentable(v, a: Annotation):
+    raise BlockedMatch(f"constant {v} not representable in ({a})")
+
+
+def _unbound(e: KeyError) -> None:
+    """Re-raise a builder's missing parameter as eval_expr does."""
+    if e.args and isinstance(e.args[0], str):
+        raise RuleError(f"unbound parameter {e.args[0]}") from None
+
+
+_GLOBALS = {
+    "Annotation": Annotation, "BlockedMatch": BlockedMatch, "Leaf": Leaf,
+    "NodeRec": NodeRec, "Skeleton": Skeleton, "_ANNOTATIONS": _ANNOTATIONS,
+    "_compare": _compare, "_power": _power, "_width_of": _width_of,
+    "_log2": _log2, "_unknown_operator": _unknown_operator, "_width": _width,
+    "_unrepresentable": _unrepresentable, "_unbound": _unbound,
+}
+
+
+def _tuple_code(items: list[str]) -> str:
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+def _expr_code(e, ref, kinds: dict) -> tuple[str, str | None]:
+    """Python source computing expression e as eval_expr does, and its
+    static type: 'bool', 'int', 'str', or None when unknown.  `ref(name)` is
+    the source of a parameter's value and `kinds[name]` its type."""
+    if isinstance(e, bool):
+        return repr(e), "bool"
+    if isinstance(e, int):
+        return repr(e), "int"
+    if isinstance(e, str):
+        return ref(e), kinds.get(e)
+    op = e[0]
+    if op == "sig":
+        return repr(e[1]), "str"
+    if op == "!":
+        return f"(not {_expr_code(e[1], ref, kinds)[0]})", "bool"
+    code = [_expr_code(x, ref, kinds) for x in e[1:]]
+    src = [s for s, _ in code]
+    types = {t for _, t in code}
+    ints = types <= {"bool", "int"}
+    if op in ("&&", "||"):
+        a, b = (s if t == "bool" else f"bool({s})" for s, t in code)
+        return f"({a} {'and' if op == '&&' else 'or'} {b})", "bool"
+    if op in _CMP:
+        if ints or types == {"str"}:  # then every comparison is defined
+            return f"({src[0]} {op} {src[1]})", "bool"
+        return f"_compare({op!r}, {src[0]}, {src[1]})", None
+    if op in ("+", "-", "*"):
+        return f"({src[0]} {op} {src[1]})", "int" if ints else None
+    if op == "^":
+        return f"_power({src[0]}, {src[1]})", "int" if ints else None
+    if op in ("min", "max"):
+        kind = "int" if ints else "str" if types == {"str"} else None
+        if len(src) == 1:
+            return f"{op}(({src[0]},))", kind
+        return f"{op}({', '.join(src)})", kind
+    if op == "width":
+        return f"_width_of({src[0]})", "int"
+    if op == "log2":
+        return f"_log2({src[0]})", "int"
+    return f"_unknown_operator({op!r}, {', '.join(src)})", None
+
+
+class _Code:
+    """Generated source: lines at a running indentation, fresh local names,
+    and the constants it reads from its namespace."""
+
+    def __init__(self, header: list[str]):
+        self.lines = list(header)
+        self.depth = 1
+        self.names = 0
+        self.consts: dict[str, object] = {}
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def fresh(self, stem: str) -> str:
+        self.names += 1
+        return f"{stem}{self.names}"
+
+    def const(self, value) -> str:
+        name = self.fresh("K")
+        self.consts[name] = value
+        return name
+
+    def run(self, filename: str, **names) -> dict:
+        ns = {**_GLOBALS, **self.consts, **names}
+        exec(compile("\n".join(self.lines) + "\n", filename, "exec"), ns)
+        return ns
+
+
+def _binding_order(p: Pattern, out: list) -> None:
+    """Append the keys a match of p binds, in the order the lhs binds them
+    (slots before sub-patterns, operands left to right), to `out`."""
+    def bind(key) -> None:
+        if isinstance(key, str) and key.startswith("?") and key not in out:
+            out.append(key)
+
+    if isinstance(p, PatVar):
+        if ("class", p.name) not in out:
+            out.append(("class", p.name))
+    elif isinstance(p, PatConst):
+        for key in (p.value, p.width, p.sig):
+            bind(key)
+    else:
+        bind(p.out_w)
+        bind(p.out_s)
+        for w, s, sub in p.operands:
+            bind(w)
+            bind(s)
+            _binding_order(sub, out)
+
+
+def _compile_matcher(rule: Rule, build) -> dict:
+    """The namespace holding `match(g, rule)` and, for a conditional rule,
+    `cond(...)`.  The matcher checks every annotation of a node before it
+    descends, and reads each child class once per node: unification is a
+    conjunction of equalities, so the order changes no result."""
+    code = _Code(["def match(g, rule):",
+                  "    nodes, classes, parent, find = "
+                  "g.nodes, g.classes, g.parent, g.find",
+                  "    out = []",
+                  "    append = out.append",
+                  "    for c0 in sorted(classes):"])
+    code.depth = 2
+    local: dict[object, str] = {}    # env key -> local holding its value
+    kinds: dict[str, str] = {}       # parameter -> static type
+    positions = 0
+
+    def unify(key, value: str, kind: str | None) -> None:
+        if isinstance(key, int):
+            code.emit(f"if {value} != {key!r}: continue")
+        elif isinstance(key, tuple) and key[0] == "sig":
+            code.emit(f"if {value} != {key[1]!r}: continue")
+        elif isinstance(key, str) and key.startswith("?"):
+            if key in local:
+                code.emit(f"if {value} != {local[key]}: continue")
+            else:
+                local[key], kinds[key] = code.fresh("v"), kind
+                code.emit(f"{local[key]} = {value}")
+        else:
+            raise RuleError(f"{rule.id}: unmatchable slot expression "
+                            f"{key!r} on lhs")
+
+    def annotation(w, s, value: str) -> None:
+        code.emit(f"a = {value}")
+        unify(w, "a.width", "int")
+        if isinstance(s, tuple) and s[0] == "sig" and s[1] in (SIGNED,
+                                                              UNSIGNED):
+            code.emit(f"if {'not ' if s[1] == SIGNED else ''}a.signed: "
+                      "continue")
+        else:
+            unify(s, f"({SIGNED!r} if a.signed else {UNSIGNED!r})", "str")
+
+    def position(p: Pattern, cls: str) -> str:
+        """Loop over the nodes of class `cls` that match p; returns the
+        source of the skeleton."""
+        nonlocal positions
+        positions += 1
+        if positions > _MAX_POSITIONS:
+            raise RuleError(f"{rule.id}: more than {_MAX_POSITIONS} "
+                            "structured positions on the lhs")
+        n = code.fresh("n")
+        code.emit(f"for {n} in classes[{cls}].node_ids:")
+        code.depth += 1
+        code.emit(f"N = nodes[{n}]")
+        if isinstance(p, PatConst):
+            code.emit("if N.op != 'const': continue")
+            unify(p.value, "N.value", None)  # an int, unless malformed
+            annotation(p.width, p.sig, "N.out")
+            return f"Skeleton({n}, ())"
+        code.emit(f"if N.op != {p.op!r}: continue")
+        annotation(p.out_w, p.out_s, "N.out")
+        for i, (w, s, _) in enumerate(p.operands):
+            annotation(w, s, f"N.slots[{i}]")
+        kids = []
+        for i, (_, _, sub) in enumerate(p.operands):
+            c = code.fresh("c")
+            code.emit(f"{c} = parent[N.children[{i}]]")
+            code.emit(f"if parent[{c}] != {c}: {c} = find(N.children[{i}])")
+            key = ("class", sub.name) if isinstance(sub, PatVar) else None
+            if key is None:
+                kids.append((i, sub, c))
+            elif key in local:
+                code.emit(f"if {c} != {local[key]}: continue")
+            else:
+                local[key] = c
+        subs = ["None"] * len(p.operands)
+        for i, sub, c in kids:
+            subs[i] = position(sub, c)
+        return f"Skeleton({n}, {_tuple_code(subs)})"
+
+    skeleton = position(rule.lhs, "c0")
+    cond_src = []
+    if rule.cond is not True:
+        params: set[str] = set()
+        expr_params(rule.cond, params)
+        args = ", ".join(local[p] for p in sorted(params))
+        body, _ = _expr_code(rule.cond, local.__getitem__, kinds)
+        cond_src = [f"def cond({args}):", f"    return {body}"]
+        code.emit("try:")
+        code.emit(f"    if not cond({args}): continue")
+        code.emit("except BlockedMatch:")
+        code.emit("    continue")
+    if isinstance(rule.rhs, PatVar):
+        # merging with a bare class requires matching annotations
+        code.emit(f"if nodes[classes[{local[('class', rule.rhs.name)]}]"
+                  ".node_ids[0]].out != nodes[classes[c0].node_ids[0]].out: "
+                  "continue")
+    keys: list = []
+    _binding_order(rule.lhs, keys)
+    env = ", ".join(f"{k!r}: {local[k]}" for k in keys)
+    code.emit(f"append(Match(rule, c0, {{{env}}}, {skeleton}, build))")
+    code.depth = 1
+    code.emit("return out")
+    code.lines += cond_src
+    return code.run(f"<rule {rule.id}>", Match=Match, build=build)
+
+
+def _compile_builder(p: Pattern, name: str):
+    """`build(g, env)`: add p's instance under env to g, as instantiate
+    does."""
+    code = _Code(["def build(g, env):",
+                  "    add_node, find, classes = g.add_node, g.find, "
+                  "g.classes",
+                  "    try:"])
+    code.depth = 2
+
+    def param(key: str) -> str:
+        return f"env[{key!r}]"
+
+    def expr(e) -> str:
+        return _expr_code(e, param, {})[0]
+
+    def annotation(w, s) -> str:
+        sig = isinstance(s, tuple) and s[0] == "sig"
+        if type(w) is int and w >= 1 and sig:
+            return code.const(Annotation(w, s[1] == SIGNED))
+        a = code.fresh("a")
+        code.emit(f"w = {expr(w)}")
+        if not (type(w) is int and w >= 1):
+            code.emit("if type(w) is not int or w < 1: w = _width(w)")
+        code.emit(f"s = {s[1] == SIGNED!r}" if sig
+                  else f"s = {expr(s)} == {SIGNED!r}")
+        code.emit(f"{a} = _ANNOTATIONS.get((w, s)) if type(w) is int "
+                  "else Annotation(w, s)")
+        code.emit(f"if {a} is None: {a} = _ANNOTATIONS[w, s] = "
+                  "Annotation(w, s)")
+        return a
+
+    def node(p: Pattern, top: bool) -> tuple[str, str, str]:
+        """Emit p's instance; returns the sources of its class, its node and
+        its skeleton (None for a variable below the top)."""
+        c, n = code.fresh("c"), code.fresh("n")
+        if isinstance(p, PatVar):
+            code.emit(f"{c} = find(env[{('class', p.name)!r}])")
+            if not top:
+                return c, "", "None"
+            code.emit(f"{n} = min(classes[{c}].node_ids)")
+            return c, n, f"Leaf({n})"
+        if isinstance(p, PatConst):
+            a = annotation(p.width, p.sig)
+            v = code.fresh("x")
+            code.emit(f"{v} = {expr(p.value)}")
+            code.emit(f"if not {a}.contains({v}): _unrepresentable({v}, {a})")
+            code.emit(f"{c}, {n} = add_node(NodeRec('const', {a}, (), (), "
+                      f"value={v}))")
+            return c, n, f"Skeleton({n}, ())"
+        out = annotation(p.out_w, p.out_s)
+        slots, kids, subs = [], [], []
+        for w, s, sub in p.operands:
+            slots.append(annotation(w, s))
+            kc, _, ks = node(sub, False)
+            kids.append(kc)
+            subs.append(ks)
+        code.emit(f"{c}, {n} = add_node(NodeRec({p.op!r}, {out}, "
+                  f"{_tuple_code(slots)}, {_tuple_code(kids)}))")
+        return c, n, f"Skeleton({n}, {_tuple_code(subs)})"
+
+    c, n, skeleton = node(p, True)
+    code.emit(f"return {c}, {n}, {skeleton}")
+    code.depth = 1
+    code.emit("except KeyError as e:")
+    code.emit("    _unbound(e)")
+    code.emit("    raise")
+    return code.run(f"<rule {name}>")["build"]
+
+
+class RuleProgram:
+    """A pattern rule compiled: `match(g, rule)` gives rule's matches in g
+    (testing its condition, compiled as a function of the parameters it
+    reads), and `build(g, env)` adds its rhs instance."""
+
+    def __init__(self, rule: Rule):
+        self.build = _builder(rule.rhs, rule.id)
+        self.match = _compile_matcher(rule, self.build)["match"]
+
+
+_PROGRAMS: dict[tuple, RuleProgram] = {}
+_BUILDERS: dict[Pattern, object] = {}
+
+
+def rule_program(rule: Rule) -> RuleProgram:
+    """The process's program for rule's (lhs, cond, rhs), compiled on first
+    use, so rules parsed again share it."""
+    key = (rule.lhs, rule.cond, rule.rhs)
+    prog = _PROGRAMS.get(key)
+    if prog is None:
+        prog = _PROGRAMS[key] = RuleProgram(rule)
+    return prog
+
+
+def _builder(p: Pattern, name: str = "pattern"):
+    build = _BUILDERS.get(p)
+    if build is None:
+        build = _BUILDERS[p] = _compile_builder(p, name)
+    return build
 
 
 def instantiate(g: EGraph, p: Pattern, env: dict
                 ) -> tuple[int, int, Skeleton | Leaf]:
     """Add the rhs instance to the graph; returns (class, node, skeleton)."""
-    if isinstance(p, PatVar):
-        cid = g.find(env[("class", p.name)])
-        nid = min(g.classes[cid].node_ids)
-        return cid, nid, Leaf(nid)
-    if isinstance(p, PatConst):
-        a = _eval_ann(p.width, p.sig, env)
-        v = eval_expr(p.value, env)
-        if not a.contains(v):
-            raise BlockedMatch(f"constant {v} not representable in ({a})")
-        cid, nid = g.add_node(NodeRec("const", a, (), (), value=v))
-        return cid, nid, Skeleton(nid, ())
-    out = _eval_ann(p.out_w, p.out_s, env)
-    kids, slots, subs = [], [], []
-    for w, s, sub in p.operands:
-        slots.append(_eval_ann(w, s, env))
-        ccid, _, csk = instantiate(g, sub, env)
-        kids.append(ccid)
-        subs.append(None if isinstance(csk, Leaf) else csk)
-    cid, nid = g.add_node(NodeRec(p.op, out, tuple(slots), tuple(kids)))
-    return cid, nid, Skeleton(nid, tuple(subs))
+    return _builder(p)(g, env)
 
 
 @dataclass
@@ -517,13 +782,16 @@ class Match:
     cid: int
     env: dict
     lhs_skel: Skeleton
+    # the rule program's builder; instantiate's when not given
+    build: Callable | None = field(default=None, repr=False, compare=False)
 
     def apply(self, g: EGraph) -> bool:
         """Instantiate the rhs and union it with the matched class.  Returns
         False when the application added nothing new."""
         target = g.find(self.cid)
+        build = self.build or _builder(self.rule.rhs)
         try:
-            rcid, rnid, rskel = instantiate(g, self.rule.rhs, self.env)
+            rcid, rnid, rskel = build(g, self.env)
         except BlockedMatch:
             return False
         if g.find(rcid) == target:

@@ -35,6 +35,11 @@ class TestCheck:
         assert "overall: pass" in r.output
         rep = json.loads((out / "report.json").read_text())
         assert rep["overall"] == "pass"
+        per_iteration = rep["saturation"]["per_iteration"]
+        assert len(per_iteration) == rep["saturation"]["iterations"]
+        assert set(per_iteration[0]) == {
+            "matches", "redundant_applications", "match_s", "apply_s",
+            "width_reduce_s", "rebuild_s"}
         assert (out / "manifest.json").exists()
         assert list((out / "steps").glob("*.ir"))
 
@@ -114,6 +119,19 @@ class TestSaturateExtract:
         assert "roots merged" in r.output.lower() or "merged" in r.output
         assert json.loads(dump.read_text())["roots"]
 
+    def test_saturate_prints_each_iteration(self, runner, tmp_path):
+        sp, ip = _emit_pair(tmp_path, "vbsme4")
+        r = runner.invoke(main, ["saturate", "--spec", sp, "--impl", ip])
+        assert r.exit_code == 0, r.output
+        iterations = int(r.output.split("iterations: ")[1].split()[0])
+        lines = [ln for ln in r.output.splitlines()
+                 if ln.startswith("  iteration ")]
+        assert len(lines) == iterations >= 1
+        for i, ln in enumerate(lines, 1):
+            assert ln.startswith(f"  iteration {i}: ")
+            for phase in ("match", "apply", "width-reduce", "rebuild"):
+                assert f" {phase} " in ln
+
     def test_extract_prints_objective(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "adpcm")
         lp = tmp_path / "prog.lp"
@@ -163,6 +181,22 @@ class TestValidateRules:
                                  "--maxw", "2"])
         assert r.exit_code == 3, r.output
         assert "error: wide: operand space too large" in r.output
+
+    def test_unbound_condition_parameter_is_error(self, runner, tmp_path):
+        p = tmp_path / "cond.rules"
+        p.write_text("r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+                     " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
+                     " if ?wo > 2 && ?zz == 1 ;\n")
+        r = runner.invoke(main, ["validate-rules", "--rules", str(p),
+                                 "--maxw", "2"])
+        assert r.exit_code == 3, r.output
+        assert "error: r: condition parameters ?zz unbound" in r.output
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(tmp_path / "out"),
+                                 "--rules", str(p)])
+        assert r.exit_code == 3, r.output
+        assert "error: r: condition parameters ?zz unbound" in r.output
 
     def test_unparseable_rule_file_is_error(self, runner, tmp_path):
         p = tmp_path / "syntax.rules"

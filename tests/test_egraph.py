@@ -154,6 +154,24 @@ class TestSaturate:
         rep = saturate(g, baseline_rules(), {"iter": 1}, stop_on_merge=False)
         assert rep.iterations == 1
 
+    def test_per_iteration_stats(self):
+        spec, impl = load_pair("vbsme4")
+        g = init_pair(spec, impl)
+        rules = baseline_rules()
+        rep = saturate(g, rules, {"iter": 3}, stop_on_merge=False)
+        assert len(rep.per_iteration) == rep.iterations == 3
+        assert sum(st.redundant_applications for st in rep.per_iteration) \
+            == rep.redundant_applications
+        for st in rep.per_iteration:
+            assert 0 <= st.redundant_applications <= st.matches
+            assert min(st.match_s, st.apply_s, st.width_reduce_s,
+                       st.rebuild_s) >= 0
+        # the match counts are those of the graph each iteration started on
+        g2 = init_pair(spec, impl)
+        for st in rep.per_iteration:
+            assert st.matches == sum(len(r.matches(g2)) for r in rules)
+            saturate(g2, rules, {"iter": 1}, stop_on_merge=False)
+
     def test_bad_limits_rejected(self):
         spec, impl = load_pair("fig1")
         g = init_pair(spec, impl)

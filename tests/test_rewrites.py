@@ -1,14 +1,22 @@
+import copy
 import itertools
 
 import pytest
 
-from wordec.egraph import EGraph, init_pair, saturate
-from wordec.fixtures import load_pair
-from wordec.ir import SIGNED, UNSIGNED, const, evaluate, op, var
+from wordec import rewrites
+from wordec.analysis import AnalysisError
+from wordec.egraph import EGraph, Leaf, NodeRec, RuleJust, Skeleton, \
+    init_pair, saturate
+from wordec.fixtures import load_pair, names
+from wordec.ir import SIGNED, UNSIGNED, Annotation, const, evaluate, op, var
 from wordec.rewrites import (CATALOGUE_TEXT, BlockedMatch, PatConst, PatOp,
-                             PatVar, RuleError, _eval_ann, eval_expr,
+                             PatVar, RuleError, _is_signed, _width, eval_expr,
                              instantiate, parse_expr, parse_rules,
-                             baseline_rules, validate_rule)
+                             baseline_rules, rule_program, validate_rule)
+
+
+def _eval_ann(w, s, env):
+    return Annotation(_width(eval_expr(w, env)), _is_signed(eval_expr(s, env)))
 
 
 class TestRuleParser:
@@ -41,6 +49,13 @@ class TestRuleParser:
                             " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
                             " hint external-strong ;")
         assert rules[0].checker_hint == "external-strong"
+
+    def test_unbound_condition_parameter_rejected(self):
+        with pytest.raises(RuleError,
+                           match=r"^r: condition parameters \?zz unbound$"):
+            parse_rules("r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+                        " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
+                        " if ?wo > 2 && ?zz == 1 ;")
 
     def test_syntax_error_reported(self):
         with pytest.raises(RuleError):
@@ -252,12 +267,13 @@ class TestBatchedAudit:
         assert kinds == {"error", "witness"}
 
     def test_condition_error_raised_only_when_reached(self):
+        # a signage in arithmetic: TypeError once ?wo > 2 lets it run
         rule = parse_rules(
             "r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
             " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
-            " if ?wo > 2 && ?zz == 1 ;")[0]
+            " if ?wo > 2 && ?so + 1 == 1 ;")[0]
         assert validate_rule(rule, maxw=2) == []
-        with pytest.raises(RuleError, match="unbound parameter"):
+        with pytest.raises(TypeError):
             validate_rule(rule, maxw=3)
 
     def test_negative_exponent_is_blocked(self):
@@ -308,3 +324,302 @@ class TestConstructiveness:
         # canonical keys can change as classes merge, but nodes are only added
         assert len(g.nodes) >= len(before_keys)
         assert g.num_nodes() >= len(before_keys)
+
+
+# ---------------------------------------------------------------------------
+# Rule programs against the interpretive matcher and builder they replace
+# ---------------------------------------------------------------------------
+
+def _unify(env, key, value):
+    if isinstance(key, int):
+        return env if key == value else None
+    if isinstance(key, tuple) and key[0] == "sig":
+        return env if key[1] == value else None
+    if isinstance(key, str) and key.startswith("?"):
+        if key in env:
+            return env if env[key] == value else None
+        env = dict(env)
+        env[key] = value
+        return env
+    raise RuleError(f"unmatchable slot expression {key!r} on lhs")
+
+
+def _match_pattern(g, p, cid, env):
+    cid = g.find(cid)
+    if isinstance(p, PatVar):
+        key = ("class", p.name)
+        if key in env:
+            if g.find(env[key]) == cid:
+                yield env, None
+            return
+        env = dict(env)
+        env[key] = cid
+        yield env, None
+        return
+    if isinstance(p, PatConst):
+        for nid in g.classes[cid].node_ids:
+            n = g.nodes[nid]
+            if n.op != "const":
+                continue
+            e = _unify(env, p.value, n.value)
+            if e is None:
+                continue
+            e = _unify(e, p.width, n.out.width)
+            if e is None:
+                continue
+            e = _unify(e, p.sig, n.out.signage)
+            if e is not None:
+                yield e, Skeleton(nid, ())
+        return
+    for nid in g.classes[cid].node_ids:
+        n = g.nodes[nid]
+        if n.op != p.op:
+            continue
+        e0 = _unify(env, p.out_w, n.out.width)
+        if e0 is None:
+            continue
+        e0 = _unify(e0, p.out_s, n.out.signage)
+        if e0 is None:
+            continue
+        states = [(e0, [])]
+        for i, (wp, sp, sub) in enumerate(p.operands):
+            nxt = []
+            for e1, skels in states:
+                e2 = _unify(e1, wp, n.slots[i].width)
+                if e2 is None:
+                    continue
+                e2 = _unify(e2, sp, n.slots[i].signage)
+                if e2 is None:
+                    continue
+                for e3, sk in _match_pattern(g, sub, n.children[i], e2):
+                    nxt.append((e3, skels + [sk]))
+            states = nxt
+            if not states:
+                break
+        for e, skels in states:
+            yield e, Skeleton(nid, tuple(skels))
+
+
+def reference_matches(rule, g):
+    """`rule.matches(g)` by walking the lhs, as (cid, env, lhs_skel)."""
+    out = []
+    for cid in sorted(g.classes):
+        for env, skel in _match_pattern(g, rule.lhs, cid, {}):
+            if rule.cond is not True:
+                try:
+                    if not eval_expr(rule.cond, env):
+                        continue
+                except BlockedMatch:
+                    continue
+            if isinstance(rule.rhs, PatVar):
+                tgt = g.nodes[g.classes[cid].node_ids[0]].out
+                bcid = env[("class", rule.rhs.name)]
+                bann = g.nodes[g.classes[g.find(bcid)].node_ids[0]].out
+                if bann != tgt:
+                    continue
+            out.append((cid, env, skel))
+    return out
+
+
+def reference_instantiate(g, p, env):
+    if isinstance(p, PatVar):
+        cid = g.find(env[("class", p.name)])
+        nid = min(g.classes[cid].node_ids)
+        return cid, nid, Leaf(nid)
+    if isinstance(p, PatConst):
+        a = _eval_ann(p.width, p.sig, env)
+        v = eval_expr(p.value, env)
+        if not a.contains(v):
+            raise BlockedMatch(f"constant {v} not representable in ({a})")
+        cid, nid = g.add_node(NodeRec("const", a, (), (), value=v))
+        return cid, nid, Skeleton(nid, ())
+    out = _eval_ann(p.out_w, p.out_s, env)
+    kids, slots, subs = [], [], []
+    for w, s, sub in p.operands:
+        slots.append(_eval_ann(w, s, env))
+        ccid, _, csk = reference_instantiate(g, sub, env)
+        kids.append(ccid)
+        subs.append(None if isinstance(csk, Leaf) else csk)
+    cid, nid = g.add_node(NodeRec(p.op, out, tuple(slots), tuple(kids)))
+    return cid, nid, Skeleton(nid, tuple(subs))
+
+
+def reference_apply(m, g):
+    """`Match.apply` on `reference_instantiate`."""
+    target = g.find(m.cid)
+    try:
+        rcid, rnid, rskel = reference_instantiate(g, m.rule.rhs, m.env)
+    except BlockedMatch:
+        return False
+    if g.find(rcid) == target:
+        return False
+    tgt_ann = g.nodes[g.classes[target].node_ids[0]].out
+    rhs_ann = g.nodes[rnid].out
+    if tgt_ann != rhs_ann:
+        raise RuleError(f"{m.rule.id}: rhs annotation ({rhs_ann}) differs "
+                        f"from matched class ({tgt_ann})")
+    just = RuleJust(m.rule.id, m.lhs_skel, rskel, m.lhs_skel.node, rnid)
+    g.merge(target, rcid, just, edge=(m.lhs_skel.node, rnid))
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BlockedMatch, RuleError, AnalysisError, TypeError,
+            ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _state(g):
+    return (repr(g.nodes), g.parent, repr(sorted(g.proof_parent.items())),
+            repr(sorted(g.classes.items())), g.unions)
+
+
+def _compare_applications(g, matches):
+    """Apply `matches` in order with the rule programs and with the
+    reference, each on its own copy of g; both must leave the same graph."""
+    a, b = copy.deepcopy(g), copy.deepcopy(g)
+    got = [_outcome(m.apply, a) for m in matches]
+    want = [_outcome(reference_apply, m, b) for m in matches]
+    assert got == want
+    assert _state(a) == _state(b)
+    return got
+
+
+def _compare_matches(rule, g):
+    got = rule.matches(g)
+    want = reference_matches(rule, g)
+    assert [(m.cid, m.env, m.lhs_skel) for m in got] == want, rule.id
+    # the environments bind their keys in the same order too
+    assert [list(m.env) for m in got] == [list(e) for _, e, _ in want]
+    return got
+
+
+class TestRulePrograms:
+    @pytest.mark.parametrize("name", names())
+    def test_same_matches_and_graph_as_reference(self, name):
+        spec, impl = load_pair(name)
+        g = init_pair(spec, impl)
+        catalogue = baseline_rules()
+        for _ in range(4):
+            for text in (CATALOGUE_TEXT, UNSOUND_TEXT, WIDE_TEXT):
+                matches = []
+                for rule in parse_rules(text):
+                    matches += _compare_matches(rule, g)
+                # WIDE_TEXT is only matched: wide-sum's rhs widths reach
+                # 2^69 bits at fixture widths, too wide for an interval
+                if text is not WIDE_TEXT:
+                    _compare_applications(g, matches)
+            saturate(g, catalogue, {"iter": 1}, stop_on_merge=False)
+
+    def test_late_blocked_slot_leaves_same_partial_nodes(self):
+        rule = parse_rules(
+            "late : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+            " => (+ ?wo ?so ?wa ?sa (zext ?wa ?sa ?wa ?sa ?a)"
+            " (log2(?wb - ?wb)) ?sb (zext ?wb ?sb ?wb ?sb ?b)) ;")[0]
+        spec, impl = load_pair("adpcm")
+        g = init_pair(spec, impl)
+        matches = _compare_matches(rule, g)
+        assert matches
+        before = len(g.nodes)
+        assert _compare_applications(g, matches) == [False] * len(matches)
+        # the first operand's zext was added before the second slot blocked
+        g2 = copy.deepcopy(g)
+        matches[0].apply(g2)
+        assert len(g2.nodes) > before
+        assert g2.nodes[before].op == "zext"
+
+    def test_repeated_variable_parameter_and_literal(self):
+        a2, a4, a7 = Annotation(2), Annotation(4), Annotation(7)
+        x, y = var("x", a4), var("y", a4)
+        s, t = var("s", a2), var("t", a2)
+        shl = op("<<", a7, (a4, x), (a2, s))
+        g = EGraph()
+        for term in (op("-", a4, (a4, x), (a4, x)),
+                     op("-", a4, (a4, x), (a4, y)),
+                     op(">>", a4, (a7, shl), (a2, s)),
+                     op(">>", a4, (a7, shl), (a2, t)),
+                     op("*", a4, (a4, x), (a2, const(2, a2))),
+                     op("*", a4, (a4, x), (a2, const(3, a2)))):
+            g.add_term(term)
+        g.rebuild()
+        g.add_term(op("+", a4, (a2, const(1, a2)), (a2, const(1, a2))))
+        g.rebuild()
+        rules = {r.id: r for r in parse_rules(CATALOGUE_TEXT + UNSOUND_TEXT)}
+        # one sub-pattern object at two positions, as a rule built in code
+        # may hold it
+        one = PatConst("?v", "?vw", "?vs")
+        rules["same-sub"] = rewrites.Rule(
+            "same-sub", PatOp("+", "?wo", "?so", (("?wa", "?sa", one),
+                                                   ("?wa", "?sa", one))),
+            PatOp("*", "?wo", "?so", (("?wa", "?sa", one),
+                                      ("?wa", "?sa", PatConst(
+                                          2, "?wa", ("sig", UNSIGNED))))))
+        for rid in ("dup", "shift-cancel", "mult-to-add", "same-sub"):
+            matches = _compare_matches(rules[rid], g)
+            # one of each pair: x - x, (x << s) >> s, x * 2; and 1 + 1
+            assert len(matches) == 1, rid
+            assert _compare_applications(g, matches) == [True], rid
+
+    def test_builder_checks_as_reference(self):
+        g = EGraph()
+        pat = PatConst(parse_expr("?v"), parse_expr("?w"), ("sig", UNSIGNED))
+        for env in ({"?v": 1}, {"?v": 1, "?w": 0}, {"?v": 4, "?w": 2},
+                    {"?v": 3, "?w": 2}, {"?v": -1, "?w": 3}):
+            got = _outcome(instantiate, g, pat, env)
+            assert got == _outcome(reference_instantiate, g, pat, env)
+            assert got in ("RuleError: unbound parameter ?w",
+                           "BlockedMatch: computed width 0 invalid",
+                           "BlockedMatch: constant 4 not representable in "
+                           "(2 unsigned)", (0, 0, Skeleton(0, ())),
+                           "BlockedMatch: constant -1 not representable in "
+                           "(3 unsigned)")
+        for text in ("log2(?v)", "2^?v"):
+            pat = PatConst(parse_expr(text), 4, ("sig", UNSIGNED))
+            got = _outcome(instantiate, g, pat, {"?v": -1})
+            assert got.startswith("BlockedMatch")
+            assert got == _outcome(reference_instantiate, g, pat, {"?v": -1})
+
+    @pytest.mark.parametrize("text", [
+        "?a + ?b * 2 - 1", "?a == ?b", "?a < ?b || !(?a >= 2)",
+        "?a && ?b", "?a || ?b", "min(?a)", "max(?a, ?b, 3)",
+        "width(?a) + log2(?b)", "2^?a", "?a ^ ?b", "?s == unsigned",
+        "?s != ?a", "?s <= signed", "?s * 2", "?s + 1", "!?s",
+        "max(?s, signed)", "width(?s)", "log2(?a - ?a)"])
+    @pytest.mark.parametrize("kinds", [
+        {}, {"?a": "int", "?b": "int", "?s": "str"}], ids=["untyped", "typed"])
+    def test_compiled_expressions_as_eval_expr(self, text, kinds):
+        e = parse_expr(text)
+        src, _ = rewrites._expr_code(e, lambda p: f"env[{p!r}]", kinds)
+        ns = dict(rewrites._GLOBALS)
+        exec(f"def f(env):\n    return {src}\n", ns)
+        for env in ({"?a": 0, "?b": 0, "?s": UNSIGNED},
+                    {"?a": 3, "?b": 2, "?s": SIGNED},
+                    {"?a": -2, "?b": 5, "?s": UNSIGNED}):
+            got, want = _outcome(ns["f"], env), _outcome(eval_expr, e, env)
+            assert got == want and type(got) is type(want), (text, env)
+
+    def test_programs_compiled_once_per_process(self, monkeypatch):
+        compiled = []
+        run = rewrites._Code.run
+
+        def counted(self, filename, **names):
+            compiled.append(filename)
+            return run(self, filename, **names)
+
+        monkeypatch.setattr(rewrites._Code, "run", counted)
+        baseline_rules()
+        assert compiled == []
+        text = ("once : (+ 13 unsigned 11 unsigned ?a 11 unsigned ?b)"
+                " => (+ 13 unsigned 11 unsigned ?b 11 unsigned ?a) ;")
+        first, again = parse_rules(text)[0], parse_rules(text)[0]
+        assert compiled == []
+        first.matches(EGraph())
+        assert compiled == ["<rule once>"] * 2    # builder, then matcher
+        again.matches(EGraph())
+        assert len(compiled) == 2
+        assert rule_program(first) is rule_program(again)
+        one, two = parse_rules(CATALOGUE_TEXT), parse_rules(CATALOGUE_TEXT)
+        for a, b in zip(one, two):
+            assert rule_program(a) is rule_program(b)
