@@ -66,33 +66,47 @@ def _read_config(path: str | None) -> dict:
     return cfg
 
 
-def _common(f):
-    opts = [
-        click.option("--format", "fmt", default="auto",
-                     type=click.Choice(["auto", "sv", "ir"]),
-                     help="Input format (auto: by file extension)."),
-        click.option("--rules", default="builtin",
-                     help="Rule file path, 'builtin', or 'none'."),
-        click.option("--iter-limit", default=5, show_default=True),
-        click.option("--node-limit", default=50_000, show_default=True),
-        click.option("--time-limit", default=60.0, show_default=True),
-    ]
-    for o in reversed(opts):
-        f = o(f)
-    return f
+def _options(*opts):
+    """One decorator applying click options (or other such decorators) in
+    the order given, as if stacked top to bottom."""
+    def apply(f):
+        for o in reversed(opts):
+            f = o(f)
+        return f
+    return apply
 
 
-def _oracle_opts(f):
-    opts = [
-        click.option("--max-exhaustive-bits", default=20, show_default=True),
-        click.option("--samples", default=100_000, show_default=True),
-        click.option("--seed", default=0, show_default=True),
-        click.option("--external-checker", default=None,
-                     help='Command template, e.g. "ec-tool {left} {right}".'),
-    ]
-    for o in reversed(opts):
-        f = o(f)
-    return f
+_pair_opts = _options(
+    click.option("--spec", "spec_path", required=True, type=click.Path()),
+    click.option("--impl", "impl_path", required=True, type=click.Path()))
+
+_limit_opts = _options(
+    click.option("--iter-limit", default=5, show_default=True),
+    click.option("--node-limit", default=50_000, show_default=True),
+    click.option("--time-limit", default=60.0, show_default=True))
+
+_common = _options(
+    click.option("--format", "fmt", default="auto",
+                 type=click.Choice(["auto", "sv", "ir"]),
+                 help="Input format (auto: by file extension)."),
+    click.option("--rules", default="builtin",
+                 help="Rule file path, 'builtin', or 'none'."),
+    _limit_opts)
+
+_extract_opts = _options(
+    click.option("--extraction", default="ilp",
+                 type=click.Choice(["ilp", "greedy"]), show_default=True),
+    click.option("--extract-timeout", default=10.0, show_default=True,
+                 help="Branch-and-bound budget in seconds; on timeout, the "
+                      "best selection found so far, or greedy if none was "
+                      "found."))
+
+_oracle_opts = _options(
+    click.option("--max-exhaustive-bits", default=20, show_default=True),
+    click.option("--samples", default=100_000, show_default=True),
+    click.option("--seed", default=0, show_default=True),
+    click.option("--external-checker", default=None,
+                 help='Command template, e.g. "ec-tool {left} {right}".'))
 
 
 def _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker):
@@ -184,14 +198,9 @@ def _print_report(report):
 
 
 @main.command()
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--impl", "impl_path", required=True, type=click.Path())
+@_pair_opts
 @click.option("--out", "outdir", default="wordec-out", show_default=True)
-@click.option("--extraction", default="ilp",
-              type=click.Choice(["ilp", "greedy"]), show_default=True)
-@click.option("--extract-timeout", default=10.0, show_default=True,
-              help="Branch-and-bound budget in seconds; on timeout, the best "
-                   "selection found so far, or greedy if none was found.")
+@_extract_opts
 @click.option("--width-normalization/--no-width-normalization", default=True)
 @click.option("--dump-graph", default=None, type=click.Path(),
               help="Write the saturated e-graph as JSON.")
@@ -233,8 +242,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
 
 
 @main.command("saturate")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--impl", "impl_path", required=True, type=click.Path())
+@_pair_opts
 @click.option("--dump-graph", default=None, type=click.Path())
 @_common
 @_cmd_errors
@@ -262,13 +270,8 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
 
 
 @main.command("extract")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--impl", "impl_path", required=True, type=click.Path())
-@click.option("--extraction", default="ilp",
-              type=click.Choice(["ilp", "greedy"]), show_default=True)
-@click.option("--extract-timeout", default=10.0, show_default=True,
-              help="Branch-and-bound budget in seconds; on timeout, the best "
-                   "selection found so far, or greedy if none was found.")
+@_pair_opts
+@_extract_opts
 @click.option("--lp", "lp_path", default=None, type=click.Path(),
               help="Export the extraction ILP in CPLEX LP format.")
 @_common
@@ -295,14 +298,9 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
 
 
 @main.command("waterfall")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--impl", "impl_path", required=True, type=click.Path())
+@_pair_opts
 @click.option("--out", "outdir", default="wordec-out", show_default=True)
-@click.option("--extraction", default="ilp",
-              type=click.Choice(["ilp", "greedy"]), show_default=True)
-@click.option("--extract-timeout", default=10.0, show_default=True,
-              help="Branch-and-bound budget in seconds; on timeout, the best "
-                   "selection found so far, or greedy if none was found.")
+@_extract_opts
 @click.option("--width-normalization/--no-width-normalization", default=True)
 @_common
 @_cmd_errors
@@ -357,9 +355,7 @@ def validate_rules_cmd(rules, maxw):
 @main.command("bench")
 @click.argument("names", nargs=-1)
 @_oracle_opts
-@click.option("--iter-limit", default=5, show_default=True)
-@click.option("--node-limit", default=50_000, show_default=True)
-@click.option("--time-limit", default=60.0, show_default=True)
+@_limit_opts
 @_cmd_errors
 def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
               iter_limit, node_limit, time_limit):

@@ -375,7 +375,10 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
              stop_on_merge: bool = True) -> SaturationReport:
     """Equality saturation: each iteration matches every rule against the
     pre-iteration graph, applies all matches constructively, runs the
-    width-reduction analysis pass, then rebuilds."""
+    width-reduction analysis pass, then rebuilds.  The node and time budgets
+    are checked before each application; one that is spent stops the
+    applications, and the run ends after that iteration's width reduction
+    and rebuild."""
     limits = dict(limits or {})
     iter_limit = limits.get("iter", 5)
     node_limit = limits.get("nodes", 50_000)
@@ -386,13 +389,19 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
     start = time.monotonic()
     report.node_counts.append(g.num_nodes())
     report.class_counts.append(g.num_classes())
+
+    def over_budget() -> str | None:
+        if g.num_nodes() > node_limit:
+            return "node-limit"
+        if time.monotonic() - start > time_limit:
+            return "timeout"
+        return None
+
     reason = "iter-limit"
     for it in range(iter_limit):
-        if g.num_nodes() > node_limit:
-            reason = "node-limit"
-            break
-        if time.monotonic() - start > time_limit:
-            reason = "timeout"
+        spent = over_budget()
+        if spent:
+            reason = spent
             break
         before = (g.num_nodes(), g.num_classes(), g.unions)
         t0 = time.perf_counter()
@@ -402,6 +411,9 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
         t1 = time.perf_counter()
         redundant = 0
         for m in matches:
+            spent = over_budget()
+            if spent:
+                break  # finish the iteration, so the graph is congruent
             if not m.apply(g):
                 redundant += 1
         t2 = time.perf_counter()
@@ -415,6 +427,9 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
         report.iterations = it + 1
         report.node_counts.append(g.num_nodes())
         report.class_counts.append(g.num_classes())
+        if spent:
+            reason = spent
+            break
         if stop_on_merge and g.roots is not None and g.roots_merged():
             reason = "roots-merged"
             break

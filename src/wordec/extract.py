@@ -7,13 +7,14 @@ selected nodes selected, both roots selected, no unused selections, and the
 selected child relation acyclic.  Solved by a self-contained branch-and-bound
 (instances are small); a greedy bottom-up extraction provides the incumbent
 and the fallback.  export_lp() writes the same program in LP format for an
-external solver.
+external solver.  Both read one Model, built by build_model(), which also
+finds the classes where a cycle can form; acyclicity is enforced only there.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .egraph import EGraph, EGraphError
 from .ir import Term
@@ -136,33 +137,108 @@ def extract_greedy(g: EGraph, sh: SharedSets | None = None) -> ExtractionResult:
 
 
 # ---------------------------------------------------------------------------
+# The extraction model
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Model:
+    """The sharing program of one graph, read by both branch-and-bound and
+    the LP export.  All class ids are canonical."""
+    universe: list[int]              # classes reachable from either root
+    roots: list[int]
+    weight: dict[int, int]           # K for a shared class, -1 otherwise
+    kids: dict[int, list[int]]       # candidate node -> sorted child classes
+    cand: dict[int, list[int]]       # class -> candidates, fewest children
+                                     # first (cheap incumbents early), then
+                                     # by node id
+    cyclic: frozenset[int]           # classes on a cycle of candidate edges
+
+
+def build_model(g: EGraph, sh: SharedSets) -> Model:
+    """The model of g.  A node whose children include its own class can
+    never be selected (it would close a cycle), so it is not a candidate."""
+    universe = sorted(sh.c_spec | sh.c_impl)
+    cand: dict[int, list[int]] = {}
+    kids: dict[int, list[int]] = {}
+    for c in universe:
+        cand[c] = []
+        for nid in sorted(g.classes[c].node_ids,
+                          key=lambda nid: (len(g.nodes[nid].children), nid)):
+            ks = sorted({g.find(ch) for ch in g.nodes[nid].children})
+            if c not in ks:
+                cand[c].append(nid)
+                kids[nid] = ks
+    return Model(universe, sorted({g.find(r) for r in g.roots}),
+                 {c: sh.K if c in sh.c_shared else -1 for c in universe},
+                 kids, cand, _cyclic_classes(universe, cand, kids))
+
+
+def _cyclic_classes(universe: list[int], cand: dict[int, list[int]],
+                    kids: dict[int, list[int]]) -> frozenset[int]:
+    """The classes of every strongly connected component of more than one
+    class, where class c has an edge to each child class of its candidates
+    (Tarjan's algorithm, iterative: class graphs can be deep)."""
+    succ = {c: {k for n in cand[c] for k in kids[n]} for c in universe}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    cyclic: set[int] = set()
+    work: list[tuple[int, object]] = []  # (class, its unexplored edges)
+
+    def visit(c: int) -> None:
+        index[c] = low[c] = len(index)
+        stack.append(c)
+        on_stack.add(c)
+        work.append((c, iter(succ[c])))
+
+    for root in universe:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            c, edges = work[-1]
+            for k in edges:
+                if k not in index:
+                    visit(k)
+                    break
+                if k in on_stack:
+                    low[c] = min(low[c], index[k])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[c])
+                if low[c] == index[c]:
+                    scc = [stack.pop()]
+                    while scc[-1] != c:
+                        scc.append(stack.pop())
+                    on_stack.difference_update(scc)
+                    if len(scc) > 1:
+                        cyclic.update(scc)
+    return frozenset(cyclic)
+
+
+# ---------------------------------------------------------------------------
 # ILP via branch-and-bound
 # ---------------------------------------------------------------------------
 
 def extract_ilp(g: EGraph, sh: SharedSets | None = None,
                 timeout: float = 10.0) -> ExtractionResult:
     """Exact solution of the sharing ILP by depth-first branch-and-bound over
-    per-class node choices, with on-the-fly acyclicity and an optimistic
-    bound of K per still-undecided shared class."""
+    per-class node choices, with an optimistic bound of K per still-undecided
+    shared class.  Acyclicity is checked on the fly, and only for classes on
+    a cycle of the model: elsewhere no choice can close one."""
     if sh is None:
         sh = shared(g)
-    universe = sorted(sh.c_spec | sh.c_impl)
     K = sh.K
-    roots = sorted({g.find(g.roots[0]), g.find(g.roots[1])})
     deadline = time.monotonic() + timeout
 
     incumbent = extract_greedy(g, sh)
     best_obj = incumbent.objective
     best_sel: dict[int, int] | None = None
     timed_out = False
-
-    # candidate nodes per class, cheapest-greedy first for fast incumbents
-    cand = {c: sorted(g.classes[c].node_ids,
-                      key=lambda nid: (len(g.nodes[nid].children), nid))
-            for c in universe}
-    kids_of = {nid: sorted({g.find(ch) for ch in g.nodes[nid].children})
-               for c in universe for nid in cand[c]}
-    obj_of = {c: (K if c in sh.c_shared else -1) for c in universe}
+    m = build_model(g, sh)
 
     sel: dict[int, int] = {}
     open_shared = len(sh.c_shared)  # shared classes not in sel
@@ -177,7 +253,7 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
                 continue
             seen.add(c)
             if c in sel:
-                stack.extend(kids_of[sel[c]])
+                stack.extend(m.kids[sel[c]])
         return False
 
     def bound(obj: int, need: list[int]) -> int:
@@ -202,90 +278,28 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
         if c in sel:
             dfs(rest, obj)
             return
-        for nid in cand[c]:
-            kids = kids_of[nid]
-            if any(reaches(k, c) for k in kids):
+        on_cycle = c in m.cyclic
+        for nid in m.cand[c]:
+            kids = m.kids[nid]
+            if on_cycle and any(reaches(k, c) for k in kids):
                 continue  # would close a cycle in the selected child relation
             sel[c] = nid
             open_shared -= c in sh.c_shared
             new = [k for k in kids if k not in sel]
-            dfs(rest + new, obj + obj_of[c])
+            dfs(rest + new, obj + m.weight[c])
             del sel[c]
             open_shared += c in sh.c_shared
             if timed_out:
                 return
 
-    dfs(list(roots), 0)
+    dfs(list(m.roots), 0)
 
     if best_sel is None:
         # no complete solution found in time: greedy incumbent, flagged
         incumbent.method = "greedy"
         incumbent.timed_out = timed_out
         return incumbent
-    res = _result_from_selection(g, sh, best_sel, "ilp", timed_out)
-    return res
-
-
-def enumerate_optimum(g: EGraph, sh: SharedSets | None = None) -> int:
-    """Brute-force optimum of the sharing objective (small graphs only);
-    the test oracle for ILP optimality."""
-    if sh is None:
-        sh = shared(g)
-    universe = sorted(sh.c_spec | sh.c_impl)
-    if len(universe) > 14:
-        raise ExtractionError("graph too large for exhaustive enumeration")
-    roots = sorted({g.find(g.roots[0]), g.find(g.roots[1])})
-    best = None
-    choices = [[None] + list(g.classes[c].node_ids) for c in universe]
-
-    def valid_and_score(assign: dict[int, int | None]) -> int | None:
-        seln = {c: n for c, n in assign.items() if n is not None}
-        for r in roots:
-            if r not in seln:
-                return None
-        # children selected; acyclic; no unused
-        for c, nid in seln.items():
-            for ch in g.nodes[nid].children:
-                if g.find(ch) not in seln:
-                    return None
-        used: set[int] = set()
-        stack = list(roots)
-        while stack:
-            c = stack.pop()
-            if c in used:
-                continue
-            used.add(c)
-            stack.extend(g.find(ch) for ch in g.nodes[seln[c]].children)
-        if used != set(seln):
-            return None  # unused selection
-        # acyclicity among used classes
-        state: dict[int, int] = {}
-
-        def cyc(c: int) -> bool:
-            if state.get(c) == 2:
-                return False
-            if state.get(c) == 1:
-                return True
-            state[c] = 1
-            for ch in g.nodes[seln[c]].children:
-                if cyc(g.find(ch)):
-                    return True
-            state[c] = 2
-            return False
-
-        if any(cyc(r) for r in roots):
-            return None
-        shared_n = sum(1 for c in seln if c in sh.c_shared)
-        return sh.K * shared_n - (len(seln) - shared_n)
-
-    import itertools
-    for combo in itertools.product(*choices):
-        score = valid_and_score(dict(zip(universe, combo)))
-        if score is not None and (best is None or score > best):
-            best = score
-    if best is None:
-        raise ExtractionError("no valid selection exists")
-    return best
+    return _result_from_selection(g, sh, best_sel, "ilp", timed_out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,65 +307,43 @@ def enumerate_optimum(g: EGraph, sh: SharedSets | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def export_lp(g: EGraph, sh: SharedSets | None = None) -> str:
-    """The extraction ILP in CPLEX LP format: binary x_<class>_<node> per
-    candidate, integer order variable t_<class> per class, big-M = |C|."""
+    """The extraction ILP in CPLEX LP format: a binary x_<class>_<node> per
+    candidate and, for classes on a cycle only, an integer order variable
+    t_<class> with big-M = the number of such classes."""
     if sh is None:
         sh = shared(g)
-    universe = sorted(sh.c_spec | sh.c_impl)
-    K = sh.K
-    M = g.num_classes()
-    roots = sorted({g.find(g.roots[0]), g.find(g.roots[1])})
+    m = build_model(g, sh)
 
-    def x(c, n):
+    def x(c: int, n: int) -> str:
         return f"x_{c}_{n}"
 
-    obj_terms = []
-    for c in universe:
-        w = K if c in sh.c_shared else -1
-        for nid in g.classes[c].node_ids:
-            obj_terms.append(f"{'+' if w >= 0 else '-'} {abs(w)} {x(c, nid)}")
-    lines = ["Maximize", " obj: " + " ".join(obj_terms), "Subject To"]
-    idx = 0
+    def one_of(c: int) -> str:
+        return " + ".join(x(c, n) for n in m.cand[c])
 
-    def con(expr: str):
-        nonlocal idx
-        lines.append(f" c{idx}: {expr}")
-        idx += 1
-
-    for r in roots:  # Eq: both roots implemented
-        con(" + ".join(x(r, n) for n in g.classes[r].node_ids) + " = 1")
-    for c in universe:  # at most one node per class
-        if c not in roots:
-            con(" + ".join(x(c, n) for n in g.classes[c].node_ids) + " <= 1")
-    for c in universe:
-        for nid in g.classes[c].node_ids:
-            kids = {g.find(ch) for ch in g.nodes[nid].children}
-            for ch in sorted(kids):  # children of a selected node selected
-                con(" + ".join(x(ch, m) for m in g.classes[ch].node_ids)
-                    + f" - {x(c, nid)} >= 0")
-    parents: dict[int, list[tuple[int, int]]] = {c: [] for c in universe}
-    for c in universe:
-        for nid in g.classes[c].node_ids:
-            for ch in {g.find(k) for k in g.nodes[nid].children}:
-                if ch in parents:
-                    parents[ch].append((c, nid))
-    for c in universe:  # no unused selections
-        if c in roots:
-            continue
-        rhs = " + ".join(x(p, n) for p, n in parents[c]) or "0 x_none"
-        for nid in g.classes[c].node_ids:
-            con(f"{rhs} - {x(c, nid)} >= 0")
-    for c in universe:  # acyclicity: t_child + 1 <= t_c + M (1 - x_cn)
-        for nid in g.classes[c].node_ids:
-            for ch in sorted({g.find(k) for k in g.nodes[nid].children}):
-                con(f"t_{ch} - t_{c} + {M} {x(c, nid)} <= {M - 1}")
-    lines.append("Bounds")
-    for c in universe:
-        lines.append(f" 0 <= t_{c} <= {M - 1}")
-    lines.append("General")
-    lines.append(" " + " ".join(f"t_{c}" for c in universe))
-    lines.append("Binary")
-    names = [x(c, n) for c in universe for n in g.classes[c].node_ids]
-    lines.append(" " + " ".join(names))
-    lines.append("End")
+    xs = [(c, n) for c in m.universe for n in m.cand[c]]
+    obj = " ".join(f"{'+' if m.weight[c] >= 0 else '-'} {abs(m.weight[c])} "
+                   f"{x(c, n)}" for c, n in xs)
+    rows = [f"{one_of(r)} = 1" for r in m.roots]  # both roots implemented
+    rows += [f"{one_of(c)} <= 1" for c in m.universe if c not in m.roots]
+    parents: dict[int, list[str]] = {c: [] for c in m.universe}
+    for c, n in xs:  # children of a selected node selected
+        for ch in m.kids[n]:
+            rows.append(f"{one_of(ch)} - {x(c, n)} >= 0")
+            parents[ch].append(x(c, n))
+    for c, n in xs:  # no unused selections
+        if c not in m.roots:
+            rows.append(f"{' + '.join(parents[c]) or '0 x_none'} - "
+                        f"{x(c, n)} >= 0")
+    order = sorted(m.cyclic)
+    M = len(order)
+    for c, n in xs:  # acyclicity: t_child + 1 <= t_c + M (1 - x_cn)
+        if c in m.cyclic:
+            rows += [f"t_{ch} - t_{c} + {M} {x(c, n)} <= {M - 1}"
+                     for ch in m.kids[n] if ch in m.cyclic]
+    lines = ["Maximize", " obj: " + obj, "Subject To"]
+    lines += [f" c{i}: {row}" for i, row in enumerate(rows)]
+    if order:
+        lines += ["Bounds"] + [f" 0 <= t_{c} <= {M - 1}" for c in order]
+        lines += ["General", " " + " ".join(f"t_{c}" for c in order)]
+    lines += ["Binary", " " + " ".join(x(c, n) for c, n in xs), "End"]
     return "\n".join(lines) + "\n"

@@ -132,18 +132,6 @@ def check_equiv(d1: Design, d2: Design,
                    note="no counterexample found by sampling")
 
 
-def _obligation_dicts(w) -> tuple[list[dict], list[Design | None]]:
-    designs = [d for _, d in w.designs()]
-    stems = [stem for stem, _ in w.designs()]
-    obs = []
-    for ob in w.obligations():
-        obs.append({"left": stems[ob.left], "right": stems[ob.right],
-                    "rule": ob.rule, "checker_hint": ob.checker_hint,
-                    "kind": ob.kind,
-                    "_li": ob.left, "_ri": ob.right})
-    return obs, designs
-
-
 def _run(obs: list[dict], lookup, cfg: OracleConfig) -> WaterfallReport:
     """Check each non-final obligation, then derive the Assume-Guarantee
     verdict from its premises.  `lookup(ob)` returns (left, right) designs
@@ -152,14 +140,13 @@ def _run(obs: list[dict], lookup, cfg: OracleConfig) -> WaterfallReport:
     premises_pass = True
     any_fail = False
     for ob in obs:
-        public = {k: v for k, v in ob.items() if not k.startswith("_")}
         if ob["kind"] == "assume-guarantee":
             status = "pass" if premises_pass else (
                 "fail" if any_fail else "unproven")
             v = Verdict(status, "assume-guarantee", 0.0,
                         note=None if premises_pass
                         else "not all premises discharged")
-            rep.verdicts.append((public, v))
+            rep.verdicts.append((ob, v))
             rep.assume_guarantee = status
             continue
         try:
@@ -167,7 +154,7 @@ def _run(obs: list[dict], lookup, cfg: OracleConfig) -> WaterfallReport:
             v = check_equiv(left, right, cfg, hint=ob["checker_hint"])
         except OracleError as e:
             v = Verdict("unproven", "none", 0.0, note=str(e))
-        rep.verdicts.append((public, v))
+        rep.verdicts.append((ob, v))
         if v.status != "pass":
             premises_pass = False
         if v.status == "fail":
@@ -181,8 +168,10 @@ def _run(obs: list[dict], lookup, cfg: OracleConfig) -> WaterfallReport:
 def run_waterfall(w, cfg: OracleConfig | None = None) -> WaterfallReport:
     """Discharge every obligation of an in-memory waterfall."""
     cfg = cfg or OracleConfig()
-    obs, designs = _obligation_dicts(w)
-    return _run(obs, lambda ob: (designs[ob["_li"]], designs[ob["_ri"]]), cfg)
+    designs = dict(w.designs())
+    obs = w.obligation_records(list(designs))
+    return _run(obs, lambda ob: (designs[ob["left"]], designs[ob["right"]]),
+                cfg)
 
 
 def run_waterfall_dir(outdir: str | Path,

@@ -299,6 +299,13 @@ class Waterfall:
                               "assume-guarantee"))
         return obs
 
+    def obligation_records(self, stems: list[str]) -> list[dict]:
+        """The obligations as manifest.json records, which name their two
+        designs by file stem (`stems` in the order of designs())."""
+        return [{"left": stems[ob.left], "right": stems[ob.right],
+                 "rule": ob.rule, "checker_hint": ob.checker_hint,
+                 "kind": ob.kind} for ob in self.obligations()]
+
 
 def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
                     rules=(), normalize_widths: bool = True) -> Waterfall:
@@ -397,21 +404,13 @@ def write_waterfall(w: Waterfall, outdir: str | Path) -> dict:
     for stem, d in designs:
         (steps_dir / f"{stem}.sv").write_text(emit_sv(d))
         (steps_dir / f"{stem}.ir").write_text(emit_sexpr(d))
-    obs = []
-    for ob in w.obligations():
-        obs.append({
-            "left": designs[ob.left][0],
-            "right": designs[ob.right][0],
-            "rule": ob.rule,
-            "checker_hint": ob.checker_hint,
-            "kind": ob.kind,
-        })
+    stems = [stem for stem, _ in designs]
     manifest = {
         "spec": w.spec.name,
         "impl": w.impl.name,
         "center": w.has_center,
-        "designs": [stem for stem, _ in designs],
-        "obligations": obs,
+        "designs": stems,
+        "obligations": w.obligation_records(stems),
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")

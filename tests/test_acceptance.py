@@ -7,15 +7,14 @@ import time
 import pytest
 
 from wordec.egraph import init_pair, saturate
-from wordec.extract import (enumerate_optimum, extract_greedy, extract_ilp,
-                            pick_nodes, shared)
+from wordec.extract import extract_greedy, extract_ilp, pick_nodes, shared
 from wordec.fixtures import load_pair, names
 from wordec.ir import evaluate
 from wordec.oracle import OracleConfig, run_waterfall
 from wordec.proof import build_waterfall, check_adjacency, explain, rule_hints
 from wordec.rewrites import CATALOGUE_TEXT, baseline_rules, parse_rules
 
-from test_extract import diamond_egraph, random_egraph
+from test_extract import diamond_egraph, enumerate_optimum, random_egraph
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
+import itertools
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from wordec import egraph
 from wordec.egraph import CONGRUENCE, EGraph, EGraphError, init_pair, saturate
 from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair, names
@@ -153,6 +157,32 @@ class TestSaturate:
         g = init_pair(spec, impl)
         rep = saturate(g, baseline_rules(), {"iter": 1}, stop_on_merge=False)
         assert rep.iterations == 1
+
+    def test_node_limit_binds_inside_an_iteration(self):
+        # fir8's third iteration alone grows 384 nodes to 2332: the budget
+        # stops its applications, and the iteration still rebuilds
+        g = init_pair(*load_pair("fir8"))
+        rep = saturate(g, baseline_rules(), {"nodes": 1000},
+                       stop_on_merge=False)
+        assert rep.stop_reason == "node-limit" and rep.iterations == 3
+        assert rep.node_counts[-1] < 2332
+        state = (g.num_nodes(), g.num_classes(), g.unions)
+        g.rebuild()
+        assert (g.num_nodes(), g.num_classes(), g.unions) == state
+
+    def test_time_limit_binds_inside_an_iteration(self, monkeypatch):
+        # a clock that ticks a second per reading: the start, the check
+        # before the first iteration and the checks before two applications
+        # leave the third application over a 3.5 s budget
+        g = init_pair(*load_pair("fig1"))
+        ticks = itertools.count()
+        monkeypatch.setattr(egraph, "time", SimpleNamespace(
+            monotonic=lambda: float(next(ticks)),
+            perf_counter=time.perf_counter))
+        rep = saturate(g, baseline_rules(), {"time": 3.5},
+                       stop_on_merge=False)
+        assert rep.stop_reason == "timeout" and rep.iterations == 1
+        assert rep.per_iteration[0].matches > 2
 
     def test_per_iteration_stats(self):
         spec, impl = load_pair("vbsme4")

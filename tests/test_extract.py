@@ -1,11 +1,13 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from wordec.egraph import CONGRUENCE, EGraph, NodeRec, init_pair, saturate
-from wordec.extract import (ExtractionError, _result_from_selection,
-                            enumerate_optimum, export_lp, extract_greedy,
-                            extract_ilp, reachable, shared)
+from wordec.extract import (ExtractionError, SharedSets,
+                            _result_from_selection, build_model, export_lp,
+                            extract_greedy, extract_ilp, reachable, shared)
 from wordec.fixtures import load_pair
 from wordec.ir import Annotation, Term, evaluate
 from wordec.oracle import OracleConfig, check_equiv
@@ -13,6 +15,68 @@ from wordec.frontend import Design
 from wordec.rewrites import baseline_rules
 
 U4 = Annotation(4)
+
+
+def enumerate_optimum(g: EGraph, sh: SharedSets | None = None) -> int:
+    """Brute-force optimum of the sharing objective (small graphs only);
+    the test oracle for ILP optimality."""
+    if sh is None:
+        sh = shared(g)
+    universe = sorted(sh.c_spec | sh.c_impl)
+    if len(universe) > 14:
+        raise ExtractionError("graph too large for exhaustive enumeration")
+    roots = sorted({g.find(g.roots[0]), g.find(g.roots[1])})
+    best = None
+    choices = [[None] + list(g.classes[c].node_ids) for c in universe]
+
+    def valid_and_score(assign: dict[int, int | None]) -> int | None:
+        seln = {c: n for c, n in assign.items() if n is not None}
+        for r in roots:
+            if r not in seln:
+                return None
+        # children selected; acyclic; no unused
+        for c, nid in seln.items():
+            for ch in g.nodes[nid].children:
+                if g.find(ch) not in seln:
+                    return None
+        used: set[int] = set()
+        stack = list(roots)
+        while stack:
+            c = stack.pop()
+            if c in used:
+                continue
+            used.add(c)
+            stack.extend(g.find(ch) for ch in g.nodes[seln[c]].children)
+        if used != set(seln):
+            return None  # unused selection
+        # acyclicity among used classes
+        state: dict[int, int] = {}
+
+        def cyc(c: int) -> bool:
+            if state.get(c) == 2:
+                return False
+            if state.get(c) == 1:
+                return True
+            state[c] = 1
+            for ch in g.nodes[seln[c]].children:
+                if cyc(g.find(ch)):
+                    return True
+            state[c] = 2
+            return False
+
+        if any(cyc(r) for r in roots):
+            return None
+        shared_n = sum(1 for c in seln if c in sh.c_shared)
+        return sh.K * shared_n - (len(seln) - shared_n)
+
+    import itertools
+    for combo in itertools.product(*choices):
+        score = valid_and_score(dict(zip(universe, combo)))
+        if score is not None and (best is None or score > best):
+            best = score
+    if best is None:
+        raise ExtractionError("no valid selection exists")
+    return best
 
 
 def _leaf(g, name):
@@ -52,6 +116,32 @@ def random_egraph(seed: int) -> EGraph:
     g.rebuild()
     live = [c for c in classes if g.find(c) == c]
     g.roots = (rng.choice(live), rng.choice(live))
+    return g
+
+
+def random_cyclic_egraph(seed: int) -> EGraph:
+    """A random_egraph plus one to three merges, each putting a new node
+    over a class into one of that class's child classes, so that it closes
+    a cycle of two or more classes; the spec root heads the last cycle."""
+    rng = random.Random(-1 - seed)
+    g = random_egraph(seed)
+    want, tries = rng.randint(1, 3), 0
+    while want and tries < 20:
+        tries += 1
+        edges = sorted({(c, g.find(ch)) for c in g.classes
+                        for nid in g.classes[c].node_ids
+                        for ch in g.nodes[nid].children} - {
+                            (c, c) for c in g.classes})
+        top, below = rng.choice(edges)
+        size = len(g.nodes)
+        cid, nid = _node(g, [top] * rng.randint(1, 2))
+        if len(g.nodes) == size:
+            continue  # the node exists already: no new edge
+        g.merge(below, cid, CONGRUENCE,
+                edge=(g.classes[below].node_ids[0], nid))
+        g.rebuild()
+        g.roots = (g.find(top), g.find(g.roots[1]))
+        want -= 1
     return g
 
 
@@ -103,6 +193,14 @@ class TestIlpOptimality:
     def test_matches_enumeration_on_random_graphs(self):
         for seed in range(20):
             g = random_egraph(seed)
+            res = extract_ilp(g, timeout=30.0)
+            assert not res.timed_out
+            assert res.objective == enumerate_optimum(g), seed
+
+    def test_matches_enumeration_on_random_cyclic_graphs(self):
+        for seed in range(40):
+            g = random_cyclic_egraph(seed)
+            assert build_model(g, shared(g)).cyclic, seed
             res = extract_ilp(g, timeout=30.0)
             assert not res.timed_out
             assert res.objective == enumerate_optimum(g), seed
@@ -170,10 +268,112 @@ class TestRealization:
             _result_from_selection(g, shared(g), {c: nn}, "ilp")
 
 
+class TestModel:
+    def test_self_loop_node_is_no_candidate(self):
+        g = EGraph()
+        x, nx = _leaf(g, "x")
+        n, nn = _node(g, [x])
+        g.merge(x, n, CONGRUENCE, edge=(nx, nn))
+        g.rebuild()
+        c = g.find(x)
+        g.roots = (c, c)
+        m = build_model(g, shared(g))
+        assert m.cand == {c: [nx]} and m.cyclic == frozenset()
+
+    def test_cycle_classes(self):
+        # a = neg(b), b = {y, neg(a)}: a and b form a cycle, y does not
+        g = EGraph()
+        y, ny = _leaf(g, "y")
+        b, _ = _node(g, [y])
+        a, _ = _node(g, [b])
+        nb, nnb = _node(g, [a])
+        g.merge(b, nb, CONGRUENCE, edge=(g.classes[b].node_ids[0], nnb))
+        g.rebuild()
+        g.roots = (g.find(a), g.find(a))
+        m = build_model(g, shared(g))
+        assert m.cyclic == {g.find(a), g.find(b)}
+        assert g.find(y) not in m.cyclic
+
+
+_TERM = re.compile(r"([+-])?\s*(\d+)?\s*([a-z]\w*)")
+
+
+def _linear(expr: str) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for sign, coef, var in _TERM.findall(expr):
+        out[var] = out.get(var, 0) + (-1 if sign == "-" else 1) * int(
+            coef or 1)
+    return out
+
+
+def lp_optimum(text: str) -> int:
+    """Optimum of an export_lp program, by scipy's MILP solver (HiGHS)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    section, obj, rows, bounds, integer = None, {}, [], {}, set()
+    for line in text.splitlines():
+        line = line.strip()
+        if line in ("Maximize", "Subject To", "Bounds", "General", "Binary",
+                    "End"):
+            section = line
+        elif section == "Maximize":
+            obj = _linear(line.split(":", 1)[1])
+        elif section == "Subject To":
+            lhs, op, rhs = re.fullmatch(r"c\d+: (.*) (<=|>=|=) (-?\d+)",
+                                        line).groups()
+            rows.append((_linear(lhs), op, int(rhs)))
+        elif section == "Bounds":
+            lo, var, hi = re.fullmatch(r"(-?\d+) <= (\w+) <= (-?\d+)",
+                                       line).groups()
+            bounds[var] = (int(lo), int(hi))
+        elif section in ("General", "Binary"):
+            for var in line.split():
+                integer.add(var)
+                bounds.setdefault(var, (0, 1))
+    names = sorted(set(obj).union(*(lin for lin, _, _ in rows)))
+    col = {v: i for i, v in enumerate(names)}
+    a = np.zeros((len(rows), len(names)))
+    for i, (lin, _, _) in enumerate(rows):
+        for v, coef in lin.items():
+            a[i, col[v]] = coef
+    rhs = np.array([r for _, _, r in rows], dtype=float)
+    lo = np.where([op != "<=" for _, op, _ in rows], rhs, -np.inf)
+    hi = np.where([op != ">=" for _, op, _ in rows], rhs, np.inf)
+    c = np.zeros(len(names))
+    for v, coef in obj.items():
+        c[col[v]] = -coef  # milp minimises
+    res = optimize.milp(
+        c, constraints=optimize.LinearConstraint(a, lo, hi),
+        integrality=[v in integer for v in names],
+        bounds=optimize.Bounds([bounds.get(v, (0, np.inf))[0] for v in names],
+                               [bounds.get(v, (0, np.inf))[1] for v in names]))
+    assert res.success, res.message
+    return round(-res.fun)
+
+
 class TestLpExport:
     def test_sections_present(self):
-        g = diamond_egraph()
-        text = export_lp(g)
-        for section in ("Maximize", "Subject To", "Bounds", "Binary", "End"):
+        text = export_lp(diamond_egraph())
+        for section in ("Maximize", "Subject To", "Binary", "End"):
             assert section in text
-        assert "x_" in text and "t_" in text
+        assert "x_" in text
+        # no cycle can form: no order variables, no bounds on them
+        assert "t_" not in text and "Bounds" not in text
+        text = export_lp(random_cyclic_egraph(0))
+        for section in ("Bounds", "General"):
+            assert section in text
+        assert "t_" in text
+
+    def test_optimum_matches_enumeration(self):
+        for seed in range(40):
+            for g in (random_egraph(seed), random_cyclic_egraph(seed)):
+                assert lp_optimum(export_lp(g)) == enumerate_optimum(g), seed
+
+    def test_fig4_optimum_matches_ilp(self):
+        spec, impl = load_pair("fig4")
+        g = init_pair(spec, impl)
+        saturate(g, baseline_rules())
+        text = export_lp(g)
+        assert "t_" in text  # fig4 keeps a two-class cycle
+        res = extract_ilp(g, timeout=20.0)
+        assert not res.timed_out
+        assert lp_optimum(text) == res.objective

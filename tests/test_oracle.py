@@ -190,12 +190,13 @@ class TestRunWaterfall:
 class TestRunWaterfallDir:
     def test_round_trip_matches_in_memory(self, tmp_path):
         w = _build("fig4")
-        write_waterfall(w, tmp_path)
+        manifest = write_waterfall(w, tmp_path)
         cfg = OracleConfig(max_exhaustive_bits=16)
         mem = run_waterfall(w, cfg)
         disk = run_waterfall_dir(tmp_path, cfg)
         assert disk.overall == mem.overall == "pass"
-        assert len(disk.verdicts) == len(mem.verdicts)
+        assert [ob for ob, _ in mem.verdicts] == manifest["obligations"] \
+            == [ob for ob, _ in disk.verdicts]
 
     def test_missing_artifact_is_unproven(self, tmp_path):
         w = _build("fig1-scaled")
