@@ -91,10 +91,11 @@ def refine_intervals(g: "EGraph") -> None:
                 changed = True
 
 
-def width_reduction_pass(g: "EGraph") -> int:
+def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
     """For every operator class whose interval fits a narrower width, add a
-    zext/sext of the narrowed operator to the class.  Returns the number of
-    narrowing unions performed."""
+    zext/sext of the narrowed operator to the class, until the graph holds
+    more than `node_limit` nodes.  Returns the number of narrowing unions
+    performed."""
     from .egraph import NodeRec, RuleJust, Skeleton
 
     applied = 0
@@ -102,7 +103,6 @@ def width_reduction_pass(g: "EGraph") -> int:
         if g.find(cid) != cid:
             continue  # merged away by an earlier narrowing this pass
         cls = g.classes[cid]
-        out = None
         for nid in list(cls.node_ids):
             n = g.nodes[nid]
             if n.op in ("var", "const", "zext", "sext"):
@@ -112,6 +112,8 @@ def width_reduction_pass(g: "EGraph") -> int:
             narrow_w = min_width(iv.lo, iv.hi, out.signed)
             if narrow_w >= out.width:
                 continue
+            if g.num_nodes() > node_limit:
+                return applied
             narrow = Annotation(narrow_w, out.signed)
             ncid, nnid = g.add_node(NodeRec(
                 n.op, narrow, n.slots, n.children,

@@ -278,7 +278,7 @@ class RuleAudit:
         rhs = self.term(b, rule.rhs, var_anns)
         inputs = [(v.lstrip("?"), var_anns[v]) for v in sorted(var_anns)]
         mismatch = b.live & ((lhs.out.width != rhs.out.width)
-                             | (lhs.out.signed != rhs.out.signed))
+                             | (lhs.out.sign != rhs.out.sign))
         bits = sum(a.width for _, a in inputs)
         wide = b.live & ~mismatch & (bits > MAX_OPERAND_BITS)
         if wide.any():
@@ -288,7 +288,7 @@ class RuleAudit:
             raise b.error[1]
 
         def ann_at(a: RowAnnotation, i: int) -> Annotation:
-            return Annotation(int(a.width[i]), bool(a.signed[i]))
+            return Annotation(int(a.width[i]), bool(a.sign[i]))
 
         found = {int(i): {"error": f"annotation mismatch {ann_at(lhs.out, i)}"
                                    f" vs {ann_at(rhs.out, i)}"}

@@ -343,8 +343,7 @@ def validate_rules_cmd(rules, maxw):
     for r in rls:
         t0 = time.time()
         violations = validate_rule(r, maxw=int(maxw))
-        rid = getattr(r, "id", type(r).__name__)
-        click.echo(f"{rid:20s} {len(violations):3d} violations "
+        click.echo(f"{r.id:20s} {len(violations):3d} violations "
                    f"({time.time() - t0:.1f}s)")
         for v in violations[:3]:
             click.echo(f"    {v}")

@@ -105,14 +105,12 @@ class SaturationReport:
 class EGraph:
     def __init__(self):
         self.nodes: list[NodeRec] = []
-        self.node_class: list[int] = []          # class at add time (stale ok)
         self.hashcons: dict[tuple, int] = {}     # canonical key -> node id
-        self.parent: list[int] = []              # union-find
+        self.parent: list[int] = []              # union-find, by node id
         self.classes: dict[int, EClass] = {}     # canonical id -> class
         self.proof_parent: dict[int, tuple[int, object]] = {}  # explanation forest
         self.unions = 0
-        self.roots: tuple[int, int] | None = None       # (root_S cid, root_I cid)
-        self.root_nodes: tuple[int, int] | None = None  # node ids of the roots
+        self.roots: tuple[int, int] | None = None  # (root_S cid, root_I cid)
 
     # -- union-find ---------------------------------------------------------
 
@@ -122,9 +120,6 @@ class EGraph:
             cid = self.parent[cid]
         return cid
 
-    def class_of(self, node_id: int) -> int:
-        return self.find(self.node_class[node_id])
-
     # -- node insertion -----------------------------------------------------
 
     def _key(self, n: NodeRec) -> tuple:
@@ -133,27 +128,26 @@ class EGraph:
 
     def add_node(self, n: NodeRec) -> tuple[int, int]:
         """Insert a node, returning (class id, node id).  Deduplicated: an
-        existing canonical node is returned unchanged."""
+        existing canonical node is returned unchanged.  A new node founds a
+        class with its own id, so a node's class is `find(node id)`."""
         key = self._key(n)
         if key in self.hashcons:
             nid = self.hashcons[key]
-            return self.class_of(nid), nid
+            return self.find(nid), nid
         nid = len(self.nodes)
         self.nodes.append(n)
-        cid = len(self.parent)
-        self.parent.append(cid)
-        self.node_class.append(cid)
+        self.parent.append(nid)
         self.hashcons[key] = nid
-        cls = EClass(cid, [nid])
+        cls = EClass(nid, [nid])
         children_ivs = [self.classes[self.find(c)].interval for c in n.children]
         cls.interval = analysis.interval_make(n, children_ivs)
-        self.classes[cid] = cls
-        return cid, nid
+        self.classes[nid] = cls
+        return nid, nid
 
     def add_term(self, t: Term) -> tuple[int, int]:
         """Insert a term bottom-up; returns (class id, node id) of the root."""
         nid = self._term_node(t, insert=True)
-        return self.class_of(nid), nid
+        return self.find(nid), nid
 
     def lookup(self, t: Term) -> int | None:
         """Node id of the canonical node heading term t, or None when some
@@ -166,7 +160,7 @@ class EGraph:
             nid = self._term_node(child, insert)
             if nid is None:
                 return None
-            kids.append(self.class_of(nid))
+            kids.append(self.find(nid))
         # NodeRec's fields, in order, with canonical children: the node's key
         fields = (t.kind, t.out, tuple(s for s, _ in t.operands), tuple(kids),
                   t.name, t.value, t.indices)
@@ -249,26 +243,28 @@ class EGraph:
 
     def rebuild(self) -> None:
         """Restore congruence and the dedup table to a fixpoint, then refine
-        intervals to their fixpoint."""
+        intervals to their fixpoint.  Each pass rescans only the table's
+        nodes, in node-id order: a node dropped from it has a smaller
+        congruent node in its class, so it can neither take a slot nor
+        cause a merge."""
         changed = True
         while changed:
             changed = False
             table: dict[tuple, int] = {}
-            for nid, n in enumerate(self.nodes):
-                key = self._key(n)
+            for nid in self.hashcons.values():
+                key = self._key(self.nodes[nid])
                 other = table.get(key)
                 if other is None:
                     table[key] = nid
-                elif self.class_of(other) != self.class_of(nid):
-                    self.merge(self.class_of(other), self.class_of(nid),
-                               CONGRUENCE, edge=(other, nid))
+                elif self.find(other) != self.find(nid):
+                    self.merge(other, nid, CONGRUENCE, edge=(other, nid))
                     changed = True
             self.hashcons = table
         # member lists: the canonical nodes, which the last pass found
         # congruent only within their class; table order is node-id order
         members: dict[int, list[int]] = {c: [] for c in self.classes}
         for nid in self.hashcons.values():
-            members[self.class_of(nid)].append(nid)
+            members[self.find(nid)].append(nid)
         for cid, cls in self.classes.items():
             cls.node_ids = members[cid]
         analysis.refine_intervals(self)
@@ -283,9 +279,6 @@ class EGraph:
 
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def class_nodes(self, cid: int) -> list[NodeRec]:
-        return [self.nodes[i] for i in self.classes[self.find(cid)].node_ids]
 
     def roots_merged(self) -> bool:
         return self.find(self.roots[0]) == self.find(self.roots[1])
@@ -363,10 +356,9 @@ def init_pair(spec, impl) -> EGraph:
         raise EGraphError(
             f"port mismatch between designs: {spec.inputs} vs {impl.inputs}")
     g = EGraph()
-    cs, ns = g.add_term(spec.body)
-    ci, ni = g.add_term(impl.body)
+    cs, _ = g.add_term(spec.body)
+    ci, _ = g.add_term(impl.body)
     g.roots = (cs, ci)
-    g.root_nodes = (ns, ni)
     g.rebuild()
     return g
 
@@ -417,7 +409,7 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
             if not m.apply(g):
                 redundant += 1
         t2 = time.perf_counter()
-        analysis.width_reduction_pass(g)
+        analysis.width_reduction_pass(g, node_limit)
         t3 = time.perf_counter()
         g.rebuild()
         report.per_iteration.append(IterationStats(

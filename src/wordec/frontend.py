@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .ir import (Annotation, ARITY, IrError, SHIFT_OPS, SIGNED, Term,
-                 UNSIGNED, to_bits)
+                 UNSIGNED, from_bits, to_bits)
 
 
 class ParseError(Exception):
@@ -45,28 +45,16 @@ class Design:
             raise ParseError(
                 f"design {self.name}: undeclared variables {sorted(missing)}")
 
-    def input_ann(self, name: str) -> Annotation:
-        for n, a in self.inputs:
-            if n == name:
-                return a
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
-# S-expression IR files
+# Token stream shared by both readers
 # ---------------------------------------------------------------------------
 
-_SX_TOKEN = re.compile(r"\(|\)|;[^\n]*|[^\s();]+")
+class _Tokens:
+    """A cursor over (text, line, column) tokens."""
 
-
-class _SxTokens:
-    def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for m in _SX_TOKEN.finditer(line):
-                if m.group().startswith(";"):
-                    break  # comment to end of line
-                self.items.append((m.group(), lineno, m.start() + 1))
+    def __init__(self, items: list[tuple[str, int, int]]):
+        self.items = items
         self.i = 0
 
     def peek(self) -> str | None:
@@ -92,18 +80,35 @@ class _SxTokens:
         if t != tok:
             raise ParseError(f"expected {tok!r}, got {t!r}", line, col)
 
+    def int(self) -> int:
+        line, col = self.loc()
+        t = self.next()
+        try:
+            return int(t)
+        except ValueError:
+            raise ParseError(f"expected an integer, got {t!r}", line,
+                             col) from None
 
-def _sx_int(ts: _SxTokens) -> int:
-    line, col = ts.loc()
-    t = ts.next()
-    try:
-        return int(t)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {t!r}", line, col) from None
+
+# ---------------------------------------------------------------------------
+# S-expression IR files
+# ---------------------------------------------------------------------------
+
+_SX_TOKEN = re.compile(r"\(|\)|;[^\n]*|[^\s();]+")
 
 
-def _sx_ann(ts: _SxTokens) -> Annotation:
-    w = _sx_int(ts)
+def _sx_lex(text: str) -> _Tokens:
+    items = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for m in _SX_TOKEN.finditer(line):
+            if m.group().startswith(";"):
+                break  # comment to end of line
+            items.append((m.group(), lineno, m.start() + 1))
+    return _Tokens(items)
+
+
+def _sx_ann(ts: _Tokens) -> Annotation:
+    w = ts.int()
     line, col = ts.loc()
     s = ts.next()
     if s not in (UNSIGNED, SIGNED):
@@ -113,7 +118,7 @@ def _sx_ann(ts: _SxTokens) -> Annotation:
     return Annotation(w, s == SIGNED)
 
 
-def _sx_term(ts: _SxTokens, declared: dict[str, Annotation]) -> Term:
+def _sx_term(ts: _Tokens, declared: dict[str, Annotation]) -> Term:
     line, col = ts.loc()
     ts.expect("(")
     head = ts.next()
@@ -129,15 +134,15 @@ def _sx_term(ts: _SxTokens, declared: dict[str, Annotation]) -> Term:
                     f"({declared[name]})", line, col)
             t = Term("var", a, name=name)
         elif head == "const":
-            v = _sx_int(ts)
+            v = ts.int()
             a = _sx_ann(ts)
             t = Term("const", a, value=v)
         elif head in ARITY:
             out = _sx_ann(ts)
             indices = None
             if head == "slice":
-                hi = _sx_int(ts)
-                lo = _sx_int(ts)
+                hi = ts.int()
+                lo = ts.int()
                 indices = (hi, lo)
             ops = []
             while ts.peek() != ")":
@@ -153,7 +158,7 @@ def _sx_term(ts: _SxTokens, declared: dict[str, Annotation]) -> Term:
 
 
 def parse_sexpr(text: str) -> Design:
-    ts = _SxTokens(text)
+    ts = _sx_lex(text)
     line, col = ts.loc()
     ts.expect("(")
     ts.expect("design")
@@ -227,49 +232,24 @@ _SV_TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-class _SvTokens:
-    def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []
-        pos = 0
-        line = 1
-        bol = 0
-        while pos < len(text):
-            m = _SV_TOKEN.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}",
-                                 line, pos - bol + 1)
-            if m.lastgroup != "ws":
-                self.items.append((m.group(), line, pos - bol + 1))
-            nl = m.group().count("\n")
-            if nl:
-                line += nl
-                bol = pos + m.group().rindex("\n") + 1
-            pos = m.end()
-        self.i = 0
-
-    def peek(self, k: int = 0) -> str | None:
-        j = self.i + k
-        return self.items[j][0] if j < len(self.items) else None
-
-    def loc(self) -> tuple[int | None, int | None]:
-        if self.i < len(self.items):
-            return self.items[self.i][1], self.items[self.i][2]
-        if self.items:
-            return self.items[-1][1], self.items[-1][2]
-        return None, None
-
-    def next(self) -> str:
-        if self.i >= len(self.items):
-            raise ParseError("unexpected end of input", *self.loc())
-        t = self.items[self.i][0]
-        self.i += 1
-        return t
-
-    def expect(self, tok: str) -> None:
-        line, col = self.loc()
-        t = self.next()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, got {t!r}", line, col)
+def _sv_lex(text: str) -> _Tokens:
+    items = []
+    pos = 0
+    line = 1
+    bol = 0
+    while pos < len(text):
+        m = _SV_TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             line, pos - bol + 1)
+        if m.lastgroup != "ws":
+            items.append((m.group(), line, pos - bol + 1))
+        nl = m.group().count("\n")
+        if nl:
+            line += nl
+            bol = pos + m.group().rindex("\n") + 1
+        pos = m.end()
+    return _Tokens(items)
 
 
 # -- expression AST ---------------------------------------------------------
@@ -326,91 +306,37 @@ def _sv_literal(tok: str) -> _Lit:
         bits = int(m.group(3))
         if width < 1 or bits >= (1 << width):
             raise ParseError(f"literal {tok} does not fit its size")
-        a = Annotation(width, signed)
-        from .ir import from_bits
-        return _Lit(from_bits(bits, a), width, signed)
+        return _Lit(from_bits(bits, Annotation(width, signed)), width, signed)
     v = int(tok)
     return _Lit(v, max(1, v.bit_length()), False)
 
 
-def _sv_parse_expr(ts: _SvTokens):
-    return _sv_ternary(ts)
+# Binding strength of each binary operator; all are left-associative.
+_SV_PRECEDENCE = {"|": 1, "^": 2, "&": 3, "==": 4, "<": 5,
+                  "<<": 6, ">>": 6, ">>>": 6, "<<<": 6, "+": 7, "-": 7, "*": 8}
 
 
-def _sv_ternary(ts):
-    c = _sv_bitor(ts)
+def _sv_expr(ts: _Tokens):
+    c = _sv_binary(ts, 1)
     if ts.peek() == "?":
         ts.next()
-        a = _sv_ternary(ts)
+        a = _sv_expr(ts)
         ts.expect(":")
-        b = _sv_ternary(ts)
+        b = _sv_expr(ts)
         return _Ternary(c, a, b)
     return c
 
 
-def _sv_bitor(ts):
-    e = _sv_bitxor(ts)
-    while ts.peek() == "|":
-        ts.next()
-        e = _Binary("|", e, _sv_bitxor(ts))
-    return e
-
-
-def _sv_bitxor(ts):
-    e = _sv_bitand(ts)
-    while ts.peek() == "^":
-        ts.next()
-        e = _Binary("^", e, _sv_bitand(ts))
-    return e
-
-
-def _sv_bitand(ts):
-    e = _sv_equality(ts)
-    while ts.peek() == "&":
-        ts.next()
-        e = _Binary("&", e, _sv_equality(ts))
-    return e
-
-
-def _sv_equality(ts):
-    e = _sv_relational(ts)
-    while ts.peek() == "==":
-        ts.next()
-        e = _Binary("==", e, _sv_relational(ts))
-    return e
-
-
-def _sv_relational(ts):
-    e = _sv_shift(ts)
-    while ts.peek() == "<":
-        ts.next()
-        e = _Binary("<", e, _sv_shift(ts))
-    return e
-
-
-def _sv_shift(ts):
-    e = _sv_additive(ts)
-    while ts.peek() in ("<<", ">>", ">>>", "<<<"):
+def _sv_binary(ts: _Tokens, level: int):
+    """Operators binding at least as tightly as `level`, by precedence
+    climbing."""
+    e = _sv_unary(ts)
+    while _SV_PRECEDENCE.get(ts.peek(), 0) >= level:
         op = ts.next()
+        rhs = _sv_binary(ts, _SV_PRECEDENCE[op] + 1)
         if op == "<<<":
             op = "<<"  # arithmetic and logical left shifts coincide
-        e = _Binary(op, e, _sv_additive(ts))
-    return e
-
-
-def _sv_additive(ts):
-    e = _sv_multiplicative(ts)
-    while ts.peek() in ("+", "-"):
-        op = ts.next()
-        e = _Binary(op, e, _sv_multiplicative(ts))
-    return e
-
-
-def _sv_multiplicative(ts):
-    e = _sv_unary(ts)
-    while ts.peek() == "*":
-        ts.next()
-        e = _Binary("*", e, _sv_unary(ts))
+        e = _Binary(op, e, rhs)
     return e
 
 
@@ -431,15 +357,15 @@ def _sv_primary(ts):
         raise ParseError("unexpected end of expression", line, col)
     if t == "(":
         ts.next()
-        e = _sv_parse_expr(ts)
+        e = _sv_expr(ts)
         ts.expect(")")
         return e
     if t == "{":
         ts.next()
-        parts = [_sv_parse_expr(ts)]
+        parts = [_sv_expr(ts)]
         while ts.peek() == ",":
             ts.next()
-            parts.append(_sv_parse_expr(ts))
+            parts.append(_sv_expr(ts))
         ts.expect("}")
         return _Concat(tuple(parts))
     if re.fullmatch(r"\d+'s?d\d+", t) or t.isdigit():
@@ -452,10 +378,10 @@ def _sv_primary(ts):
         ts.next()
         if ts.peek() == "[":
             ts.next()
-            hi = int(ts.next())
+            hi = ts.int()
             if ts.peek() == ":":
                 ts.next()
-                lo = int(ts.next())
+                lo = ts.int()
             else:
                 lo = hi
             ts.expect("]")
@@ -609,18 +535,18 @@ class _SvDecl:
     lsb: int
 
 
-def _sv_parse_range(ts: _SvTokens) -> tuple[int, int]:
+def _sv_parse_range(ts: _Tokens) -> tuple[int, int]:
     ts.expect("[")
-    hi = int(ts.next())
+    hi = ts.int()
     ts.expect(":")
-    lo = int(ts.next())
+    lo = ts.int()
     ts.expect("]")
     if hi < lo:
         raise ParseError(f"descending range required, got [{hi}:{lo}]")
     return hi, lo
 
 
-def _sv_parse_decl_type(ts: _SvTokens) -> tuple[Annotation, int]:
+def _sv_parse_decl_type(ts: _Tokens) -> tuple[Annotation, int]:
     if ts.peek() in ("wire", "logic", "reg"):
         ts.next()
     signed = False
@@ -634,7 +560,7 @@ def _sv_parse_decl_type(ts: _SvTokens) -> tuple[Annotation, int]:
 
 
 def parse_sv(text: str) -> Design:
-    ts = _SvTokens(text)
+    ts = _sv_lex(text)
     ts.expect("module")
     name = ts.next()
     decls: dict[str, _SvDecl] = {}
@@ -672,6 +598,15 @@ def parse_sv(text: str) -> Design:
     ts.expect(";")
 
     assigns: list[tuple[str, object, tuple]] = []
+
+    def statement(loc: tuple) -> None:
+        """`target = expr;`, located at loc."""
+        target = ts.next()
+        ts.expect("=")
+        expr = _sv_expr(ts)
+        ts.expect(";")
+        assigns.append((target, expr, loc))
+
     while ts.peek() != "endmodule":
         line, col = ts.loc()
         t = ts.peek()
@@ -686,28 +621,16 @@ def parse_sv(text: str) -> Design:
             ts.expect(";")
         elif t == "assign":
             ts.next()
-            target = ts.next()
-            ts.expect("=")
-            expr = _sv_parse_expr(ts)
-            ts.expect(";")
-            assigns.append((target, expr, (line, col)))
+            statement((line, col))
         elif t == "always_comb":
             ts.next()
-            block = ts.peek() == "begin"
-            if block:
-                ts.next()
-            while True:
-                line, col = ts.loc()
-                if block and ts.peek() == "end":
-                    ts.next()
-                    break
-                target = ts.next()
-                ts.expect("=")
-                expr = _sv_parse_expr(ts)
-                ts.expect(";")
-                assigns.append((target, expr, (line, col)))
-                if not block:
-                    break
+            if ts.peek() != "begin":
+                statement(ts.loc())
+                continue
+            ts.next()
+            while ts.peek() != "end":
+                statement(ts.loc())
+            ts.next()
         else:
             raise ParseError(f"unsupported construct {t!r}", line, col)
     ts.next()  # endmodule

@@ -279,12 +279,11 @@ def vectorizable(t: Term) -> bool:
 
 class RowAnnotation(NamedTuple):
     """Annotations that differ from row to row of one batch, one array entry
-    per row: `width` and `signed`, and from them the `mask` and `sign` that
-    `Annotation` computes.  `_Lanes` takes one wherever it takes an
-    `Annotation`."""
+    per row: the `width`, `mask` and `sign` that `Annotation` computes
+    (`sign` is 0 exactly on unsigned rows).  `_Lanes` takes one wherever it
+    takes an `Annotation`."""
 
     width: np.ndarray
-    signed: np.ndarray
     mask: np.ndarray
     sign: np.ndarray
 
@@ -293,7 +292,7 @@ class RowAnnotation(NamedTuple):
         if width.max(initial=0) > 62:  # masks past int64: exact ints
             width = width.astype(object)
         mask = (1 << width) - 1
-        return cls(width, signed, mask, np.where(signed, (mask >> 1) + 1, 0))
+        return cls(width, mask, np.where(signed, (mask >> 1) + 1, 0))
 
 
 class _Lanes:
@@ -487,8 +486,7 @@ class RowTerm(NamedTuple):
         def ann(a: RowAnnotation) -> RowAnnotation:
             if id(a) not in memo:
                 memo[id(a)] = RowAnnotation(*(
-                    x[at].astype(object) if exact and x.dtype != bool
-                    else x[at] for x in a))
+                    x[at].astype(object) if exact else x[at] for x in a))
             return memo[id(a)]
 
         return self._replace(

@@ -21,6 +21,10 @@ from .frontend import Design, emit_sv, parse_sexpr
 from .ir import first_mismatch
 
 
+# Samples drawn for a step whose rule is hinted trivial.
+TRIVIAL_SAMPLES = 1024
+
+
 class OracleError(Exception):
     pass
 
@@ -49,7 +53,6 @@ class OracleConfig:
     samples: int = 100_000
     seed: int = 0
     external_cmd: str | None = None   # template with {left} {right}
-    trivial_samples: int = 1024       # reduced budget for trivial-hint steps
 
 
 @dataclass
@@ -119,7 +122,7 @@ def check_equiv(d1: Design, d2: Design,
     if total_bits <= cfg.max_exhaustive_bits:
         samples, method = None, "exhaustive"
     else:
-        samples = cfg.trivial_samples if hint == "trivial" else cfg.samples
+        samples = TRIVIAL_SAMPLES if hint == "trivial" else cfg.samples
         method = f"random({samples})"
     cex = first_mismatch(d1.body, d2.body, d1.inputs, samples, cfg.seed)
     if cex is not None:

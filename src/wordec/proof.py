@@ -86,7 +86,7 @@ class _Explainer:
 
     def realize(self, skel, binding: dict) -> Term:
         if isinstance(skel, Leaf):
-            return self.bound(self.g.class_of(skel.node), binding)
+            return self.bound(self.g.find(skel.node), binding)
         n = self.g.nodes[skel.node]
         return n.term([
             (slot, self.bound(ch, binding) if sub is None
@@ -100,7 +100,7 @@ class _Explainer:
         `target`; children end up as members of target's child classes."""
         g = self.g
         u = g.lookup(cur)
-        if g.class_of(u) != g.class_of(target):
+        if g.find(u) != g.find(target):
             raise ProofError("walk between nodes of different classes")
         if g.congruent(u, target):
             return cur  # nothing to rewrite
@@ -127,7 +127,7 @@ class _Explainer:
         binding pattern-variable classes to the current subterms."""
         g = self.g
         if isinstance(skel, Leaf):
-            c = g.class_of(skel.node)
+            c = g.find(skel.node)
             if c in binding:
                 cur = self.equalize(pos, cur, binding[c])
             else:
@@ -171,7 +171,7 @@ class _Explainer:
         na, nb = self.g.lookup(a), self.g.lookup(b)
         if na is None or nb is None:
             raise ProofError("term not present in the e-graph")
-        if self.g.class_of(na) != self.g.class_of(nb):
+        if self.g.find(na) != self.g.find(nb):
             raise ProofError("terms are not in the same class")
         self.equalize((), a, b)
         if self.whole != b:
@@ -204,7 +204,7 @@ def _realize_wide(g: EGraph, skel, binding: dict) -> Term:
     """The skeleton's template operators rebuilt at their exact widths;
     bound (variable-position) subterms are left untouched."""
     if isinstance(skel, Leaf):
-        return binding[g.class_of(skel.node)]
+        return binding[g.find(skel.node)]
     n = g.nodes[skel.node]
     if not skel.subs:
         return n.term((), n.out)

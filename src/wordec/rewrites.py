@@ -782,16 +782,15 @@ class Match:
     cid: int
     env: dict
     lhs_skel: Skeleton
-    # the rule program's builder; instantiate's when not given
-    build: Callable | None = field(default=None, repr=False, compare=False)
+    # the rule program's builder
+    build: Callable = field(repr=False, compare=False)
 
     def apply(self, g: EGraph) -> bool:
         """Instantiate the rhs and union it with the matched class.  Returns
         False when the application added nothing new."""
         target = g.find(self.cid)
-        build = self.build or _builder(self.rule.rhs)
         try:
-            rcid, rnid, rskel = build(g, self.env)
+            rcid, rnid, rskel = self.build(g, self.env)
         except BlockedMatch:
             return False
         if g.find(rcid) == target:

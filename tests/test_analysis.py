@@ -76,7 +76,7 @@ class TestWidthReduction:
         g = EGraph()
         root, _ = g.add_term(t)
         g.rebuild()
-        added = width_reduction_pass(g)
+        added = width_reduction_pass(g, node_limit=1000)
         g.rebuild()
         assert added >= 1
         kinds = {g.nodes[n].op for n in g.classes[g.find(root)].node_ids}
@@ -88,7 +88,7 @@ class TestWidthReduction:
         g = EGraph()
         root, _ = g.add_term(t)
         g.rebuild()
-        width_reduction_pass(g)
+        width_reduction_pass(g, node_limit=1000)
         g.rebuild()
         kinds = {g.nodes[n].op for n in g.classes[g.find(root)].node_ids}
         assert kinds == {"+"}

@@ -76,6 +76,16 @@ class TestCheck:
                                  "--out", str(tmp_path / "out")])
         assert r.exit_code == 3, r.output
 
+    def test_non_integer_range_bound_is_error(self, runner, tmp_path):
+        sp, ip = _emit_pair(tmp_path, "fig4", fmt="sv")
+        bad = tmp_path / "bad.sv"
+        bad.write_text("module m(x, o);\ninput [a:0] x; output [3:0] o;\n"
+                       "assign o = x; endmodule\n")
+        r = runner.invoke(main, ["check", "--spec", str(bad), "--impl", ip,
+                                 "--out", str(tmp_path / "out")])
+        assert r.exit_code == 3, r.output
+        assert "expected an integer, got 'a' at line 2, column 8" in r.output
+
     def test_unsound_rule_is_error(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4", fmt="sv")
         rules = tmp_path / "unsound.rules"

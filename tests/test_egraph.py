@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from wordec import egraph
+from wordec.analysis import refine_intervals
 from wordec.egraph import CONGRUENCE, EGraph, EGraphError, init_pair, saturate
 from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair, names
@@ -170,6 +171,16 @@ class TestSaturate:
         g.rebuild()
         assert (g.num_nodes(), g.num_classes(), g.unions) == state
 
+    @pytest.mark.parametrize("limit", [1000, 5000])
+    def test_width_reduction_keeps_the_node_budget(self, limit):
+        # one application or one narrowing adds at most two nodes, and the
+        # budget is checked before each of them
+        g = init_pair(*load_pair("fir8"))
+        rep = saturate(g, baseline_rules(), {"nodes": limit},
+                       stop_on_merge=False)
+        assert rep.stop_reason == "node-limit"
+        assert max(rep.node_counts) <= limit + 2, rep.node_counts
+
     def test_time_limit_binds_inside_an_iteration(self, monkeypatch):
         # a clock that ticks a second per reading: the start, the check
         # before the first iteration and the checks before two applications
@@ -215,9 +226,27 @@ class TestSaturate:
         saturate(g, baseline_rules())
         by_class = {c: [] for c in g.classes}
         for nid in sorted(g.hashcons.values()):
-            by_class[g.class_of(nid)].append(nid)
+            by_class[g.find(nid)].append(nid)
         for c, cls in g.classes.items():
             assert cls.node_ids == by_class[c], (name, c)
+
+    @pytest.mark.parametrize("name", ["fir8", "vbsme4"])
+    def test_rebuild_matches_full_scan(self, name, monkeypatch):
+        # both merge in their first iteration; three more follow
+        limits = {"iter": 4}
+        g = init_pair(*load_pair(name))
+        saturate(g, baseline_rules(), limits, stop_on_merge=False)
+        monkeypatch.setattr(EGraph, "rebuild", full_scan_rebuild)
+        ref = init_pair(*load_pair(name))
+        saturate(ref, baseline_rules(), limits, stop_on_merge=False)
+        assert len(g.nodes) == len(ref.nodes) > len(g.hashcons)
+        assert [g.find(i) for i in range(len(g.parent))] \
+            == [ref.find(i) for i in range(len(ref.parent))]
+        assert {c: (cls.node_ids, cls.interval) for c, cls in g.classes.items()} \
+            == {c: (cls.node_ids, cls.interval)
+                for c, cls in ref.classes.items()}
+        assert g.proof_parent == ref.proof_parent
+        assert list(g.hashcons.items()) == list(ref.hashcons.items())
 
     def test_determinism(self):
         spec, impl = load_pair("vbsme4")
@@ -233,6 +262,29 @@ class TestSaturate:
         g = init_pair(spec, impl)
         rep = saturate(g, baseline_rules(), stop_on_merge=False)
         assert rep.node_counts == sorted(rep.node_counts)
+
+
+def full_scan_rebuild(g: EGraph) -> None:
+    """`EGraph.rebuild` rescanning every node ever added, dead ones too."""
+    changed = True
+    while changed:
+        changed = False
+        table: dict[tuple, int] = {}
+        for nid, n in enumerate(g.nodes):
+            key = g._key(n)
+            other = table.get(key)
+            if other is None:
+                table[key] = nid
+            elif g.find(other) != g.find(nid):
+                g.merge(other, nid, CONGRUENCE, edge=(other, nid))
+                changed = True
+        g.hashcons = table
+    members: dict[int, list[int]] = {c: [] for c in g.classes}
+    for nid in g.hashcons.values():
+        members[g.find(nid)].append(nid)
+    for cid, cls in g.classes.items():
+        cls.node_ids = members[cid]
+    refine_intervals(g)
 
 
 class TestSemanticSoundness:

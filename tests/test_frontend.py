@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordec.fixtures import load_pair, names
 from wordec.frontend import (Design, ParseError, emit_sexpr, emit_sv,
                              parse_sexpr, parse_sv)
-from wordec.ir import Annotation, evaluate
+from wordec.ir import ARITY, Annotation, Term, evaluate
 
 
 def ann(w, s=False):
@@ -110,6 +112,20 @@ class TestParseSv:
             parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"
                      "always @(posedge a) o = a; endmodule")
 
+    def test_non_integer_range_bound_located(self):
+        with pytest.raises(ParseError, match=r"^expected an integer, got 'a' "
+                                             r"at line 2, column 8$"):
+            parse_sv("module m(x, o);\n"
+                     "input [a:0] x; output [3:0] o;\n"
+                     "assign o = x; endmodule")
+
+    def test_non_integer_slice_index_located(self):
+        with pytest.raises(ParseError, match=r"^expected an integer, got 'k' "
+                                             r"at line 3, column 16$"):
+            parse_sv("module m(x, o);\n"
+                     "input [7:0] x; output [3:0] o;\n"
+                     "assign o = x[3:k]; endmodule")
+
 
 class TestEmitSv:
     def test_semantic_round_trip_fixtures(self):
@@ -132,6 +148,51 @@ class TestEmitSv:
         text = emit_sv(d, header_comment="hello world")
         assert "hello world" in text
         assert parse_sv(text).inputs == d.inputs
+
+
+_ANNS = st.builds(Annotation, st.integers(1, 6), st.booleans())
+
+
+@st.composite
+def _terms(draw, inputs, depth):
+    """A random annotated term over `inputs`, any of the 18 opcodes at each
+    inner node."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            name, a = draw(st.sampled_from(inputs))
+            return Term("var", a, name=name)
+        a = draw(_ANNS)
+        return Term("const", a, value=draw(st.integers(a.lo, a.hi)))
+    kind = draw(st.sampled_from(sorted(ARITY)))
+    operands = tuple((draw(_ANNS), draw(_terms(inputs, depth - 1)))
+                     for _ in range(ARITY[kind]))
+    indices = None
+    if kind == "slice":
+        hi = draw(st.integers(0, operands[0][0].width - 1))
+        indices = (hi, draw(st.integers(0, hi)))
+    return Term(kind, draw(_ANNS), operands=operands, indices=indices)
+
+
+@st.composite
+def _designs(draw):
+    inputs = tuple((n, draw(_ANNS)) for n in ("a", "b", "c"))
+    body = draw(_terms(inputs, 3))
+    return Design("rt", inputs, ("o", body.out), body)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(d=_designs(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_emitted_designs_read_back(self, d, seed):
+        assert parse_sexpr(emit_sexpr(d)) == d
+        back = parse_sv(emit_sv(d))
+        assert back.inputs == d.inputs and back.output == d.output
+        rng = random.Random(seed)
+        envs = [{n: a.lo for n, a in d.inputs}, {n: a.hi for n, a in d.inputs}]
+        envs += [{n: rng.randint(a.lo, a.hi) for n, a in d.inputs}
+                 for _ in range(30)]
+        for env in envs:
+            assert evaluate(back.body, env) == evaluate(d.body, env), env
 
 
 def _all_envs(d: Design):
