@@ -10,6 +10,7 @@ operators toward their minimum storage width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from .ir import Annotation, min_width, op_value_range
@@ -75,20 +76,39 @@ def interval_merge(a: Interval, b: Interval) -> Interval:
 
 
 def refine_intervals(g: "EGraph") -> None:
-    """Iterate make/merge over all classes to the greatest fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        for cid in sorted(g.classes):
-            cls = g.classes[cid]
-            iv = cls.interval
-            for nid in cls.node_ids:
-                n = g.nodes[nid]
-                kids = [g.classes[g.find(c)].interval for c in n.children]
-                iv = interval_merge(iv, interval_make(n, kids))
-            if iv != cls.interval:
-                cls.interval = iv
-                changed = True
+    """Narrow every class interval to the greatest fixpoint of make/merge
+    below the current intervals.  Only classes that use a class narrowed
+    since the last call (`g.narrowed`) are recomputed, then the users of
+    each class that narrows in turn: every other class already lies inside
+    its members' make.  Make is monotone and merge intersects, so the
+    fixpoint, and so the result, does not depend on the visiting order."""
+    classes, nodes, find, node_key = g.classes, g.nodes, g.find, g.node_key
+    todo: list[int] = []
+    queued: set[int] = set()
+
+    def users_of(cid: int) -> None:
+        for u in classes[cid].uses:
+            if node_key[u] is not None:
+                c = find(u)
+                if c not in queued:
+                    queued.add(c)
+                    heappush(todo, c)
+
+    for cid in {find(c) for c in g.narrowed}:
+        users_of(cid)
+    g.narrowed = set()
+    while todo:
+        cid = heappop(todo)
+        queued.discard(cid)
+        cls = classes[cid]
+        iv = cls.interval
+        for nid in cls.node_ids:
+            n = nodes[nid]
+            kids = [classes[find(c)].interval for c in n.children]
+            iv = interval_merge(iv, interval_make(n, kids))
+        if iv != cls.interval:
+            cls.interval = iv
+            users_of(cid)
 
 
 def width_reduction_pass(g: "EGraph", node_limit: int) -> int:

@@ -262,7 +262,8 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
         click.echo(f"  iteration {i}: {st.matches} matches, "
                    f"{st.redundant_applications} redundant; match "
                    f"{st.match_s:.3f}s apply {st.apply_s:.3f}s width-reduce "
-                   f"{st.width_reduce_s:.3f}s rebuild {st.rebuild_s:.3f}s")
+                   f"{st.width_reduce_s:.3f}s rebuild {st.rebuild_s:.3f}s "
+                   f"({st.rekeyed} rekeyed, {st.congruences} congruences)")
     click.echo(f"nodes: {' -> '.join(map(str, rep.node_counts))}")
     click.echo(f"classes: {' -> '.join(map(str, rep.class_counts))}")
     click.echo(f"shared classes: {len(sh0.c_shared)} -> {len(sh1.c_shared)}")

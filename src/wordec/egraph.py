@@ -3,13 +3,16 @@
 Nodes are hash-consed; classes live in a union-find.  Congruence repair is
 deferred to rebuild().  Every union records a justification edge between two
 concrete nodes in an explanation forest, from which single-rewrite proof
-steps are later reconstructed.
+steps are later reconstructed.  Each class keeps a use list (the nodes with a
+child in it), so rebuild() and the interval refinement it ends with visit
+only what the merges since the last rebuild touched.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from . import analysis
@@ -76,12 +79,14 @@ class EClass:
     id: int
     node_ids: list[int] = field(default_factory=list)
     interval: "analysis.Interval | None" = None
+    uses: list[int] = field(default_factory=list)  # nodes with a child here
 
 
 @dataclass
 class IterationStats:
     """One saturation iteration: its matches, the applications that added
-    nothing, and the seconds of each phase."""
+    nothing, the seconds of each phase, and the nodes its rebuild re-keyed
+    and the congruence merges it made."""
 
     matches: int
     redundant_applications: int
@@ -89,6 +94,8 @@ class IterationStats:
     apply_s: float
     width_reduce_s: float
     rebuild_s: float
+    rekeyed: int
+    congruences: int
 
 
 @dataclass
@@ -106,11 +113,21 @@ class EGraph:
     def __init__(self):
         self.nodes: list[NodeRec] = []
         self.hashcons: dict[tuple, int] = {}     # canonical key -> node id
+        self.node_key: list[tuple | None] = []   # node id -> its hashcons key,
+                                                 # None once dropped
         self.parent: list[int] = []              # union-find, by node id
         self.classes: dict[int, EClass] = {}     # canonical id -> class
         self.proof_parent: dict[int, tuple[int, object]] = {}  # explanation forest
         self.unions = 0
+        self.congruences = 0                     # unions made by rebuild
+        self.rekeyed = 0                         # nodes rebuild re-keyed
         self.roots: tuple[int, int] | None = None  # (root_S cid, root_I cid)
+        # upkeep since the last rebuild: nodes whose key names a merged-away
+        # class, classes whose member list changed, and classes whose
+        # interval narrowed (since the last refine_intervals)
+        self.stale: list[int] = []
+        self.reshaped: set[int] = set()
+        self.narrowed: set[int] = set()
 
     # -- union-find ---------------------------------------------------------
 
@@ -131,18 +148,29 @@ class EGraph:
         existing canonical node is returned unchanged.  A new node founds a
         class with its own id, so a node's class is `find(node id)`."""
         key = self._key(n)
-        if key in self.hashcons:
-            nid = self.hashcons[key]
+        nid = self.hashcons.get(key)
+        if nid is not None:
             return self.find(nid), nid
+        nid = self.new_node(n, key)
+        return nid, nid
+
+    def new_node(self, n: NodeRec, key: tuple) -> int:
+        """File n under `key`, its key, which no node holds: a new node that
+        founds a class with its own id.  Returns the id."""
         nid = len(self.nodes)
         self.nodes.append(n)
+        self.node_key.append(key)
         self.parent.append(nid)
         self.hashcons[key] = nid
-        cls = EClass(nid, [nid])
-        children_ivs = [self.classes[self.find(c)].interval for c in n.children]
-        cls.interval = analysis.interval_make(n, children_ivs)
-        self.classes[nid] = cls
-        return nid, nid
+        classes = self.classes
+        kids = key[3]
+        for c in kids:
+            uses = classes[c].uses
+            if not uses or uses[-1] != nid:  # once per distinct child class
+                uses.append(nid)
+        iv = analysis.interval_make(n, [classes[c].interval for c in kids])
+        classes[nid] = EClass(nid, [nid], iv, [])
+        return nid
 
     def add_term(self, t: Term) -> tuple[int, int]:
         """Insert a term bottom-up; returns (class id, node id) of the root."""
@@ -164,9 +192,10 @@ class EGraph:
         # NodeRec's fields, in order, with canonical children: the node's key
         fields = (t.kind, t.out, tuple(s for s, _ in t.operands), tuple(kids),
                   t.name, t.value, t.indices)
-        if insert:
-            return self.add_node(NodeRec(*fields))[1]
-        return self.hashcons.get(fields)
+        nid = self.hashcons.get(fields)
+        if nid is None and insert:
+            nid = self.new_node(NodeRec(*fields), fields)
+        return nid
 
     def congruent(self, a: int, b: int) -> bool:
         """Nodes a and b have the same head and the same child classes."""
@@ -234,7 +263,12 @@ class EGraph:
         self.parent[drop] = keep
         kc, dc = self.classes[keep], self.classes.pop(drop)
         kc.node_ids.extend(dc.node_ids)
+        if iv != kc.interval or iv != dc.interval:
+            self.narrowed.add(keep)
         kc.interval = iv
+        kc.uses.extend(dc.uses)
+        self.stale.extend(dc.uses)  # their keys name `drop`
+        self.reshaped.add(keep)
         self._forest_link(edge[0], edge[1], justification)
         self.unions += 1
         return keep
@@ -243,30 +277,62 @@ class EGraph:
 
     def rebuild(self) -> None:
         """Restore congruence and the dedup table to a fixpoint, then refine
-        intervals to their fixpoint.  Each pass rescans only the table's
-        nodes, in node-id order: a node dropped from it has a smaller
-        congruent node in its class, so it can neither take a slot nor
-        cause a merge."""
-        changed = True
-        while changed:
-            changed = False
-            table: dict[tuple, int] = {}
-            for nid in self.hashcons.values():
-                key = self._key(self.nodes[nid])
-                other = table.get(key)
-                if other is None:
-                    table[key] = nid
-                elif self.find(other) != self.find(nid):
-                    self.merge(other, nid, CONGRUENCE, edge=(other, nid))
-                    changed = True
-            self.hashcons = table
-        # member lists: the canonical nodes, which the last pass found
-        # congruent only within their class; table order is node-id order
-        members: dict[int, list[int]] = {c: [] for c in self.classes}
-        for nid in self.hashcons.values():
-            members[self.find(nid)].append(nid)
-        for cid, cls in self.classes.items():
-            cls.node_ids = members[cid]
+        intervals to their fixpoint.
+
+        The result, merge order and witness edges included, is that of
+        rescanning the table in node-id order until a scan merges nothing,
+        but each pass visits only the nodes such a scan would re-key: those
+        whose key names a merged-away class, in node-id order.  A visited
+        node v drops its old entry and computes its fresh key k.  If nobody
+        holds k, v takes it.  If a later node w holds it, v takes it too and
+        w is visited in turn, to collide with v as in the scan.  If an
+        earlier node w holds it, v leaves the table, and its class merges
+        with w's unless they are the same.  A merge makes the users of the
+        merged-away class stale: those after v join this pass, the others
+        the next one, as a scan would meet them."""
+        hashcons, node_key, nodes, find = (self.hashcons, self.node_key,
+                                           self.nodes, self.find)
+        todo = sorted(set(self.stale))  # a sorted list is a heap
+        self.stale = []
+        while todo:
+            later: list[int] = []
+            while todo:
+                v = heappop(todo)
+                while todo and todo[0] == v:
+                    heappop(todo)
+                old = node_key[v]
+                if old is None:
+                    continue  # no longer in the table
+                if hashcons.get(old) == v:
+                    del hashcons[old]
+                key = self._key(nodes[v])
+                self.rekeyed += 1
+                w = hashcons.get(key)
+                if w is None or w > v:
+                    hashcons[key] = v
+                    node_key[v] = key
+                    if w is not None:
+                        heappush(todo, w)
+                    continue
+                node_key[v] = None
+                self.reshaped.add(find(v))
+                if find(w) != find(v):
+                    self.merge(w, v, CONGRUENCE, edge=(w, v))
+                    self.congruences += 1
+                    for u in self.stale:
+                        if u > v:
+                            heappush(todo, u)
+                        else:
+                            later.append(u)
+                    self.stale = []
+            todo = sorted(set(later))
+        # member lists: the live nodes, which the last pass found congruent
+        # only within their class, in node-id order
+        for cid in {find(c) for c in self.reshaped}:
+            cls = self.classes[cid]
+            cls.node_ids = sorted(n for n in cls.node_ids
+                                  if node_key[n] is not None)
+        self.reshaped = set()
         analysis.refine_intervals(self)
 
     # -- queries ------------------------------------------------------------
@@ -410,11 +476,13 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
                 redundant += 1
         t2 = time.perf_counter()
         analysis.width_reduction_pass(g, node_limit)
+        rekeyed, congruences = g.rekeyed, g.congruences
         t3 = time.perf_counter()
         g.rebuild()
         report.per_iteration.append(IterationStats(
             len(matches), redundant, t1 - t0, t2 - t1, t3 - t2,
-            time.perf_counter() - t3))
+            time.perf_counter() - t3, g.rekeyed - rekeyed,
+            g.congruences - congruences))
         report.redundant_applications += redundant
         report.iterations = it + 1
         report.node_counts.append(g.num_nodes())

@@ -659,9 +659,11 @@ def parse_sv(text: str) -> Design:
     terms: dict[str, Term] = {}
     el = _Elaborator(signals, terms, lsb)
 
-    def deps(e, out: set[str]):
+    def deps(e, out: dict[str, None]):
+        """Add the signals e reads to `out`, an ordered set, in source
+        order, so a dependency error names the first bad signal."""
         if isinstance(e, (_Ref, _Slice)):
-            out.add(e.name)
+            out[e.name] = None
         elif isinstance(e, _Unary):
             deps(e.a, out)
         elif isinstance(e, _Binary):
@@ -684,7 +686,7 @@ def parse_sv(text: str) -> Design:
             raise ParseError(f"combinational cycle through {sig!r}")
         state[sig] = 1
         expr, loc = driven[sig]
-        needed: set[str] = set()
+        needed: dict[str, None] = {}
         deps(expr, needed)
         for d in needed:
             if d not in decls:

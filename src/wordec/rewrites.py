@@ -437,7 +437,8 @@ def _is_signed(value) -> bool:
 # - the condition is one function of the parameters it reads;
 # - the builder walks the rhs in pre-order (a node's output annotation, then
 #   per operand its slot annotation and its subterm, then the node itself),
-#   so a BlockedMatch partway leaves the nodes added before it.
+#   so a BlockedMatch partway leaves the nodes added before it; it probes
+#   the table with each node's key and builds a NodeRec only on a miss.
 #
 # eval_expr stays the reference semantics of the expression language.
 
@@ -674,8 +675,8 @@ def _compile_builder(p: Pattern, name: str):
     """`build(g, env)`: add p's instance under env to g, as instantiate
     does."""
     code = _Code(["def build(g, env):",
-                  "    add_node, find, classes = g.add_node, g.find, "
-                  "g.classes",
+                  "    get, new_node, find, classes = g.hashcons.get, "
+                  "g.new_node, g.find, g.classes",
                   "    try:"])
     code.depth = 2
 
@@ -701,6 +702,14 @@ def _compile_builder(p: Pattern, name: str):
                   "Annotation(w, s)")
         return a
 
+    def add(c: str, n: str, fields: list[str]) -> None:
+        """Probe the table with the key of NodeRec(*fields), whose children
+        are canonical; build the node only on a miss."""
+        code.emit(f"k = {_tuple_code(fields)}")
+        code.emit(f"{n} = get(k)")
+        code.emit(f"if {n} is None: {c} = {n} = new_node(NodeRec(*k), k)")
+        code.emit(f"else: {c} = find({n})")
+
     def node(p: Pattern, top: bool) -> tuple[str, str, str]:
         """Emit p's instance; returns the sources of its class, its node and
         its skeleton (None for a variable below the top)."""
@@ -716,8 +725,7 @@ def _compile_builder(p: Pattern, name: str):
             v = code.fresh("x")
             code.emit(f"{v} = {expr(p.value)}")
             code.emit(f"if not {a}.contains({v}): _unrepresentable({v}, {a})")
-            code.emit(f"{c}, {n} = add_node(NodeRec('const', {a}, (), (), "
-                      f"value={v}))")
+            add(c, n, ["'const'", a, "()", "()", "None", v, "None"])
             return c, n, f"Skeleton({n}, ())"
         out = annotation(p.out_w, p.out_s)
         slots, kids, subs = [], [], []
@@ -726,8 +734,8 @@ def _compile_builder(p: Pattern, name: str):
             kc, _, ks = node(sub, False)
             kids.append(kc)
             subs.append(ks)
-        code.emit(f"{c}, {n} = add_node(NodeRec({p.op!r}, {out}, "
-                  f"{_tuple_code(slots)}, {_tuple_code(kids)}))")
+        add(c, n, [repr(p.op), out, _tuple_code(slots), _tuple_code(kids),
+                   "None", "None", "None"])
         return c, n, f"Skeleton({n}, {_tuple_code(subs)})"
 
     c, n, skeleton = node(p, True)

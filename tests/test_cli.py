@@ -39,7 +39,7 @@ class TestCheck:
         assert len(per_iteration) == rep["saturation"]["iterations"]
         assert set(per_iteration[0]) == {
             "matches", "redundant_applications", "match_s", "apply_s",
-            "width_reduce_s", "rebuild_s"}
+            "width_reduce_s", "rebuild_s", "rekeyed", "congruences"}
         assert (out / "manifest.json").exists()
         assert list((out / "steps").glob("*.ir"))
 
@@ -141,6 +141,7 @@ class TestSaturateExtract:
             assert ln.startswith(f"  iteration {i}: ")
             for phase in ("match", "apply", "width-reduce", "rebuild"):
                 assert f" {phase} " in ln
+            assert " rekeyed, " in ln and ln.endswith(" congruences)")
 
     def test_extract_prints_objective(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "adpcm")

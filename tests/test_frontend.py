@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wordec
 from wordec.fixtures import load_pair, names
 from wordec.frontend import (Design, ParseError, emit_sexpr, emit_sv,
                              parse_sexpr, parse_sv)
@@ -106,6 +111,31 @@ class TestParseSv:
             parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"
                      "wire [3:0] x, y;\n"
                      "assign x = y; assign y = x; assign o = x; endmodule")
+
+    def test_dependency_error_in_source_order(self):
+        # six undriven wires: an error named in hash order would differ
+        # between the two seeds, or name another wire than the first
+        src = ("module m(a, o); input [3:0] a; output [3:0] o;\n"
+               "wire [3:0] u, t, s, r, q, p;\n"
+               "assign o = p + q + r + s + t + u; endmodule")
+        code = ("import sys\n"
+                "from wordec.frontend import ParseError, parse_sv\n"
+                "try:\n"
+                "    parse_sv(sys.stdin.read())\n"
+                "except ParseError as e:\n"
+                "    print(e)\n")
+        path = str(Path(wordec.__file__).parent.parent)
+        messages = []
+        for seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       [path, os.environ.get("PYTHONPATH", "")])}
+            r = subprocess.run([sys.executable, "-c", code], input=src,
+                               capture_output=True, text=True, env=env,
+                               timeout=60, check=True)
+            messages.append(r.stdout.strip())
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("signal 'p' is never driven at line 3")
 
     def test_unsupported_construct_named(self):
         with pytest.raises(ParseError):
