@@ -146,8 +146,7 @@ def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
                     WIDTH_REDUCE_RULE,
                     lhs=Skeleton(nid, tuple(None for _ in n.children)),
                     rhs=Skeleton(wnid, (Skeleton(
-                        nnid, tuple(None for _ in n.children)),)),
-                    lhs_node=nid, rhs_node=wnid)
+                        nnid, tuple(None for _ in n.children)),)))
                 g.merge(cid, wcid, just, edge=(nid, wnid))
                 applied += 1
     return applied

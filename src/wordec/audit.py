@@ -31,8 +31,9 @@ import numpy as np
 from . import rewrites
 from .ir import (SIGNED, UNSIGNED, Annotation, IrError, RowAnnotation,
                  RowTerm, first_mismatches)
-from .rewrites import (BlockedMatch, PatConst, PatOp, PatVar, Pattern, Rule,
-                       RuleError, _is_signed, _width, expr_params)
+from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
+                       RuleError, _is_signed, _width, expr_params,
+                       pattern_slots)
 
 # Grid vectors per block, and operand rows per evaluator batch.  Each block
 # and batch holds a few dozen arrays of its length: 4096 of each measured
@@ -46,15 +47,6 @@ MAX_OPERAND_BITS = 22
 # besides BlockedMatch (an unbound condition parameter, a signage in
 # arithmetic).  A table keeps them until a live instance reads the entry.
 _EXPR_ERRORS = (RuleError, TypeError, ValueError)
-
-
-def _shift_amount_width_params(p: Pattern, out: set[str]) -> None:
-    if not isinstance(p, PatOp):
-        return
-    for i, (w, s, sub) in enumerate(p.operands):
-        if p.op in ("<<", ">>", ">>>") and i == 1 and isinstance(w, str):
-            out.add(w)
-        _shift_amount_width_params(sub, out)
 
 
 class _Table:
@@ -140,36 +132,18 @@ class RuleAudit:
 
     def __init__(self, rule: Rule, maxw: int):
         self.rule = rule
-        shift_widths: set[str] = set()
-        _shift_amount_width_params(rule.lhs, shift_widths)
-        _shift_amount_width_params(rule.rhs, shift_widths)
-
+        shift_widths = {e for p in (rule.lhs, rule.rhs)
+                        for kind, e, _ in pattern_slots(p)
+                        if kind == "amount" and isinstance(e, str)}
         # classify parameters by where they occur on the lhs
         width_ps, sig_ps, val_ann = set(), set(), {}
-
-        def scan(p):
-            if isinstance(p, PatConst):
-                if isinstance(p.value, str):
-                    val_ann[p.value] = (p.width, p.sig)
-                if isinstance(p.width, str):
-                    width_ps.add(p.width)
-                if isinstance(p.sig, str):
-                    sig_ps.add(p.sig)
-                return
-            if isinstance(p, PatVar):
-                return
-            if isinstance(p.out_w, str):
-                width_ps.add(p.out_w)
-            if isinstance(p.out_s, str):
-                sig_ps.add(p.out_s)
-            for w, s, sub in p.operands:
-                if isinstance(w, str):
-                    width_ps.add(w)
-                if isinstance(s, str):
-                    sig_ps.add(s)
-                scan(sub)
-
-        scan(rule.lhs)
+        for kind, e, owner in pattern_slots(rule.lhs):
+            if not isinstance(e, str) or kind == "class":
+                continue
+            if kind == "value":
+                val_ann[e] = (owner.width, owner.sig)
+            else:
+                (sig_ps if kind == "sig" else width_ps).add(e)
         self.grid = sorted(width_ps) + sorted(sig_ps)
         self.vals = sorted(val_ann)
         self.val_ann = val_ann

@@ -21,14 +21,14 @@ from .oracle import OracleConfig, OracleError, check_equiv, run_waterfall, \
     run_waterfall_dir
 from .proof import ProofError, build_waterfall, check_adjacency, \
     write_waterfall
-from .rewrites import RuleError, baseline_rules, parse_rules, validate_rule
+from .rewrites import baseline_rules, parse_rules, validate_rule
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNPROVEN, EXIT_ERROR = 0, 1, 2, 3
 
-# AnalysisError: an unsound user rule merged classes with disjoint intervals
-_USER_ERRORS = (ParseError, RuleError, EGraphError, ExtractionError,
-                ProofError, OracleError, AnalysisError, OSError, ValueError,
-                KeyError)
+# AnalysisError: an unsound user rule merged classes with disjoint intervals;
+# ParseError covers the rule reader's RuleError
+_USER_ERRORS = (ParseError, EGraphError, ExtractionError, ProofError,
+                OracleError, AnalysisError, OSError, ValueError, KeyError)
 
 
 def _load_design(path: str, fmt: str) -> Design:

@@ -67,8 +67,6 @@ class RuleJust:
     rule_id: str
     lhs: Skeleton | Leaf
     rhs: Skeleton | Leaf
-    lhs_node: int
-    rhs_node: int
 
 
 CONGRUENCE = "congruence"

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from .ir import (Annotation, ARITY, IrError, SHIFT_OPS, SIGNED, Term,
                  UNSIGNED, from_bits, to_bits)
-
-
-class ParseError(Exception):
-    def __init__(self, msg: str, line: int | None = None, col: int | None = None):
-        loc = f" at line {line}, column {col}" if line is not None else ""
-        super().__init__(msg + loc)
-        self.line = line
-        self.col = col
+from .tokens import ParseError, Tokens, lex
 
 
 @dataclass(frozen=True)
@@ -47,67 +40,14 @@ class Design:
 
 
 # ---------------------------------------------------------------------------
-# Token stream shared by both readers
-# ---------------------------------------------------------------------------
-
-class _Tokens:
-    """A cursor over (text, line, column) tokens."""
-
-    def __init__(self, items: list[tuple[str, int, int]]):
-        self.items = items
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.i][0] if self.i < len(self.items) else None
-
-    def loc(self) -> tuple[int | None, int | None]:
-        if self.i < len(self.items):
-            return self.items[self.i][1], self.items[self.i][2]
-        if self.items:
-            return self.items[-1][1], self.items[-1][2]
-        return None, None
-
-    def next(self) -> str:
-        if self.i >= len(self.items):
-            raise ParseError("unexpected end of input", *self.loc())
-        t = self.items[self.i][0]
-        self.i += 1
-        return t
-
-    def expect(self, tok: str) -> None:
-        line, col = self.loc()
-        t = self.next()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, got {t!r}", line, col)
-
-    def int(self) -> int:
-        line, col = self.loc()
-        t = self.next()
-        try:
-            return int(t)
-        except ValueError:
-            raise ParseError(f"expected an integer, got {t!r}", line,
-                             col) from None
-
-
-# ---------------------------------------------------------------------------
 # S-expression IR files
 # ---------------------------------------------------------------------------
 
-_SX_TOKEN = re.compile(r"\(|\)|;[^\n]*|[^\s();]+")
+# `;` starts a comment to the end of the line
+_SX_TOKEN = re.compile(r"(?P<ws>\s+|;[^\n]*)|(?P<sym>[()])|(?P<atom>[^\s();]+)")
 
 
-def _sx_lex(text: str) -> _Tokens:
-    items = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in _SX_TOKEN.finditer(line):
-            if m.group().startswith(";"):
-                break  # comment to end of line
-            items.append((m.group(), lineno, m.start() + 1))
-    return _Tokens(items)
-
-
-def _sx_ann(ts: _Tokens) -> Annotation:
+def _sx_ann(ts: Tokens) -> Annotation:
     w = ts.int()
     line, col = ts.loc()
     s = ts.next()
@@ -118,7 +58,7 @@ def _sx_ann(ts: _Tokens) -> Annotation:
     return Annotation(w, s == SIGNED)
 
 
-def _sx_term(ts: _Tokens, declared: dict[str, Annotation]) -> Term:
+def _sx_term(ts: Tokens, declared: dict[str, Annotation]) -> Term:
     line, col = ts.loc()
     ts.expect("(")
     head = ts.next()
@@ -158,7 +98,7 @@ def _sx_term(ts: _Tokens, declared: dict[str, Annotation]) -> Term:
 
 
 def parse_sexpr(text: str) -> Design:
-    ts = _sx_lex(text)
+    ts = lex(_SX_TOKEN, text)
     line, col = ts.loc()
     ts.expect("(")
     ts.expect("design")
@@ -232,26 +172,6 @@ _SV_TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-def _sv_lex(text: str) -> _Tokens:
-    items = []
-    pos = 0
-    line = 1
-    bol = 0
-    while pos < len(text):
-        m = _SV_TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - bol + 1)
-        if m.lastgroup != "ws":
-            items.append((m.group(), line, pos - bol + 1))
-        nl = m.group().count("\n")
-        if nl:
-            line += nl
-            bol = pos + m.group().rindex("\n") + 1
-        pos = m.end()
-    return _Tokens(items)
-
-
 # -- expression AST ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -316,7 +236,7 @@ _SV_PRECEDENCE = {"|": 1, "^": 2, "&": 3, "==": 4, "<": 5,
                   "<<": 6, ">>": 6, ">>>": 6, "<<<": 6, "+": 7, "-": 7, "*": 8}
 
 
-def _sv_expr(ts: _Tokens):
+def _sv_expr(ts: Tokens):
     c = _sv_binary(ts, 1)
     if ts.peek() == "?":
         ts.next()
@@ -327,7 +247,7 @@ def _sv_expr(ts: _Tokens):
     return c
 
 
-def _sv_binary(ts: _Tokens, level: int):
+def _sv_binary(ts: Tokens, level: int):
     """Operators binding at least as tightly as `level`, by precedence
     climbing."""
     e = _sv_unary(ts)
@@ -535,7 +455,7 @@ class _SvDecl:
     lsb: int
 
 
-def _sv_parse_range(ts: _Tokens) -> tuple[int, int]:
+def _sv_parse_range(ts: Tokens) -> tuple[int, int]:
     ts.expect("[")
     hi = ts.int()
     ts.expect(":")
@@ -546,7 +466,7 @@ def _sv_parse_range(ts: _Tokens) -> tuple[int, int]:
     return hi, lo
 
 
-def _sv_parse_decl_type(ts: _Tokens) -> tuple[Annotation, int]:
+def _sv_parse_decl_type(ts: Tokens) -> tuple[Annotation, int]:
     if ts.peek() in ("wire", "logic", "reg"):
         ts.next()
     signed = False
@@ -560,7 +480,7 @@ def _sv_parse_decl_type(ts: _Tokens) -> tuple[Annotation, int]:
 
 
 def parse_sv(text: str) -> Design:
-    ts = _sv_lex(text)
+    ts = lex(_SV_TOKEN, text)
     ts.expect("module")
     name = ts.next()
     decls: dict[str, _SvDecl] = {}

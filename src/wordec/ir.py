@@ -574,10 +574,12 @@ def op_value_range(kind: str, slots: tuple[Annotation, ...],
     if kind == "~":
         return ~r[0][1], ~r[0][0]
     if kind in ("&", "|", "^"):
-        w = max(slots[0].width, slots[1].width)
         if slots[0].signed or slots[1].signed:
+            # both operands fit the signed width one bit wider than an
+            # unsigned slot, and so does any bitwise result
+            w = max(s.width + (not s.signed) for s in slots)
             return -(1 << (w - 1)), (1 << (w - 1)) - 1
-        return 0, (1 << w) - 1
+        return 0, (1 << max(slots[0].width, slots[1].width)) - 1
     if kind in SHIFT_OPS:
         # effective amount: unsigned reinterpretation of the amount slot
         amt_lo, amt_hi = r[1]

@@ -110,7 +110,7 @@ class _Explainer:
                     raise ProofError("congruence edge between unequal shapes")
                 continue  # identical modulo child classes: nothing to rewrite
             assert isinstance(just, RuleJust)
-            fwd = x == just.lhs_node
+            fwd = x == just.lhs.node
             skel_from = just.lhs if fwd else just.rhs
             skel_to = just.rhs if fwd else just.lhs
             binding: dict[int, Term] = {}

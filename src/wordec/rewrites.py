@@ -26,11 +26,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .egraph import EGraph, Leaf, NodeRec, RuleJust, Skeleton
-from .ir import Annotation, ARITY, SIGNED, UNSIGNED, Term, first_mismatch
+from .ir import (Annotation, ARITY, SHIFT_OPS, SIGNED, UNSIGNED, Term,
+                 first_mismatch)
+from .tokens import ParseError, Tokens, lex
 
 
-class RuleError(Exception):
-    pass
+class RuleError(ParseError):
+    """A rule text that does not parse (located at the token), or a rule
+    that is not well formed."""
+
+    eof = "unexpected end of rule text"
 
 
 class BlockedMatch(Exception):
@@ -50,102 +55,40 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise RuleError(f"bad character {text[pos]!r} at offset {pos}")
-        if m.lastgroup != "ws":
-            out.append(m.group())
-        pos = m.end()
-    return out
-
-
-class _Tokens:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> str:
-        t = self.peek()
-        if t is None:
-            raise RuleError("unexpected end of rule text")
-        self.i += 1
-        return t
-
-    def expect(self, tok: str) -> None:
-        t = self.next()
-        if t != tok:
-            raise RuleError(f"expected {tok!r}, got {t!r}")
-
-
 # Expression AST: int | str-param ('?w') | signage literal | (op, args...)
 
 _FUNCS = {"min", "max", "width", "log2"}
 _CMP = {"==", "!=", "<=", ">=", "<", ">"}
+# Binding strength of each binary operator.  `^` is right-associative, a
+# comparison takes no comparison as an operand, and the others are
+# left-associative.
+_PRECEDENCE = {"||": 1, "&&": 2, **dict.fromkeys(_CMP, 3),
+               "+": 4, "-": 4, "*": 5, "^": 6}
+_STRONGEST = max(_PRECEDENCE.values())
+# `!` takes its operand at comparison strength
+_NOT = _PRECEDENCE["=="]
 
 
-def _parse_or(ts):
-    e = _parse_and(ts)
-    while ts.peek() == "||":
+def _expr(ts: Tokens, level: int):
+    """An expression of operators binding at least as tightly as `level`,
+    by precedence climbing.  `top` is the strongest operator that may
+    follow: the operand of the last one took every stronger operator
+    except a second comparison."""
+    if ts.peek() == "!" and level <= _NOT:
         ts.next()
-        e = ("||", e, _parse_and(ts))
-    return e
-
-
-def _parse_and(ts):
-    e = _parse_not(ts)
-    while ts.peek() == "&&":
-        ts.next()
-        e = ("&&", e, _parse_not(ts))
-    return e
-
-
-def _parse_not(ts):
-    if ts.peek() == "!":
-        ts.next()
-        return ("!", _parse_not(ts))
-    return _parse_cmp(ts)
-
-
-def _parse_cmp(ts):
-    e = _parse_sum(ts)
-    if ts.peek() in _CMP:
+        e, top = ("!", _expr(ts, _NOT)), _NOT - 1
+    else:
+        e, top = _atom(ts), _STRONGEST
+    while level <= _PRECEDENCE.get(ts.peek(), 0) <= top:
         op = ts.next()
-        return (op, e, _parse_sum(ts))
+        prec = _PRECEDENCE[op]
+        e = (op, e, _expr(ts, prec if op == "^" else prec + 1))
+        top = prec - 1 if op in _CMP else prec
     return e
 
 
-def _parse_sum(ts):
-    e = _parse_prod(ts)
-    while ts.peek() in ("+", "-"):
-        op = ts.next()
-        e = (op, e, _parse_prod(ts))
-    return e
-
-
-def _parse_prod(ts):
-    e = _parse_pow(ts)
-    while ts.peek() == "*":
-        ts.next()
-        e = ("*", e, _parse_pow(ts))
-    return e
-
-
-def _parse_pow(ts):
-    e = _parse_atom(ts)
-    if ts.peek() == "^":
-        ts.next()
-        return ("^", e, _parse_pow(ts))
-    return e
-
-
-def _parse_atom(ts):
+def _atom(ts: Tokens):
+    loc = ts.loc()
     t = ts.next()
     if t.isdigit():
         return int(t)
@@ -155,24 +98,24 @@ def _parse_atom(ts):
         return ("sig", t)
     if t in _FUNCS:
         ts.expect("(")
-        args = [_parse_or(ts)]
+        args = [_expr(ts, 1)]
         while ts.peek() == ",":
             ts.next()
-            args.append(_parse_or(ts))
+            args.append(_expr(ts, 1))
         ts.expect(")")
         return (t, *args)
     if t == "(":
-        e = _parse_or(ts)
+        e = _expr(ts, 1)
         ts.expect(")")
         return e
-    raise RuleError(f"unexpected token {t!r} in expression")
+    ts.fail(f"unexpected token {t!r} in expression", loc)
 
 
 def parse_expr(text: str):
-    ts = _Tokens(tokenize(text))
-    e = _parse_or(ts)
+    ts = lex(_TOKEN, text, RuleError)
+    e = _expr(ts, 1)
     if ts.peek() is not None:
-        raise RuleError(f"trailing tokens in expression: {ts.peek()!r}")
+        ts.fail(f"trailing tokens in expression: {ts.peek()!r}")
     return e
 
 
@@ -283,88 +226,101 @@ class PatOp:
 Pattern = PatVar | PatConst | PatOp
 
 
-def _parse_sig_slot(ts):
+def _sig_slot(ts: Tokens):
+    loc = ts.loc()
     t = ts.next()
     if t.startswith("?"):
         return t
     if t in (UNSIGNED, SIGNED):
         return ("sig", t)
-    raise RuleError(f"expected signage, got {t!r}")
+    ts.fail(f"expected signage, got {t!r}", loc)
 
 
-def _parse_width_slot(ts, rhs: bool):
-    # RHS widths may be arbitrary expressions (parenthesize compound ones);
-    # LHS widths must be a parameter or literal so they can be matched.
+def _width_slot(ts: Tokens, rhs: bool):
+    # LHS widths must be a parameter or literal so they can be matched; RHS
+    # widths may be sums (parenthesize a comparison or a boolean)
     t = ts.peek()
     if t is not None and (t.isdigit() or t.startswith("?")):
+        if rhs:
+            return _expr(ts, 4)
         ts.next()
-        if rhs and ts.peek() in ("+", "-", "*", "^"):
-            # re-parse as an expression starting from this atom
-            ts.i -= 1
-            return _parse_sum(ts)
         return int(t) if t.isdigit() else t
-    if rhs and t in _FUNCS or rhs and t == "(":
-        return _parse_sum(ts)
-    raise RuleError(f"expected width, got {t!r}")
+    if rhs and (t in _FUNCS or t == "("):
+        return _expr(ts, 4)
+    ts.fail(f"expected width, got {t!r}")
 
 
-def _parse_pattern(ts, rhs: bool) -> Pattern:
+def _parse_pattern(ts: Tokens, rhs: bool) -> Pattern:
     t = ts.peek()
     if t is not None and t.startswith("?"):
         ts.next()
         return PatVar(t)
     ts.expect("(")
+    loc = ts.loc()
     head = ts.next()
     if head == "const":
         if rhs:
-            val = _parse_sum(ts)
+            val = _expr(ts, 4)
         else:
+            vloc = ts.loc()
             v = ts.next()
             val = int(v) if v.isdigit() else v
             if isinstance(val, str) and not val.startswith("?"):
-                raise RuleError(f"bad const value {v!r}")
-        w = _parse_width_slot(ts, rhs)
-        s = _parse_sig_slot(ts)
+                ts.fail(f"bad const value {v!r}", vloc)
+        w = _width_slot(ts, rhs)
+        s = _sig_slot(ts)
         ts.expect(")")
         return PatConst(val, w, s)
     if head not in ARITY:
-        raise RuleError(f"unknown opcode {head!r} in pattern")
-    out_w = _parse_width_slot(ts, rhs)
-    out_s = _parse_sig_slot(ts)
+        ts.fail(f"unknown opcode {head!r} in pattern", loc)
+    out_w = _width_slot(ts, rhs)
+    out_s = _sig_slot(ts)
     operands = []
     while ts.peek() != ")":
-        w = _parse_width_slot(ts, rhs)
-        s = _parse_sig_slot(ts)
+        w = _width_slot(ts, rhs)
+        s = _sig_slot(ts)
         sub = _parse_pattern(ts, rhs)
         operands.append((w, s, sub))
     ts.expect(")")
     if len(operands) != ARITY[head]:
-        raise RuleError(
-            f"{head} expects {ARITY[head]} operands, got {len(operands)}")
+        ts.fail(f"{head} expects {ARITY[head]} operands, got {len(operands)}",
+                loc)
     return PatOp(head, out_w, out_s, tuple(operands))
 
 
-def pattern_params(p: Pattern, out: set[str]) -> None:
+def pattern_slots(p: Pattern):
+    """Every slot of p as (kind, expression, owner), in the order a match
+    binds them: a node's output width and signage, then per operand its
+    width, its signage and its sub-pattern; a constant's value, width and
+    signage.  `kind` is 'class' (a variable, its own owner), 'value',
+    'width', 'amount' (the width of a shift amount) or 'sig'; `owner` is
+    the pattern the slot is written in."""
     if isinstance(p, PatVar):
-        return
-    if isinstance(p, PatConst):
-        for e in (p.value, p.width, p.sig):
+        yield "class", p.name, p
+    elif isinstance(p, PatConst):
+        yield "value", p.value, p
+        yield "width", p.width, p
+        yield "sig", p.sig, p
+    else:
+        yield "width", p.out_w, p
+        yield "sig", p.out_s, p
+        for i, (w, s, sub) in enumerate(p.operands):
+            yield "amount" if i == 1 and p.op in SHIFT_OPS else "width", w, p
+            yield "sig", s, p
+            yield from pattern_slots(sub)
+
+
+def pattern_params(p: Pattern) -> set[str]:
+    """The parameters p's slot expressions read."""
+    out: set[str] = set()
+    for kind, e, _ in pattern_slots(p):
+        if kind != "class":
             expr_params(e, out)
-        return
-    expr_params(p.out_w, out)
-    expr_params(p.out_s, out)
-    for w, s, sub in p.operands:
-        expr_params(w, out)
-        expr_params(s, out)
-        pattern_params(sub, out)
+    return out
 
 
-def pattern_vars(p: Pattern, out: set[str]) -> None:
-    if isinstance(p, PatVar):
-        out.add(p.name)
-    elif isinstance(p, PatOp):
-        for _, _, sub in p.operands:
-            pattern_vars(sub, out)
+def pattern_vars(p: Pattern) -> set[str]:
+    return {e for kind, e, _ in pattern_slots(p) if kind == "class"}
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +337,14 @@ class Rule:
     rhs: Pattern
     cond: object = True          # expr AST; True means unconditional
     checker_hint: str = "simulation"
-    bidirectional: bool = False
 
     def __post_init__(self):
         if isinstance(self.lhs, PatVar):
             raise RuleError(f"{self.id}: left-hand side cannot be a bare variable")
-        lv: set[str] = set()
-        rv: set[str] = set()
-        pattern_vars(self.lhs, lv)
-        pattern_vars(self.rhs, rv)
+        lv, rv = pattern_vars(self.lhs), pattern_vars(self.rhs)
         if not rv <= lv:
             raise RuleError(f"{self.id}: rhs variables {rv - lv} unbound")
-        lp: set[str] = set()
-        rp: set[str] = set()
-        pattern_params(self.lhs, lp)
-        pattern_params(self.rhs, rp)
+        lp, rp = pattern_params(self.lhs), pattern_params(self.rhs)
         # rhs parameters must be defined by the lhs (rhs width-expressions
         # over lhs parameters are fine; a fresh rhs parameter is not)
         if not rp <= lp:
@@ -543,26 +492,13 @@ class _Code:
         return ns
 
 
-def _binding_order(p: Pattern, out: list) -> None:
-    """Append the keys a match of p binds, in the order the lhs binds them
-    (slots before sub-patterns, operands left to right), to `out`."""
-    def bind(key) -> None:
-        if isinstance(key, str) and key.startswith("?") and key not in out:
-            out.append(key)
-
-    if isinstance(p, PatVar):
-        if ("class", p.name) not in out:
-            out.append(("class", p.name))
-    elif isinstance(p, PatConst):
-        for key in (p.value, p.width, p.sig):
-            bind(key)
-    else:
-        bind(p.out_w)
-        bind(p.out_s)
-        for w, s, sub in p.operands:
-            bind(w)
-            bind(s)
-            _binding_order(sub, out)
+def _binding_order(p: Pattern) -> list:
+    """The keys a match of p binds, in the order the lhs binds them: each
+    class variable as ('class', name), each parameter by name."""
+    keys = {("class", e) if kind == "class" else e: None
+            for kind, e, _ in pattern_slots(p)
+            if kind == "class" or isinstance(e, str) and e.startswith("?")}
+    return list(keys)
 
 
 def _compile_matcher(rule: Rule, build) -> dict:
@@ -661,9 +597,7 @@ def _compile_matcher(rule: Rule, build) -> dict:
         code.emit(f"if nodes[classes[{local[('class', rule.rhs.name)]}]"
                   ".node_ids[0]].out != nodes[classes[c0].node_ids[0]].out: "
                   "continue")
-    keys: list = []
-    _binding_order(rule.lhs, keys)
-    env = ", ".join(f"{k!r}: {local[k]}" for k in keys)
+    env = ", ".join(f"{k!r}: {local[k]}" for k in _binding_order(rule.lhs))
     code.emit(f"append(Match(rule, c0, {{{env}}}, {skeleton}, build))")
     code.depth = 1
     code.emit("return out")
@@ -809,8 +743,7 @@ class Match:
             raise RuleError(
                 f"{self.rule.id}: rhs annotation ({rhs_ann}) differs from "
                 f"matched class ({tgt_ann})")
-        just = RuleJust(self.rule.id, self.lhs_skel, rskel,
-                        self.lhs_skel.node, rnid)
+        just = RuleJust(self.rule.id, self.lhs_skel, rskel)
         g.merge(target, rcid, just, edge=(self.lhs_skel.node, rnid))
         return True
 
@@ -867,8 +800,7 @@ class ZextIntroMatch:
         wcid, wnid = g.add_node(NodeRec(wrap, out, (out,), (target,)))
         if g.find(wcid) == target:
             return False
-        just = RuleJust("zext-intro", Leaf(self.nid),
-                        Skeleton(wnid, (None,)), self.nid, wnid)
+        just = RuleJust("zext-intro", Leaf(self.nid), Skeleton(wnid, (None,)))
         g.merge(target, wcid, just, edge=(self.nid, wnid))
         return True
 
@@ -911,38 +843,46 @@ class WidthReduceRule:
 
 def parse_rules(text: str) -> list[Rule]:
     """Parse a rule file: `id : LHS => RHS [if COND] [hint NAME] ;` per rule.
-    Lines starting with # are comments.  `<=>` expands to two rules."""
-    stripped = "\n".join(
-        line for line in text.splitlines() if not line.lstrip().startswith("#"))
-    ts = _Tokens(tokenize(stripped))
+    Lines whose first non-blank character is # are comments.  `<=>` expands
+    to two rules, the second with id `id-rev`; an id may be used once."""
+    text = "\n".join("" if line.lstrip().startswith("#") else line
+                     for line in text.splitlines())
+    ts = lex(_TOKEN, text, RuleError)
     rules: list[Rule] = []
+    ids: set[str] = set()
     while ts.peek() is not None:
+        loc = ts.loc()
         rid = ts.next()
         ts.expect(":")
         lhs = _parse_pattern(ts, rhs=False)
+        arrow_loc = ts.loc()
         arrow = ts.next()
         if arrow not in ("=>", "<=>"):
-            raise RuleError(f"{rid}: expected => or <=>, got {arrow!r}")
+            ts.fail(f"{rid}: expected => or <=>, got {arrow!r}", arrow_loc)
         rhs = _parse_pattern(ts, rhs=(arrow == "=>"))
         cond = True
         hint = "simulation"
         while ts.peek() not in (";", None):
+            tloc = ts.loc()
             t = ts.next()
             if t == "if":
-                cond = _parse_or(ts)
+                cond = _expr(ts, 1)
             elif t == "hint":
+                tloc = ts.loc()
                 hint = ts.next()
                 if hint not in HINTS:
-                    raise RuleError(f"{rid}: unknown hint {hint!r}")
+                    ts.fail(f"{rid}: unknown hint {hint!r}", tloc)
             else:
-                raise RuleError(f"{rid}: unexpected token {t!r}")
+                ts.fail(f"{rid}: unexpected token {t!r}", tloc)
         ts.expect(";")
+        new = [Rule(rid, lhs, rhs, cond, hint)]
         if arrow == "<=>":
-            rules.append(Rule(rid, lhs, rhs, cond, hint, bidirectional=True))
-            rules.append(Rule(rid + "-rev", rhs, lhs, cond, hint,
-                              bidirectional=True))
-        else:
-            rules.append(Rule(rid, lhs, rhs, cond, hint))
+            new.append(Rule(rid + "-rev", rhs, lhs, cond, hint))
+        for r in new:
+            if r.id in ids:
+                ts.fail(f"duplicate rule id {r.id!r}", loc)
+            ids.add(r.id)
+        rules += new
     return rules
 
 

@@ -1,4 +1,9 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_frontend import _designs
 
 from wordec.analysis import (AnalysisError, Interval, interval_merge,
                              refine_intervals, width_reduction_pass)
@@ -112,3 +117,52 @@ class TestSoundnessOnFixtures:
                 t = g.term(pick[cid], pick, {})
                 v = evaluate(t, env)
                 assert cls.interval.lo <= v <= cls.interval.hi, (name, cid)
+
+
+def _sample_envs(d: Design, seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    envs = [{n: a.lo for n, a in d.inputs}, {n: a.hi for n, a in d.inputs}]
+    return envs + [{n: rng.randint(a.lo, a.hi) for n, a in d.inputs}
+                   for _ in range(30)]
+
+
+class TestIntervalProperties:
+    """Random annotated terms over all 18 opcodes, drawn by the strategy of
+    the frontend round-trip property."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=_designs(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_values_inside_class_intervals(self, d, seed):
+        g = EGraph()
+        g.add_term(d.body)
+        g.rebuild()
+        classes: dict = {}  # subterm -> its class
+
+        def collect(t):
+            if t not in classes:
+                classes[t] = g.find(g.lookup(t))
+                for _, child in t.operands:
+                    collect(child)
+
+        collect(d.body)
+        for env in _sample_envs(d, seed):
+            for t, cid in classes.items():
+                v = evaluate(t, env)
+                assert g.classes[cid].interval.contains(v), (t, env, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=_designs(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_width_reduction_keeps_class_members_equal(self, d, seed):
+        g = EGraph()
+        g.add_term(d.body)
+        g.rebuild()
+        width_reduction_pass(g, node_limit=10_000)
+        g.rebuild()
+        pick, memo = pick_nodes(g), {}
+        members = {cid: [g.term(nid, pick, memo) for nid in cls.node_ids]
+                   for cid, cls in g.classes.items() if g.find(cid) == cid}
+        for env in _sample_envs(d, seed):
+            for cid, terms in members.items():
+                values = {evaluate(t, env) for t in terms}
+                assert len(values) == 1, (cid, env, values)
+                assert g.classes[cid].interval.contains(values.pop())

@@ -214,6 +214,25 @@ class TestValidateRules:
         p.write_text("r : (+ ?wo => ;")
         r = runner.invoke(main, ["validate-rules", "--rules", str(p)])
         assert r.exit_code == 3, r.output
+        assert ("error: expected signage, got '=>' at line 1, column 12"
+                in r.output)
+
+    def test_duplicate_rule_id_is_error(self, runner, tmp_path):
+        p = tmp_path / "dup.rules"
+        rule = ("r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+                " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a) ;\n")
+        p.write_text("# two rules named r\n" + rule + rule)
+        message = "error: duplicate rule id 'r' at line 3, column 1"
+        r = runner.invoke(main, ["validate-rules", "--rules", str(p),
+                                 "--maxw", "2"])
+        assert r.exit_code == 3, r.output
+        assert message in r.output
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(tmp_path / "out"),
+                                 "--rules", str(p)])
+        assert r.exit_code == 3, r.output
+        assert message in r.output
 
 
 class TestBench:

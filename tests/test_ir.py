@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ class TestOpValueRange:
         lo, hi = op_value_range("-", (ann(5, True), ann(5, True)),
                                 [(0, 15), (0, 15)])
         assert (lo, hi) == (-15, 15)
+
+    @pytest.mark.parametrize("kind", ["&", "|", "^"])
+    def test_bitwise_contains_every_result(self, kind):
+        # mixed signage: 1 (1 bit, unsigned) & -1 (1 bit, signed) is 1
+        fn = {"&": operator.and_, "|": operator.or_, "^": operator.xor}[kind]
+        anns = [ann(w, s) for w in (1, 2, 3) for s in (False, True)]
+        for a, b in itertools.product(anns, repeat=2):
+            lo, hi = op_value_range(kind, (a, b), [(a.lo, a.hi), (b.lo, b.hi)])
+            for x in range(a.lo, a.hi + 1):
+                for y in range(b.lo, b.hi + 1):
+                    assert lo <= fn(x, y) <= hi, (a, b, x, y)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,14 @@
 import copy
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordec import rewrites
 from wordec.analysis import AnalysisError
+from wordec.audit import RuleAudit
 from wordec.egraph import EGraph, Leaf, NodeRec, RuleJust, Skeleton, \
     init_pair, saturate
 from wordec.fixtures import load_pair, names
@@ -12,7 +16,8 @@ from wordec.ir import SIGNED, UNSIGNED, Annotation, const, evaluate, op, var
 from wordec.rewrites import (CATALOGUE_TEXT, BlockedMatch, PatConst, PatOp,
                              PatVar, RuleError, _is_signed, _width, eval_expr,
                              instantiate, parse_expr, parse_rules,
-                             baseline_rules, rule_program, validate_rule)
+                             pattern_slots, baseline_rules, rule_program,
+                             validate_rule)
 
 
 def _eval_ann(w, s, env):
@@ -60,6 +65,137 @@ class TestRuleParser:
     def test_syntax_error_reported(self):
         with pytest.raises(RuleError):
             parse_rules("r : (+ ?wo => ;")
+
+    def test_duplicate_id_rejected_at_second_use(self):
+        rule = ("r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+                " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a) hint trivial ;\n")
+        with pytest.raises(RuleError, match=r"^duplicate rule id 'r' "
+                                            r"at line 2, column 1$"):
+            parse_rules(rule + rule.replace("hint trivial ", ""))
+
+    @pytest.mark.parametrize("first, second", [
+        ("q <=>", "q-rev =>"), ("q-rev =>", "q <=>")])
+    def test_generated_rev_id_counts(self, first, second):
+        text = "".join(
+            f"{rid} : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b) {arrow}"
+            " (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a) ;\n"
+            for rid, arrow in (first.split(), second.split()))
+        with pytest.raises(RuleError, match=r"^duplicate rule id 'q-rev' "
+                                            r"at line 2, column 1$"):
+            parse_rules(text)
+
+
+# The expression language's binary operators by binding strength, rendered
+# back to text with the fewest parentheses the grammar allows.
+_LEVEL = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<=": 3, ">=": 3, "<": 3,
+          ">": 3, "+": 4, "-": 4, "*": 5, "^": 6}
+_ATOM = 7
+
+
+def _render(e) -> tuple[str, int]:
+    """e as text and the binding strength of its outermost operator; `!`
+    counts as a comparison, since it takes its operand at that strength."""
+    if isinstance(e, int):
+        return str(e), _ATOM
+    if isinstance(e, str):
+        return e, _ATOM
+    op = e[0]
+    if op == "sig":
+        return e[1], _ATOM
+    if op == "!":
+        return "!" + _operand(e[1], 3), 3
+    if op not in _LEVEL:
+        return f"{op}({', '.join(_render(x)[0] for x in e[1:])})", _ATOM
+    level = _LEVEL[op]
+    # `^` groups to the right; a comparison takes no comparison operand
+    left = level + 1 if op == "^" or level == 3 else level
+    right = level if op == "^" else level + 1
+    return f"{_operand(e[1], left)} {op} {_operand(e[2], right)}", level
+
+
+def _operand(e, strength: int) -> str:
+    text, level = _render(e)
+    return text if level >= strength else f"({text})"
+
+
+_LEAVES = st.one_of(st.integers(0, 300),
+                    st.sampled_from(["?a", "?wo", "?s_2"]),
+                    st.sampled_from([("sig", UNSIGNED), ("sig", SIGNED)]))
+_EXPRS = st.recursive(_LEAVES, lambda sub: st.one_of(
+    st.tuples(st.sampled_from(sorted(_LEVEL)), sub, sub),
+    st.tuples(st.just("!"), sub),
+    st.builds(lambda f, args: (f, *args), st.sampled_from(["min", "max"]),
+              st.lists(sub, min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["width", "log2"]), sub)), max_leaves=12)
+
+
+# A rule file opening with a comment line and a blank line, so a reported
+# line number is the file's own.
+_FILE_HEAD = "# a rule file\n\n"
+_LHS = "r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)\n"
+
+
+class TestRuleReader:
+    @pytest.mark.parametrize("body, message", [
+        (_LHS + "  => ?a hint quick ;",
+         "r: unknown hint 'quick' at line 4, column 14"),
+        (_LHS + "  -> ?a ;", "r: expected => or <=>, got '-' at line 4, column 3"),
+        ("r : (add ?wo ?so ?wa ?sa ?a ?wb ?sb ?b) => ?a ;",
+         "unknown opcode 'add' in pattern at line 3, column 6"),
+        ("r : (+ ?wo ?so ?wa ?sa ?a)\n  => ?a ;",
+         "+ expects 2 operands, got 1 at line 3, column 6"),
+        (_LHS + "  => ?a if ?wo > 1 # no\n ;",
+         "unexpected character '#' at line 4, column 20"),
+        (_LHS + "  => ?a if ?wo > 1", "unexpected end of rule text "
+                                       "at line 4, column 18"),
+    ])
+    def test_syntax_errors_located(self, body, message):
+        with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):
+            parse_rules(_FILE_HEAD + body)
+
+    @pytest.mark.parametrize("text, message", [
+        ("?a + 1 )", "trailing tokens in expression: ')' at line 1, column 8"),
+        ("?a < ?b < ?c",
+         "trailing tokens in expression: '<' at line 1, column 9"),
+        ("!?a == ?b == 2",
+         "trailing tokens in expression: '==' at line 1, column 11"),
+        ("?a == !?b", "unexpected token '!' in expression at line 1, column 7"),
+        ("?a\n  + ", "unexpected end of rule text at line 2, column 3"),
+    ])
+    def test_expression_errors_located(self, text, message):
+        with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):
+            parse_expr(text)
+
+    @pytest.mark.parametrize("text, tree", [
+        ("?a ^ ?b ^ 2", ("^", "?a", ("^", "?b", 2))),
+        ("?a - ?b - 2", ("-", ("-", "?a", "?b"), 2)),
+        ("!?a == ?b && ?c", ("&&", ("!", ("==", "?a", "?b")), "?c")),
+        ("(?a < ?b) < ?c", ("<", ("<", "?a", "?b"), "?c")),
+    ])
+    def test_associativity(self, text, tree):
+        assert parse_expr(text) == tree
+
+    @settings(max_examples=400, deadline=None)
+    @given(e=_EXPRS)
+    def test_minimal_parentheses_round_trip(self, e):
+        assert parse_expr(_render(e)[0]) == e
+
+    def test_slot_kinds_in_binding_order(self):
+        lhs = parse_rules(
+            "r : (<< ?wo ?so ?wa ?sa ?a ?wc ?sc (const ?v ?vw ?vs))"
+            " => ?a ;")[0].lhs
+        assert [(kind, e) for kind, e, _ in pattern_slots(lhs)] == [
+            ("width", "?wo"), ("sig", "?so"), ("width", "?wa"), ("sig", "?sa"),
+            ("class", "?a"), ("amount", "?wc"), ("sig", "?sc"),
+            ("value", "?v"), ("width", "?vw"), ("sig", "?vs")]
+
+    def test_shift_amount_widths_capped_in_audit(self):
+        rule = {r.id: r for r in parse_rules(CATALOGUE_TEXT)}["merge-shift"]
+        domains = RuleAudit(rule, maxw=4).domains
+        assert domains["?wc"] == range(1, 4)
+        # ?wb is a shift amount on the rhs only
+        assert domains["?wb"] == range(1, 4)
+        assert domains["?wa"] == range(1, 5)
 
 
 class TestValidateRule:
@@ -458,7 +594,7 @@ def reference_apply(m, g):
     if tgt_ann != rhs_ann:
         raise RuleError(f"{m.rule.id}: rhs annotation ({rhs_ann}) differs "
                         f"from matched class ({tgt_ann})")
-    just = RuleJust(m.rule.id, m.lhs_skel, rskel, m.lhs_skel.node, rnid)
+    just = RuleJust(m.rule.id, m.lhs_skel, rskel)
     g.merge(target, rcid, just, edge=(m.lhs_skel.node, rnid))
     return True
 
