@@ -135,18 +135,12 @@ def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
             if g.num_nodes() > node_limit:
                 return applied
             narrow = Annotation(narrow_w, out.signed)
-            ncid, nnid = g.add_node(NodeRec(
-                n.op, narrow, n.slots, n.children,
-                name=n.name, value=n.value, indices=n.indices))
+            ncid, nnid = g.add(n._replace(out=narrow))
             wrap_op = "sext" if out.signed else "zext"
-            wcid, wnid = g.add_node(NodeRec(
-                wrap_op, out, (narrow,), (ncid,)))
-            if g.find(wcid) != g.find(cid):
-                just = RuleJust(
-                    WIDTH_REDUCE_RULE,
-                    lhs=Skeleton(nid, tuple(None for _ in n.children)),
-                    rhs=Skeleton(wnid, (Skeleton(
-                        nnid, tuple(None for _ in n.children)),)))
-                g.merge(cid, wcid, just, edge=(nid, wnid))
+            _, wnid = g.add(NodeRec(wrap_op, out, (narrow,), (ncid,)))
+            subs = tuple(None for _ in n.children)
+            if g.union(nid, wnid, RuleJust(
+                    WIDTH_REDUCE_RULE, lhs=Skeleton(nid, subs),
+                    rhs=Skeleton(wnid, (Skeleton(nnid, subs),)))):
                 applied += 1
     return applied

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import analysis
 from .ir import Annotation, Term
@@ -23,10 +23,11 @@ class EGraphError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class NodeRec:
-    """One e-node as originally added.  Children are class ids that may have
-    been merged since; canonicalize through the union-find before comparing."""
+class NodeRec(NamedTuple):
+    """One e-node, and the key it is filed under in the table: a node
+    compares and hashes equal to the tuple of its fields.  Children are
+    class ids that may have been merged since; canonicalize through the
+    union-find before comparing."""
 
     op: str                      # opcode, 'var' or 'const'
     out: Annotation
@@ -110,9 +111,9 @@ class SaturationReport:
 class EGraph:
     def __init__(self):
         self.nodes: list[NodeRec] = []
-        self.hashcons: dict[tuple, int] = {}     # canonical key -> node id
-        self.node_key: list[tuple | None] = []   # node id -> its hashcons key,
-                                                 # None once dropped
+        self.hashcons: dict[NodeRec, int] = {}   # canonical key -> node id
+        # node id -> the key it is filed under, None once dropped
+        self.node_key: list[NodeRec | None] = []
         self.parent: list[int] = []              # union-find, by node id
         self.classes: dict[int, EClass] = {}     # canonical id -> class
         self.proof_parent: dict[int, tuple[int, object]] = {}  # explanation forest
@@ -137,38 +138,40 @@ class EGraph:
 
     # -- node insertion -----------------------------------------------------
 
-    def _key(self, n: NodeRec) -> tuple:
-        return (n.op, n.out, n.slots, tuple(self.find(c) for c in n.children),
-                n.name, n.value, n.indices)
+    def _key(self, n: NodeRec) -> NodeRec:
+        """n with canonical children: the key it belongs under."""
+        return NodeRec(n.op, n.out, n.slots, tuple(map(self.find, n.children)),
+                       n.name, n.value, n.indices)
 
-    def add_node(self, n: NodeRec) -> tuple[int, int]:
-        """Insert a node, returning (class id, node id).  Deduplicated: an
-        existing canonical node is returned unchanged.  A new node founds a
-        class with its own id, so a node's class is `find(node id)`."""
-        key = self._key(n)
-        nid = self.hashcons.get(key)
+    def add(self, node: NodeRec | tuple) -> tuple[int, int]:
+        """Insert a node, given as a NodeRec or a tuple of its fields, and
+        return (class id, node id).  Its children are canonicalized first;
+        an existing node under the same key is returned unchanged.  A new
+        node is filed under itself and founds a class with its own id, so a
+        node's class is `find(node id)`."""
+        parent = self.parent
+        for c in node[3]:
+            if parent[c] != c:
+                node = self._key(NodeRec._make(node))
+                break
+        nid = self.hashcons.get(node)
         if nid is not None:
             return self.find(nid), nid
-        nid = self.new_node(n, key)
-        return nid, nid
-
-    def new_node(self, n: NodeRec, key: tuple) -> int:
-        """File n under `key`, its key, which no node holds: a new node that
-        founds a class with its own id.  Returns the id."""
+        node = NodeRec._make(node)
         nid = len(self.nodes)
-        self.nodes.append(n)
-        self.node_key.append(key)
-        self.parent.append(nid)
-        self.hashcons[key] = nid
+        self.nodes.append(node)
+        self.node_key.append(node)
+        parent.append(nid)
+        self.hashcons[node] = nid
         classes = self.classes
-        kids = key[3]
-        for c in kids:
+        for c in node.children:
             uses = classes[c].uses
             if not uses or uses[-1] != nid:  # once per distinct child class
                 uses.append(nid)
-        iv = analysis.interval_make(n, [classes[c].interval for c in kids])
+        iv = analysis.interval_make(
+            node, [classes[c].interval for c in node.children])
         classes[nid] = EClass(nid, [nid], iv, [])
-        return nid
+        return nid, nid
 
     def add_term(self, t: Term) -> tuple[int, int]:
         """Insert a term bottom-up; returns (class id, node id) of the root."""
@@ -187,13 +190,9 @@ class EGraph:
             if nid is None:
                 return None
             kids.append(self.find(nid))
-        # NodeRec's fields, in order, with canonical children: the node's key
-        fields = (t.kind, t.out, tuple(s for s, _ in t.operands), tuple(kids),
-                  t.name, t.value, t.indices)
-        nid = self.hashcons.get(fields)
-        if nid is None and insert:
-            nid = self.new_node(NodeRec(*fields), fields)
-        return nid
+        n = NodeRec(t.kind, t.out, tuple(s for s, _ in t.operands),
+                    tuple(kids), t.name, t.value, t.indices)
+        return self.add(n)[1] if insert else self.hashcons.get(n)
 
     def congruent(self, a: int, b: int) -> bool:
         """Nodes a and b have the same head and the same child classes."""
@@ -242,21 +241,20 @@ class EGraph:
         path.extend(reversed(down))
         return path
 
-    def merge(self, c1: int, c2: int, justification: object = None,
-              edge: tuple[int, int] | None = None) -> int:
-        """Union two classes.  `edge` names the two concrete nodes whose
-        equality justifies the union; required whenever c1 != c2."""
-        c1, c2 = self.find(c1), self.find(c2)
+    def union(self, a: int, b: int, why: object) -> bool:
+        """Union the classes of nodes a and b, whose equality `why` justifies:
+        the smaller class id is kept and the forest gains the edge
+        (a, b, why).  Returns False, recording nothing, when they are one
+        class already."""
+        c1, c2 = self.find(a), self.find(b)
         if c1 == c2:
-            return c1
-        if edge is None:
-            raise EGraphError("merge of distinct classes needs a witness edge")
+            return False
         keep, drop = (c1, c2) if c1 < c2 else (c2, c1)
         try:
             iv = analysis.interval_merge(self.classes[keep].interval,
                                          self.classes[drop].interval)
         except analysis.AnalysisError as e:
-            rule = getattr(justification, "rule_id", justification)
+            rule = getattr(why, "rule_id", why)
             raise analysis.AnalysisError(f"merge by {rule}: {e}") from None
         self.parent[drop] = keep
         kc, dc = self.classes[keep], self.classes.pop(drop)
@@ -267,9 +265,9 @@ class EGraph:
         kc.uses.extend(dc.uses)
         self.stale.extend(dc.uses)  # their keys name `drop`
         self.reshaped.add(keep)
-        self._forest_link(edge[0], edge[1], justification)
+        self._forest_link(a, b, why)
         self.unions += 1
-        return keep
+        return True
 
     # -- rebuild ------------------------------------------------------------
 
@@ -314,8 +312,7 @@ class EGraph:
                     continue
                 node_key[v] = None
                 self.reshaped.add(find(v))
-                if find(w) != find(v):
-                    self.merge(w, v, CONGRUENCE, edge=(w, v))
+                if self.union(w, v, CONGRUENCE):
                     self.congruences += 1
                     for u in self.stale:
                         if u > v:

@@ -122,10 +122,14 @@ def parse_sexpr(text: str) -> Design:
     oname = ts.next()
     oann = _sx_ann(ts)
     ts.expect(")")
+    body_loc = ts.loc()
     body = _sx_term(ts, declared)
     ts.expect(")")
     if ts.peek() is not None:
         raise ParseError(f"trailing tokens after design: {ts.peek()!r}", *ts.loc())
+    if body.out != oann:
+        raise ParseError(f"design {name}: body annotation ({body.out}) does "
+                         f"not match output port ({oann})", *body_loc)
     return Design(name, tuple(inputs), (oname, oann), body)
 
 
@@ -453,16 +457,18 @@ class _SvDecl:
     kind: str  # input | output | wire
     ann: Annotation
     lsb: int
+    loc: tuple[int, int]  # of the declared name
 
 
 def _sv_parse_range(ts: Tokens) -> tuple[int, int]:
+    loc = ts.loc()
     ts.expect("[")
     hi = ts.int()
     ts.expect(":")
     lo = ts.int()
     ts.expect("]")
     if hi < lo:
-        raise ParseError(f"descending range required, got [{hi}:{lo}]")
+        ts.fail(f"descending range required, got [{hi}:{lo}]", loc)
     return hi, lo
 
 
@@ -486,31 +492,32 @@ def parse_sv(text: str) -> Design:
     decls: dict[str, _SvDecl] = {}
     order: list[str] = []
 
-    def declare(kind: str, sig: str, ann: Annotation, lsb: int, line, col):
+    def declare(kind: str, ann: Annotation, lsb: int) -> None:
+        """Declare the signal named by the next token."""
+        loc = ts.loc()
+        sig = ts.next()
         if sig in decls:
             if decls[sig].kind == "wire" and kind in ("input", "output"):
-                decls[sig] = _SvDecl(kind, ann, lsb)  # non-ANSI re-typing
+                decls[sig] = _SvDecl(kind, ann, lsb, loc)  # non-ANSI re-typing
                 return
-            raise ParseError(f"signal {sig!r} declared twice", line, col)
-        decls[sig] = _SvDecl(kind, ann, lsb)
+            ts.fail(f"signal {sig!r} declared twice", loc)
+        decls[sig] = _SvDecl(kind, ann, lsb, loc)
         order.append(sig)
 
     ts.expect("(")
     inherit: tuple[str, Annotation, int] | None = None
     if ts.peek() != ")":
         while True:
-            line, col = ts.loc()
             if ts.peek() in ("input", "output"):
                 kind = ts.next()
                 ann, lsb = _sv_parse_decl_type(ts)
                 inherit = (kind, ann, lsb)
-                declare(kind, ts.next(), ann, lsb, line, col)
+                declare(kind, ann, lsb)
             elif inherit is not None:
                 # `input [7:0] a, b` — later names inherit the direction/type
-                declare(inherit[0], ts.next(), inherit[1], inherit[2],
-                        line, col)
+                declare(*inherit)
             else:
-                declare("wire", ts.next(), Annotation(1), 0, line, col)
+                declare("wire", Annotation(1), 0)
             if ts.peek() != ",":
                 break
             ts.next()
@@ -534,7 +541,7 @@ def parse_sv(text: str) -> Design:
             kind = ts.next() if t in ("input", "output") else "wire"
             ann, lsb = _sv_parse_decl_type(ts)
             while True:
-                declare(kind, ts.next(), ann, lsb, *ts.loc())
+                declare(kind, ann, lsb)
                 if ts.peek() != ",":
                     break
                 ts.next()
@@ -553,12 +560,14 @@ def parse_sv(text: str) -> Design:
             ts.next()
         else:
             raise ParseError(f"unsupported construct {t!r}", line, col)
+    end = ts.loc()
     ts.next()  # endmodule
 
     inputs = [(n, decls[n].ann) for n in order if decls[n].kind == "input"]
     outputs = [n for n in order if decls[n].kind == "output"]
     if len(outputs) != 1:
-        raise ParseError(f"exactly one output port required, got {outputs}")
+        ts.fail(f"exactly one output port required, got {outputs}",
+                decls[outputs[1]].loc if outputs else end)
     out_name = outputs[0]
 
     driven: dict[str, tuple[object, tuple]] = {}
@@ -571,7 +580,7 @@ def parse_sv(text: str) -> Design:
             raise ParseError(f"signal {target!r} multiply driven", *loc)
         driven[target] = (expr, loc)
     if out_name not in driven:
-        raise ParseError(f"output {out_name!r} is never assigned")
+        ts.fail(f"output {out_name!r} is never assigned", decls[out_name].loc)
 
     # elaborate assignments in dependency order (inlining wires)
     signals = {n: d.ann for n, d in decls.items()}
@@ -603,7 +612,8 @@ def parse_sv(text: str) -> Design:
         if state.get(sig) == 2:
             return
         if state.get(sig) == 1:
-            raise ParseError(f"combinational cycle through {sig!r}")
+            raise ParseError(f"combinational cycle through {sig!r}",
+                             *driven[sig][1])
         state[sig] = 1
         expr, loc = driven[sig]
         needed: dict[str, None] = {}

@@ -386,8 +386,9 @@ def _is_signed(value) -> bool:
 # - the condition is one function of the parameters it reads;
 # - the builder walks the rhs in pre-order (a node's output annotation, then
 #   per operand its slot annotation and its subterm, then the node itself),
-#   so a BlockedMatch partway leaves the nodes added before it; it probes
-#   the table with each node's key and builds a NodeRec only on a miss.
+#   so a BlockedMatch partway leaves the nodes added before it; it passes
+#   each node to EGraph.add as a tuple of its fields, which builds a NodeRec
+#   only on a miss.
 #
 # eval_expr stays the reference semantics of the expression language.
 
@@ -411,7 +412,7 @@ def _unbound(e: KeyError) -> None:
 
 _GLOBALS = {
     "Annotation": Annotation, "BlockedMatch": BlockedMatch, "Leaf": Leaf,
-    "NodeRec": NodeRec, "Skeleton": Skeleton, "_ANNOTATIONS": _ANNOTATIONS,
+    "Skeleton": Skeleton, "_ANNOTATIONS": _ANNOTATIONS,
     "_compare": _compare, "_power": _power, "_width_of": _width_of,
     "_log2": _log2, "_unknown_operator": _unknown_operator, "_width": _width,
     "_unrepresentable": _unrepresentable, "_unbound": _unbound,
@@ -609,8 +610,7 @@ def _compile_builder(p: Pattern, name: str):
     """`build(g, env)`: add p's instance under env to g, as instantiate
     does."""
     code = _Code(["def build(g, env):",
-                  "    get, new_node, find, classes = g.hashcons.get, "
-                  "g.new_node, g.find, g.classes",
+                  "    add, find, classes = g.add, g.find, g.classes",
                   "    try:"])
     code.depth = 2
 
@@ -636,14 +636,6 @@ def _compile_builder(p: Pattern, name: str):
                   "Annotation(w, s)")
         return a
 
-    def add(c: str, n: str, fields: list[str]) -> None:
-        """Probe the table with the key of NodeRec(*fields), whose children
-        are canonical; build the node only on a miss."""
-        code.emit(f"k = {_tuple_code(fields)}")
-        code.emit(f"{n} = get(k)")
-        code.emit(f"if {n} is None: {c} = {n} = new_node(NodeRec(*k), k)")
-        code.emit(f"else: {c} = find({n})")
-
     def node(p: Pattern, top: bool) -> tuple[str, str, str]:
         """Emit p's instance; returns the sources of its class, its node and
         its skeleton (None for a variable below the top)."""
@@ -659,7 +651,8 @@ def _compile_builder(p: Pattern, name: str):
             v = code.fresh("x")
             code.emit(f"{v} = {expr(p.value)}")
             code.emit(f"if not {a}.contains({v}): _unrepresentable({v}, {a})")
-            add(c, n, ["'const'", a, "()", "()", "None", v, "None"])
+            code.emit(f"{c}, {n} = add(('const', {a}, (), (), None, {v}, "
+                      "None))")
             return c, n, f"Skeleton({n}, ())"
         out = annotation(p.out_w, p.out_s)
         slots, kids, subs = [], [], []
@@ -668,8 +661,8 @@ def _compile_builder(p: Pattern, name: str):
             kc, _, ks = node(sub, False)
             kids.append(kc)
             subs.append(ks)
-        add(c, n, [repr(p.op), out, _tuple_code(slots), _tuple_code(kids),
-                   "None", "None", "None"])
+        code.emit(f"{c}, {n} = add(({p.op!r}, {out}, {_tuple_code(slots)}, "
+                  f"{_tuple_code(kids)}, None, None, None))")
         return c, n, f"Skeleton({n}, {_tuple_code(subs)})"
 
     c, n, skeleton = node(p, True)
@@ -743,9 +736,8 @@ class Match:
             raise RuleError(
                 f"{self.rule.id}: rhs annotation ({rhs_ann}) differs from "
                 f"matched class ({tgt_ann})")
-        just = RuleJust(self.rule.id, self.lhs_skel, rskel)
-        g.merge(target, rcid, just, edge=(self.lhs_skel.node, rnid))
-        return True
+        return g.union(self.lhs_skel.node, rnid,
+                       RuleJust(self.rule.id, self.lhs_skel, rskel))
 
 
 # ---------------------------------------------------------------------------
@@ -797,12 +789,9 @@ class ZextIntroMatch:
         target = g.find(self.cid)
         out = g.nodes[self.nid].out
         wrap = "sext" if out.signed else "zext"
-        wcid, wnid = g.add_node(NodeRec(wrap, out, (out,), (target,)))
-        if g.find(wcid) == target:
-            return False
-        just = RuleJust("zext-intro", Leaf(self.nid), Skeleton(wnid, (None,)))
-        g.merge(target, wcid, just, edge=(self.nid, wnid))
-        return True
+        _, wnid = g.add(NodeRec(wrap, out, (out,), (target,)))
+        return g.union(self.nid, wnid, RuleJust(
+            "zext-intro", Leaf(self.nid), Skeleton(wnid, (None,))))
 
 
 class WidthReduceRule:

@@ -6,8 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from wordec import egraph
-from wordec.analysis import Interval, interval_make, interval_merge
-from wordec.egraph import CONGRUENCE, EGraph, EGraphError, init_pair, saturate
+from wordec.analysis import (AnalysisError, Interval, interval_make,
+                             interval_merge)
+from wordec.egraph import (CONGRUENCE, EGraph, EGraphError, Leaf, NodeRec,
+                           RuleJust, init_pair, saturate)
 from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design
@@ -40,13 +42,61 @@ class TestHashCons:
         assert g.find(c1) != g.find(c2)
 
 
-class TestMergeAndCongruence:
-    def test_merge_idempotent(self):
+    @pytest.mark.parametrize("name", names())
+    def test_table_after_saturation(self, name):
+        g = init_pair(*load_pair(name))
+        saturate(g, baseline_rules(), {"iter": 3}, stop_on_merge=False)
+        assert all(type(n) is NodeRec for n in g.nodes)
+        live = [nid for nid, k in enumerate(g.node_key) if k is not None]
+        for nid in live:
+            assert g.node_key[nid] == g._key(g.nodes[nid]), (name, nid)
+            assert g.hashcons[g.node_key[nid]] == nid, (name, nid)
+        assert len({g.node_key[nid] for nid in live}) == len(live)
+
+    def test_add_canonicalizes_stale_children(self):
         g = EGraph()
-        c, _ = g.add_term(var("a", ann(4)))
-        unions = g.unions
-        assert g.merge(c, c, CONGRUENCE) == g.find(c)
-        assert g.unions == unions
+        a, b = ann(4), ann(5)
+        ca, na = g.add(NodeRec("var", a, (), (), name="a"))
+        cb, nb = g.add(NodeRec("var", a, (), (), name="b"))
+        cp, np_ = g.add(NodeRec("+", b, (a, a), (ca, ca)))
+        g.union(nb, na, CONGRUENCE)  # class ca is kept, cb merges away
+        g.rebuild()
+        assert g.find(cb) == ca != cb
+        size = len(g.nodes)
+        assert g.add(NodeRec("+", b, (a, a), (cb, cb))) == (cp, np_)
+        assert g.add(("+", b, (a, a), (cb, ca), None, None, None)) \
+            == (cp, np_)
+        assert len(g.nodes) == size
+
+
+class TestMergeAndCongruence:
+    def test_union_contract(self):
+        g = EGraph()
+        ca, na = g.add_term(var("a", ann(4)))
+        cb, nb = g.add_term(var("b", ann(4)))
+        cc, nc = g.add_term(var("c", ann(4)))
+        assert ca < cb < cc
+        # two classes: the edge (a, b, why) joins the forest, the smaller
+        # class id is kept
+        assert g.union(nc, na, "why") is True
+        assert g.find(nc) == g.find(na) == ca
+        assert g.unions == 1
+        assert g.proof_parent == {na: (nc, "why")}
+        assert g.forest_path(nc, na) == [(nc, na, "why")]
+        # two nodes of one class: nothing is recorded
+        forest = dict(g.proof_parent)
+        assert g.union(na, nc, "again") is False
+        assert g.union(nb, nb, "self") is False
+        assert g.proof_parent == forest and g.unions == 1
+
+    def test_unsound_union_names_the_rule(self):
+        g = EGraph()
+        _, n1 = g.add_term(const(1, ann(4)))
+        _, n2 = g.add_term(const(2, ann(4)))
+        parent = list(g.parent)
+        with pytest.raises(AnalysisError, match="merge by bad-rule: "):
+            g.union(n1, n2, RuleJust("bad-rule", Leaf(n1), Leaf(n2)))
+        assert g.parent == parent and g.unions == 0 and not g.proof_parent
 
     def test_upward_propagation_one_level(self):
         g = EGraph()
@@ -57,7 +107,7 @@ class TestMergeAndCongruence:
         p2, _ = g.add_term(_add(b, b, 5))
         g.rebuild()
         assert g.find(p1) != g.find(p2)
-        g.merge(ca, cb, CONGRUENCE, edge=(na, nb))
+        g.union(na, nb, CONGRUENCE)
         g.rebuild()
         assert g.find(p1) == g.find(p2)
 
@@ -71,7 +121,7 @@ class TestMergeAndCongruence:
         t1, _ = g.add_term(g1)
         t2, _ = g.add_term(g2)
         g.rebuild()
-        g.merge(ca, cb, CONGRUENCE, edge=(na, nb))
+        g.union(na, nb, CONGRUENCE)
         g.rebuild()
         assert g.find(t1) == g.find(t2)
 
@@ -295,8 +345,8 @@ class TestSaturate:
             merges += [(rng.choice(added), rng.choice(added))
                        for _ in range(5)]
             for a, b in merges:
-                g.merge(a, b, "random", edge=(a, b))
-                ref.merge(a, b, "random", edge=(a, b))
+                g.union(a, b, "random")
+                ref.union(a, b, "random")
             g.rebuild()
             full_scan_rebuild(ref)
             assert_same_graph(g, ref)
@@ -315,7 +365,7 @@ class TestSaturate:
         ce, ne = g.add_term(e)
         g.rebuild()
         assert g.classes[ct].interval == Interval(0, 255)
-        g.merge(cs, ce, "test", edge=(ns, ne))
+        g.union(ns, ne, "test")
         g.rebuild()
         assert g.classes[g.find(ct)].interval == Interval(0, 240)
         intervals = {c: cls.interval for c, cls in g.classes.items()}
@@ -356,8 +406,7 @@ def full_scan_rebuild(g: EGraph, every_node: bool = False) -> None:
             other = table.get(key)
             if other is None:
                 table[key] = nid
-            elif g.find(other) != g.find(nid):
-                g.merge(other, nid, CONGRUENCE, edge=(other, nid))
+            elif g.union(other, nid, CONGRUENCE):
                 changed = True
         g.hashcons = table
     members: dict[int, list[int]] = {c: [] for c in g.classes}

@@ -80,13 +80,13 @@ def enumerate_optimum(g: EGraph, sh: SharedSets | None = None) -> int:
 
 
 def _leaf(g, name):
-    return g.add_node(NodeRec("var", U4, (), (), name=name))
+    return g.add(NodeRec("var", U4, (), (), name=name))
 
 
 def _node(g, children):
     if len(children) == 1:
-        return g.add_node(NodeRec("neg", U4, (U4,), tuple(children)))
-    return g.add_node(NodeRec("+", U4, (U4, U4), tuple(children)))
+        return g.add(NodeRec("neg", U4, (U4,), tuple(children)))
+    return g.add(NodeRec("+", U4, (U4, U4), tuple(children)))
 
 
 def random_egraph(seed: int) -> EGraph:
@@ -112,7 +112,7 @@ def random_egraph(seed: int) -> EGraph:
             c2, n2 = _node(g, kids2)
             if g.find(c2) == g.find(cid) or c2 in classes:
                 continue
-            g.merge(cid, c2, CONGRUENCE, edge=(nid, n2))
+            g.union(nid, n2, CONGRUENCE)
     g.rebuild()
     live = [c for c in classes if g.find(c) == c]
     g.roots = (rng.choice(live), rng.choice(live))
@@ -137,8 +137,7 @@ def random_cyclic_egraph(seed: int) -> EGraph:
         cid, nid = _node(g, [top] * rng.randint(1, 2))
         if len(g.nodes) == size:
             continue  # the node exists already: no new edge
-        g.merge(below, cid, CONGRUENCE,
-                edge=(g.classes[below].node_ids[0], nid))
+        g.union(g.classes[below].node_ids[0], nid, CONGRUENCE)
         g.rebuild()
         g.roots = (g.find(top), g.find(g.roots[1]))
         want -= 1
@@ -158,14 +157,14 @@ def diamond_egraph() -> EGraph:
     x, _ = _node(g, [lx])
     r_good, nrg = _node(g, [m1])
     r_cheap, nrc = _node(g, [x])
-    g.merge(r_good, r_cheap, CONGRUENCE, edge=(nrg, nrc))
+    g.union(nrg, nrc, CONGRUENCE)
     n2, _ = _node(g, [p, p])                   # impl-side detour
     n1, _ = _node(g, [n2])
     ly, _ = _leaf(g, "y")
     y, _ = _node(g, [ly])
     i_good, nig = _node(g, [n1])
     i_cheap, nic = _node(g, [y])
-    g.merge(i_good, i_cheap, CONGRUENCE, edge=(nig, nic))
+    g.union(nig, nic, CONGRUENCE)
     g.rebuild()
     g.roots = (g.find(r_good), g.find(i_good))
     return g
@@ -258,7 +257,7 @@ class TestRealization:
         g = EGraph()
         x, nx = _leaf(g, "x")
         n, nn = _node(g, [x])
-        g.merge(x, n, CONGRUENCE, edge=(nx, nn))
+        g.union(nx, nn, CONGRUENCE)
         g.rebuild()
         c = g.find(x)
         g.roots = (c, c)
@@ -273,7 +272,7 @@ class TestModel:
         g = EGraph()
         x, nx = _leaf(g, "x")
         n, nn = _node(g, [x])
-        g.merge(x, n, CONGRUENCE, edge=(nx, nn))
+        g.union(nx, nn, CONGRUENCE)
         g.rebuild()
         c = g.find(x)
         g.roots = (c, c)
@@ -287,7 +286,7 @@ class TestModel:
         b, _ = _node(g, [y])
         a, _ = _node(g, [b])
         nb, nnb = _node(g, [a])
-        g.merge(b, nb, CONGRUENCE, edge=(g.classes[b].node_ids[0], nnb))
+        g.union(g.classes[b].node_ids[0], nnb, CONGRUENCE)
         g.rebuild()
         g.roots = (g.find(a), g.find(a))
         m = build_model(g, shared(g))

@@ -44,6 +44,15 @@ class TestSexpr:
                         "(output o 9 unsigned) "
                         "(+ 9 unsigned 8 unsigned (var a 8 unsigned)))")
 
+    def test_body_annotation_mismatch_located(self):
+        with pytest.raises(ParseError, match=r"^design p: body annotation "
+                                             r"\(8 unsigned\) does not match "
+                                             r"output port \(9 unsigned\) "
+                                             r"at line 3, column 3$"):
+            parse_sexpr("(design p (inputs (a 8 unsigned))\n"
+                        " (output o 9 unsigned)\n"
+                        "  (var a 8 unsigned))")
+
     def test_round_trip_token_identical(self):
         for name in names():
             for stem_design in load_pair(name):
@@ -112,6 +121,13 @@ class TestParseSv:
                      "wire [3:0] x, y;\n"
                      "assign x = y; assign y = x; assign o = x; endmodule")
 
+    def test_cycle_located_at_its_assignment(self):
+        with pytest.raises(ParseError, match=r"^combinational cycle through "
+                                             r"'x' at line 3, column 1$"):
+            parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"
+                     "wire [3:0] x, y;\n"
+                     "assign x = y; assign y = x; assign o = x; endmodule")
+
     def test_dependency_error_in_source_order(self):
         # six undriven wires: an error named in hash order would differ
         # between the two seeds, or name another wire than the first
@@ -155,6 +171,38 @@ class TestParseSv:
             parse_sv("module m(x, o);\n"
                      "input [7:0] x; output [3:0] o;\n"
                      "assign o = x[3:k]; endmodule")
+
+
+    def test_ascending_range_located(self):
+        with pytest.raises(ParseError, match=r"^descending range required, "
+                                             r"got \[3:8\] "
+                                             r"at line 2, column 7$"):
+            parse_sv("module m(x, o);\n"
+                     "input [3:8] x; output [3:0] o;\n"
+                     "assign o = x; endmodule")
+
+    def test_unassigned_output_located(self):
+        with pytest.raises(ParseError, match=r"^output 'o' is never assigned "
+                                             r"at line 2, column 29$"):
+            parse_sv("module m(x, o);\n"
+                     "input [3:0] x; output [3:0] o;\n"
+                     "wire [3:0] w; assign w = x; endmodule")
+
+    def test_second_output_located(self):
+        with pytest.raises(ParseError, match=r"^exactly one output port "
+                                             r"required, got \['o', 'p'\] "
+                                             r"at line 2, column 32$"):
+            parse_sv("module m(x, o, p);\n"
+                     "input [3:0] x; output [3:0] o, p;\n"
+                     "assign o = x; assign p = x; endmodule")
+
+    def test_missing_output_located_at_endmodule(self):
+        with pytest.raises(ParseError, match=r"^exactly one output port "
+                                             r"required, got \[\] "
+                                             r"at line 3, column 1$"):
+            parse_sv("module m(x);\n"
+                     "input [3:0] x;\n"
+                     "endmodule")
 
 
 class TestEmitSv:

@@ -567,7 +567,7 @@ def reference_instantiate(g, p, env):
         v = eval_expr(p.value, env)
         if not a.contains(v):
             raise BlockedMatch(f"constant {v} not representable in ({a})")
-        cid, nid = g.add_node(NodeRec("const", a, (), (), value=v))
+        cid, nid = g.add(NodeRec("const", a, (), (), value=v))
         return cid, nid, Skeleton(nid, ())
     out = _eval_ann(p.out_w, p.out_s, env)
     kids, slots, subs = [], [], []
@@ -576,7 +576,7 @@ def reference_instantiate(g, p, env):
         ccid, _, csk = reference_instantiate(g, sub, env)
         kids.append(ccid)
         subs.append(None if isinstance(csk, Leaf) else csk)
-    cid, nid = g.add_node(NodeRec(p.op, out, tuple(slots), tuple(kids)))
+    cid, nid = g.add(NodeRec(p.op, out, tuple(slots), tuple(kids)))
     return cid, nid, Skeleton(nid, tuple(subs))
 
 
@@ -594,9 +594,8 @@ def reference_apply(m, g):
     if tgt_ann != rhs_ann:
         raise RuleError(f"{m.rule.id}: rhs annotation ({rhs_ann}) differs "
                         f"from matched class ({tgt_ann})")
-    just = RuleJust(m.rule.id, m.lhs_skel, rskel)
-    g.merge(target, rcid, just, edge=(m.lhs_skel.node, rnid))
-    return True
+    return g.union(m.lhs_skel.node, rnid,
+                   RuleJust(m.rule.id, m.lhs_skel, rskel))
 
 
 def _outcome(fn, *args):
