@@ -115,7 +115,7 @@ def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
     """For every operator class whose interval fits a narrower width, add a
     zext/sext of the narrowed operator to the class, until the graph holds
     more than `node_limit` nodes.  Returns the number of narrowing unions
-    performed."""
+    performed; `g.narrowings` counts every narrowing added."""
     from .egraph import NodeRec, RuleJust, Skeleton
 
     applied = 0
@@ -134,6 +134,7 @@ def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
                 continue
             if g.num_nodes() > node_limit:
                 return applied
+            g.narrowings += 1
             narrow = Annotation(narrow_w, out.signed)
             ncid, nnid = g.add(n._replace(out=narrow))
             wrap_op = "sext" if out.signed else "zext"

@@ -225,6 +225,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
         "iterations": rep.iterations, "nodes": g.num_nodes(),
         "roots_merged": rep.roots_merged, "stop_reason": rep.stop_reason,
         "per_iteration": [asdict(st) for st in rep.per_iteration],
+        "rules": {rid: asdict(rc) for rid, rc in rep.rules.items()},
     }
     report_json["extraction"] = {"method": res.method,
                                  "objective": res.objective,
@@ -264,6 +265,9 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
                    f"{st.match_s:.3f}s apply {st.apply_s:.3f}s width-reduce "
                    f"{st.width_reduce_s:.3f}s rebuild {st.rebuild_s:.3f}s "
                    f"({st.rekeyed} rekeyed, {st.congruences} congruences)")
+    for rid, rc in rep.rules.items():
+        click.echo(f"  rule {rid}: {rc.matches} matches, "
+                   f"{rc.useful_applications} useful")
     click.echo(f"nodes: {' -> '.join(map(str, rep.node_counts))}")
     click.echo(f"classes: {' -> '.join(map(str, rep.class_counts))}")
     click.echo(f"shared classes: {len(sh0.c_shared)} -> {len(sh1.c_shared)}")

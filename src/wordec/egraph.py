@@ -10,6 +10,7 @@ only what the merges since the last rebuild touched.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -98,6 +99,16 @@ class IterationStats:
 
 
 @dataclass
+class RuleCounts:
+    """One rule's matches over a saturation run, and the applications that
+    added something.  For width reduction, the narrowings it found and the
+    ones that joined two classes."""
+
+    matches: int = 0
+    useful_applications: int = 0
+
+
+@dataclass
 class SaturationReport:
     iterations: int = 0
     node_counts: list[int] = field(default_factory=list)
@@ -106,6 +117,7 @@ class SaturationReport:
     roots_merged: bool = False
     redundant_applications: int = 0
     per_iteration: list[IterationStats] = field(default_factory=list)
+    rules: dict[str, RuleCounts] = field(default_factory=dict)  # by rule id
 
 
 class EGraph:
@@ -120,6 +132,7 @@ class EGraph:
         self.unions = 0
         self.congruences = 0                     # unions made by rebuild
         self.rekeyed = 0                         # nodes rebuild re-keyed
+        self.narrowings = 0                      # width reduction's narrowings
         self.roots: tuple[int, int] | None = None  # (root_S cid, root_I cid)
         # upkeep since the last rebuild: nodes whose key names a merged-away
         # class, classes whose member list changed, and classes whose
@@ -431,7 +444,11 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
     width-reduction analysis pass, then rebuilds.  The node and time budgets
     are checked before each application; one that is spent stops the
     applications, and the run ends after that iteration's width reduction
-    and rebuild."""
+    and rebuild.
+
+    The cyclic garbage collector is paused for the run and left as it was
+    found: saturation makes no reference cycles, so each collection would
+    only re-walk the growing graph and free nothing."""
     limits = dict(limits or {})
     iter_limit = limits.get("iter", 5)
     node_limit = limits.get("nodes", 50_000)
@@ -442,6 +459,10 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
     start = time.monotonic()
     report.node_counts.append(g.num_nodes())
     report.class_counts.append(g.num_classes())
+    per_rule = report.rules
+    for r in rules:
+        per_rule.setdefault(r.id, RuleCounts())
+    narrowing = per_rule.setdefault(analysis.WIDTH_REDUCE_RULE, RuleCounts())
 
     def over_budget() -> str | None:
         if g.num_nodes() > node_limit:
@@ -450,49 +471,64 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
             return "timeout"
         return None
 
-    reason = "iter-limit"
-    for it in range(iter_limit):
-        spent = over_budget()
-        if spent:
-            reason = spent
-            break
-        before = (g.num_nodes(), g.num_classes(), g.unions)
-        t0 = time.perf_counter()
-        matches = []
-        for r in rules:
-            matches.extend(r.matches(g))
-        t1 = time.perf_counter()
-        redundant = 0
-        for m in matches:
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        reason = "iter-limit"
+        for it in range(iter_limit):
             spent = over_budget()
             if spent:
-                break  # finish the iteration, so the graph is congruent
-            if not m.apply(g):
-                redundant += 1
-        t2 = time.perf_counter()
-        analysis.width_reduction_pass(g, node_limit)
-        rekeyed, congruences = g.rekeyed, g.congruences
-        t3 = time.perf_counter()
-        g.rebuild()
-        report.per_iteration.append(IterationStats(
-            len(matches), redundant, t1 - t0, t2 - t1, t3 - t2,
-            time.perf_counter() - t3, g.rekeyed - rekeyed,
-            g.congruences - congruences))
-        report.redundant_applications += redundant
-        report.iterations = it + 1
-        report.node_counts.append(g.num_nodes())
-        report.class_counts.append(g.num_classes())
-        if spent:
-            reason = spent
-            break
-        if stop_on_merge and g.roots is not None and g.roots_merged():
-            reason = "roots-merged"
-            break
-        if (g.num_nodes(), g.num_classes(), g.unions) == before:
-            reason = "saturated"
-            break
-    else:
-        reason = "iter-limit"
+                reason = spent
+                break
+            before = (g.num_nodes(), g.num_classes(), g.unions)
+            t0 = time.perf_counter()
+            found = []
+            for r in rules:
+                matches = r.matches(g)
+                counts = per_rule[r.id]
+                counts.matches += len(matches)
+                found.append((counts, matches))
+            t1 = time.perf_counter()
+            redundant = 0
+            for counts, matches in found:
+                for m in matches:
+                    spent = over_budget()
+                    if spent:
+                        break  # finish the iteration: leave it congruent
+                    if m.apply(g):
+                        counts.useful_applications += 1
+                    else:
+                        redundant += 1
+                if spent:
+                    break
+            t2 = time.perf_counter()
+            narrowings = g.narrowings
+            narrowing.useful_applications += analysis.width_reduction_pass(
+                g, node_limit)
+            narrowing.matches += g.narrowings - narrowings
+            rekeyed, congruences = g.rekeyed, g.congruences
+            t3 = time.perf_counter()
+            g.rebuild()
+            report.per_iteration.append(IterationStats(
+                sum(len(ms) for _, ms in found), redundant, t1 - t0, t2 - t1,
+                t3 - t2, time.perf_counter() - t3, g.rekeyed - rekeyed,
+                g.congruences - congruences))
+            report.redundant_applications += redundant
+            report.iterations = it + 1
+            report.node_counts.append(g.num_nodes())
+            report.class_counts.append(g.num_classes())
+            if spent:
+                reason = spent
+                break
+            if stop_on_merge and g.roots is not None and g.roots_merged():
+                reason = "roots-merged"
+                break
+            if (g.num_nodes(), g.num_classes(), g.unions) == before:
+                reason = "saturated"
+                break
+    finally:
+        if collecting:
+            gc.enable()
     report.stop_reason = reason
     report.roots_merged = g.roots is not None and g.roots_merged()
     return report

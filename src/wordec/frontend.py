@@ -176,6 +176,12 @@ _SV_TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
+def _sv_is_name(t: str) -> bool:
+    """t is an identifier that no keyword claims."""
+    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", t) is not None \
+        and t not in _SV_KEYWORDS
+
+
 # -- expression AST ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -298,7 +304,7 @@ def _sv_primary(ts):
             return _sv_literal(t)
         except ParseError as e:
             raise ParseError(str(e), line, col) from None
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", t) and t not in _SV_KEYWORDS:
+    if _sv_is_name(t):
         ts.next()
         if ts.peek() == "[":
             ts.next()
@@ -496,6 +502,8 @@ def parse_sv(text: str) -> Design:
         """Declare the signal named by the next token."""
         loc = ts.loc()
         sig = ts.next()
+        if not _sv_is_name(sig):
+            ts.fail(f"expected a signal name, got {sig!r}", loc)
         if sig in decls:
             if decls[sig].kind == "wire" and kind in ("input", "output"):
                 decls[sig] = _SvDecl(kind, ann, lsb, loc)  # non-ANSI re-typing

@@ -9,8 +9,10 @@ term language self-contained: no context-dependent sizing remains.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,16 +45,50 @@ class UnboundVariableError(IrError):
         self.name = name
 
 
-@dataclass(frozen=True, order=True)
+# (width, signed) -> the one Annotation for it
+_INTERNED: dict[tuple[int, bool], "Annotation"] = {}
+
+
+@functools.total_ordering
 class Annotation:
-    """Bitwidth and signage of a signal."""
+    """Bitwidth and signage of a signal.
 
+    Interned: `Annotation(w, s)` returns the one instance for (w, s), so
+    equality and hashing are by identity and run in C.  They order by
+    (width, signed), and are immutable."""
+
+    __slots__ = ("width", "signed")
     width: int
-    signed: bool = False
+    signed: bool
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise IrError(f"annotation width must be >= 1, got {self.width}")
+    def __new__(cls, width: int, signed: bool = False) -> "Annotation":
+        key = (operator.index(width), bool(signed))
+        a = _INTERNED.get(key)
+        if a is None:
+            if key[0] < 1:
+                raise IrError(f"annotation width must be >= 1, got {width}")
+            a = object.__new__(cls)
+            object.__setattr__(a, "width", key[0])
+            object.__setattr__(a, "signed", key[1])
+            _INTERNED[key] = a
+        return a
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Annotation, (self.width, self.signed)
+
+    def __repr__(self) -> str:
+        return f"Annotation(width={self.width!r}, signed={self.signed!r})"
+
+    def __lt__(self, other):
+        if type(other) is not Annotation:
+            return NotImplemented
+        return (self.width, self.signed) < (other.width, other.signed)
 
     @property
     def lo(self) -> int:

@@ -396,9 +396,6 @@ def _is_signed(value) -> bool:
 # allows 20 nested blocks in a function.
 _MAX_POSITIONS = 16
 
-# Interned rhs annotations, by (width, signed).
-_ANNOTATIONS: dict[tuple[int, bool], Annotation] = {}
-
 
 def _unrepresentable(v, a: Annotation):
     raise BlockedMatch(f"constant {v} not representable in ({a})")
@@ -412,7 +409,7 @@ def _unbound(e: KeyError) -> None:
 
 _GLOBALS = {
     "Annotation": Annotation, "BlockedMatch": BlockedMatch, "Leaf": Leaf,
-    "Skeleton": Skeleton, "_ANNOTATIONS": _ANNOTATIONS,
+    "Skeleton": Skeleton,
     "_compare": _compare, "_power": _power, "_width_of": _width_of,
     "_log2": _log2, "_unknown_operator": _unknown_operator, "_width": _width,
     "_unrepresentable": _unrepresentable, "_unbound": _unbound,
@@ -630,10 +627,7 @@ def _compile_builder(p: Pattern, name: str):
             code.emit("if type(w) is not int or w < 1: w = _width(w)")
         code.emit(f"s = {s[1] == SIGNED!r}" if sig
                   else f"s = {expr(s)} == {SIGNED!r}")
-        code.emit(f"{a} = _ANNOTATIONS.get((w, s)) if type(w) is int "
-                  "else Annotation(w, s)")
-        code.emit(f"if {a} is None: {a} = _ANNOTATIONS[w, s] = "
-                  "Annotation(w, s)")
+        code.emit(f"{a} = Annotation(w, s)")
         return a
 
     def node(p: Pattern, top: bool) -> tuple[str, str, str]:

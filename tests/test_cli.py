@@ -40,6 +40,16 @@ class TestCheck:
         assert set(per_iteration[0]) == {
             "matches", "redundant_applications", "match_s", "apply_s",
             "width_reduce_s", "rebuild_s", "rekeyed", "congruences"}
+        rules = rep["saturation"]["rules"]
+        assert {"comm-add", "zext-intro", "width-reduce"} <= set(rules)
+        for counts in rules.values():
+            assert set(counts) == {"matches", "useful_applications"}
+        pattern = [c for rid, c in rules.items() if rid != "width-reduce"]
+        assert sum(c["matches"] for c in pattern) \
+            == sum(st["matches"] for st in per_iteration)
+        assert sum(c["matches"] - c["useful_applications"] for c in pattern) \
+            == sum(st["redundant_applications"] for st in per_iteration)
+        assert rules["width-reduce"]["useful_applications"] > 0
         assert (out / "manifest.json").exists()
         assert list((out / "steps").glob("*.ir"))
 
@@ -85,6 +95,20 @@ class TestCheck:
                                  "--out", str(tmp_path / "out")])
         assert r.exit_code == 3, r.output
         assert "expected an integer, got 'a' at line 2, column 8" in r.output
+
+    @pytest.mark.parametrize("decl, token, column", [
+        ("input [3:0] x, (;", "(", 16), ("wire [3:0] +;", "+", 12)])
+    def test_non_identifier_signal_name_is_error(self, runner, tmp_path,
+                                                 decl, token, column):
+        sp, ip = _emit_pair(tmp_path, "fig4", fmt="sv")
+        bad = tmp_path / "bad.sv"
+        bad.write_text(f"module m(x, o);\n{decl}\noutput [3:0] o;\n"
+                       "assign o = x; endmodule\n")
+        r = runner.invoke(main, ["check", "--spec", str(bad), "--impl", ip,
+                                 "--out", str(tmp_path / "out")])
+        assert r.exit_code == 3, r.output
+        assert (f"expected a signal name, got {token!r} at line 2, "
+                f"column {column}") in r.output
 
     def test_unsound_rule_is_error(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4", fmt="sv")
@@ -142,6 +166,12 @@ class TestSaturateExtract:
             for phase in ("match", "apply", "width-reduce", "rebuild"):
                 assert f" {phase} " in ln
             assert " rekeyed, " in ln and ln.endswith(" congruences)")
+        rules = [ln for ln in r.output.splitlines()
+                 if ln.startswith("  rule ")]
+        assert rules[-1].startswith("  rule width-reduce: ")
+        matches = sum(int(ln.split(": ")[1].split()[0]) for ln in rules[:-1])
+        assert matches == sum(int(ln.split(": ")[1].split()[0])
+                              for ln in lines)
 
     def test_extract_prints_objective(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "adpcm")

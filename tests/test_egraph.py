@@ -1,9 +1,12 @@
+import gc
 import itertools
 import random
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordec import egraph
 from wordec.analysis import (AnalysisError, Interval, interval_make,
@@ -14,7 +17,9 @@ from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design
 from wordec.ir import Annotation, const, evaluate, op, var
-from wordec.rewrites import baseline_rules
+from wordec.rewrites import RuleError, baseline_rules, parse_rules
+
+from test_frontend import _ANNS, _terms
 
 
 def ann(w, s=False):
@@ -266,6 +271,38 @@ class TestSaturate:
             assert st.matches == sum(len(r.matches(g2)) for r in rules)
             saturate(g2, rules, {"iter": 1}, stop_on_merge=False)
 
+    def test_per_rule_counts(self):
+        spec, impl = load_pair("vbsme4")
+        g = init_pair(spec, impl)
+        rules = baseline_rules()
+        rep = saturate(g, rules, {"iter": 3}, stop_on_merge=False)
+        assert list(rep.rules) == [r.id for r in rules]  # width-reduce last
+        narrowing = rep.rules["width-reduce"]
+        assert 0 < narrowing.useful_applications <= narrowing.matches
+        pattern = [c for rid, c in rep.rules.items() if rid != "width-reduce"]
+        assert sum(c.matches for c in pattern) \
+            == sum(st.matches for st in rep.per_iteration)
+        assert sum(c.matches - c.useful_applications for c in pattern) \
+            == rep.redundant_applications
+        for c in rep.rules.values():
+            assert 0 <= c.useful_applications <= c.matches
+        # each rule's matches are those it finds on each iteration's graph
+        g2 = init_pair(spec, impl)
+        found = dict.fromkeys(rep.rules, 0)
+        for _ in range(rep.iterations):
+            for r in rules:
+                found[r.id] += len(r.matches(g2))
+            saturate(g2, rules, {"iter": 1}, stop_on_merge=False)
+        assert found == {rid: c.matches for rid, c in rep.rules.items()
+                         if rid != "width-reduce"} | {"width-reduce": 0}
+
+    def test_width_reduction_counted_without_its_rule(self):
+        g = init_pair(*load_pair("fig1"))
+        rep = saturate(g, [], {"iter": 2}, stop_on_merge=False)
+        assert list(rep.rules) == ["width-reduce"]
+        assert rep.rules["width-reduce"].useful_applications \
+            == g.unions - g.congruences > 0
+
     def test_bad_limits_rejected(self):
         spec, impl = load_pair("fig1")
         g = init_pair(spec, impl)
@@ -388,6 +425,49 @@ class TestSaturate:
         assert rep.node_counts == sorted(rep.node_counts)
 
 
+class TestCollectorPause:
+    """saturate() runs with the cyclic collector off, which is only safe
+    while saturation makes no reference cycles."""
+
+    @staticmethod
+    def _saturate(name):
+        g = init_pair(*load_pair(name))
+        saturate(g, baseline_rules(), {"iter": 5, "nodes": 5000},
+                 stop_on_merge=False)
+        return g
+
+    def test_saturation_leaves_no_cyclic_garbage(self):
+        for name in names():  # compiles the rule programs
+            self._saturate(name)
+        gc.collect()
+        for name in names():
+            g = self._saturate(name)
+            assert gc.collect() == 0, name
+            assert g.num_nodes() > 0
+
+    def test_collector_back_on_after_return(self):
+        assert gc.isenabled()
+        self._saturate("fig4")
+        assert gc.isenabled()
+
+    def test_collector_back_on_after_a_raise(self):
+        rules = parse_rules("wider : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b) "
+                            "=> (+ (?wo+1) ?so ?wa ?sa ?a ?wb ?sb ?b) ;")
+        g = init_pair(*load_pair("adpcm"))
+        assert gc.isenabled()
+        with pytest.raises(RuleError, match="rhs annotation"):
+            saturate(g, rules)
+        assert gc.isenabled()
+
+    def test_collector_left_off_when_found_off(self):
+        gc.disable()
+        try:
+            self._saturate("fig4")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
 def full_scan_rebuild(g: EGraph, every_node: bool = False) -> None:
     """`EGraph.rebuild` rescanning the table's nodes in node-id order until
     a scan merges nothing, then sweeping every class interval.  With
@@ -472,6 +552,43 @@ class TestSemanticSoundness:
             for env in envs:
                 vals = {evaluate(t, env) for t in terms}
                 assert len(vals) == 1, (name, cid, env)
+
+
+@st.composite
+def _term_sets(draw):
+    """Three inputs and two random annotated terms over them, using every
+    opcode."""
+    inputs = tuple((n, draw(_ANNS)) for n in ("a", "b", "c"))
+    return inputs, [draw(_terms(inputs, 3)) for _ in range(2)]
+
+
+class TestClassAgreementProperty:
+    """After saturation and width reduction on random terms, every member
+    of every class has one output annotation and computes one function: a
+    hashcons key that confused two annotations would join classes that
+    differ."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_term_sets(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_members_agree_after_saturation(self, case, seed):
+        inputs, terms = case
+        g = EGraph()
+        for t in terms:
+            g.add_term(t)
+        g.rebuild()
+        saturate(g, baseline_rules(), {"iter": 2}, stop_on_merge=False)
+        rng = random.Random(seed)
+        envs = [{n: a.lo for n, a in inputs}, {n: a.hi for n, a in inputs}]
+        envs += [{n: rng.randint(a.lo, a.hi) for n, a in inputs}
+                 for _ in range(8)]
+        pick = pick_nodes(g)
+        memo: dict = {}
+        for cid, cls in g.classes.items():
+            members = [g.term(nid, pick, memo) for nid in cls.node_ids]
+            assert len({t.out for t in members}) == 1, (cid, members)
+            for env in envs:
+                values = {evaluate(t, env) for t in members}
+                assert len(values) == 1, (cid, env, members)
 
 
 class TestDump:

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,23 @@ class TestParseSv:
             parse_sv("module m(x, o);\n"
                      "input [a:0] x; output [3:0] o;\n"
                      "assign o = x; endmodule")
+
+    @pytest.mark.parametrize("text, token, line, column", [
+        ("module m(x, o); input [3:0] x, (; output [3:0] o;\n"
+         "assign o = x; endmodule", "(", 1, 32),
+        ("module m(x, o);\ninput [3:0] x; output [3:0] o;\n"
+         "wire [3:0] +;\nassign o = x; endmodule", "+", 3, 12),
+        ("module m(x, ], o); input [3:0] x; output [3:0] o;\n"
+         "assign o = x; endmodule", "]", 1, 13),
+        ("module m(x, o);\ninput [3:0] x; output [3:0] o;\n"
+         "wire [3:0] assign;\nassign o = x; endmodule", "assign", 3, 12),
+    ])
+    def test_non_identifier_signal_name_located(self, text, token, line,
+                                                column):
+        with pytest.raises(ParseError, match=(
+                f"^expected a signal name, got {re.escape(repr(token))} "
+                f"at line {line}, column {column}$")):
+            parse_sv(text)
 
     def test_non_integer_slice_index_located(self):
         with pytest.raises(ParseError, match=r"^expected an integer, got 'k' "

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -22,8 +24,81 @@ class TestAnnotation:
         assert (ann(8, True).lo, ann(8, True).hi) == (-128, 127)
 
     def test_invalid_width(self):
-        with pytest.raises(Exception):
+        with pytest.raises(IrError, match="width must be >= 1, got 0"):
             Annotation(0)
+        with pytest.raises(IrError):
+            Annotation(-3, True)
+
+
+class TestAnnotationInterning:
+    """Annotation(w, s) is one object per (w, s), which keeps the value
+    semantics of a (width, signed) pair."""
+
+    PAIRS = [(w, s) for w in (1, 2, 3, 4, 8, 31, 64, 65)
+             for s in (False, True)]
+
+    def test_equal_pairs_are_one_object(self):
+        assert Annotation(4, 1) is Annotation(4, True)
+        assert Annotation(4) is Annotation(4, False) is Annotation(4, 0)
+        assert Annotation(np.int64(4), np.bool_(True)) is Annotation(4, True)
+        assert Annotation(width=5, signed=True) is Annotation(5, True)
+        assert Annotation(4) is not Annotation(4, True)
+        a = Annotation(np.int64(7))
+        assert type(a.width) is int and type(a.signed) is bool
+
+    def test_non_integer_width_rejected(self):
+        with pytest.raises(TypeError):
+            Annotation(4.0)
+
+    def test_equality_and_hash_follow_the_pair(self):
+        for p, q in itertools.product(self.PAIRS, repeat=2):
+            a, b = Annotation(*p), Annotation(*q)
+            assert (a == b) == (p == q) and (a != b) == (p != q)
+            if p == q:
+                assert hash(a) == hash(b)
+        assert Annotation(4) != (4, False)
+        assert len({Annotation(w, s) for w, s in self.PAIRS * 2}) \
+            == len(self.PAIRS)
+
+    def test_order_is_the_pair_order(self):
+        shuffled = list(reversed(self.PAIRS))
+        assert [(a.width, a.signed) for a in
+                sorted(Annotation(*p) for p in shuffled)] == sorted(shuffled)
+        assert Annotation(4, True) > Annotation(4) >= Annotation(4)
+        assert Annotation(3, True) <= Annotation(4) < Annotation(4, True)
+        with pytest.raises(TypeError):
+            Annotation(4) < (5, False)
+
+    def test_repr_and_str(self):
+        assert repr(Annotation(4)) == "Annotation(width=4, signed=False)"
+        assert repr(Annotation(8, True)) == "Annotation(width=8, signed=True)"
+        assert str(Annotation(4)) == "4 unsigned"
+        assert str(Annotation(8, True)) == "8 signed"
+        a = Annotation(4, True)
+        assert (a.lo, a.hi, a.mask, a.sign, a.signage) \
+            == (-8, 7, 15, 8, "signed")
+        assert a.contains(-8) and not a.contains(8)
+
+    def test_immutable(self):
+        a = Annotation(4)
+        with pytest.raises(AttributeError):
+            a.width = 5
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        with pytest.raises(AttributeError):
+            del a.signed
+        assert Annotation(4).width == 4
+
+    def test_pickle_and_copy_give_the_same_object(self):
+        a = Annotation(12, True)
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(a, proto)) is a
+        assert copy.copy(a) is a
+        assert copy.deepcopy(a) is a
+        t = op("+", Annotation(5), (Annotation(4), var("x", Annotation(4))),
+               (Annotation(4), const(3, Annotation(4))))
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.deepcopy(t).out is t.out
 
 
 class TestCoerce:
