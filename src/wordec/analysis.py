@@ -82,13 +82,13 @@ def refine_intervals(g: "EGraph") -> None:
     each class that narrows in turn: every other class already lies inside
     its members' make.  Make is monotone and merge intersects, so the
     fixpoint, and so the result, does not depend on the visiting order."""
-    classes, nodes, find, node_key = g.classes, g.nodes, g.find, g.node_key
+    classes, nodes, find, live = g.classes, g.nodes, g.find, g.live
     todo: list[int] = []
     queued: set[int] = set()
 
     def users_of(cid: int) -> None:
         for u in classes[cid].uses:
-            if node_key[u] is not None:
+            if live[u]:
                 c = find(u)
                 if c not in queued:
                     queued.add(c)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -97,13 +98,16 @@ _extract_opts = _options(
     click.option("--extraction", default="ilp",
                  type=click.Choice(["ilp", "greedy"]), show_default=True),
     click.option("--extract-timeout", default=10.0, show_default=True,
+                 type=click.FloatRange(min=0),
                  help="Branch-and-bound budget in seconds; on timeout, the "
                       "best selection found so far, or greedy if none was "
                       "found."))
 
 _oracle_opts = _options(
-    click.option("--max-exhaustive-bits", default=20, show_default=True),
-    click.option("--samples", default=100_000, show_default=True),
+    click.option("--max-exhaustive-bits", default=20, show_default=True,
+                 type=click.IntRange(min=0)),
+    click.option("--samples", default=100_000, show_default=True,
+                 type=click.IntRange(min=0)),
     click.option("--seed", default=0, show_default=True),
     click.option("--external-checker", default=None,
                  help='Command template, e.g. "ec-tool {left} {right}".'))
@@ -135,20 +139,47 @@ def _waterfall(spec, impl, rules, iter_limit, node_limit, time_limit,
                normalize_widths=True, dump_graph=None):
     """The pipeline behind check, waterfall and bench: saturate (and dump
     the graph, before anything later can fail), extract, build the
-    waterfall and check that its steps are adjacent."""
+    waterfall and check that its steps are adjacent.  Also returns the
+    extraction's seconds."""
     g, rep, _ = _saturated_graph(spec, impl, rules, iter_limit, node_limit,
                                  time_limit)
     if dump_graph:
         Path(dump_graph).write_text(
             json.dumps(g.dump(shared(g)), indent=2, sort_keys=True) + "\n")
+    t0 = time.perf_counter()
     res = _extract(g, extraction, extract_timeout)
+    extract_s = time.perf_counter() - t0
     w = build_waterfall(g, spec, impl, res, rules,
                         normalize_widths=normalize_widths)
     check_adjacency(w)
-    return g, rep, res, w
+    return g, rep, res, w, extract_s
 
 
-@click.group()
+@contextmanager
+def _usage_exit():
+    """Give a click usage error (a bad or missing option, an unknown
+    command) exit code EXIT_ERROR: click's own, 2, is EXIT_UNPROVEN here."""
+    try:
+        yield
+    except click.UsageError as e:
+        e.exit_code = EXIT_ERROR
+        raise
+
+
+class _Main(click.Group):
+    """The command group; its own options are parsed in make_context, a
+    subcommand's in invoke."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_exit():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exit():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", default=None,
               type=click.Path(),
               help="key=value file providing defaults for any flag.")
@@ -212,7 +243,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
           node_limit, time_limit,
           max_exhaustive_bits, samples, seed, external_checker):
     """Full flow: saturate, extract, build the waterfall, prove, report."""
-    g, rep, res, w = _waterfall(
+    g, rep, res, w, extract_s = _waterfall(
         _load_design(spec_path, fmt), _load_design(impl_path, fmt),
         _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
         extract_timeout, width_normalization, dump_graph)
@@ -229,7 +260,8 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
     }
     report_json["extraction"] = {"method": res.method,
                                  "objective": res.objective,
-                                 "timed_out": res.timed_out}
+                                 "timed_out": res.timed_out,
+                                 "seconds": round(extract_s, 6)}
     (Path(outdir) / "report.json").write_text(
         json.dumps(report_json, indent=2, sort_keys=True) + "\n")
     click.echo(f"saturation: {rep.iterations} iterations, {g.num_nodes()} "
@@ -313,7 +345,7 @@ def waterfall_cmd(spec_path, impl_path, outdir, extraction, extract_timeout,
                   width_normalization, fmt, rules, iter_limit, node_limit,
                   time_limit):
     """Build and emit the waterfall directory without proving it."""
-    _, _, _, w = _waterfall(
+    _, _, _, w, _ = _waterfall(
         _load_design(spec_path, fmt), _load_design(impl_path, fmt),
         _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
         extract_timeout, width_normalization)
@@ -372,8 +404,8 @@ def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
     worst = EXIT_PASS
     for name in names:
         t0 = time.time()
-        g, rep, res, w = _waterfall(*fixtures.load_pair(name), rls,
-                                    iter_limit, node_limit, time_limit)
+        g, rep, res, w, _ = _waterfall(*fixtures.load_pair(name), rls,
+                                       iter_limit, node_limit, time_limit)
         report = run_waterfall(w, ocfg)
         worst = max(worst, _report_exit(report))
         click.echo(f"{name:12s} {rep.iterations:5d} {g.num_nodes():6d} "

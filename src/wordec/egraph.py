@@ -46,29 +46,20 @@ class NodeRec(NamedTuple):
                     operands=tuple(operands), indices=self.indices)
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     """Concrete instantiation of one side of a rewrite: the node at each
     structured pattern position.  `subs[i]` is None where the pattern had a
-    variable (the child class stands for itself)."""
+    variable (the child class stands for itself); `subs` is None when the
+    whole side is a variable, witnessed by one of its class's nodes."""
 
     node: int
-    subs: tuple["Skeleton | None", ...]
+    subs: "tuple[Skeleton | None, ...] | None"
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """One side of a rewrite that is a bare class variable: the whole class
-    stands for itself, witnessed by one of its concrete nodes."""
-
-    node: int
-
-
-@dataclass(frozen=True)
-class RuleJust:
+class RuleJust(NamedTuple):
     rule_id: str
-    lhs: Skeleton | Leaf
-    rhs: Skeleton | Leaf
+    lhs: Skeleton
+    rhs: Skeleton
 
 
 CONGRUENCE = "congruence"
@@ -76,7 +67,6 @@ CONGRUENCE = "congruence"
 
 @dataclass
 class EClass:
-    id: int
     node_ids: list[int] = field(default_factory=list)
     interval: "analysis.Interval | None" = None
     uses: list[int] = field(default_factory=list)  # nodes with a child here
@@ -122,10 +112,10 @@ class SaturationReport:
 
 class EGraph:
     def __init__(self):
+        # node id -> its record, which is the key it was last filed under
         self.nodes: list[NodeRec] = []
         self.hashcons: dict[NodeRec, int] = {}   # canonical key -> node id
-        # node id -> the key it is filed under, None once dropped
-        self.node_key: list[NodeRec | None] = []
+        self.live = bytearray()                  # node id -> 0 once dropped
         self.parent: list[int] = []              # union-find, by node id
         self.classes: dict[int, EClass] = {}     # canonical id -> class
         self.proof_parent: dict[int, tuple[int, object]] = {}  # explanation forest
@@ -173,7 +163,7 @@ class EGraph:
         node = NodeRec._make(node)
         nid = len(self.nodes)
         self.nodes.append(node)
-        self.node_key.append(node)
+        self.live.append(1)
         parent.append(nid)
         self.hashcons[node] = nid
         classes = self.classes
@@ -183,7 +173,7 @@ class EGraph:
                 uses.append(nid)
         iv = analysis.interval_make(
             node, [classes[c].interval for c in node.children])
-        classes[nid] = EClass(nid, [nid], iv, [])
+        classes[nid] = EClass([nid], iv, [])
         return nid, nid
 
     def add_term(self, t: Term) -> tuple[int, int]:
@@ -292,15 +282,16 @@ class EGraph:
         rescanning the table in node-id order until a scan merges nothing,
         but each pass visits only the nodes such a scan would re-key: those
         whose key names a merged-away class, in node-id order.  A visited
-        node v drops its old entry and computes its fresh key k.  If nobody
-        holds k, v takes it.  If a later node w holds it, v takes it too and
-        w is visited in turn, to collide with v as in the scan.  If an
-        earlier node w holds it, v leaves the table, and its class merges
-        with w's unless they are the same.  A merge makes the users of the
+        node v drops its old entry and is re-filed: its record becomes its
+        fresh key k.  If nobody holds k, v takes it.  If a later node w holds
+        it, v takes it too, record and all, and w is visited in turn, to
+        collide with v as in the scan.  If an earlier node w holds it, v
+        leaves the table (`live[v]` is 0), and its class merges with w's
+        unless they are the same.  A merge makes the users of the
         merged-away class stale: those after v join this pass, the others
         the next one, as a scan would meet them."""
-        hashcons, node_key, nodes, find = (self.hashcons, self.node_key,
-                                           self.nodes, self.find)
+        hashcons, live, nodes, find = (self.hashcons, self.live, self.nodes,
+                                       self.find)
         todo = sorted(set(self.stale))  # a sorted list is a heap
         self.stale = []
         while todo:
@@ -309,21 +300,21 @@ class EGraph:
                 v = heappop(todo)
                 while todo and todo[0] == v:
                     heappop(todo)
-                old = node_key[v]
-                if old is None:
+                if not live[v]:
                     continue  # no longer in the table
+                old = nodes[v]
                 if hashcons.get(old) == v:
                     del hashcons[old]
-                key = self._key(nodes[v])
+                key = nodes[v] = self._key(old)
                 self.rekeyed += 1
                 w = hashcons.get(key)
                 if w is None or w > v:
-                    hashcons[key] = v
-                    node_key[v] = key
                     if w is not None:
+                        del hashcons[key]  # so the table keeps v's record
                         heappush(todo, w)
+                    hashcons[key] = v
                     continue
-                node_key[v] = None
+                live[v] = 0
                 self.reshaped.add(find(v))
                 if self.union(w, v, CONGRUENCE):
                     self.congruences += 1
@@ -338,15 +329,11 @@ class EGraph:
         # only within their class, in node-id order
         for cid in {find(c) for c in self.reshaped}:
             cls = self.classes[cid]
-            cls.node_ids = sorted(n for n in cls.node_ids
-                                  if node_key[n] is not None)
+            cls.node_ids = sorted(n for n in cls.node_ids if live[n])
         self.reshaped = set()
         analysis.refine_intervals(self)
 
     # -- queries ------------------------------------------------------------
-
-    def canonical_classes(self) -> list[EClass]:
-        return [self.classes[c] for c in sorted(self.classes)]
 
     def num_nodes(self) -> int:
         return len(self.hashcons)
@@ -399,7 +386,7 @@ class EGraph:
             for c in shared_sets.c_shared:
                 color[c] = "shared"
         classes = []
-        for cls in self.canonical_classes():
+        for cid, cls in sorted(self.classes.items()):
             nodes = []
             for nid in cls.node_ids:
                 n = self.nodes[nid]
@@ -409,10 +396,10 @@ class EGraph:
                     "children": [self.find(c) for c in n.children],
                     "name": n.name, "value": n.value, "indices": n.indices,
                 })
-            entry = {"id": cls.id, "nodes": nodes,
+            entry = {"id": cid, "nodes": nodes,
                      "interval": [cls.interval.lo, cls.interval.hi]}
-            if cls.id in color:
-                entry["color"] = color[cls.id]
+            if cid in color:
+                entry["color"] = color[cid]
             classes.append(entry)
         return {
             "classes": classes,
@@ -442,9 +429,9 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
     """Equality saturation: each iteration matches every rule against the
     pre-iteration graph, applies all matches constructively, runs the
     width-reduction analysis pass, then rebuilds.  The node and time budgets
-    are checked before each application; one that is spent stops the
-    applications, and the run ends after that iteration's width reduction
-    and rebuild.
+    are checked after each rule's matching and before each application; one
+    that is spent stops the matching and the applications, and the run ends
+    after that iteration's width reduction and rebuild.
 
     The cyclic garbage collector is paused for the run and left as it was
     found: saturation makes no reference cycles, so each collection would
@@ -488,19 +475,22 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
                 counts = per_rule[r.id]
                 counts.matches += len(matches)
                 found.append((counts, matches))
+                spent = over_budget()
+                if spent:
+                    break
             t1 = time.perf_counter()
             redundant = 0
             for counts, matches in found:
+                if spent:
+                    break  # finish the iteration: leave it congruent
                 for m in matches:
                     spent = over_budget()
                     if spent:
-                        break  # finish the iteration: leave it congruent
+                        break
                     if m.apply(g):
                         counts.useful_applications += 1
                     else:
                         redundant += 1
-                if spent:
-                    break
             t2 = time.perf_counter()
             narrowings = g.narrowings
             narrowing.useful_applications += analysis.width_reduction_pass(

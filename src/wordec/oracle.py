@@ -36,10 +36,13 @@ class Verdict:
     elapsed: float
     counterexample: dict | None = None
     note: str | None = None
+    input_bits: int | None = None     # of the checked designs' inputs
 
     def to_json(self) -> dict:
         out = {"status": self.status, "method": self.method,
                "elapsed": round(self.elapsed, 6)}
+        if self.input_bits is not None:
+            out["input_bits"] = self.input_bits
         if self.counterexample is not None:
             out["counterexample"] = dict(self.counterexample)
         if self.note:
@@ -112,13 +115,20 @@ def check_equiv(d1: Design, d2: Design,
     cfg.max_exhaustive_bits; otherwise sampled, then delegated to the
     external checker if one is configured.  Exhaustive failures report the
     lexicographically first counterexample (inputs enumerated low-to-high,
-    in port order)."""
+    in port order).  The verdict records the total input width."""
     cfg = cfg or OracleConfig()
     _check_ports(d1, d2)
+    total_bits = sum(a.width for _, a in d1.inputs)
+    v = _decide(d1, d2, cfg, hint, total_bits)
+    v.input_bits = total_bits
+    return v
+
+
+def _decide(d1: Design, d2: Design, cfg: OracleConfig, hint: str | None,
+            total_bits: int) -> Verdict:
     t0 = time.time()
     if d1.body == d2.body:
         return Verdict("pass", "exhaustive", time.time() - t0)
-    total_bits = sum(a.width for _, a in d1.inputs)
     if total_bits <= cfg.max_exhaustive_bits:
         samples, method = None, "exhaustive"
     else:

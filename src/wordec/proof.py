@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .egraph import CONGRUENCE, EGraph, Leaf, RuleJust
+from .egraph import CONGRUENCE, EGraph, RuleJust
 from .extract import pick_nodes
 from .frontend import Design, emit_sexpr, emit_sv
 from .ir import Term, exact_width
@@ -39,7 +39,7 @@ class RewriteStep:
     after: Term
     checker_hint: str = "simulation"
     # instantiation details, kept for width normalization of this step
-    to_skel: object = None          # Skeleton | Leaf | None
+    to_skel: object = None          # Skeleton | None
     binding: dict | None = None
 
     def reversed(self) -> "RewriteStep":
@@ -85,7 +85,7 @@ class _Explainer:
         return binding[c]
 
     def realize(self, skel, binding: dict) -> Term:
-        if isinstance(skel, Leaf):
+        if skel.subs is None:
             return self.bound(self.g.find(skel.node), binding)
         n = self.g.nodes[skel.node]
         return n.term([
@@ -126,7 +126,7 @@ class _Explainer:
         """Rewrite the subterm at pos into an instance of the skeleton,
         binding pattern-variable classes to the current subterms."""
         g = self.g
-        if isinstance(skel, Leaf):
+        if skel.subs is None:
             c = g.find(skel.node)
             if c in binding:
                 cur = self.equalize(pos, cur, binding[c])
@@ -203,7 +203,7 @@ WIDTH_RELABEL = "width-relabel"
 def _realize_wide(g: EGraph, skel, binding: dict) -> Term:
     """The skeleton's template operators rebuilt at their exact widths;
     bound (variable-position) subterms are left untouched."""
-    if isinstance(skel, Leaf):
+    if skel.subs is None:
         return binding[g.find(skel.node)]
     n = g.nodes[skel.node]
     if not skel.subs:

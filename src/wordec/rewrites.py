@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .egraph import EGraph, Leaf, NodeRec, RuleJust, Skeleton
+from .egraph import EGraph, NodeRec, RuleJust, Skeleton
 from .ir import (Annotation, ARITY, SHIFT_OPS, SIGNED, UNSIGNED, Term,
                  first_mismatch)
 from .tokens import ParseError, Tokens, lex
@@ -408,7 +408,7 @@ def _unbound(e: KeyError) -> None:
 
 
 _GLOBALS = {
-    "Annotation": Annotation, "BlockedMatch": BlockedMatch, "Leaf": Leaf,
+    "Annotation": Annotation, "BlockedMatch": BlockedMatch,
     "Skeleton": Skeleton,
     "_compare": _compare, "_power": _power, "_width_of": _width_of,
     "_log2": _log2, "_unknown_operator": _unknown_operator, "_width": _width,
@@ -639,7 +639,7 @@ def _compile_builder(p: Pattern, name: str):
             if not top:
                 return c, "", "None"
             code.emit(f"{n} = min(classes[{c}].node_ids)")
-            return c, n, f"Leaf({n})"
+            return c, n, f"Skeleton({n}, None)"
         if isinstance(p, PatConst):
             a = annotation(p.width, p.sig)
             v = code.fresh("x")
@@ -700,7 +700,7 @@ def _builder(p: Pattern, name: str = "pattern"):
 
 
 def instantiate(g: EGraph, p: Pattern, env: dict
-                ) -> tuple[int, int, Skeleton | Leaf]:
+                ) -> tuple[int, int, Skeleton]:
     """Add the rhs instance to the graph; returns (class, node, skeleton)."""
     return _builder(p)(g, env)
 
@@ -785,7 +785,7 @@ class ZextIntroMatch:
         wrap = "sext" if out.signed else "zext"
         _, wnid = g.add(NodeRec(wrap, out, (out,), (target,)))
         return g.union(self.nid, wnid, RuleJust(
-            "zext-intro", Leaf(self.nid), Skeleton(wnid, (None,))))
+            "zext-intro", Skeleton(self.nid, None), Skeleton(wnid, (None,))))
 
 
 class WidthReduceRule:

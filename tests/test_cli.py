@@ -1,6 +1,7 @@
 import json
 import stat
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -133,6 +134,40 @@ class TestCheck:
         rep = json.loads((out / "report.json").read_text())
         assert rep["extraction"]["method"] == "greedy"
         assert rep["extraction"]["timed_out"] is True
+
+    def test_report_records_input_bits_and_extraction_seconds(
+            self, runner, tmp_path):
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["extraction"]["seconds"] >= 0
+        bits = sum(a.width for _, a in load_pair("fig4")[0].inputs)
+        kinds = []
+        for ob in rep["obligations"]:
+            kinds.append(ob["kind"])
+            verdict = ob["verdict"]
+            if ob["kind"] == "assume-guarantee":
+                assert "input_bits" not in verdict
+            else:
+                assert verdict["input_bits"] == bits, ob
+        assert kinds[-1] == "assume-guarantee" and len(kinds) > 1
+
+    def test_dump_graph(self, runner, tmp_path):
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        dump = tmp_path / "g.json"
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(tmp_path / "out"),
+                                 "--dump-graph", str(dump)])
+        assert r.exit_code == 0, r.output
+        graph = json.loads(dump.read_text())
+        ids = [c["id"] for c in graph["classes"]]
+        assert ids == sorted(ids) and len(ids) > 1
+        assert set(graph["roots"]) == {"spec", "impl"}
+        assert set(graph["roots"].values()) <= set(ids)
+        assert all(c["nodes"] for c in graph["classes"])
 
     def test_greedy_extraction(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4")
@@ -293,3 +328,45 @@ class TestConfigFile:
         cfg.write_text("this is not a key value line\n")
         r = runner.invoke(main, ["--config", str(cfg), "bench", "adpcm"])
         assert r.exit_code == 3, r.output
+
+
+class TestUsageErrors:
+    """Click's usage errors exit 3: its own code for them, 2, means
+    unproven here."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["check", "--samples", "abc"], "Invalid value for '--samples'"),
+        (["check", "--spec", "s.sv", "--bogus"], "--bogus"),
+        (["check", "--spec", "s.sv"], "Missing option '--impl'"),
+        (["no-such-command"], "No such command 'no-such-command'"),
+    ])
+    def test_usage_error_exits_3(self, runner, args, message):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, r.output
+        assert message in r.output
+
+    @pytest.mark.parametrize("args", [
+        ["bench", "fig4", "--samples", "-5"],
+        ["bench", "fig4", "--max-exhaustive-bits", "-1"],
+        ["check", "--spec", "s.sv", "--impl", "i.sv",
+         "--extract-timeout", "-1"],
+    ])
+    def test_negative_count_or_timeout_exits_3(self, runner, args):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, r.output
+        assert "is not in the range x>=0" in r.output
+
+    def test_zero_counts_are_legal(self, runner):
+        # nothing is sampled, so fig4's wide steps stay unproven
+        r = runner.invoke(main, ["bench", "fig4", "--samples", "0",
+                                 "--max-exhaustive-bits", "0"])
+        assert r.exit_code == 2, r.output
+
+    def test_help_exits_0(self, runner):
+        r = runner.invoke(main, ["--help"])
+        assert r.exit_code == 0, r.output
+        assert "Usage:" in r.output
+
+    def test_usage_error_raises_when_not_standalone(self):
+        with pytest.raises(click.UsageError):
+            main(["check", "--samples", "abc"], standalone_mode=False)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from wordec import egraph
 from wordec.analysis import (AnalysisError, Interval, interval_make,
                              interval_merge)
-from wordec.egraph import (CONGRUENCE, EGraph, EGraphError, Leaf, NodeRec,
-                           RuleJust, init_pair, saturate)
+from wordec.egraph import (CONGRUENCE, EGraph, EGraphError, NodeRec,
+                           RuleJust, Skeleton, init_pair, saturate)
 from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design
@@ -52,11 +52,15 @@ class TestHashCons:
         g = init_pair(*load_pair(name))
         saturate(g, baseline_rules(), {"iter": 3}, stop_on_merge=False)
         assert all(type(n) is NodeRec for n in g.nodes)
-        live = [nid for nid, k in enumerate(g.node_key) if k is not None]
-        for nid in live:
-            assert g.node_key[nid] == g._key(g.nodes[nid]), (name, nid)
-            assert g.hashcons[g.node_key[nid]] == nid, (name, nid)
-        assert len({g.node_key[nid] for nid in live}) == len(live)
+        # a live node's record is the key object it is filed under
+        keys = {id(k): k for k in g.hashcons}
+        for nid in (nid for nid, on in enumerate(g.live) if on):
+            n = g.nodes[nid]
+            assert n == g._key(n), (name, nid)
+            assert g.hashcons[n] == nid, (name, nid)
+            assert keys.get(id(n)) is n, (name, nid)
+        assert sum(g.live) == g.num_nodes()
+        assert len(g.live) == len(g.nodes)
 
     def test_add_canonicalizes_stale_children(self):
         g = EGraph()
@@ -100,7 +104,8 @@ class TestMergeAndCongruence:
         _, n2 = g.add_term(const(2, ann(4)))
         parent = list(g.parent)
         with pytest.raises(AnalysisError, match="merge by bad-rule: "):
-            g.union(n1, n2, RuleJust("bad-rule", Leaf(n1), Leaf(n2)))
+            g.union(n1, n2, RuleJust("bad-rule", Skeleton(n1, None),
+                                         Skeleton(n2, None)))
         assert g.parent == parent and g.unions == 0 and not g.proof_parent
 
     def test_upward_propagation_one_level(self):
@@ -236,19 +241,48 @@ class TestSaturate:
         assert rep.stop_reason == "node-limit"
         assert max(rep.node_counts) <= limit + 2, rep.node_counts
 
-    def test_time_limit_binds_inside_an_iteration(self, monkeypatch):
-        # a clock that ticks a second per reading: the start, the check
-        # before the first iteration and the checks before two applications
-        # leave the third application over a 3.5 s budget
-        g = init_pair(*load_pair("fig1"))
+    @staticmethod
+    def _ticking_clock(monkeypatch):
+        """A clock that ticks a second per reading, from 0."""
         ticks = itertools.count()
         monkeypatch.setattr(egraph, "time", SimpleNamespace(
             monotonic=lambda: float(next(ticks)),
             perf_counter=time.perf_counter))
-        rep = saturate(g, baseline_rules(), {"time": 3.5},
+
+    def test_time_limit_binds_inside_an_iteration(self, monkeypatch):
+        # the start, the check before the first iteration, the check after
+        # each rule's matches and the checks before two applications leave
+        # the third application over the budget
+        g = init_pair(*load_pair("fig1"))
+        rules = baseline_rules()
+        self._ticking_clock(monkeypatch)
+        rep = saturate(g, rules, {"time": len(rules) + 3.5},
                        stop_on_merge=False)
         assert rep.stop_reason == "timeout" and rep.iterations == 1
         assert rep.per_iteration[0].matches > 2
+        applied = sum(c.useful_applications for rid, c in rep.rules.items()
+                      if rid != "width-reduce")
+        assert applied + rep.redundant_applications == 2
+
+    def test_time_limit_binds_while_matching(self, monkeypatch):
+        # the check after the third rule's matches reads 4 s: no later rule
+        # matches and nothing is applied, but the iteration still narrows
+        # and rebuilds
+        g = init_pair(*load_pair("fig1"))
+        rules = baseline_rules()
+        self._ticking_clock(monkeypatch)
+        rep = saturate(g, rules, {"time": 3.5}, stop_on_merge=False)
+        assert rep.stop_reason == "timeout" and rep.iterations == 1
+        pattern = [rep.rules[r.id] for r in rules if r.id != "width-reduce"]
+        assert rep.per_iteration[0].matches \
+            == sum(c.matches for c in pattern[:3]) > 0
+        assert all(c.matches == 0 for c in pattern[3:])
+        assert all(c.useful_applications == 0 for c in pattern)
+        assert rep.redundant_applications == 0
+        assert rep.rules["width-reduce"].useful_applications > 0
+        state = (g.num_nodes(), g.num_classes(), g.unions)
+        g.rebuild()
+        assert (g.num_nodes(), g.num_classes(), g.unions) == state
 
     def test_per_iteration_stats(self):
         spec, impl = load_pair("vbsme4")
@@ -470,19 +504,22 @@ class TestCollectorPause:
 
 def full_scan_rebuild(g: EGraph, every_node: bool = False) -> None:
     """`EGraph.rebuild` rescanning the table's nodes in node-id order until
-    a scan merges nothing, then sweeping every class interval.  With
-    `every_node` the scan also visits the nodes dropped from the table.
-    That is not the same rebuild: a dropped node can meet, before its
-    congruent twin, a node that took the twin's fresh key while the twin
-    still holds a stale one, and merge with it, as random graphs show."""
+    a scan merges nothing, then sweeping every class interval.  Each node in
+    the table when a scan starts is re-filed: its record becomes its fresh
+    key.  With `every_node` the scan also visits the nodes dropped from the
+    table, without re-filing them.  That is not the same rebuild: a dropped
+    node can meet, before its congruent twin, a node that took the twin's
+    fresh key while the twin still holds a stale one, and merge with it, as
+    random graphs show."""
     changed = True
     while changed:
         changed = False
         table: dict[tuple, int] = {}
-        scan = range(len(g.nodes)) if every_node else sorted(
-            g.hashcons.values())
-        for nid in scan:
+        filed = set(g.hashcons.values())
+        for nid in range(len(g.nodes)) if every_node else sorted(filed):
             key = g._key(g.nodes[nid])
+            if nid in filed:
+                g.nodes[nid] = key
             other = table.get(key)
             if other is None:
                 table[key] = nid

@@ -209,6 +209,11 @@ class TestRunWaterfallDir:
         assert any(v.status == "unproven" and "missing artifact" in (v.note or
                                                                      "")
                    for _, v in rep.verdicts)
+        # an unreadable artifact is not checked, so it has no input width
+        for _, v in rep.verdicts:
+            unread = "missing artifact" in (v.note or "")
+            assert ("input_bits" in v.to_json()) == (
+                not unread and v.method != "assume-guarantee")
 
     def test_corrupted_step_fails_overall(self, tmp_path):
         w = _build("fig4")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wordec import rewrites
 from wordec.analysis import AnalysisError
 from wordec.audit import RuleAudit
-from wordec.egraph import EGraph, Leaf, NodeRec, RuleJust, Skeleton, \
+from wordec.egraph import EGraph, NodeRec, RuleJust, Skeleton, \
     init_pair, saturate
 from wordec.fixtures import load_pair, names
 from wordec.ir import SIGNED, UNSIGNED, Annotation, const, evaluate, op, var
@@ -561,7 +561,7 @@ def reference_instantiate(g, p, env):
     if isinstance(p, PatVar):
         cid = g.find(env[("class", p.name)])
         nid = min(g.classes[cid].node_ids)
-        return cid, nid, Leaf(nid)
+        return cid, nid, Skeleton(nid, None)
     if isinstance(p, PatConst):
         a = _eval_ann(p.width, p.sig, env)
         v = eval_expr(p.value, env)
@@ -575,7 +575,7 @@ def reference_instantiate(g, p, env):
         slots.append(_eval_ann(w, s, env))
         ccid, _, csk = reference_instantiate(g, sub, env)
         kids.append(ccid)
-        subs.append(None if isinstance(csk, Leaf) else csk)
+        subs.append(None if csk.subs is None else csk)
     cid, nid = g.add(NodeRec(p.op, out, tuple(slots), tuple(kids)))
     return cid, nid, Skeleton(nid, tuple(subs))
 
