@@ -9,9 +9,8 @@ operators toward their minimum storage width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ir import Annotation, min_width, op_value_range
 
@@ -19,51 +18,44 @@ if TYPE_CHECKING:
     from .egraph import EGraph, NodeRec
 
 WIDTH_REDUCE_RULE = "width-reduce"
+NARROWING_NODES = 2  # a narrowing adds the narrow copy and its zext/sext
+
+# the all-variable `subs` of a narrowed node's skeleton, by arity
+_NO_SUBS = tuple((None,) * k for k in range(4))
 
 
 class AnalysisError(Exception):
     """Empty interval intersection: an unsound rewrite or analysis bug."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
+    """A nonempty range of values, lo <= hi; interval_merge rejects an empty
+    intersection."""
+
     lo: int
     hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise AnalysisError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, v: int) -> bool:
         return self.lo <= v <= self.hi
 
 
-def _full(a: Annotation) -> Interval:
-    return Interval(a.lo, a.hi)
-
-
-def _coerce_interval(iv: Interval, dst: Annotation) -> Interval:
-    """Interval of coerce(v, src, dst) for v in iv.  Coercion is the identity
-    exactly on values representable in dst; otherwise widen to dst's range."""
-    if dst.lo <= iv.lo and iv.hi <= dst.hi:
-        return iv
-    return _full(dst)
-
-
 def interval_make(node: "NodeRec", child_intervals: list[Interval]) -> Interval:
-    """Sound output interval of one node from its child class intervals."""
+    """Sound output interval of one node from its child class intervals.
+    Each operand is coerced to its slot, which is the identity exactly on
+    the values the slot represents; otherwise it widens to the slot's
+    range."""
+    out = node.out
     if node.op == "var":
-        return _full(node.out)
+        return Interval(out.lo, out.hi)
     if node.op == "const":
         return Interval(node.value, node.value)
-    slot_ivs = [_coerce_interval(iv, slot)
-                for iv, slot in zip(child_intervals, node.slots)]
-    lo, hi = op_value_range(node.op, node.slots,
-                            [(iv.lo, iv.hi) for iv in slot_ivs], node.indices)
-    out = node.out
+    ranges = [iv if slot.lo <= iv.lo and iv.hi <= slot.hi
+              else (slot.lo, slot.hi)
+              for iv, slot in zip(child_intervals, node.slots)]
+    lo, hi = op_value_range(node.op, node.slots, ranges, node.indices)
     if out.lo <= lo and hi <= out.hi:
         return Interval(lo, hi)
-    return _full(out)  # truncation possible: wraparound widens to full range
+    return Interval(out.lo, out.hi)  # truncation possible: wraparound widens
 
 
 def interval_merge(a: Interval, b: Interval) -> Interval:
@@ -113,10 +105,11 @@ def refine_intervals(g: "EGraph") -> None:
 
 def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
     """For every operator class whose interval fits a narrower width, add a
-    zext/sext of the narrowed operator to the class, until the graph holds
-    more than `node_limit` nodes.  Returns the number of narrowing unions
-    performed; `g.narrowings` counts every narrowing added."""
-    from .egraph import NodeRec, RuleJust, Skeleton
+    zext/sext of the narrowed operator to the class, while the graph has
+    room for its two nodes within `node_limit`.  Returns the number of
+    narrowing unions performed; `g.narrowings` counts every narrowing
+    added."""
+    from .egraph import RuleJust, Skeleton
 
     applied = 0
     for cid in sorted(g.classes):
@@ -132,14 +125,16 @@ def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
             narrow_w = min_width(iv.lo, iv.hi, out.signed)
             if narrow_w >= out.width:
                 continue
-            if g.num_nodes() > node_limit:
+            if g.num_nodes() + NARROWING_NODES > node_limit:
                 return applied
             g.narrowings += 1
             narrow = Annotation(narrow_w, out.signed)
-            ncid, nnid = g.add(n._replace(out=narrow))
+            ncid, nnid = g.add((n.op, narrow, n.slots, n.children, n.name,
+                                n.value, n.indices))
             wrap_op = "sext" if out.signed else "zext"
-            _, wnid = g.add(NodeRec(wrap_op, out, (narrow,), (ncid,)))
-            subs = tuple(None for _ in n.children)
+            _, wnid = g.add((wrap_op, out, (narrow,), (ncid,), None, None,
+                             None))
+            subs = _NO_SUBS[len(n.children)]
             if g.union(nid, wnid, RuleJust(
                     WIDTH_REDUCE_RULE, lhs=Skeleton(nid, subs),
                     rhs=Skeleton(wnid, (Skeleton(nnid, subs),)))):

@@ -261,6 +261,8 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
     report_json["extraction"] = {"method": res.method,
                                  "objective": res.objective,
                                  "timed_out": res.timed_out,
+                                 "optimal": (res.method == "ilp"
+                                             and not res.timed_out),
                                  "seconds": round(extract_s, 6)}
     (Path(outdir) / "report.json").write_text(
         json.dumps(report_json, indent=2, sort_keys=True) + "\n")

@@ -64,6 +64,9 @@ class RuleJust(NamedTuple):
 
 CONGRUENCE = "congruence"
 
+# slot-annotation tuple -> the one instance of it that new nodes share
+_SLOTS: dict[tuple[Annotation, ...], tuple[Annotation, ...]] = {}
+
 
 @dataclass
 class EClass:
@@ -151,7 +154,8 @@ class EGraph:
         return (class id, node id).  Its children are canonicalized first;
         an existing node under the same key is returned unchanged.  A new
         node is filed under itself and founds a class with its own id, so a
-        node's class is `find(node id)`."""
+        node's class is `find(node id)`; its slot tuple is the one every
+        node with those slot annotations shares."""
         parent = self.parent
         for c in node[3]:
             if parent[c] != c:
@@ -160,7 +164,9 @@ class EGraph:
         nid = self.hashcons.get(node)
         if nid is not None:
             return self.find(nid), nid
-        node = NodeRec._make(node)
+        op, out, slots, children, name, value, indices = node
+        node = NodeRec._make((op, out, _SLOTS.setdefault(slots, slots),
+                              children, name, value, indices))
         nid = len(self.nodes)
         self.nodes.append(node)
         self.live.append(1)
@@ -431,11 +437,16 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
     width-reduction analysis pass, then rebuilds.  The node and time budgets
     are checked after each rule's matching and before each application; one
     that is spent stops the matching and the applications, and the run ends
-    after that iteration's width reduction and rebuild.
+    after that iteration's width reduction and rebuild.  The node budget is
+    hard: an application goes ahead only if the graph has room for every
+    node its rule's rhs can add (`rule.rhs_nodes`), a narrowing only if it
+    has room for two, and an iteration starts only with room for a
+    narrowing.
 
     The cyclic garbage collector is paused for the run and left as it was
     found: saturation makes no reference cycles, so each collection would
-    only re-walk the growing graph and free nothing."""
+    only re-walk the growing graph and free nothing, and each match is freed
+    as soon as it is applied."""
     limits = dict(limits or {})
     iter_limit = limits.get("iter", 5)
     node_limit = limits.get("nodes", 50_000)
@@ -451,8 +462,10 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
         per_rule.setdefault(r.id, RuleCounts())
     narrowing = per_rule.setdefault(analysis.WIDTH_REDUCE_RULE, RuleCounts())
 
-    def over_budget() -> str | None:
-        if g.num_nodes() > node_limit:
+    def over_budget(room: int = 0) -> str | None:
+        """The budget that is spent, if the graph has no room for `room`
+        more nodes or the time is up."""
+        if g.num_nodes() + room > node_limit:
             return "node-limit"
         if time.monotonic() - start > time_limit:
             return "timeout"
@@ -463,7 +476,7 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
     try:
         reason = "iter-limit"
         for it in range(iter_limit):
-            spent = over_budget()
+            spent = over_budget(analysis.NARROWING_NODES)
             if spent:
                 reason = spent
                 break
@@ -474,19 +487,20 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
                 matches = r.matches(g)
                 counts = per_rule[r.id]
                 counts.matches += len(matches)
-                found.append((counts, matches))
+                found.append((counts, matches, r.rhs_nodes))
                 spent = over_budget()
                 if spent:
                     break
             t1 = time.perf_counter()
             redundant = 0
-            for counts, matches in found:
+            for counts, matches, room in found:
                 if spent:
                     break  # finish the iteration: leave it congruent
-                for m in matches:
-                    spent = over_budget()
+                for i, m in enumerate(matches):
+                    spent = over_budget(room)
                     if spent:
                         break
+                    matches[i] = None  # freed once applied
                     if m.apply(g):
                         counts.useful_applications += 1
                     else:
@@ -500,9 +514,9 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
             t3 = time.perf_counter()
             g.rebuild()
             report.per_iteration.append(IterationStats(
-                sum(len(ms) for _, ms in found), redundant, t1 - t0, t2 - t1,
-                t3 - t2, time.perf_counter() - t3, g.rekeyed - rekeyed,
-                g.congruences - congruences))
+                sum(len(ms) for _, ms, _ in found), redundant, t1 - t0,
+                t2 - t1, t3 - t2, time.perf_counter() - t3,
+                g.rekeyed - rekeyed, g.congruences - congruences))
             report.redundant_applications += redundant
             report.iterations = it + 1
             report.node_counts.append(g.num_nodes())

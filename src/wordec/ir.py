@@ -55,11 +55,14 @@ class Annotation:
 
     Interned: `Annotation(w, s)` returns the one instance for (w, s), so
     equality and hashing are by identity and run in C.  They order by
-    (width, signed), and are immutable."""
+    (width, signed), and are immutable.  `lo` and `hi`, the least and
+    greatest values represented, are stored when the instance is made."""
 
-    __slots__ = ("width", "signed")
+    __slots__ = ("width", "signed", "lo", "hi")
     width: int
     signed: bool
+    lo: int
+    hi: int
 
     def __new__(cls, width: int, signed: bool = False) -> "Annotation":
         key = (operator.index(width), bool(signed))
@@ -67,9 +70,13 @@ class Annotation:
         if a is None:
             if key[0] < 1:
                 raise IrError(f"annotation width must be >= 1, got {width}")
+            w, signed = key
             a = object.__new__(cls)
-            object.__setattr__(a, "width", key[0])
-            object.__setattr__(a, "signed", key[1])
+            object.__setattr__(a, "width", w)
+            object.__setattr__(a, "signed", signed)
+            object.__setattr__(a, "lo", -(1 << (w - 1)) if signed else 0)
+            object.__setattr__(a, "hi", (1 << (w - 1)) - 1 if signed
+                               else (1 << w) - 1)
             _INTERNED[key] = a
         return a
 
@@ -89,14 +96,6 @@ class Annotation:
         if type(other) is not Annotation:
             return NotImplemented
         return (self.width, self.signed) < (other.width, other.signed)
-
-    @property
-    def lo(self) -> int:
-        return -(1 << (self.width - 1)) if self.signed else 0
-
-    @property
-    def hi(self) -> int:
-        return (1 << (self.width - 1)) - 1 if self.signed else (1 << self.width) - 1
 
     @property
     def mask(self) -> int:

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
+from .analysis import NARROWING_NODES
 from .egraph import EGraph, NodeRec, RuleJust, Skeleton
-from .ir import (Annotation, ARITY, SHIFT_OPS, SIGNED, UNSIGNED, Term,
-                 first_mismatch)
+from .ir import (_INTERNED, Annotation, ARITY, SHIFT_OPS, SIGNED, UNSIGNED,
+                 Term, first_mismatch)
 from .tokens import ParseError, Tokens, lex
 
 
@@ -323,6 +325,16 @@ def pattern_vars(p: Pattern) -> set[str]:
     return {e for kind, e, _ in pattern_slots(p) if kind == "class"}
 
 
+def pattern_nodes(p: Pattern) -> int:
+    """The structured positions of p, operators and constants: the most
+    nodes an instance of p adds to a graph."""
+    if isinstance(p, PatVar):
+        return 0
+    if isinstance(p, PatConst):
+        return 1
+    return 1 + sum(pattern_nodes(sub) for _, _, sub in p.operands)
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
@@ -354,6 +366,11 @@ class Rule:
         if not cp <= lp:
             raise RuleError(f"{self.id}: condition parameters "
                             f"{', '.join(sorted(cp - lp))} unbound")
+
+    @cached_property
+    def rhs_nodes(self) -> int:
+        """The most nodes one application adds."""
+        return pattern_nodes(self.rhs)
 
     # -- matching -----------------------------------------------------------
 
@@ -388,7 +405,8 @@ def _is_signed(value) -> bool:
 #   per operand its slot annotation and its subterm, then the node itself),
 #   so a BlockedMatch partway leaves the nodes added before it; it passes
 #   each node to EGraph.add as a tuple of its fields, which builds a NodeRec
-#   only on a miss.
+#   only on a miss, and looks a computed annotation up in the intern table
+#   before it calls Annotation.
 #
 # eval_expr stays the reference semantics of the expression language.
 
@@ -408,7 +426,8 @@ def _unbound(e: KeyError) -> None:
 
 
 _GLOBALS = {
-    "Annotation": Annotation, "BlockedMatch": BlockedMatch,
+    "Annotation": Annotation, "_INTERNED": _INTERNED,
+    "BlockedMatch": BlockedMatch,
     "Skeleton": Skeleton,
     "_compare": _compare, "_power": _power, "_width_of": _width_of,
     "_log2": _log2, "_unknown_operator": _unknown_operator, "_width": _width,
@@ -627,7 +646,7 @@ def _compile_builder(p: Pattern, name: str):
             code.emit("if type(w) is not int or w < 1: w = _width(w)")
         code.emit(f"s = {s[1] == SIGNED!r}" if sig
                   else f"s = {expr(s)} == {SIGNED!r}")
-        code.emit(f"{a} = Annotation(w, s)")
+        code.emit(f"{a} = _INTERNED.get((w, s)) or Annotation(w, s)")
         return a
 
     def node(p: Pattern, top: bool) -> tuple[str, str, str]:
@@ -745,6 +764,7 @@ class ZextIntroRule:
 
     id = "zext-intro"
     checker_hint = "trivial"
+    rhs_nodes = 1  # the zext/sext
 
     def matches(self, g: EGraph) -> list["ZextIntroMatch"]:
         out = []
@@ -794,6 +814,7 @@ class WidthReduceRule:
 
     id = "width-reduce"
     checker_hint = "simulation"
+    rhs_nodes = NARROWING_NODES  # never matches: saturation narrows
 
     def matches(self, g: EGraph) -> list:
         return []

@@ -155,6 +155,20 @@ class TestCheck:
                 assert verdict["input_bits"] == bits, ob
         assert kinds[-1] == "assume-guarantee" and len(kinds) > 1
 
+    @pytest.mark.parametrize("args, optimal", [
+        ([], True), (["--extraction", "greedy"], False)])
+    def test_report_says_whether_extraction_is_optimal(
+            self, runner, tmp_path, args, optimal):
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(out), *args])
+        assert r.exit_code == 0, r.output
+        ext = json.loads((out / "report.json").read_text())["extraction"]
+        assert ext["optimal"] is optimal
+        assert ext["optimal"] == (ext["method"] == "ilp"
+                                  and not ext["timed_out"])
+
     def test_dump_graph(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4")
         dump = tmp_path / "g.json"

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import time
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,7 @@ from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design
 from wordec.ir import Annotation, const, evaluate, op, var
-from wordec.rewrites import RuleError, baseline_rules, parse_rules
+from wordec.rewrites import Match, RuleError, baseline_rules, parse_rules
 
 from test_frontend import _ANNS, _terms
 
@@ -233,13 +234,33 @@ class TestSaturate:
 
     @pytest.mark.parametrize("limit", [1000, 5000])
     def test_width_reduction_keeps_the_node_budget(self, limit):
-        # one application or one narrowing adds at most two nodes, and the
-        # budget is checked before each of them
+        # an application goes ahead only with room for its rule's rhs
+        # nodes, and a narrowing only with room for two
         g = init_pair(*load_pair("fir8"))
         rep = saturate(g, baseline_rules(), {"nodes": limit},
                        stop_on_merge=False)
         assert rep.stop_reason == "node-limit"
-        assert max(rep.node_counts) <= limit + 2, rep.node_counts
+        assert max(rep.node_counts) <= limit, rep.node_counts
+        assert g.num_nodes() <= limit
+
+    @pytest.mark.parametrize("name, limit", [
+        ("vbsme4", 33), ("vbsme4", 36), ("vbsme4", 84), ("vbsme4", 150),
+        ("fir8", 48), ("fir8", 61)])
+    def test_a_three_node_rhs_keeps_the_node_budget(self, name, limit):
+        # b + (a + 0) for a + b: an application can add three nodes, and
+        # at these limits a budget that made room for one would overshoot
+        rules = parse_rules(
+            "comm-add-zero : (+ ?wo ?so ?w1 ?s1 ?a ?w2 ?s2 ?b)"
+            " => (+ ?wo ?so ?w2 ?s2 ?b ?w1 ?s1"
+            "      (+ ?w1 ?s1 ?w1 ?s1 ?a ?w1 ?s1 (const 0 ?w1 ?s1))) ;")
+        assert rules[0].rhs_nodes == 3
+        g = init_pair(*load_pair(name))
+        assert g.num_nodes() <= limit
+        rep = saturate(g, rules + baseline_rules(), {"nodes": limit},
+                       stop_on_merge=False)
+        assert rep.stop_reason == "node-limit"
+        assert max(rep.node_counts) <= limit, rep.node_counts
+        assert rep.rules["comm-add-zero"].useful_applications > 0
 
     @staticmethod
     def _ticking_clock(monkeypatch):
@@ -500,6 +521,35 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestSaturationMemory:
+    """Saturation holds little beyond the graph: a match is freed once it
+    is applied, and nodes share one slot tuple per distinct value."""
+
+    def test_each_match_is_freed_once_applied(self, monkeypatch):
+        applied = []
+        apply = Match.apply
+
+        def spy(m, g):
+            # reference counting alone (the collector is paused) has freed
+            # every match applied before this one
+            assert all(ref() is None for ref in applied), len(applied)
+            applied.append(weakref.ref(m))
+            return apply(m, g)
+
+        monkeypatch.setattr(Match, "apply", spy)
+        g = init_pair(*load_pair("vbsme4"))
+        rep = saturate(g, baseline_rules(), {"iter": 3}, stop_on_merge=False)
+        assert len(applied) > 100
+        assert sum(st.matches for st in rep.per_iteration) >= len(applied)
+
+    @pytest.mark.parametrize("name", names())
+    def test_nodes_share_one_slot_tuple_per_value(self, name):
+        g = init_pair(*load_pair(name))
+        saturate(g, baseline_rules(), {"iter": 4}, stop_on_merge=False)
+        assert len({id(n.slots) for n in g.nodes}) \
+            == len({n.slots for n in g.nodes})
 
 
 def full_scan_rebuild(g: EGraph, every_node: bool = False) -> None:
