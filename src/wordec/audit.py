@@ -6,8 +6,11 @@ value of each constant) and, wherever the condition holds, compares both
 sides over all operand values.  This module does that work in batches:
 
 - the condition and every width, signage and constant expression is
-  tabulated once per rule with the scalar `eval_expr`, over the product of
-  the domains of the parameters it reads, and read by flat index;
+  tabulated once per rule, over the product of the domains of the
+  parameters it reads, and read by flat index.  Each table runs one
+  function compiled from the expression by `rewrites._expr_code`, the code
+  generator of the rule programs, which computes what `eval_expr` does;
+  `eval_expr` itself is not called;
 - the grid is read in blocks of at most AUDIT_VECTORS vectors;
 - the operand grids of a block's surviving instances run back to back
   through `ir.first_mismatches` in batches of at most AUDIT_ROWS rows,
@@ -15,9 +18,6 @@ sides over all operand values.  This module does that work in batches:
 
 The violations, the blocked instances and the errors raised are those of
 checking one instance and one operand assignment at a time, in order.
-`eval_expr` is looked up on `rewrites` at each call, so a substitute
-installed there is the one used (perfbench/tracing.py counts condition
-evaluations that way).
 """
 
 from __future__ import annotations
@@ -36,24 +36,46 @@ from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
                        pattern_slots)
 
 # Grid vectors per block, and operand rows per evaluator batch.  Each block
-# and batch holds a few dozen arrays of its length: 4096 of each measured
-# about 10 % faster on the built-in catalogue at maxw=3, for about 1 MB
-# more peak RSS.
+# and batch holds a few dozen arrays of its length; a batch gathers only
+# the annotation fields the evaluator reads.  On the built-in catalogue at
+# maxw=3 (perfbench audit-rules, rescaled, 2-vCPU x86_64 VM), 2048, 4096
+# and 8192 rows took about 1.17, 0.96 and 0.94 s at 33.0, 32.9 and 33.7 MB
+# peak RSS: past 4096, rows buy little time for their memory.
 AUDIT_VECTORS = 1 << 10
-AUDIT_ROWS = 1 << 11
+AUDIT_ROWS = 1 << 12
 # Widest operand space, in bits, that the audit enumerates for one instance.
 MAX_OPERAND_BITS = 22
-# Errors of an expression that `eval_expr` can raise on a bound environment
-# besides BlockedMatch (an unbound condition parameter, a signage in
-# arithmetic).  A table keeps them until a live instance reads the entry.
+# Errors that an expression raises as `eval_expr` would, besides
+# BlockedMatch (an unbound condition parameter, a signage in arithmetic).
+# A table keeps them until a live instance reads the entry.
 _EXPR_ERRORS = (RuleError, TypeError, ValueError)
 
 
+def _unbound_parameter(name: str):
+    raise RuleError(f"unbound parameter {name}")
+
+
+def _compile(e, params: list[str], kinds: dict, convert):
+    """`convert` of expression e as a function of `params`, positionally,
+    from `rewrites._expr_code`; `kinds` gives each parameter's static type.
+    A parameter outside `params` raises eval_expr's RuleError when the
+    evaluation reaches it."""
+    args = {p: f"p{i}" for i, p in enumerate(params)}
+    src, _ = rewrites._expr_code(
+        e, lambda p: args.get(p) or f"_unbound_parameter({p!r})", kinds)
+    code = rewrites._Code([f"def f({', '.join(args.values())}):",
+                           f"    return convert({src})"])
+    return code.run("<audit table>", convert=convert,
+                    _unbound_parameter=_unbound_parameter)["f"]
+
+
 class _Table:
-    """An expression tabulated with the scalar `eval_expr` over the product
-    of the domains of the parameters it reads, in C order.  `blocked` marks
-    the entries that raised BlockedMatch or one of `_EXPR_ERRORS`; `errors`
-    keeps the latter by flat index."""
+    """An expression tabulated over the product of the domains of the
+    parameters it reads, in C order, by one function compiled for it.
+    `blocked` marks the entries that raised BlockedMatch or one of
+    `_EXPR_ERRORS`; `errors` keeps the latter by flat index.  `value` is
+    int64 unless a value needs exact Python ints, and `fill` where
+    blocked."""
 
     def __init__(self, e, domains: dict, convert, fill: int):
         names: set[str] = set()
@@ -61,27 +83,27 @@ class _Table:
         self.params = sorted(names & domains.keys())
         sizes = [len(domains[p]) for p in self.params]
         self.strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        kinds = {p: "int" if isinstance(domains[p], range) else "str"
+                 for p in self.params}
+        f = _compile(e, self.params, kinds, convert)
         self.errors: dict[int, Exception] = {}
-        # int64 unless a value needs exact Python ints
-        self.value = np.full(math.prod(sizes), fill, dtype=np.int64)
-        self.blocked = np.zeros(len(self.value), dtype=bool)
+        values, blocked = [], []
         for i, combo in enumerate(
                 itertools.product(*(domains[p] for p in self.params))):
-            env = dict(zip(self.params, combo))
             try:
-                v = convert(rewrites.eval_expr(e, env))
+                v = f(*combo)   # an int or a bool, never None
             except BlockedMatch:
-                self.blocked[i] = True
-                continue
+                v = None
             except _EXPR_ERRORS as exc:
                 self.errors[i] = exc
-                self.blocked[i] = True
-                continue
-            try:
-                self.value[i] = v
-            except OverflowError:
-                self.value = self.value.astype(object)
-                self.value[i] = v
+                v = None
+            values.append(fill if v is None else v)
+            blocked.append(v is None)
+        try:
+            self.value = np.array(values, dtype=np.int64)
+        except OverflowError:
+            self.value = np.array(values, dtype=object)
+        self.blocked = np.array(blocked, dtype=bool)
 
 
 class _Block:

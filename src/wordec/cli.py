@@ -249,7 +249,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
         extract_timeout, width_normalization, dump_graph)
     manifest = write_waterfall(w, outdir)
     ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_waterfall(w, ocfg)
     report_json = report.to_json()
     report_json["saturation"] = {
@@ -271,7 +271,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
     click.echo(f"extraction: {res.method}, objective {res.objective}, "
                f"timed_out: {res.timed_out}")
     click.echo(f"waterfall: {len(manifest['obligations'])} obligations "
-               f"-> {outdir} (proved in {time.time() - t0:.2f}s)")
+               f"-> {outdir} (proved in {time.perf_counter() - t0:.2f}s)")
     _print_report(report)
     sys.exit(_report_exit(report))
 
@@ -380,10 +380,10 @@ def validate_rules_cmd(rules, maxw):
     rls = _load_rules(rules)
     bad = 0
     for r in rls:
-        t0 = time.time()
+        t0 = time.perf_counter()
         violations = validate_rule(r, maxw=int(maxw))
         click.echo(f"{r.id:20s} {len(violations):3d} violations "
-                   f"({time.time() - t0:.1f}s)")
+                   f"({time.perf_counter() - t0:.1f}s)")
         for v in violations[:3]:
             click.echo(f"    {v}")
         bad += len(violations)
@@ -405,7 +405,7 @@ def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
                f"{'timed_out':>9s} {'obls':>4s} {'overall':>8s} {'time':>7s}")
     worst = EXIT_PASS
     for name in names:
-        t0 = time.time()
+        t0 = time.perf_counter()
         g, rep, res, w, _ = _waterfall(*fixtures.load_pair(name), rls,
                                        iter_limit, node_limit, time_limit)
         report = run_waterfall(w, ocfg)
@@ -413,7 +413,7 @@ def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
         click.echo(f"{name:12s} {rep.iterations:5d} {g.num_nodes():6d} "
                    f"{str(rep.roots_merged):>6s} {str(res.timed_out):>9s} "
                    f"{len(report.verdicts):4d} "
-                   f"{report.overall:>8s} {time.time() - t0:6.2f}s")
+                   f"{report.overall:>8s} {time.perf_counter() - t0:6.2f}s")
     sys.exit(worst)
 
 

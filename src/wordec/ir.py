@@ -498,6 +498,25 @@ def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
 ROW_INT64_WIDTH = 31
 
 
+class _TakenAnnotation:
+    """A `RowAnnotation` read at instances `at`, one field at a time: a
+    field is gathered on its first read and kept as an attribute.  `_Lanes`
+    reads `width` only for shifts, `concat` and `sext`."""
+
+    def __init__(self, rows: RowAnnotation, at: np.ndarray, exact: bool):
+        self.rows, self.at, self.exact = rows, at, exact
+
+    def __getattr__(self, field: str) -> np.ndarray:
+        # called only while `field` is not yet an attribute
+        if field not in RowAnnotation._fields:
+            raise AttributeError(field)
+        x = getattr(self.rows, field)[self.at]
+        if self.exact:
+            x = x.astype(object)
+        setattr(self, field, x)
+        return x
+
+
 class RowTerm(NamedTuple):
     """A term whose annotations and constants differ per instance.
     `_Lanes.value` reads one, taken at the instance of each row, like a
@@ -517,18 +536,18 @@ class RowTerm(NamedTuple):
 
     def take(self, at: np.ndarray, memo: dict, exact: bool) -> "RowTerm":
         """This term with its annotations and constants read at instances
-        `at` (exact ints on object lanes); `memo` shares the reads."""
-        def ann(a: RowAnnotation) -> RowAnnotation:
+        `at` (exact ints on object lanes); `memo` shares the reads, and an
+        annotation's fields are read when `_Lanes` first asks for them."""
+        def ann(a: RowAnnotation) -> _TakenAnnotation:
             if id(a) not in memo:
-                memo[id(a)] = RowAnnotation(*(
-                    x[at].astype(object) if exact else x[at] for x in a))
+                memo[id(a)] = _TakenAnnotation(a, at, exact)
             return memo[id(a)]
 
-        return self._replace(
-            out=ann(self.out),
-            value=None if self.value is None else self.value[at],
-            operands=tuple((ann(s), c.take(at, memo, exact))
-                           for s, c in self.operands))
+        return RowTerm(self.kind, ann(self.out),
+                       tuple((ann(s), c.take(at, memo, exact))
+                             for s, c in self.operands),
+                       self.name,
+                       None if self.value is None else self.value[at])
 
 
 def first_mismatches(a: RowTerm, b: RowTerm,
@@ -550,17 +569,22 @@ def first_mismatches(a: RowTerm, b: RowTerm,
     exact = max(int(x.width[instances].max()) for x in
                 (*a.annotations(), *b.annotations())) > ROW_INT64_WIDTH
     found: dict[int, tuple[dict[str, int], int, int]] = {}
-    for begin in range(0, int(ends[-1]), rows):
-        g = np.arange(begin, min(begin + rows, int(ends[-1])))
-        inst = np.searchsorted(ends, g, side="right")
-        local = g - starts[inst]
+    total = int(ends[-1])
+    for begin in range(0, total, rows):
+        stop = min(begin + rows, total)
+        # the instance of each row: instances lo..hi meet this batch
+        lo, hi = np.searchsorted(ends, (begin, stop - 1), side="right")
+        inst = np.repeat(np.arange(lo, hi + 1),
+                         np.minimum(ends[lo:hi + 1], stop)
+                         - np.maximum(starts[lo:hi + 1], begin))
+        local = np.arange(begin, stop) - starts[inst]
         env = {}
         for name, x in reversed(inputs):
             env[name] = (local & x.mask[inst]) - x.sign[inst]
             local >>= x.width[inst]
         at = instances[inst]
         memo: dict = {}
-        lanes = _Lanes(exact, env, rows=len(g))
+        lanes = _Lanes(exact, env, rows=stop - begin)
         va = lanes.value(a.take(at, memo, exact))
         vb = lanes.value(b.take(at, memo, exact))
         bad = np.flatnonzero(va != vb)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordec.ir import (ARITY, SHIFT_OPS, Annotation, IrError, Term,
-                       UnboundVariableError, coerce, const, evaluate,
-                       evaluate_many, exact_width, min_width, op,
+from wordec import ir
+from wordec.ir import (ARITY, ROW_INT64_WIDTH, SHIFT_OPS, Annotation, IrError,
+                       RowAnnotation, RowTerm, Term, UnboundVariableError,
+                       coerce, const, evaluate, evaluate_many, exact_width,
+                       first_mismatch, first_mismatches, min_width, op,
                        op_value_range, var, vectorizable)
 
 
@@ -246,6 +248,54 @@ class TestEvaluateMany:
         a = var("a", ann(40))
         t = op("*", ann(80), (ann(40), a), (ann(40), a))
         assert not vectorizable(t)
+
+
+class TestFirstMismatches:
+    """One `RowTerm` pair, `(kind x y)` on both sides with x coerced into
+    the output annotation, over a grid of instances: every x, y and output
+    annotation in a small range, the output past ROW_INT64_WIDTH when
+    `wide`.  y is coerced into the output annotation too, where a product
+    then needs 80 bits, except as a shift amount: `first_mismatch` bounds
+    a shift by 2^(2^w) for a w-bit amount slot."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["int64", "exact"])
+    @pytest.mark.parametrize("kinds", [("*", "|"), ("<<", "*")])
+    def test_each_instance_as_first_mismatch(self, kinds, wide,
+                                             monkeypatch):
+        fields, lanes = set(), set()
+        gather = ir._TakenAnnotation.__getattr__
+
+        def recording(self, field):
+            fields.add(field)
+            lanes.add(self.exact)
+            return gather(self, field)
+
+        monkeypatch.setattr(ir._TakenAnnotation, "__getattr__", recording)
+        grid = list(itertools.product(
+            (1, 2, 3), (False, True), (1, 2), (False, True),
+            (2, ROW_INT64_WIDTH + 9) if wide else (2, 3), (False, True)))
+        cols = [np.array(c) for c in zip(*grid)]
+        x, y, out = (RowAnnotation.of(cols[i], cols[i + 1])
+                     for i in (0, 2, 4))
+        y_slot = y if kinds[0] in SHIFT_OPS else out
+        operands = ((out, RowTerm("var", x, name="x")),
+                    (y_slot, RowTerm("var", y, name="y")))
+        a, b = (RowTerm(k, out, operands) for k in kinds)
+        instances = np.flatnonzero(np.arange(len(grid)) % 5 != 3)
+        got = first_mismatches(a, b, [("x", x), ("y", y)], instances,
+                               rows=7)
+        assert got and set(got) <= set(instances.tolist())
+        for i in instances.tolist():
+            wx, sx, wy, sy, wo, so = grid[i]
+            xa, ya, oa = ann(wx, sx), ann(wy, sy), ann(wo, so)
+            ys = ya if kinds[0] in SHIFT_OPS else oa
+            scalar = [op(k, oa, (oa, var("x", xa)), (ys, var("y", ya)))
+                      for k in kinds]
+            want = first_mismatch(*scalar, [("x", xa), ("y", ya)])
+            assert got.get(i) == want, grid[i]
+        assert lanes == {wide}
+        # only a shift, concat or sext reads a width
+        assert ("width" in fields) == (kinds[0] in SHIFT_OPS)
 
 
 class TestOpValueRange:

@@ -1,14 +1,16 @@
 import copy
 import itertools
+import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordec import rewrites
 from wordec.analysis import AnalysisError
-from wordec.audit import RuleAudit
+from wordec.audit import RuleAudit, _Table
 from wordec.egraph import EGraph, NodeRec, RuleJust, Skeleton, \
     init_pair, saturate
 from wordec.fixtures import load_pair, names
@@ -598,6 +600,16 @@ def reference_apply(m, g):
                    RuleJust(m.rule.id, m.lhs_skel, rskel))
 
 
+# Expressions covering every operator, typed and untyped comparisons, and
+# errors an expression raises: a signage in arithmetic, log2 of zero.
+EXPR_TEXTS = [
+    "?a + ?b * 2 - 1", "?a == ?b", "?a < ?b || !(?a >= 2)",
+    "?a && ?b", "?a || ?b", "min(?a)", "max(?a, ?b, 3)",
+    "width(?a) + log2(?b)", "2^?a", "?a ^ ?b", "?s == unsigned",
+    "?s != ?a", "?s <= signed", "?s * 2", "?s + 1", "!?s",
+    "max(?s, signed)", "width(?s)", "log2(?a - ?a)"]
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -716,12 +728,7 @@ class TestRulePrograms:
             assert got.startswith("BlockedMatch")
             assert got == _outcome(reference_instantiate, g, pat, {"?v": -1})
 
-    @pytest.mark.parametrize("text", [
-        "?a + ?b * 2 - 1", "?a == ?b", "?a < ?b || !(?a >= 2)",
-        "?a && ?b", "?a || ?b", "min(?a)", "max(?a, ?b, 3)",
-        "width(?a) + log2(?b)", "2^?a", "?a ^ ?b", "?s == unsigned",
-        "?s != ?a", "?s <= signed", "?s * 2", "?s + 1", "!?s",
-        "max(?s, signed)", "width(?s)", "log2(?a - ?a)"])
+    @pytest.mark.parametrize("text", EXPR_TEXTS)
     @pytest.mark.parametrize("kinds", [
         {}, {"?a": "int", "?b": "int", "?s": "str"}], ids=["untyped", "typed"])
     def test_compiled_expressions_as_eval_expr(self, text, kinds):
@@ -758,3 +765,98 @@ class TestRulePrograms:
         one, two = parse_rules(CATALOGUE_TEXT), parse_rules(CATALOGUE_TEXT)
         for a, b in zip(one, two):
             assert rule_program(a) is rule_program(b)
+
+
+def reference_table(e, domains, convert, fill):
+    """An audit table built with the scalar `eval_expr`, one entry at a
+    time: (value, blocked, errors), `value` int64 until an entry
+    overflows it."""
+    names = set()
+    rewrites.expr_params(e, names)
+    params = sorted(names & domains.keys())
+    value = np.full(math.prod(len(domains[p]) for p in params), fill,
+                    dtype=np.int64)
+    blocked = np.zeros(len(value), dtype=bool)
+    errors = {}
+    for i, combo in enumerate(
+            itertools.product(*(domains[p] for p in params))):
+        try:
+            v = convert(eval_expr(e, dict(zip(params, combo))))
+        except BlockedMatch:
+            blocked[i] = True
+            continue
+        except (RuleError, TypeError, ValueError) as exc:
+            errors[i] = exc
+            blocked[i] = True
+            continue
+        try:
+            value[i] = v
+        except OverflowError:
+            value = value.astype(object)
+            value[i] = v
+    return value, blocked, errors
+
+
+def _assert_table_as_reference(table, e, domains, convert, fill):
+    value, blocked, errors = reference_table(e, domains, convert, fill)
+    assert table.value.dtype == value.dtype
+    assert table.value.tolist() == value.tolist()
+    assert table.blocked.tolist() == blocked.tolist()
+    assert ({i: (type(x), str(x)) for i, x in table.errors.items()}
+            == {i: (type(x), str(x)) for i, x in errors.items()})
+
+
+_PATTERN_RULES = [r for r in baseline_rules() if not hasattr(r, "validate")]
+_FILLS = {_width: 1}
+
+
+class TestAuditTables:
+    """The audit's compiled tables hold what `eval_expr` gives entry by
+    entry: values, dtype, blocked entries and kept errors."""
+
+    @pytest.mark.parametrize("maxw", [2, 3])
+    @pytest.mark.parametrize(
+        "rule", _PATTERN_RULES + parse_rules(UNSOUND_TEXT + WIDE_TEXT),
+        ids=lambda r: r.id)
+    def test_every_table_of_an_audit(self, rule, maxw):
+        audit = RuleAudit(rule, maxw)
+        try:
+            for start, stop in audit.blocks():
+                audit.check(start, stop)
+        except (RuleError, TypeError, ValueError):
+            pass   # the tables built so far are still checked
+        assert audit.tables
+        for (e, convert), table in audit.tables.items():
+            # the domains the table was built over
+            domains = {p: audit.domains[p] for p in table.params}
+            _assert_table_as_reference(table, e, domains, convert,
+                                       _FILLS.get(convert, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.sampled_from(EXPR_TEXTS),
+           convert=st.sampled_from([_width, _is_signed, int, bool]),
+           domains=st.fixed_dictionaries({}, optional={
+               p: st.one_of(
+                   st.just((UNSIGNED, SIGNED)),
+                   st.builds(lambda lo, n: range(lo, lo + n),
+                             st.integers(-3, 3), st.integers(0, 4)))
+               for p in ("?a", "?b", "?s")}))
+    def test_random_expressions(self, text, convert, domains):
+        # a parameter left out of the domains is unbound
+        e, fill = parse_expr(text), _FILLS.get(convert, 0)
+        _assert_table_as_reference(_Table(e, domains, convert, fill), e,
+                                   domains, convert, fill)
+
+    def test_values_past_int64_are_exact(self):
+        e, domains = parse_expr("2^(?w*30)"), {"?w": range(1, 4)}
+        table = _Table(e, domains, int, 0)
+        _assert_table_as_reference(table, e, domains, int, 0)
+        assert table.value.dtype == object
+        assert table.value.tolist() == [2 ** 30, 2 ** 60, 2 ** 90]
+
+    def test_unbound_parameter_raised_when_reached(self):
+        e, domains = parse_expr("?a > 1 && ?x == 2"), {"?a": range(3)}
+        table = _Table(e, domains, bool, 0)
+        _assert_table_as_reference(table, e, domains, bool, 0)
+        assert table.blocked.tolist() == [False, False, True]
+        assert str(table.errors[2]) == "unbound parameter ?x"
