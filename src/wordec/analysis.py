@@ -52,7 +52,8 @@ def interval_make(node: "NodeRec", child_intervals: list[Interval]) -> Interval:
     ranges = [iv if slot.lo <= iv.lo and iv.hi <= slot.hi
               else (slot.lo, slot.hi)
               for iv, slot in zip(child_intervals, node.slots)]
-    lo, hi = op_value_range(node.op, node.slots, ranges, node.indices)
+    lo, hi = op_value_range(node.op, node.slots, ranges, node.indices,
+                            out.width)
     if out.lo <= lo and hi <= out.hi:
         return Interval(lo, hi)
     return Interval(out.lo, out.hi)  # truncation possible: wraparound widens

@@ -47,8 +47,9 @@ def _load_rules(spec: str) -> list:
     return parse_rules(Path(spec).read_text())
 
 
-def _read_config(path: str | None) -> dict:
-    """key=value file mirroring the CLI flags; '#' starts a comment."""
+def _read_config(path: str | None, keys: set[str]) -> dict:
+    """key=value file mirroring the CLI flags; '#' starts a comment.  Every
+    key must name an option of some command (one of `keys`)."""
     if not path:
         return {}
     cfg: dict = {}
@@ -58,12 +59,15 @@ def _read_config(path: str | None) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
+        flag, val = (part.strip() for part in line.split("=", 1))
+        key = flag.replace("-", "_")
         # flag names whose click parameter is named differently
         aliases = {"out": "outdir", "spec": "spec_path", "impl": "impl_path",
                    "format": "fmt", "lp": "lp_path"}
-        cfg[aliases.get(key, key)] = val
+        key = aliases.get(key, key)
+        if key not in keys:
+            raise ValueError(f"{path}:{ln}: unknown key {flag!r}")
+        cfg[key] = val
     return cfg
 
 
@@ -119,13 +123,18 @@ def _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker):
                         external_cmd=external_checker)
 
 
-def _saturated_graph(spec, impl, rules, iter_limit, node_limit, time_limit):
+def _saturated_graph(spec, impl, rules, iter_limit, node_limit, time_limit,
+                     dump_graph=None):
+    """Saturate the two-rooted graph of the pair, and dump it as JSON if
+    asked, before anything later can fail."""
     g = init_pair(spec, impl)
-    sh0 = shared(g)
     rep = saturate(g, rules, {"iter": int(iter_limit),
                               "nodes": int(node_limit),
                               "time": float(time_limit)})
-    return g, rep, sh0
+    if dump_graph:
+        Path(dump_graph).write_text(
+            json.dumps(g.dump(shared(g)), indent=2, sort_keys=True) + "\n")
+    return g, rep
 
 
 def _extract(g, method: str, timeout: float):
@@ -135,22 +144,16 @@ def _extract(g, method: str, timeout: float):
 
 
 def _waterfall(spec, impl, rules, iter_limit, node_limit, time_limit,
-               extraction="ilp", extract_timeout=10.0,
-               normalize_widths=True, dump_graph=None):
-    """The pipeline behind check, waterfall and bench: saturate (and dump
-    the graph, before anything later can fail), extract, build the
-    waterfall and check that its steps are adjacent.  Also returns the
-    extraction's seconds."""
-    g, rep, _ = _saturated_graph(spec, impl, rules, iter_limit, node_limit,
-                                 time_limit)
-    if dump_graph:
-        Path(dump_graph).write_text(
-            json.dumps(g.dump(shared(g)), indent=2, sort_keys=True) + "\n")
+               extraction="ilp", extract_timeout=10.0, dump_graph=None):
+    """The pipeline behind check, waterfall and bench: saturate, extract,
+    build the waterfall and check that its steps are adjacent.  Also
+    returns the extraction's seconds."""
+    g, rep = _saturated_graph(spec, impl, rules, iter_limit, node_limit,
+                              time_limit, dump_graph)
     t0 = time.perf_counter()
     res = _extract(g, extraction, extract_timeout)
     extract_s = time.perf_counter() - t0
-    w = build_waterfall(g, spec, impl, res, rules,
-                        normalize_widths=normalize_widths)
+    w = build_waterfall(g, spec, impl, res, rules)
     check_adjacency(w)
     return g, rep, res, w, extract_s
 
@@ -187,15 +190,17 @@ class _Main(click.Group):
 def main(ctx, config_path):
     """Datapath equivalence assistant: e-graph rewriting, shared extraction,
     and a single-rewrite proof waterfall."""
+    # one file supplies defaults to every command
+    commands = ctx.command.commands
     try:
-        cfg = _read_config(config_path)
+        cfg = _read_config(config_path, {
+            p.name for c in commands.values() for p in c.params
+            if isinstance(p, click.Option)})
     except _USER_ERRORS as e:
         click.echo(f"error: {e}", err=True)
         ctx.exit(EXIT_ERROR)
     if cfg:
-        ctx.default_map = {cmd: cfg for cmd in
-                           ("check", "saturate", "extract", "waterfall",
-                            "prove", "validate-rules", "bench")}
+        ctx.default_map = {cmd: cfg for cmd in commands}
 
 
 def _cmd_errors(fn):
@@ -216,7 +221,12 @@ def _report_exit(report) -> int:
     return EXIT_FAIL if report.overall == "fail" else EXIT_UNPROVEN
 
 
-def _print_report(report):
+def _finish(outdir, report, **blocks):
+    """Write report.json (the verdicts and any further `blocks`), print the
+    verdicts and exit with the code of the overall verdict."""
+    (Path(outdir) / "report.json").write_text(
+        json.dumps(dict(report.to_json(), **blocks), indent=2,
+                   sort_keys=True) + "\n")
     for ob, v in report.verdicts:
         line = f"  [{v.status:8s}] {ob['kind']:16s} {ob['rule']:20s} {v.method}"
         click.echo(line)
@@ -226,54 +236,45 @@ def _print_report(report):
             click.echo(f"      note: {v.note}")
     click.echo(f"overall: {report.overall}  "
                f"assume-guarantee: {report.assume_guarantee}")
+    sys.exit(_report_exit(report))
 
 
 @main.command()
 @_pair_opts
 @click.option("--out", "outdir", default="wordec-out", show_default=True)
 @_extract_opts
-@click.option("--width-normalization/--no-width-normalization", default=True)
 @click.option("--dump-graph", default=None, type=click.Path(),
               help="Write the saturated e-graph as JSON.")
 @_common
 @_oracle_opts
 @_cmd_errors
 def check(spec_path, impl_path, outdir, extraction, extract_timeout,
-          width_normalization, dump_graph, fmt, rules, iter_limit,
-          node_limit, time_limit,
+          dump_graph, fmt, rules, iter_limit, node_limit, time_limit,
           max_exhaustive_bits, samples, seed, external_checker):
     """Full flow: saturate, extract, build the waterfall, prove, report."""
     g, rep, res, w, extract_s = _waterfall(
         _load_design(spec_path, fmt), _load_design(impl_path, fmt),
         _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
-        extract_timeout, width_normalization, dump_graph)
-    manifest = write_waterfall(w, outdir)
+        extract_timeout, dump_graph)
+    write_waterfall(w, outdir)
     ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
     t0 = time.perf_counter()
     report = run_waterfall(w, ocfg)
-    report_json = report.to_json()
-    report_json["saturation"] = {
-        "iterations": rep.iterations, "nodes": g.num_nodes(),
-        "roots_merged": rep.roots_merged, "stop_reason": rep.stop_reason,
-        "per_iteration": [asdict(st) for st in rep.per_iteration],
-        "rules": {rid: asdict(rc) for rid, rc in rep.rules.items()},
-    }
-    report_json["extraction"] = {"method": res.method,
-                                 "objective": res.objective,
-                                 "timed_out": res.timed_out,
-                                 "optimal": (res.method == "ilp"
-                                             and not res.timed_out),
-                                 "seconds": round(extract_s, 6)}
-    (Path(outdir) / "report.json").write_text(
-        json.dumps(report_json, indent=2, sort_keys=True) + "\n")
     click.echo(f"saturation: {rep.iterations} iterations, {g.num_nodes()} "
                f"nodes, roots merged: {rep.roots_merged} ({rep.stop_reason})")
     click.echo(f"extraction: {res.method}, objective {res.objective}, "
                f"timed_out: {res.timed_out}")
-    click.echo(f"waterfall: {len(manifest['obligations'])} obligations "
+    click.echo(f"waterfall: {len(w.obligations())} obligations "
                f"-> {outdir} (proved in {time.perf_counter() - t0:.2f}s)")
-    _print_report(report)
-    sys.exit(_report_exit(report))
+    _finish(outdir, report, saturation={
+        "iterations": rep.iterations, "nodes": g.num_nodes(),
+        "roots_merged": rep.roots_merged, "stop_reason": rep.stop_reason,
+        "per_iteration": [asdict(st) for st in rep.per_iteration],
+        "rules": {rid: asdict(rc) for rid, rc in rep.rules.items()},
+    }, extraction={"method": res.method, "objective": res.objective,
+                   "timed_out": res.timed_out,
+                   "optimal": res.method == "ilp" and not res.timed_out,
+                   "seconds": round(extract_s, 6)})
 
 
 @main.command("saturate")
@@ -286,12 +287,8 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
     """Grow the two-rooted e-graph and report saturation statistics."""
     spec = _load_design(spec_path, fmt)
     impl = _load_design(impl_path, fmt)
-    g, rep, sh0 = _saturated_graph(spec, impl, _load_rules(rules),
-                                   iter_limit, node_limit, time_limit)
-    sh1 = shared(g)
-    if dump_graph:
-        Path(dump_graph).write_text(
-            json.dumps(g.dump(sh1), indent=2, sort_keys=True) + "\n")
+    g, rep = _saturated_graph(spec, impl, _load_rules(rules), iter_limit,
+                              node_limit, time_limit, dump_graph)
     click.echo(f"iterations: {rep.iterations} ({rep.stop_reason})")
     for i, st in enumerate(rep.per_iteration, 1):
         click.echo(f"  iteration {i}: {st.matches} matches, "
@@ -304,7 +301,9 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
                    f"{rc.useful_applications} useful")
     click.echo(f"nodes: {' -> '.join(map(str, rep.node_counts))}")
     click.echo(f"classes: {' -> '.join(map(str, rep.class_counts))}")
-    click.echo(f"shared classes: {len(sh0.c_shared)} -> {len(sh1.c_shared)}")
+    before = shared(init_pair(spec, impl))
+    click.echo(f"shared classes: {len(before.c_shared)} -> "
+               f"{len(shared(g).c_shared)}")
     click.echo(f"roots merged: {rep.roots_merged}")
 
 
@@ -320,8 +319,8 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
     """Saturate, then extract the maximally-shared design pair."""
     spec = _load_design(spec_path, fmt)
     impl = _load_design(impl_path, fmt)
-    g, _, _ = _saturated_graph(spec, impl, _load_rules(rules),
-                               iter_limit, node_limit, time_limit)
+    g, _ = _saturated_graph(spec, impl, _load_rules(rules), iter_limit,
+                            node_limit, time_limit)
     if lp_path:
         Path(lp_path).write_text(export_lp(g))
     res = _extract(g, extraction, extract_timeout)
@@ -340,17 +339,15 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
 @_pair_opts
 @click.option("--out", "outdir", default="wordec-out", show_default=True)
 @_extract_opts
-@click.option("--width-normalization/--no-width-normalization", default=True)
 @_common
 @_cmd_errors
 def waterfall_cmd(spec_path, impl_path, outdir, extraction, extract_timeout,
-                  width_normalization, fmt, rules, iter_limit, node_limit,
-                  time_limit):
+                  fmt, rules, iter_limit, node_limit, time_limit):
     """Build and emit the waterfall directory without proving it."""
     _, _, _, w, _ = _waterfall(
         _load_design(spec_path, fmt), _load_design(impl_path, fmt),
         _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
-        extract_timeout, width_normalization)
+        extract_timeout)
     manifest = write_waterfall(w, outdir)
     click.echo(f"{len(manifest['designs'])} designs, "
                f"{len(manifest['obligations'])} obligations -> {outdir}")
@@ -363,11 +360,7 @@ def waterfall_cmd(spec_path, impl_path, outdir, extraction, extract_timeout,
 def prove_cmd(outdir, max_exhaustive_bits, samples, seed, external_checker):
     """Discharge the obligations of an emitted waterfall directory."""
     ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
-    report = run_waterfall_dir(outdir, ocfg)
-    (Path(outdir) / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    _print_report(report)
-    sys.exit(_report_exit(report))
+    _finish(outdir, run_waterfall_dir(outdir, ocfg))
 
 
 @main.command("validate-rules")

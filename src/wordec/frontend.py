@@ -768,7 +768,7 @@ class _SvEmitter:
         raise IrError(f"unknown opcode: {k}")
 
 
-def emit_sv(d: Design, header_comment: str | None = None) -> str:
+def emit_sv(d: Design) -> str:
     ports = []
     for n, a in d.inputs:
         ports.append(f"input {_sv_ann_decl(a)} {n}")
@@ -777,11 +777,7 @@ def emit_sv(d: Design, header_comment: str | None = None) -> str:
     reserved = {n for n, _ in d.inputs} | {oname, d.name}
     em = _SvEmitter(reserved)
     root = em.emit(d.body)
-    lines = []
-    if header_comment:
-        for c in header_comment.splitlines():
-            lines.append(f"// {c}")
-    lines.append(f"module {d.name} (")
+    lines = [f"module {d.name} ("]
     lines.append(",\n".join(f"    {p}" for p in ports))
     lines.append(");")
     lines.extend(em.lines)

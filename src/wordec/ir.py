@@ -193,9 +193,6 @@ class Term:
             out |= t.free_vars()
         return out
 
-    def size(self) -> int:
-        return 1 + sum(t.size() for _, t in self.operands)
-
     def at(self, position: tuple[int, ...]) -> "Term":
         t = self
         for i in position:
@@ -231,8 +228,10 @@ Environment = Mapping[str, int]
 
 
 def _exact_op(kind: str, vals: list[int], slots: tuple[Annotation, ...],
-              indices: tuple[int, int] | None) -> int:
-    """Exact integer result of an opcode on slot-coerced operand values."""
+              indices: tuple[int, int] | None, out_width: int) -> int:
+    """Exact integer result of an opcode on slot-coerced operand values,
+    but for a `<<` amount clamped at the output width, past which every
+    amount truncates to the same output."""
     if kind == "+":
         return vals[0] + vals[1]
     if kind == "-":
@@ -249,7 +248,7 @@ def _exact_op(kind: str, vals: list[int], slots: tuple[Annotation, ...],
     if kind in SHIFT_OPS:
         amt = to_bits(vals[1], slots[1])  # shift amounts always unsigned
         if kind == "<<":
-            return vals[0] << amt
+            return vals[0] << min(amt, out_width)
         if kind == ">>":
             return to_bits(vals[0], slots[0]) >> amt  # logical: shift the pattern
         return vals[0] >> amt  # arithmetic: floor-shift the value
@@ -284,7 +283,7 @@ def evaluate(t: Term, env: Environment) -> int:
     vals = [coerce(evaluate(child, env), child.out, slot)
             for slot, child in t.operands]
     slots = tuple(slot for slot, _ in t.operands)
-    exact = _exact_op(t.kind, vals, slots, t.indices)
+    exact = _exact_op(t.kind, vals, slots, t.indices, t.out.width)
     return from_bits(exact & ((1 << t.out.width) - 1), t.out)
 
 
@@ -302,7 +301,7 @@ def _range_bound(t: Term) -> int:
     if t.kind in ARITY:
         slots = tuple(slot for slot, _ in t.operands)
         lohi = [(s.lo, s.hi) for s in slots]
-        lo, hi = op_value_range(t.kind, slots, lohi, t.indices)
+        lo, hi = op_value_range(t.kind, slots, lohi, t.indices, t.out.width)
         worst = max(worst, max(abs(lo), abs(hi)).bit_length() + 1)
     return worst
 
@@ -618,9 +617,14 @@ def _corners(f, *ranges: tuple[int, int]) -> tuple[int, int]:
 
 def op_value_range(kind: str, slots: tuple[Annotation, ...],
                    operand_ranges: list[tuple[int, int]],
-                   indices: tuple[int, int] | None = None) -> tuple[int, int]:
+                   indices: tuple[int, int] | None = None,
+                   out_width: int | None = None) -> tuple[int, int]:
     """Sound (and where easy, exact) range of the pre-truncation result of an
-    opcode, given ranges of the slot-coerced operand values."""
+    opcode, given ranges of the slot-coerced operand values.  Given the
+    output width, a `<<` amount is clamped there, as `_Lanes` does: past it
+    every amount truncates to the same output, and the exact shift would
+    build an integer about as many bits wide as the amount's largest
+    value."""
     r = operand_ranges
     if kind == "+":
         return r[0][0] + r[1][0], r[0][1] + r[1][1]
@@ -645,6 +649,8 @@ def op_value_range(kind: str, slots: tuple[Annotation, ...],
         if amt_lo < 0:  # pattern reinterpretation can reach the full range
             amt_lo, amt_hi = 0, (1 << slots[1].width) - 1
         if kind == "<<":
+            if out_width is not None:
+                amt_lo, amt_hi = min(amt_lo, out_width), min(amt_hi, out_width)
             return _corners(lambda a, s: a << s, r[0], (amt_lo, amt_hi))
         if kind == ">>":
             if r[0][0] >= 0:
@@ -693,10 +699,12 @@ def min_width(lo: int, hi: int, signed: bool) -> int:
 
 
 def exact_width(kind: str, slots: tuple[Annotation, ...],
-                indices: tuple[int, int] | None = None) -> Annotation:
+                indices: tuple[int, int] | None = None,
+                out_width: int | None = None) -> Annotation:
     """Smallest output annotation under which `evaluate` never truncates,
-    over all representable operand values."""
+    over all representable operand values; a `<<` amount is clamped at
+    `out_width` as in `op_value_range`."""
     ranges = [(s.lo, s.hi) for s in slots]
-    lo, hi = op_value_range(kind, tuple(slots), ranges, indices)
+    lo, hi = op_value_range(kind, tuple(slots), ranges, indices, out_width)
     signed = lo < 0
     return Annotation(min_width(lo, hi, signed), signed)

@@ -97,14 +97,14 @@ def _external(d1: Design, d2: Design, cmd_template: str,
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=600)
         except (OSError, subprocess.TimeoutExpired) as e:
-            return Verdict("unproven", "external", time.time() - t0,
+            return Verdict("unproven", "external", time.perf_counter() - t0,
                            note=f"external checker failed: {e}")
         if proc.returncode == 0:
-            return Verdict("pass", "external", time.time() - t0)
+            return Verdict("pass", "external", time.perf_counter() - t0)
         if proc.returncode == 1:
-            return Verdict("fail", "external", time.time() - t0,
+            return Verdict("fail", "external", time.perf_counter() - t0,
                            note=(proc.stdout.strip() or None))
-        return Verdict("unproven", "external", time.time() - t0,
+        return Verdict("unproven", "external", time.perf_counter() - t0,
                        note=f"external checker exit {proc.returncode}")
 
 
@@ -126,9 +126,9 @@ def check_equiv(d1: Design, d2: Design,
 
 def _decide(d1: Design, d2: Design, cfg: OracleConfig, hint: str | None,
             total_bits: int) -> Verdict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if d1.body == d2.body:
-        return Verdict("pass", "exhaustive", time.time() - t0)
+        return Verdict("pass", "exhaustive", time.perf_counter() - t0)
     if total_bits <= cfg.max_exhaustive_bits:
         samples, method = None, "exhaustive"
     else:
@@ -136,19 +136,20 @@ def _decide(d1: Design, d2: Design, cfg: OracleConfig, hint: str | None,
         method = f"random({samples})"
     cex = first_mismatch(d1.body, d2.body, d1.inputs, samples, cfg.seed)
     if cex is not None:
-        return Verdict("fail", method, time.time() - t0, cex[0])
+        return Verdict("fail", method, time.perf_counter() - t0, cex[0])
     if samples is None:
-        return Verdict("pass", method, time.time() - t0)
+        return Verdict("pass", method, time.perf_counter() - t0)
     if cfg.external_cmd:
         return _external(d1, d2, cfg.external_cmd, t0)
-    return Verdict("unproven", method, time.time() - t0,
+    return Verdict("unproven", method, time.perf_counter() - t0,
                    note="no counterexample found by sampling")
 
 
-def _run(obs: list[dict], lookup, cfg: OracleConfig) -> WaterfallReport:
+def _run(obs: list[dict], load, cfg: OracleConfig | None) -> WaterfallReport:
     """Check each non-final obligation, then derive the Assume-Guarantee
-    verdict from its premises.  `lookup(ob)` returns (left, right) designs
-    or raises OracleError for missing/broken artifacts."""
+    verdict from its premises.  `load(stem)` returns the design of that file
+    stem or raises OracleError for a missing or broken artifact."""
+    cfg = cfg or OracleConfig()
     rep = WaterfallReport()
     premises_pass = True
     any_fail = False
@@ -163,8 +164,8 @@ def _run(obs: list[dict], lookup, cfg: OracleConfig) -> WaterfallReport:
             rep.assume_guarantee = status
             continue
         try:
-            left, right = lookup(ob)
-            v = check_equiv(left, right, cfg, hint=ob["checker_hint"])
+            v = check_equiv(load(ob["left"]), load(ob["right"]), cfg,
+                            hint=ob["checker_hint"])
         except OracleError as e:
             v = Verdict("unproven", "none", 0.0, note=str(e))
         rep.verdicts.append((ob, v))
@@ -180,17 +181,12 @@ def _run(obs: list[dict], lookup, cfg: OracleConfig) -> WaterfallReport:
 
 def run_waterfall(w, cfg: OracleConfig | None = None) -> WaterfallReport:
     """Discharge every obligation of an in-memory waterfall."""
-    cfg = cfg or OracleConfig()
-    designs = dict(w.designs())
-    obs = w.obligation_records(list(designs))
-    return _run(obs, lambda ob: (designs[ob["left"]], designs[ob["right"]]),
-                cfg)
+    return _run(w.obligations(), w.designs.__getitem__, cfg)
 
 
 def run_waterfall_dir(outdir: str | Path,
                       cfg: OracleConfig | None = None) -> WaterfallReport:
     """Discharge an emitted waterfall directory (manifest.json + steps/)."""
-    cfg = cfg or OracleConfig()
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
     cache: dict[str, Design] = {}
@@ -203,7 +199,4 @@ def run_waterfall_dir(outdir: str | Path,
             cache[stem] = parse_sexpr(p.read_text())
         return cache[stem]
 
-    def lookup(ob):
-        return load(ob["left"]), load(ob["right"])
-
-    return _run(list(manifest["obligations"]), lookup, cfg)
+    return _run(manifest["obligations"], load, cfg)

@@ -7,9 +7,11 @@ whatever subterm is currently there (any class member is a valid instance),
 so congruence edges contribute no steps, and only structured pattern
 positions need recursive alignment.
 
-build_waterfall() assembles the chains S → … → S* and I* → … → I, the center
-obligation when S* ≠ I*, and the final Assume-Guarantee record, emitting
-every intermediate as SystemVerilog + IR text.
+build_waterfall() assembles the chains S → … → S* and I* → … → I as the
+designs and obligation records that write_waterfall() emits (every
+intermediate as SystemVerilog + IR text) and the oracle discharges: one
+record per step, the center obligation when S* ≠ I*, and the final
+Assume-Guarantee record.
 """
 
 from __future__ import annotations
@@ -187,10 +189,9 @@ def explain(g: EGraph, a: Term, b: Term,
 
 
 def rule_hints(rules) -> dict[str, str]:
-    hints = {r.id: r.checker_hint for r in rules}
-    hints.setdefault("width-reduce", "simulation")
-    hints.setdefault("zext-intro", "trivial")
-    return hints
+    """Each rule's checker hint; a step of any other rule (a width-reduce
+    narrowing when no rule stands for it) is hinted "simulation"."""
+    return {r.id: r.checker_hint for r in rules}
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,8 @@ def _realize_wide(g: EGraph, skel, binding: dict) -> Term:
         else:
             t = _realize_wide(g, sub, binding)
             ops.append((t.out, t))
-    return n.term(ops, exact_width(n.op, tuple(s for s, _ in ops), n.indices))
+    return n.term(ops, exact_width(n.op, tuple(s for s, _ in ops), n.indices,
+                                   n.out.width))
 
 
 def widen_step(g: EGraph, step: RewriteStep) -> list[RewriteStep] | None:
@@ -244,90 +246,61 @@ def widen_step(g: EGraph, step: RewriteStep) -> list[RewriteStep] | None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Obligation:
-    left: int                  # indices into Waterfall.designs
-    right: int
-    rule: str
-    checker_hint: str
-    kind: str                  # step | center | assume-guarantee
-
-
-@dataclass
 class Waterfall:
+    """The waterfall in the form in which it is written and discharged:
+    the designs S … S* and I* … I by file stem, in order, and the
+    obligations between them as manifest.json lists them."""
     spec: Design
     impl: Design
-    spec_chain: list[Term]     # S … S*
-    impl_chain: list[Term]     # I* … I
-    spec_steps: list[RewriteStep]
-    impl_steps: list[RewriteStep]  # aligned with consecutive impl_chain pairs
-    has_center: bool
+    spec_steps: list[RewriteStep]      # S … S*
+    impl_steps: list[RewriteStep]      # I* … I
+    designs: dict[str, Design]
+    records: list[dict]
 
-    def designs(self) -> list[tuple[str, Design]]:
-        """Ordered (file stem, design) pairs for every intermediate."""
-        out: list[tuple[str, Design]] = []
-        idx = 0
+    def obligations(self) -> list[dict]:
+        return self.records
 
-        def add(chain: str, label: str, body: Term):
-            nonlocal idx
-            stem = f"{idx:03d}_{chain}_{label}".replace("-", "_")
-            name = f"d{stem}"
-            out.append((stem, Design(name, self.spec.inputs,
-                                     (self.spec.output[0], body.out), body)))
-            idx += 1
-
-        add("spec", "source", self.spec_chain[0])
-        for t, s in zip(self.spec_chain[1:], self.spec_steps):
-            add("spec", s.rule_id, t)
-        add("impl", "extracted", self.impl_chain[0])
-        for t, s in zip(self.impl_chain[1:], self.impl_steps):
-            add("impl", s.rule_id, t)
-        return out
-
-    def obligations(self) -> list[Obligation]:
-        ns = len(self.spec_chain)
-        obs: list[Obligation] = []
-        for i, s in enumerate(self.spec_steps):
-            obs.append(Obligation(i, i + 1, s.rule_id, s.checker_hint, "step"))
-        for i, s in enumerate(self.impl_steps):
-            obs.append(Obligation(ns + i, ns + i + 1, s.rule_id,
-                                  s.checker_hint, "step"))
-        if self.has_center:
-            obs.append(Obligation(ns - 1, ns, "center", "external-strong",
-                                  "center"))
-        obs.append(Obligation(0, ns + len(self.impl_chain) - 1,
-                              "assume-guarantee", "trivial",
-                              "assume-guarantee"))
-        return obs
-
-    def obligation_records(self, stems: list[str]) -> list[dict]:
-        """The obligations as manifest.json records, which name their two
-        designs by file stem (`stems` in the order of designs())."""
-        return [{"left": stems[ob.left], "right": stems[ob.right],
-                 "rule": ob.rule, "checker_hint": ob.checker_hint,
-                 "kind": ob.kind} for ob in self.obligations()]
+    @property
+    def has_center(self) -> bool:
+        return any(ob["kind"] == "center" for ob in self.records)
 
 
 def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
-                    rules=(), normalize_widths: bool = True) -> Waterfall:
+                    rules=()) -> Waterfall:
     hints = rule_hints(rules)
-    ex = _Explainer(g, hints)
-    spec_steps = ex.explain(spec.body, extraction.s_star)
-    ex2 = _Explainer(g, hints)
-    impl_fwd = ex2.explain(impl.body, extraction.i_star)  # I -> I*
-
-    spec_steps = _cancel_inverses(spec_steps)
-    impl_fwd = _cancel_inverses(impl_fwd)
-    if normalize_widths:
-        spec_steps = _normalize(g, spec_steps)
-        impl_fwd = _normalize(g, impl_fwd)
-
-    spec_chain = [spec.body] + [s.after for s in spec_steps]
-    # impl chain runs I* … I: reverse the forward explanation
+    spec_steps = _normalize(g, _cancel_inverses(
+        explain(g, spec.body, extraction.s_star, hints)))
+    impl_fwd = _normalize(g, _cancel_inverses(
+        explain(g, impl.body, extraction.i_star, hints)))  # I -> I*
+    # the impl chain runs I* … I: reverse the forward explanation
     impl_steps = [s.reversed() for s in reversed(impl_fwd)]
-    impl_chain = [extraction.i_star] + [s.after for s in impl_steps]
-    has_center = extraction.s_star != extraction.i_star
-    return Waterfall(spec, impl, spec_chain, impl_chain,
-                     spec_steps, impl_steps, has_center)
+    w = Waterfall(spec, impl, spec_steps, impl_steps, {}, [])
+
+    def design(chain: str, label: str, body: Term) -> str:
+        stem = f"{len(w.designs):03d}_{chain}_{label}".replace("-", "_")
+        w.designs[stem] = Design(f"d{stem}", spec.inputs,
+                                 (spec.output[0], body.out), body)
+        return stem
+
+    def record(left: str, right: str, rule: str, hint: str, kind: str):
+        w.records.append({"left": left, "right": right, "rule": rule,
+                          "checker_hint": hint, "kind": kind})
+
+    def chain(name: str, label: str, body: Term, steps) -> list[str]:
+        stems = [design(name, label, body)]
+        for s in steps:
+            stems.append(design(name, s.rule_id, s.after))
+            record(stems[-2], stems[-1], s.rule_id, s.checker_hint, "step")
+        return stems
+
+    spec_stems = chain("spec", "source", spec.body, spec_steps)
+    impl_stems = chain("impl", "extracted", extraction.i_star, impl_steps)
+    if extraction.s_star != extraction.i_star:
+        record(spec_stems[-1], impl_stems[0], "center", "external-strong",
+               "center")
+    record(spec_stems[0], impl_stems[-1], "assume-guarantee", "trivial",
+           "assume-guarantee")
+    return w
 
 
 def _cancel_inverses(steps: list[RewriteStep]) -> list[RewriteStep]:
@@ -355,8 +328,8 @@ def _normalize(g: EGraph, steps: list[RewriteStep]) -> list[RewriteStep]:
 
 
 def check_adjacency(w: Waterfall) -> None:
-    """Structural invariant: consecutive designs differ at exactly the step's
-    recorded position, and chain endpoints match."""
+    """Structural invariant: each step starts where the previous one ended,
+    and its two designs differ at exactly the step's recorded position."""
     def diff_positions(a: Term, b: Term, pos=()) -> list[tuple]:
         if a == b:
             return []
@@ -371,13 +344,13 @@ def check_adjacency(w: Waterfall) -> None:
             diffs.extend(diff_positions(ca, cb, pos + (i,)))
         return diffs
 
-    for chain, steps in ((w.spec_chain, w.spec_steps),
-                         (w.impl_chain, w.impl_steps)):
-        if len(chain) != len(steps) + 1:
-            raise ProofError("chain/step length mismatch")
-        for a, b, s in zip(chain, chain[1:], steps):
-            if s.before != a or s.after != b:
-                raise ProofError("step endpoints do not match the chain")
+    for steps in (w.spec_steps, w.impl_steps):
+        for prev, s in zip([None] + steps, steps):
+            if prev is not None and s.before != prev.after:
+                raise ProofError(
+                    f"step {s.rule_id} does not start where the previous "
+                    "one ended")
+            a, b = s.before, s.after
             diffs = diff_positions(a, b)
             if not diffs:
                 raise ProofError("step with identical designs")
@@ -400,17 +373,15 @@ def write_waterfall(w: Waterfall, outdir: str | Path) -> dict:
     outdir = Path(outdir)
     steps_dir = outdir / "steps"
     steps_dir.mkdir(parents=True, exist_ok=True)
-    designs = w.designs()
-    for stem, d in designs:
+    for stem, d in w.designs.items():
         (steps_dir / f"{stem}.sv").write_text(emit_sv(d))
         (steps_dir / f"{stem}.ir").write_text(emit_sexpr(d))
-    stems = [stem for stem, _ in designs]
     manifest = {
         "spec": w.spec.name,
         "impl": w.impl.name,
         "center": w.has_center,
-        "designs": stems,
-        "obligations": w.obligation_records(stems),
+        "designs": list(w.designs),
+        "obligations": w.obligations(),
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")

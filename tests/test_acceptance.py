@@ -146,7 +146,7 @@ def test_c6_benchmark_suite(report):
     after = len(shared(g).c_shared)
     res = extract_ilp(g, timeout=10.0)
     w = build_waterfall(g, spec, impl, res, rules)
-    kinds = [o.kind for o in w.obligations()]
+    kinds = [o["kind"] for o in w.obligations()]
     box_ok = (not rep.roots_merged and after > before
               and kinds.count("center") == 1)
     ok = ok and box_ok

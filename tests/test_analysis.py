@@ -62,6 +62,18 @@ class TestClassIntervals:
         iv = g.classes[g.find(root)].interval
         assert (iv.lo, iv.hi) == (0, 510)
 
+    @pytest.mark.parametrize("amount_width", [40, 62])
+    def test_wide_shift_amount_sound(self, amount_width):
+        x, y = var("x", ann(8)), var("y", ann(amount_width))
+        for out in (ann(8), ann(16, True)):
+            t = op("<<", out, (ann(8), x), (ann(amount_width), y))
+            g, root = self._graph_for(t, [("x", ann(8)),
+                                          ("y", ann(amount_width))])
+            iv = g.classes[g.find(root)].interval
+            for vx in (0, 1, 255):
+                for vy in (0, 1, 8, 15, 16, (1 << amount_width) - 1):
+                    assert iv.contains(evaluate(t, {"x": vx, "y": vy}))
+
     def test_wraparound_widens(self):
         a, b = var("a", ann(8)), var("b", ann(8))
         t = op("+", ann(8), (ann(8), a), (ann(8), b))

@@ -123,6 +123,20 @@ class TestCheck:
         assert "error:" in r.output
         assert "bad" in r.output
 
+    @pytest.mark.parametrize("amount_width", [40, 62])
+    def test_wide_shift_amount(self, runner, tmp_path, amount_width):
+        a = f"{amount_width} unsigned"
+        pair = tmp_path / "shift.ir"
+        pair.write_text(
+            f"(design d (inputs (x 8 unsigned) (y {a})) (output o 8 unsigned)"
+            f"\n  (<< 8 unsigned 8 unsigned (var x 8 unsigned) {a}"
+            f" (var y {a})))\n")
+        r = runner.invoke(main, ["check", "--spec", str(pair),
+                                 "--impl", str(pair),
+                                 "--out", str(tmp_path / "out")])
+        assert r.exit_code in (0, 2), r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+
     def test_extraction_timeout_reported(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4")
         out = tmp_path / "out"
@@ -244,6 +258,26 @@ class TestProve:
         assert r2.exit_code == 0, r2.output
         assert "overall: pass" in r2.output
 
+    def test_prove_after_check_writes_the_same_report(self, runner,
+                                                      tmp_path):
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        out = tmp_path / "out"
+
+        def report():
+            rep = json.loads((out / "report.json").read_text())
+            for ob in rep["obligations"]:
+                del ob["verdict"]["elapsed"]
+            return rep
+
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        checked = report()
+        del checked["saturation"], checked["extraction"]
+        r = runner.invoke(main, ["prove", str(out)])
+        assert r.exit_code == 0, r.output
+        assert report() == checked
+
     def test_prove_missing_dir_is_error(self, runner, tmp_path):
         r = runner.invoke(main, ["prove", str(tmp_path / "nothing")])
         assert r.exit_code == 3, r.output
@@ -336,6 +370,20 @@ class TestConfigFile:
                                  "--spec", sp, "--impl", ip])
         assert r.exit_code == 0, r.output
         assert (tmp_path / "cfg-out" / "manifest.json").exists()
+
+    def test_misspelled_key_is_error(self, runner, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("# defaults\nsampels = 10\n")
+        r = runner.invoke(main, ["--config", str(cfg), "bench", "fig4"])
+        assert r.exit_code == 3, r.output
+        assert f"error: {cfg}:2: unknown key 'sampels'" in r.output
+
+    def test_key_of_another_command_is_accepted(self, runner, tmp_path):
+        # one file supplies defaults to all commands: bench has no --out
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"out = {tmp_path / 'unused'}\nsamples = 10\n")
+        r = runner.invoke(main, ["--config", str(cfg), "bench", "fig4"])
+        assert r.exit_code == 0, r.output
 
     def test_malformed_config_is_error(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -239,12 +239,6 @@ class TestEmitSv:
                 for env in envs:
                     assert evaluate(back.body, env) == evaluate(d.body, env)
 
-    def test_header_comment(self):
-        d, _ = load_pair("fig4")
-        text = emit_sv(d, header_comment="hello world")
-        assert "hello world" in text
-        assert parse_sv(text).inputs == d.inputs
-
 
 _ANNS = st.builds(Annotation, st.integers(1, 6), st.booleans())
 

@@ -188,6 +188,33 @@ class TestExactWidth:
                         assert evaluate(t1, env) == evaluate(t2, env)
 
 
+class TestWideShiftAmount:
+    """A `<<` with a 40- or 62-bit amount slot: the range, lane and width
+    computations clamp the amount at the output width, as the lanes do,
+    instead of building an integer of about 2^40 bits."""
+
+    @pytest.mark.parametrize("amount_width", [40, 62])
+    def test_lanes_and_exact_width_sound(self, amount_width):
+        x, y = var("x", ann(8)), var("y", ann(amount_width))
+        slots = (ann(8), ann(amount_width))
+        t = op("<<", ann(8), (slots[0], x), (slots[1], y))
+        # a 62-bit amount slot is past int64 lanes
+        assert vectorizable(t) == (amount_width < 62)
+        envs = [{"x": vx, "y": vy} for vx in (0, 1, 5, 255)
+                for vy in (0, 1, 7, 8, 9, 40, (1 << amount_width) - 1)]
+        arrs = {n: np.array([e[n] for e in envs], dtype=np.int64)
+                for n in ("x", "y")}
+        assert evaluate_many(t, arrs).tolist() == [evaluate(t, e)
+                                                   for e in envs]
+        wide = exact_width("<<", slots, out_width=8)
+        assert wide == ann(16)
+        tw = op("<<", wide, (slots[0], x), (slots[1], y))
+        for e in envs:
+            assert coerce(evaluate(tw, e), wide, ann(8)) == evaluate(t, e)
+            if e["y"] <= 8:
+                assert evaluate(tw, e) == e["x"] << e["y"]
+
+
 class TestMinWidth:
     def test_values(self):
         assert min_width(0, 0, False) == 1
@@ -255,8 +282,8 @@ class TestFirstMismatches:
     the output annotation, over a grid of instances: every x, y and output
     annotation in a small range, the output past ROW_INT64_WIDTH when
     `wide`.  y is coerced into the output annotation too, where a product
-    then needs 80 bits, except as a shift amount: `first_mismatch` bounds
-    a shift by 2^(2^w) for a w-bit amount slot."""
+    then needs 80 bits, except as a shift amount, which keeps y's own
+    annotation."""
 
     @pytest.mark.parametrize("wide", [False, True], ids=["int64", "exact"])
     @pytest.mark.parametrize("kinds", [("*", "|"), ("<<", "*")])

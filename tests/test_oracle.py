@@ -4,8 +4,8 @@ import stat
 import pytest
 
 from wordec.egraph import init_pair, saturate
-from wordec.extract import extract_ilp
-from wordec.fixtures import load_pair
+from wordec.extract import extract_greedy, extract_ilp
+from wordec.fixtures import load_pair, names
 from wordec.frontend import Design, parse_sexpr
 from wordec.ir import Annotation, evaluate, op, var
 from wordec.oracle import (OracleConfig, OracleError, check_equiv,
@@ -188,15 +188,25 @@ class TestRunWaterfall:
 
 
 class TestRunWaterfallDir:
-    def test_round_trip_matches_in_memory(self, tmp_path):
-        w = _build("fig4")
+    @pytest.mark.parametrize("name", names())
+    def test_round_trip_matches_in_memory(self, tmp_path, name):
+        spec, impl = load_pair(name)
+        g = init_pair(spec, impl)
+        rules = baseline_rules()
+        saturate(g, rules)
+        w = build_waterfall(g, spec, impl, extract_greedy(g), rules)
         manifest = write_waterfall(w, tmp_path)
+        assert manifest["designs"] == list(w.designs)
         cfg = OracleConfig(max_exhaustive_bits=16)
         mem = run_waterfall(w, cfg)
         disk = run_waterfall_dir(tmp_path, cfg)
-        assert disk.overall == mem.overall == "pass"
+        assert disk.overall == mem.overall
+        if name == "fig4":
+            assert mem.overall == "pass"
         assert [ob for ob, _ in mem.verdicts] == manifest["obligations"] \
-            == [ob for ob, _ in disk.verdicts]
+            == w.obligations() == [ob for ob, _ in disk.verdicts]
+        assert [v.status for _, v in mem.verdicts] \
+            == [v.status for _, v in disk.verdicts]
 
     def test_missing_artifact_is_unproven(self, tmp_path):
         w = _build("fig1-scaled")

@@ -26,6 +26,13 @@ def _waterfall(name):
     return build_waterfall(g, spec, impl, res, rules), spec, impl
 
 
+def _chains(w):
+    """The design bodies of the chains S … S* and I* … I."""
+    bodies = [d.body for d in w.designs.values()]
+    ns = len(w.spec_steps) + 1
+    return bodies[:ns], bodies[ns:]
+
+
 class TestExplain:
     def test_fig4_exactly_two_steps(self):
         spec, impl, g, rules = _saturated("fig4")
@@ -53,19 +60,27 @@ class TestWaterfall:
         w, _, _ = _waterfall("fig1-scaled")
         check_adjacency(w)
 
+    def test_adjacency_rejects_a_step_out_of_order(self):
+        w, _, _ = _waterfall("fig1-scaled")
+        w.spec_steps[0], w.spec_steps[1] = w.spec_steps[1], w.spec_steps[0]
+        with pytest.raises(ProofError, match="does not start where"):
+            check_adjacency(w)
+
     def test_chains_end_where_expected(self):
         w, spec, impl = _waterfall("fig1-scaled")
-        assert w.spec_chain[0] == spec.body
-        assert w.impl_chain[-1] == impl.body
+        spec_chain, impl_chain = _chains(w)
+        assert len(impl_chain) == len(w.impl_steps) + 1
+        assert spec_chain[0] == spec.body
+        assert impl_chain[-1] == impl.body
         assert not w.has_center
-        assert w.spec_chain[-1] == w.impl_chain[0]
+        assert spec_chain[-1] == impl_chain[0]
 
     def test_every_step_oracle_sound(self):
         w, spec, _ = _waterfall("fig1-scaled")
         rng = random.Random(7)
         envs = [{n: rng.randint(a.lo, a.hi) for n, a in spec.inputs}
                 for _ in range(200)]
-        for chain in (w.spec_chain, w.impl_chain):
+        for chain in _chains(w):
             for a, b in zip(chain, chain[1:]):
                 for env in envs:
                     assert evaluate(a, env) == evaluate(b, env)
@@ -80,22 +95,23 @@ class TestWaterfall:
         assert w.spec_steps == [] and w.impl_steps == []
         assert not w.has_center
         obs = w.obligations()
-        assert [o.kind for o in obs] == ["assume-guarantee"]
+        assert [o["kind"] for o in obs] == ["assume-guarantee"]
 
     def test_boxfilter_center_obligation(self):
         w, _, _ = _waterfall("boxfilter")
         assert w.has_center
-        kinds = [o.kind for o in w.obligations()]
+        kinds = [o["kind"] for o in w.obligations()]
         assert kinds.count("center") == 1
         assert kinds[-1] == "assume-guarantee"
 
     def test_width_normalization_only_relabel_hops_added(self):
         spec, impl, g, rules = _saturated("fig1-scaled")
         res = extract_ilp(g, timeout=20.0)
-        raw = build_waterfall(g, spec, impl, res, rules,
-                              normalize_widths=False)
+        hints = rule_hints(rules)
+        raw = (explain(g, spec.body, res.s_star, hints)
+               + explain(g, impl.body, res.i_star, hints))
         norm = build_waterfall(g, spec, impl, res, rules)
-        raw_n = len(raw.spec_steps) + len(raw.impl_steps)
+        raw_n = len(raw)
         norm_n = len(norm.spec_steps) + len(norm.impl_steps)
         assert norm_n >= raw_n
         extra = [s for s in norm.spec_steps + norm.impl_steps
@@ -108,10 +124,9 @@ class TestWaterfall:
 
     def test_obligation_indices_consistent(self):
         w, _, _ = _waterfall("vbsme4")
-        designs = w.designs()
+        index = {stem: i for i, stem in enumerate(w.designs)}
         for ob in w.obligations():
-            assert 0 <= ob.left < len(designs)
-            assert 0 <= ob.right < len(designs)
+            assert 0 <= index[ob["left"]] < index[ob["right"]] < len(index)
 
 
 class TestWriteWaterfall:
