@@ -1,8 +1,10 @@
 """Simulation-based equivalence oracle and waterfall runner.
 
 check_equiv decides (or falsifies) equivalence of two designs with matching
-ports: exhaustively when the joint input space is small enough, otherwise by
-seeded random sampling, optionally delegating to an external checker command.
+ports: exhaustively when the joint input space is small enough, else
+exhaustively on a small grid when both sides are polynomials that never
+wrap, otherwise by seeded random sampling, optionally delegating to an
+external checker command.
 run_waterfall discharges every obligation of a waterfall — in memory or from
 an emitted directory — and folds the verdicts into a single report.
 """
@@ -18,11 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .frontend import Design, emit_sv, parse_sexpr
-from .ir import first_mismatch
-
-
-# Samples drawn for a step whose rule is hinted trivial.
-TRIVIAL_SAMPLES = 1024
+from .ir import (SHIFT_OPS, Annotation, Term, first_mismatch, op,
+                 op_value_range, var)
 
 
 class OracleError(Exception):
@@ -32,7 +31,8 @@ class OracleError(Exception):
 @dataclass
 class Verdict:
     status: str                       # pass | fail | unproven
-    method: str                       # exhaustive | random(n) | external | ...
+    method: str                       # exhaustive | grid(d=…,split=…) |
+                                      # random(n) | external | ...
     elapsed: float
     counterexample: dict | None = None
     note: str | None = None
@@ -109,40 +109,172 @@ def _external(d1: Design, d2: Design, cmd_template: str,
 
 
 def check_equiv(d1: Design, d2: Design,
-                cfg: OracleConfig | None = None, *,
-                hint: str | None = None) -> Verdict:
+                cfg: OracleConfig | None = None) -> Verdict:
     """Decide d1 ≅ d2.  Exhaustive when the joint input space fits in
-    cfg.max_exhaustive_bits; otherwise sampled, then delegated to the
-    external checker if one is configured.  Exhaustive failures report the
-    lexicographically first counterexample (inputs enumerated low-to-high,
-    in port order).  The verdict records the total input width."""
+    cfg.max_exhaustive_bits; else on a grid (`grid_method`) when that
+    applies; otherwise sampled, then delegated to the external checker if
+    one is configured, with the reason the grid did not apply in the note.
+    Exhaustive failures report the lexicographically first counterexample
+    (inputs enumerated low-to-high, in port order).  The verdict records
+    the total input width."""
     cfg = cfg or OracleConfig()
     _check_ports(d1, d2)
     total_bits = sum(a.width for _, a in d1.inputs)
-    v = _decide(d1, d2, cfg, hint, total_bits)
+    v = _decide(d1, d2, cfg, total_bits)
     v.input_bits = total_bits
     return v
 
 
-def _decide(d1: Design, d2: Design, cfg: OracleConfig, hint: str | None,
+def _decide(d1: Design, d2: Design, cfg: OracleConfig,
             total_bits: int) -> Verdict:
     t0 = time.perf_counter()
     if d1.body == d2.body:
         return Verdict("pass", "exhaustive", time.perf_counter() - t0)
     if total_bits <= cfg.max_exhaustive_bits:
-        samples, method = None, "exhaustive"
-    else:
-        samples = TRIVIAL_SAMPLES if hint == "trivial" else cfg.samples
-        method = f"random({samples})"
-    cex = first_mismatch(d1.body, d2.body, d1.inputs, samples, cfg.seed)
-    if cex is not None:
-        return Verdict("fail", method, time.perf_counter() - t0, cex[0])
-    if samples is None:
+        cex = first_mismatch(d1.body, d2.body, d1.inputs)
+        if cex is not None:
+            return Verdict("fail", "exhaustive", time.perf_counter() - t0,
+                           cex[0])
+        return Verdict("pass", "exhaustive", time.perf_counter() - t0)
+    try:
+        method = grid_method(d1, d2, cfg.max_exhaustive_bits)
         return Verdict("pass", method, time.perf_counter() - t0)
-    if cfg.external_cmd:
-        return _external(d1, d2, cfg.external_cmd, t0)
-    return Verdict("unproven", method, time.perf_counter() - t0,
-                   note="no counterexample found by sampling")
+    except OffGrid as e:
+        why = f"grid: {e}"
+    method = f"random({cfg.samples})"
+    cex = first_mismatch(d1.body, d2.body, d1.inputs, cfg.samples, cfg.seed)
+    if cex is not None:
+        v = Verdict("fail", method, time.perf_counter() - t0, cex[0])
+    elif cfg.external_cmd:
+        v = _external(d1, d2, cfg.external_cmd, t0)
+    else:
+        v = Verdict("unproven", method, time.perf_counter() - t0,
+                    note="no counterexample found by sampling")
+    v.note = why if v.note is None else f"{why}; {v.note}"
+    return v
+
+
+# ---------------------------------------------------------------------------
+# Grid tier.  When no slot coercion and no result can wrap over the input
+# domain, each side is, for every value of the inputs that feed a shift
+# amount (the split inputs), an integer polynomial in the other inputs.
+# Two polynomials of degree at most d_i in each x_i that agree on a grid of
+# d_i + 1 points per x_i are identical (N. Alon, "Combinatorial
+# Nullstellensatz", 1999, Lemma 2.1), so checking every split value times
+# that grid, exhaustively, proves the pair.
+# ---------------------------------------------------------------------------
+
+# Opcodes whose exact result is a polynomial in their operands' values when
+# nothing wraps, with a `<<` amount constant per split value.
+_POLY_OPS = frozenset({"+", "-", "*", "neg", "zext", "sext", "<<"})
+
+
+class OffGrid(Exception):
+    """Why the grid tier does not prove a pair."""
+
+
+def _split_inputs(t: Term, out: set[str]) -> set[str]:
+    """Add the inputs that feed a shift amount in `t` to `out`."""
+    if t.kind in SHIFT_OPS:
+        out |= t.operands[1][1].free_vars()
+    for _, child in t.operands:
+        _split_inputs(child, out)
+    return out
+
+
+def _fit(lo: int, hi: int, a: Annotation, degree: dict | None
+         ) -> tuple[int, int]:
+    """The range of a value in [lo, hi] once read under `a`.  Only a
+    constant per split value (`degree` None) may wrap."""
+    if a.lo <= lo and hi <= a.hi:
+        return lo, hi
+    if degree is None:
+        return a.lo, a.hi
+    raise OffGrid("slot wraps")
+
+
+def _polynomial(t: Term, inputs: dict[str, Annotation], split: set[str]
+                ) -> tuple[int, int, dict[str, int] | None]:
+    """Bottom-up range of `t` over the whole input domain, and its degree
+    in each input that is not split, or None when `t` is a constant for
+    each value of the split inputs (any opcode may appear in such a
+    subterm, and it may wrap).  Raises OffGrid where `t` is no polynomial
+    that computes its value exactly."""
+    if t.kind == "var":
+        a = inputs[t.name]
+        degree = None if t.name in split else {t.name: 1}
+        return (*_fit(a.lo, a.hi, t.out, degree), degree)
+    if t.kind == "const":
+        return t.value, t.value, None
+    slots = tuple(slot for slot, _ in t.operands)
+    ranges, degrees = [], []
+    for slot, child in t.operands:
+        lo, hi, degree = _polynomial(child, inputs, split)
+        ranges.append(_fit(lo, hi, slot, degree))
+        degrees.append(degree)
+    if all(d is None for d in degrees):
+        degree = None
+    elif t.kind not in _POLY_OPS:
+        raise OffGrid(f"opcode {t.kind}")
+    elif t.kind == "zext" and ranges[0][0] < 0:
+        raise OffGrid("zext of a negative value")
+    elif t.kind == "sext" and not (slots[0].signed
+                                   or ranges[0][1] <= slots[0].hi >> 1):
+        raise OffGrid("sext of an unsigned value past the sign bit")
+    elif t.kind in ("+", "-", "*"):
+        degree = {}
+        for d in degrees:
+            for x, k in (d or {}).items():
+                degree[x] = (max(degree.get(x, 0), k) if t.kind != "*"
+                             else degree.get(x, 0) + k)
+    else:  # neg, zext, sext, and << by a constant per split value
+        degree = degrees[0]
+    lo, hi = op_value_range(t.kind, slots, ranges, t.indices, t.out.width)
+    return (*_fit(lo, hi, t.out, degree), degree)
+
+
+def _on_grid(t: Term, grid: dict[str, Annotation]) -> Term:
+    """`t` with each input of `grid` read from its grid annotation, which
+    holds a prefix 0, 1, ... of the input's values, and zero-extended."""
+    if t.kind == "var":
+        if t.name not in grid:
+            return t
+        g = grid[t.name]
+        return op("zext", t.out, (g, var(t.name, g)))
+    if not t.operands:
+        return t
+    return Term(t.kind, t.out, t.name, t.value,
+                tuple((s, _on_grid(c, grid)) for s, c in t.operands),
+                t.indices)
+
+
+def grid_method(d1: Design, d2: Design, max_bits: int) -> str:
+    """Prove d1 ≅ d2 on a grid and return the method, `grid(d=D,split=S)`:
+    D is the greatest degree of any input, S the bits of the split inputs.
+    Raises OffGrid with the reason when the tier does not apply, does not
+    fit in `max_bits`, or finds a mismatch (the grid only ever proves)."""
+    inputs = dict(d1.inputs)
+    split = _split_inputs(d2.body, _split_inputs(d1.body, set()))
+    degree: dict[str, int] = {}
+    for d in (d1, d2):
+        for x, k in (_polynomial(d.body, inputs, split)[2] or {}).items():
+            degree[x] = max(degree.get(x, 0), k)
+    split_bits = sum(inputs[x].width for x in split)
+    if split_bits > max_bits:
+        raise OffGrid("split too wide")
+    # A grid of 2^b >= d + 1 points; an input too narrow to hold it is
+    # enumerated whole, which is sound for any degree.  An input that is
+    # neither split nor read has degree 0 and is left out.
+    grid = {x: Annotation(k.bit_length()) for x, k in degree.items()
+            if (1 << k.bit_length()) - 1 <= inputs[x].hi}
+    space = [(x, grid.get(x, a)) for x, a in d1.inputs
+             if x in split or x in degree]
+    if sum(a.width for _, a in space) > max_bits:
+        raise OffGrid("grid too wide")
+    if first_mismatch(_on_grid(d1.body, grid), _on_grid(d2.body, grid),
+                      space) is not None:
+        raise OffGrid("grid mismatch")
+    return f"grid(d={max(degree.values(), default=0)},split={split_bits})"
 
 
 def _run(obs: list[dict], load, cfg: OracleConfig | None) -> WaterfallReport:
@@ -164,8 +296,7 @@ def _run(obs: list[dict], load, cfg: OracleConfig | None) -> WaterfallReport:
             rep.assume_guarantee = status
             continue
         try:
-            v = check_equiv(load(ob["left"]), load(ob["right"]), cfg,
-                            hint=ob["checker_hint"])
+            v = check_equiv(load(ob["left"]), load(ob["right"]), cfg)
         except OracleError as e:
             v = Verdict("unproven", "none", 0.0, note=str(e))
         rep.verdicts.append((ob, v))

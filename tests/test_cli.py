@@ -61,11 +61,28 @@ class TestCheck:
         assert r.exit_code == 0, r.output
 
     def test_no_rules_full_width_unproven(self, runner, tmp_path):
+        # vbsme8's 64 input bits are sampled: its slots wrap, and its `<`
+        # is no polynomial, so the grid does not apply
+        sp, ip = _emit_pair(tmp_path, "vbsme8")
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(out),
+                                 "--rules", "none", "--samples", "2000"])
+        assert r.exit_code == 2, r.output
+        *checked, _ = json.loads((out / "report.json").read_text())[
+            "obligations"]
+        assert checked[-1]["kind"] == "center"
+        for ob in checked:
+            assert ob["verdict"]["note"] == (
+                "grid: opcode <; no counterexample found by sampling")
+
+    def test_no_rules_fig1_passes_on_grid(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig1")
         r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
                                  "--out", str(tmp_path / "out"),
                                  "--rules", "none", "--samples", "2000"])
-        assert r.exit_code == 2, r.output
+        assert r.exit_code == 0, r.output
+        assert "grid(d=1,split=8)" in r.output
 
     def test_inequivalent_pair_fails(self, runner, tmp_path):
         sp, _ = _emit_pair(tmp_path, "adpcm")
@@ -277,6 +294,27 @@ class TestProve:
         r = runner.invoke(main, ["prove", str(out)])
         assert r.exit_code == 0, r.output
         assert report() == checked
+
+    def test_prove_reaches_the_grid_verdicts_of_check(self, runner,
+                                                      tmp_path):
+        # the grid reads only the two designs of an obligation
+        out = tmp_path / "out"
+
+        def verdicts():
+            rep = json.loads((out / "report.json").read_text())
+            return [(ob["verdict"]["status"], ob["verdict"]["method"])
+                    for ob in rep["obligations"]]
+
+        sp, ip = _emit_pair(tmp_path, "fig1")
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        checked = verdicts()
+        assert checked[:-1] == [("pass", "grid(d=1,split=8)")] * (
+            len(checked) - 1)
+        r = runner.invoke(main, ["prove", str(out)])
+        assert r.exit_code == 0, r.output
+        assert verdicts() == checked
 
     def test_prove_missing_dir_is_error(self, runner, tmp_path):
         r = runner.invoke(main, ["prove", str(tmp_path / "nothing")])

@@ -1,14 +1,19 @@
 import os
 import stat
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordec.egraph import init_pair, saturate
 from wordec.extract import extract_greedy, extract_ilp
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design, parse_sexpr
-from wordec.ir import Annotation, evaluate, op, var
-from wordec.oracle import (OracleConfig, OracleError, check_equiv,
+from wordec.ir import (ARITY, Annotation, const, evaluate, evaluate_many,
+                       exact_width, first_mismatch, op, var)
+from wordec.oracle import (OffGrid, OracleConfig, OracleError, _polynomial,
+                           _split_inputs, check_equiv, grid_method,
                            run_waterfall, run_waterfall_dir)
 from wordec.proof import build_waterfall, write_waterfall
 from wordec.rewrites import baseline_rules
@@ -44,15 +49,24 @@ class TestCheckEquiv:
         assert v.counterexample == {"a": 1, "b": 1}
 
     def test_sampling_when_too_wide(self):
+        d1, d2 = _wide_and_pair()
+        cfg = OracleConfig(max_exhaustive_bits=8, samples=500)
+        v = check_equiv(d1, d2, cfg)
+        assert v.status == "unproven"
+        assert v.method == "random(500)"
+        assert v.note == ("grid: opcode &; "
+                          "no counterexample found by sampling")
+
+    def test_wide_polynomial_pair_passes_on_grid(self):
+        # a+b vs b+a at 16 bits each: degree 1 in each, so a 2x2 grid
         a, b, ins = _ab(16)
         d1 = _design("d1", op("+", Annotation(17), (a.out, a), (b.out, b)),
                      ins)
         d2 = _design("d2", op("+", Annotation(17), (b.out, b), (a.out, a)),
                      ins)
-        cfg = OracleConfig(max_exhaustive_bits=8, samples=500)
-        v = check_equiv(d1, d2, cfg)
-        assert v.status == "unproven"
-        assert v.method == "random(500)"
+        v = check_equiv(d1, d2, OracleConfig(max_exhaustive_bits=8))
+        assert v.status == "pass" and v.method == "grid(d=1,split=0)"
+        assert v.input_bits == 32 and v.note is None
 
     def test_sampling_finds_bug_deterministically(self):
         a, b, ins = _ab(16)
@@ -112,19 +126,20 @@ def _script(tmp_path, name, exit_code):
     return str(p)
 
 
-class TestExternalChecker:
-    def _wide_pair(self):
-        a, b, ins = _ab(16)
-        d1 = _design("d1", op("+", Annotation(17), (a.out, a), (b.out, b)),
-                     ins)
-        d2 = _design("d2", op("+", Annotation(17), (b.out, b), (a.out, a)),
-                     ins)
-        return d1, d2
+def _wide_and_pair():
+    """a&b vs b&a at 16 bits each: too wide to enumerate, and `&` is no
+    polynomial, so the grid does not apply."""
+    a, b, ins = _ab(16)
+    d1 = _design("d1", op("&", Annotation(16), (a.out, a), (b.out, b)), ins)
+    d2 = _design("d2", op("&", Annotation(16), (b.out, b), (a.out, a)), ins)
+    return d1, d2
 
+
+class TestExternalChecker:
     @pytest.mark.parametrize("code,status", [(0, "pass"), (1, "fail"),
                                              (2, "unproven")])
     def test_exit_code_mapping(self, tmp_path, code, status):
-        d1, d2 = self._wide_pair()
+        d1, d2 = _wide_and_pair()
         cmd = _script(tmp_path, f"chk{code}.sh", code)
         cfg = OracleConfig(max_exhaustive_bits=8, samples=100,
                            external_cmd=f"{cmd} {{left}} {{right}}")
@@ -144,11 +159,230 @@ class TestExternalChecker:
         assert v.status == "fail" and v.method.startswith("random")
 
     def test_missing_binary_unproven(self):
-        d1, d2 = self._wide_pair()
+        d1, d2 = _wide_and_pair()
         cfg = OracleConfig(max_exhaustive_bits=8, samples=100,
                            external_cmd="/nonexistent/checker {left} {right}")
         v = check_equiv(d1, d2, cfg)
         assert v.status == "unproven" and "failed" in v.note
+
+
+_GRID_OPS = ("+", "-", "*", "neg", "zext", "sext", "<<")
+_AMOUNT = Annotation(2)
+_SMALL = (("x", Annotation(4)), ("y", Annotation(3, True)), ("s", _AMOUNT))
+_WIDE = (("x", Annotation(12)), ("y", Annotation(12, True)), ("s", _AMOUNT))
+
+
+def _any_ann(draw, max_width=10):
+    return Annotation(draw(st.integers(1, max_width)), draw(st.booleans()))
+
+
+@st.composite
+def _grid_terms(draw, inputs, depth=3):
+    """Terms over the grid tier's opcodes.  Slots are the child's own
+    annotation or any other (which may wrap), outputs the exact one or any
+    other; a shift amount is `s`, a constant, or a term that wraps (any
+    opcode may appear there)."""
+    anns = dict(inputs)
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 4)) == 0:
+            a = _any_ann(draw, 4)
+            return const(draw(st.integers(a.lo, a.hi)), a)
+        name = draw(st.sampled_from(("x", "y")))
+        return var(name, anns[name])
+    kind = draw(st.sampled_from(_GRID_OPS))
+    if kind == "<<":
+        x = draw(_grid_terms(inputs, depth - 1))
+        s = var("s", anns["s"])
+        amount = draw(st.sampled_from((
+            s, const(1, _AMOUNT),
+            op("&", _AMOUNT, (_AMOUNT, s), (_AMOUNT, const(2, _AMOUNT))),
+            op("+", _AMOUNT, (anns["y"], var("y", anns["y"])), (_AMOUNT, s)),
+        )))
+        children = (x, amount)
+        slots = (_slot(draw, x), _AMOUNT)
+    else:
+        children = [draw(_grid_terms(inputs, depth - 1))
+                    for _ in range(ARITY[kind])]
+        slots = tuple(_slot(draw, c) for c in children)
+    out = (exact_width(kind, slots) if draw(st.integers(0, 9)) < 9
+           else _any_ann(draw, 24))
+    return op(kind, out, *zip(slots, children))
+
+
+def _slot(draw, child):
+    return child.out if draw(st.integers(0, 9)) < 9 else _any_ann(draw)
+
+
+def _positions(t, at=()):
+    yield at
+    for i, (_, child) in enumerate(t.operands):
+        yield from _positions(child, at + (i,))
+
+
+@st.composite
+def _grid_pairs(draw, inputs):
+    """Two designs over `inputs`: a random term, and that term with one
+    subterm commuted (an equivalent pair), re-annotated, or replaced."""
+    t1 = draw(_grid_terms(inputs))
+    at = draw(st.sampled_from(list(_positions(t1))))
+    sub = t1.at(at)
+    how = draw(st.sampled_from(("commute", "annotate", "replace")))
+    if how == "commute" and sub.kind in ("+", "*"):
+        sub = op(sub.kind, sub.out, *reversed(sub.operands))
+    elif how == "annotate" and sub.operands:
+        sub = op(sub.kind, _any_ann(draw, 24), *sub.operands)
+    else:
+        sub = draw(_grid_terms(inputs, 2))
+    t2 = t1.replace(at, sub)
+    # wide enough for both sides, or any other (which may wrap)
+    out = (Annotation(max(t1.out.width, t2.out.width) + 1, True)
+           if draw(st.integers(0, 3)) < 3 else _any_ann(draw, 40))
+    zero = const(0, Annotation(1))
+    return tuple(_design(n, op("+", out, (t.out, t), (zero.out, zero)),
+                         inputs) for n, t in (("d1", t1), ("d2", t2)))
+
+
+def _grid_pass(d1, d2):
+    try:
+        return grid_method(d1, d2, 64)
+    except OffGrid:
+        return None
+
+
+class TestGridTier:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_grid_pairs(_SMALL))
+    def test_grid_pass_agrees_with_exhaustive(self, pair):
+        d1, d2 = pair
+        if _grid_pass(d1, d2):
+            assert first_mismatch(d1.body, d2.body, d1.inputs) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=_grid_pairs(_WIDE), seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_pass_agrees_with_sampling(self, pair, seed):
+        d1, d2 = pair
+        if _grid_pass(d1, d2):
+            assert first_mismatch(d1.body, d2.body, d1.inputs, 2000,
+                                  seed) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=_grid_terms(_SMALL))
+    def test_degree_and_range_bounds_hold(self, t):
+        """Along each input that is not split, the values of `t` have a
+        vanishing difference of order one past its degree, and every value
+        lies in the computed range."""
+        split = _split_inputs(t, set())
+        try:
+            lo, hi, degree = _polynomial(t, dict(_SMALL), split)
+        except OffGrid:
+            return
+        axes = [np.arange(a.lo, a.hi + 1) for _, a in _SMALL]
+        grid = np.meshgrid(*axes, indexing="ij")
+        env = {n: g.ravel() for (n, _), g in zip(_SMALL, grid)}
+        vals = evaluate_many(t, env).astype(object).reshape(grid[0].shape)
+        assert lo <= vals.min() and vals.max() <= hi
+        for i, (name, _) in enumerate(_SMALL):
+            if name not in split:
+                k = (degree or {}).get(name, 0)
+                assert not np.diff(vals, n=k + 1, axis=i).any(), (name, k)
+
+    def test_methods_of_bundled_pairs(self):
+        methods = {}
+        for name in names():
+            try:
+                methods[name] = grid_method(*load_pair(name), 20)
+            except OffGrid as e:
+                methods[name] = str(e)
+        assert methods == {
+            "adpcm": "grid(d=1,split=0)", "boxfilter": "opcode mux",
+            "fig1": "grid(d=1,split=8)", "fig1-scaled": "grid(d=1,split=4)",
+            "fig4": "opcode >>", "fir8": "grid(d=1,split=0)",
+            "vbsme4": "opcode <", "vbsme8": "opcode <"}
+
+    def test_budget_reasons(self):
+        fig1 = load_pair("fig1")
+        with pytest.raises(OffGrid, match="split too wide"):
+            grid_method(*fig1, 7)
+        with pytest.raises(OffGrid, match="grid too wide"):
+            grid_method(*fig1, 9)
+        assert grid_method(*fig1, 10) == "grid(d=1,split=8)"
+
+    def test_degree_two_grid(self):
+        # (x+1)^2 vs x*x + 2x + 1: degree 2 in x needs 3 points, so 2 bits
+        u8, u9, u17 = Annotation(8), Annotation(9), Annotation(17)
+        x = var("x", u8)
+        one = const(1, Annotation(1))
+        sq = op("*", u17, (u9, op("+", u9, (u8, x), (one.out, one))),
+                (u9, op("+", u9, (u8, x), (one.out, one))))
+        two_x = op("<<", u9, (u8, x), (one.out, one))
+        poly = op("+", u17, (Annotation(16), op("*", Annotation(16), (u8, x),
+                                                 (u8, x))),
+                  (Annotation(17), op("+", Annotation(17), (u9, two_x),
+                                      (one.out, one))))
+        ins = [("x", u8)]
+        assert grid_method(_design("a", sq, ins), _design("b", poly, ins),
+                           8) == "grid(d=2,split=0)"
+
+    def _unary_pair(self, x_ann, kind, slot, out):
+        """kind(x) vs x itself, both read at `out`: they agree on the grid
+        points 0 and 1."""
+        x = var("x", x_ann)
+        y = var("y", Annotation(8))
+        body1 = op("+", out, (out, op(kind, out, (slot, x))), (y.out, y))
+        body2 = op("+", out, (x_ann, x), (y.out, y))
+        ins = [("x", x_ann), ("y", Annotation(8))]
+        return _design("d1", body1, ins), _design("d2", body2, ins)
+
+    @pytest.mark.parametrize("x_ann, kind, why", [
+        (Annotation(8, True), "zext", "zext of a negative value"),
+        (Annotation(8), "sext", "sext of an unsigned value past the sign bit"),
+    ])
+    def test_non_identity_extension_is_off_grid(self, x_ann, kind, why):
+        d1, d2 = self._unary_pair(x_ann, kind, x_ann, Annotation(12, True))
+        with pytest.raises(OffGrid, match=why):
+            grid_method(d1, d2, 20)
+        v = check_equiv(d1, d2, OracleConfig(max_exhaustive_bits=4,
+                                             samples=1000))
+        assert v.status == "fail" and why in v.note
+
+    def test_identity_extensions_are_on_grid(self):
+        # zext of an unsigned slot and sext of a signed one change nothing
+        for x_ann, kind in ((Annotation(8), "zext"),
+                            (Annotation(8, True), "sext")):
+            d1, d2 = self._unary_pair(x_ann, kind, x_ann,
+                                      Annotation(12, True))
+            assert grid_method(d1, d2, 20) == "grid(d=1,split=0)"
+
+    def test_overflow_is_off_grid(self):
+        """x+y through an 8-bit slot agrees with x+y on the grid {0,1}^2
+        but differs once the sum passes 255."""
+        u8, u9 = Annotation(8), Annotation(9)
+        x, y = var("x", u8), var("y", u8)
+        wrapped = op("+", u9, (u8, op("+", u8, (u8, x), (u8, y))),
+                     (Annotation(1), const(0, Annotation(1))))
+        exact = op("+", u9, (u8, x), (u8, y))
+        ins = [("x", u8), ("y", u8)]
+        d1, d2 = _design("d1", wrapped, ins), _design("d2", exact, ins)
+        with pytest.raises(OffGrid, match="slot wraps"):
+            grid_method(d1, d2, 20)
+        v = check_equiv(d1, d2, OracleConfig(max_exhaustive_bits=8,
+                                             samples=1000))
+        assert v.status == "fail" and v.method == "random(1000)"
+        assert v.note == "grid: slot wraps"
+
+    def test_input_too_narrow_for_its_grid_is_enumerated(self):
+        # b*b*b has degree 3 in a 1-bit b: a 2-bit grid does not fit, so
+        # b's whole range is enumerated
+        a, b = var("a", Annotation(16)), var("b", Annotation(1))
+        u2, u3 = Annotation(2), Annotation(3)
+        bbb = op("*", u3, (u2, op("*", u2, (b.out, b), (b.out, b))),
+                 (b.out, b))
+        body1 = op("+", Annotation(17), (a.out, a), (u3, bbb))
+        body2 = op("+", Annotation(17), (b.out, b), (a.out, a))
+        ins = [("a", Annotation(16)), ("b", Annotation(1))]
+        assert grid_method(_design("d1", body1, ins),
+                           _design("d2", body2, ins), 8) \
+            == "grid(d=3,split=0)"
 
 
 def _build(name, rules=None):
