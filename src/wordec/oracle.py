@@ -137,8 +137,9 @@ def _decide(d1: Design, d2: Design, cfg: OracleConfig,
                            cex[0])
         return Verdict("pass", "exhaustive", time.perf_counter() - t0)
     try:
-        method = grid_method(d1, d2, cfg.max_exhaustive_bits)
-        return Verdict("pass", method, time.perf_counter() - t0)
+        method, cex = grid_method(d1, d2, cfg.max_exhaustive_bits)
+        return Verdict("pass" if cex is None else "fail", method,
+                       time.perf_counter() - t0, cex)
     except OffGrid as e:
         why = f"grid: {e}"
     method = f"random({cfg.samples})"
@@ -170,7 +171,7 @@ _POLY_OPS = frozenset({"+", "-", "*", "neg", "zext", "sext", "<<"})
 
 
 class OffGrid(Exception):
-    """Why the grid tier does not prove a pair."""
+    """Why the grid tier does not decide a pair."""
 
 
 def _split_inputs(t: Term, out: set[str]) -> set[str]:
@@ -248,11 +249,15 @@ def _on_grid(t: Term, grid: dict[str, Annotation]) -> Term:
                 t.indices)
 
 
-def grid_method(d1: Design, d2: Design, max_bits: int) -> str:
-    """Prove d1 ≅ d2 on a grid and return the method, `grid(d=D,split=S)`:
-    D is the greatest degree of any input, S the bits of the split inputs.
-    Raises OffGrid with the reason when the tier does not apply, does not
-    fit in `max_bits`, or finds a mismatch (the grid only ever proves)."""
+def grid_method(d1: Design, d2: Design, max_bits: int
+                ) -> tuple[str, dict[str, int] | None]:
+    """Decide d1 ≅ d2 on a grid.  Returns the method, `grid(d=D,split=S)`
+    (D the greatest degree of any input, S the bits of the split inputs),
+    and the first grid point on which the designs differ, or None when they
+    are proven equal.  Every grid point is an input of the designs; an input
+    the grid leaves out is read by neither side and is set to 0.  Raises
+    OffGrid with the reason when the tier does not apply or does not fit in
+    `max_bits`."""
     inputs = dict(d1.inputs)
     split = _split_inputs(d2.body, _split_inputs(d1.body, set()))
     degree: dict[str, int] = {}
@@ -271,10 +276,12 @@ def grid_method(d1: Design, d2: Design, max_bits: int) -> str:
              if x in split or x in degree]
     if sum(a.width for _, a in space) > max_bits:
         raise OffGrid("grid too wide")
-    if first_mismatch(_on_grid(d1.body, grid), _on_grid(d2.body, grid),
-                      space) is not None:
-        raise OffGrid("grid mismatch")
-    return f"grid(d={max(degree.values(), default=0)},split={split_bits})"
+    method = f"grid(d={max(degree.values(), default=0)},split={split_bits})"
+    cex = first_mismatch(_on_grid(d1.body, grid), _on_grid(d2.body, grid),
+                         space)
+    if cex is None:
+        return method, None
+    return method, {x: cex[0].get(x, 0) for x, _ in d1.inputs}
 
 
 def _run(obs: list[dict], load, cfg: OracleConfig | None) -> WaterfallReport:

@@ -23,7 +23,7 @@ from pathlib import Path
 from .egraph import CONGRUENCE, EGraph, RuleJust
 from .extract import pick_nodes
 from .frontend import Design, emit_sexpr, emit_sv
-from .ir import Term, exact_width
+from .ir import Term
 
 STEP_LIMIT = 100_000
 
@@ -35,19 +35,14 @@ class ProofError(Exception):
 @dataclass
 class RewriteStep:
     rule_id: str
-    direction: str                  # "fwd" | "rev"
     position: tuple[int, ...]
     before: Term                    # whole design term
     after: Term
     checker_hint: str = "simulation"
-    # instantiation details, kept for width normalization of this step
-    to_skel: object = None          # Skeleton | None
-    binding: dict | None = None
 
     def reversed(self) -> "RewriteStep":
-        d = "rev" if self.direction == "fwd" else "fwd"
-        return RewriteStep(self.rule_id, d, self.position, self.after,
-                           self.before, self.checker_hint, None, None)
+        return RewriteStep(self.rule_id, self.position, self.after,
+                           self.before, self.checker_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +58,14 @@ class _Explainer:
 
     # -- term surgery -------------------------------------------------------
 
-    def record(self, pos: tuple[int, ...], after_sub: Term, rule_id: str,
-               direction: str, to_skel, binding) -> None:
+    def record(self, pos: tuple[int, ...], after_sub: Term,
+               rule_id: str) -> None:
         if len(self.steps) > STEP_LIMIT:
             raise ProofError("explanation exceeded the step limit")
         before = self.whole
         after = before.replace(pos, after_sub)
         hint = self.hints.get(rule_id, "simulation")
-        self.steps.append(RewriteStep(rule_id, direction, pos, before, after,
-                                      hint, to_skel, dict(binding)))
+        self.steps.append(RewriteStep(rule_id, pos, before, after, hint))
         self.whole = after
 
     # -- realization --------------------------------------------------------
@@ -112,14 +106,12 @@ class _Explainer:
                     raise ProofError("congruence edge between unequal shapes")
                 continue  # identical modulo child classes: nothing to rewrite
             assert isinstance(just, RuleJust)
-            fwd = x == just.lhs.node
-            skel_from = just.lhs if fwd else just.rhs
-            skel_to = just.rhs if fwd else just.lhs
+            skel_from, skel_to = ((just.lhs, just.rhs) if x == just.lhs.node
+                                  else (just.rhs, just.lhs))
             binding: dict[int, Term] = {}
             cur = self.align(pos, cur, skel_from, binding)
             after_sub = self.realize(skel_to, binding)
-            self.record(pos, after_sub, just.rule_id,
-                        "fwd" if fwd else "rev", skel_to, binding)
+            self.record(pos, after_sub, just.rule_id)
             cur = after_sub
         return cur
 
@@ -195,53 +187,6 @@ def rule_hints(rules) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Width normalization hops
-# ---------------------------------------------------------------------------
-
-WIDTH_RELABEL = "width-relabel"
-
-
-def _realize_wide(g: EGraph, skel, binding: dict) -> Term:
-    """The skeleton's template operators rebuilt at their exact widths;
-    bound (variable-position) subterms are left untouched."""
-    if skel.subs is None:
-        return binding[g.find(skel.node)]
-    n = g.nodes[skel.node]
-    if not skel.subs:
-        return n.term((), n.out)
-    ops = []
-    for slot, ch, sub in zip(n.slots, n.children, skel.subs):
-        if sub is None:
-            ops.append((slot, binding[g.find(ch)]))
-        else:
-            t = _realize_wide(g, sub, binding)
-            ops.append((t.out, t))
-    return n.term(ops, exact_width(n.op, tuple(s for s, _ in ops), n.indices,
-                                   n.out.width))
-
-
-def widen_step(g: EGraph, step: RewriteStep) -> list[RewriteStep] | None:
-    """Split a width-sensitive step into the same rewrite at standardized
-    (exact) widths followed by a trivial width-relabel hop.  Returns None
-    when the step carries no instantiation record."""
-    if step.to_skel is None or step.binding is None:
-        return None
-    wide = _realize_wide(g, step.to_skel, dict(step.binding))
-    target = step.after.at(step.position) if step.position else step.after
-    out = target.out
-    if wide.out == out:
-        return None  # widths already standardized; nothing to insert
-    wrap = "sext" if wide.out.signed else "zext"
-    wide_sub = Term(wrap, out, operands=((wide.out, wide),))
-    mid = step.before.replace(step.position, wide_sub)
-    s1 = RewriteStep(step.rule_id, step.direction, step.position,
-                     step.before, mid, step.checker_hint)
-    s2 = RewriteStep(WIDTH_RELABEL, "fwd", step.position, mid, step.after,
-                     "trivial")
-    return [s1, s2]
-
-
-# ---------------------------------------------------------------------------
 # Waterfall assembly
 # ---------------------------------------------------------------------------
 
@@ -268,10 +213,10 @@ class Waterfall:
 def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
                     rules=()) -> Waterfall:
     hints = rule_hints(rules)
-    spec_steps = _normalize(g, _cancel_inverses(
-        explain(g, spec.body, extraction.s_star, hints)))
-    impl_fwd = _normalize(g, _cancel_inverses(
-        explain(g, impl.body, extraction.i_star, hints)))  # I -> I*
+    spec_steps = _cancel_inverses(
+        explain(g, spec.body, extraction.s_star, hints))
+    impl_fwd = _cancel_inverses(
+        explain(g, impl.body, extraction.i_star, hints))  # I -> I*
     # the impl chain runs I* … I: reverse the forward explanation
     impl_steps = [s.reversed() for s in reversed(impl_fwd)]
     w = Waterfall(spec, impl, spec_steps, impl_steps, {}, [])
@@ -312,18 +257,6 @@ def _cancel_inverses(steps: list[RewriteStep]) -> list[RewriteStep]:
             out.pop()
         else:
             out.append(s)
-    return out
-
-
-def _normalize(g: EGraph, steps: list[RewriteStep]) -> list[RewriteStep]:
-    out: list[RewriteStep] = []
-    for s in steps:
-        if s.checker_hint == "external-strong":
-            split = widen_step(g, s)
-            if split is not None:
-                out.extend(split)
-                continue
-        out.append(s)
     return out
 
 

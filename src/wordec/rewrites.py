@@ -759,8 +759,8 @@ class Match:
 
 class ZextIntroRule:
     """Wrap any operator class in an identity zext/sext of the same
-    annotation.  Introduces self-referential nodes, letting width-relabeled
-    variants share structure."""
+    annotation.  Introduces self-referential nodes, letting variants that
+    differ only by such an extension share structure."""
 
     id = "zext-intro"
     checker_hint = "trivial"

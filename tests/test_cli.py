@@ -263,6 +263,19 @@ class TestSaturateExtract:
         assert "Maximize" in lp.read_text()
 
 
+class TestWaterfall:
+    @pytest.mark.parametrize("name", ["fig1", "fig1-scaled"])
+    def test_no_width_relabel_stem(self, runner, tmp_path, name):
+        # each step is written at the widths it was extracted at
+        sp, ip = _emit_pair(tmp_path, name)
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["waterfall", "--spec", sp, "--impl", ip,
+                                 "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert list((out / "steps").glob("*.ir"))
+        assert not list((out / "steps").glob("*width_relabel*"))
+
+
 class TestProve:
     def test_prove_emitted_dir(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig1-scaled")

@@ -68,6 +68,22 @@ class TestCheckEquiv:
         assert v.status == "pass" and v.method == "grid(d=1,split=0)"
         assert v.input_bits == 32 and v.note is None
 
+    def test_wide_polynomial_mismatch_fails_on_grid(self):
+        # a*b vs a+b differ at the grid point a=0, b=1; z is read by
+        # neither side, so the grid leaves it out and the counterexample
+        # sets it to 0.  No sample is drawn.
+        a, b, ins = _ab(16)
+        ins.append(("z", Annotation(16, True)))
+        out = Annotation(32)
+        d1 = _design("d1", op("*", out, (a.out, a), (b.out, b)), ins)
+        d2 = _design("d2", op("+", out, (a.out, a), (b.out, b)), ins)
+        v = check_equiv(d1, d2, OracleConfig(samples=0))
+        assert (v.status, v.method) == ("fail", "grid(d=1,split=0)")
+        assert v.counterexample == {"a": 0, "b": 1, "z": 0}
+        assert v.note is None and v.input_bits == 48
+        assert evaluate(d1.body, v.counterexample) \
+            != evaluate(d2.body, v.counterexample)
+
     def test_sampling_finds_bug_deterministically(self):
         a, b, ins = _ab(16)
         d1 = _design("d1", op("+", Annotation(17), (a.out, a), (b.out, b)),
@@ -242,26 +258,35 @@ def _grid_pairs(draw, inputs):
                          inputs) for n, t in (("d1", t1), ("d2", t2)))
 
 
-def _grid_pass(d1, d2):
+def _grid_verdict(d1, d2):
+    """Whether the grid proves the pair (True), refutes it (False) or does
+    not apply (None).  A refutation's counterexample must be a real one:
+    the two original bodies differ on it."""
     try:
-        return grid_method(d1, d2, 64)
+        _, cex = grid_method(d1, d2, 64)
     except OffGrid:
         return None
+    if cex is not None:
+        assert set(cex) == {x for x, _ in d1.inputs}
+        assert evaluate(d1.body, cex) != evaluate(d2.body, cex), cex
+    return cex is None
 
 
 class TestGridTier:
     @settings(max_examples=300, deadline=None)
     @given(pair=_grid_pairs(_SMALL))
-    def test_grid_pass_agrees_with_exhaustive(self, pair):
+    def test_grid_verdict_agrees_with_exhaustive(self, pair):
         d1, d2 = pair
-        if _grid_pass(d1, d2):
-            assert first_mismatch(d1.body, d2.body, d1.inputs) is None
+        proven = _grid_verdict(d1, d2)
+        if proven is not None:
+            assert (first_mismatch(d1.body, d2.body, d1.inputs)
+                    is None) == proven
 
     @settings(max_examples=200, deadline=None)
     @given(pair=_grid_pairs(_WIDE), seed=st.integers(0, 2 ** 32 - 1))
-    def test_grid_pass_agrees_with_sampling(self, pair, seed):
+    def test_grid_verdict_agrees_with_sampling(self, pair, seed):
         d1, d2 = pair
-        if _grid_pass(d1, d2):
+        if _grid_verdict(d1, d2):
             assert first_mismatch(d1.body, d2.body, d1.inputs, 2000,
                                   seed) is None
 
@@ -290,7 +315,8 @@ class TestGridTier:
         methods = {}
         for name in names():
             try:
-                methods[name] = grid_method(*load_pair(name), 20)
+                methods[name], cex = grid_method(*load_pair(name), 20)
+                assert cex is None
             except OffGrid as e:
                 methods[name] = str(e)
         assert methods == {
@@ -305,7 +331,7 @@ class TestGridTier:
             grid_method(*fig1, 7)
         with pytest.raises(OffGrid, match="grid too wide"):
             grid_method(*fig1, 9)
-        assert grid_method(*fig1, 10) == "grid(d=1,split=8)"
+        assert grid_method(*fig1, 10) == ("grid(d=1,split=8)", None)
 
     def test_degree_two_grid(self):
         # (x+1)^2 vs x*x + 2x + 1: degree 2 in x needs 3 points, so 2 bits
@@ -321,7 +347,7 @@ class TestGridTier:
                                       (one.out, one))))
         ins = [("x", u8)]
         assert grid_method(_design("a", sq, ins), _design("b", poly, ins),
-                           8) == "grid(d=2,split=0)"
+                           8) == ("grid(d=2,split=0)", None)
 
     def _unary_pair(self, x_ann, kind, slot, out):
         """kind(x) vs x itself, both read at `out`: they agree on the grid
@@ -351,7 +377,7 @@ class TestGridTier:
                             (Annotation(8, True), "sext")):
             d1, d2 = self._unary_pair(x_ann, kind, x_ann,
                                       Annotation(12, True))
-            assert grid_method(d1, d2, 20) == "grid(d=1,split=0)"
+            assert grid_method(d1, d2, 20) == ("grid(d=1,split=0)", None)
 
     def test_overflow_is_off_grid(self):
         """x+y through an 8-bit slot agrees with x+y on the grid {0,1}^2
@@ -382,7 +408,7 @@ class TestGridTier:
         ins = [("a", Annotation(16)), ("b", Annotation(1))]
         assert grid_method(_design("d1", body1, ins),
                            _design("d2", body2, ins), 8) \
-            == "grid(d=3,split=0)"
+            == ("grid(d=3,split=0)", None)
 
 
 def _build(name, rules=None):

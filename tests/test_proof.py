@@ -7,8 +7,9 @@ from wordec.egraph import init_pair, saturate
 from wordec.extract import extract_ilp
 from wordec.fixtures import load_pair
 from wordec.ir import evaluate
-from wordec.proof import (ProofError, build_waterfall, check_adjacency,
-                          explain, rule_hints, write_waterfall)
+from wordec.proof import (ProofError, _cancel_inverses, build_waterfall,
+                          check_adjacency, explain, rule_hints,
+                          write_waterfall)
 from wordec.rewrites import baseline_rules
 
 
@@ -104,23 +105,22 @@ class TestWaterfall:
         assert kinds.count("center") == 1
         assert kinds[-1] == "assume-guarantee"
 
-    def test_width_normalization_only_relabel_hops_added(self):
-        spec, impl, g, rules = _saturated("fig1-scaled")
+    @pytest.mark.parametrize("name, obligations",
+                             [("fig1-scaled", 14), ("fig1", 28)])
+    def test_chains_are_the_inverse_cancelled_explanations(self, name,
+                                                           obligations):
+        # each step is emitted at the widths it was extracted at: no hop
+        # is added between the explainer's steps
+        spec, impl, g, rules = _saturated(name)
         res = extract_ilp(g, timeout=20.0)
         hints = rule_hints(rules)
-        raw = (explain(g, spec.body, res.s_star, hints)
-               + explain(g, impl.body, res.i_star, hints))
-        norm = build_waterfall(g, spec, impl, res, rules)
-        raw_n = len(raw)
-        norm_n = len(norm.spec_steps) + len(norm.impl_steps)
-        assert norm_n >= raw_n
-        extra = [s for s in norm.spec_steps + norm.impl_steps
-                 if s.rule_id == "width-relabel"]
-        assert len(extra) == norm_n - raw_n
-        for s in norm.spec_steps + norm.impl_steps:
-            if s.rule_id == "width-relabel":
-                assert s.checker_hint == "trivial"
-        check_adjacency(norm)
+        w = build_waterfall(g, spec, impl, res, rules)
+        assert w.spec_steps == _cancel_inverses(
+            explain(g, spec.body, res.s_star, hints))
+        assert [s.reversed() for s in reversed(w.impl_steps)] \
+            == _cancel_inverses(explain(g, impl.body, res.i_star, hints))
+        assert len(w.obligations()) == obligations
+        check_adjacency(w)
 
     def test_obligation_indices_consistent(self):
         w, _, _ = _waterfall("vbsme4")
