@@ -12,7 +12,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
 
-from .ir import Annotation, min_width, op_value_range
+from .ir import Annotation, fit, min_width, op_value_range
 
 if TYPE_CHECKING:
     from .egraph import EGraph, NodeRec
@@ -40,23 +40,18 @@ class Interval(NamedTuple):
 
 
 def interval_make(node: "NodeRec", child_intervals: list[Interval]) -> Interval:
-    """Sound output interval of one node from its child class intervals.
-    Each operand is coerced to its slot, which is the identity exactly on
-    the values the slot represents; otherwise it widens to the slot's
-    range."""
+    """Sound output interval of one node from its child class intervals,
+    each read through its slot, and the result through the output
+    annotation, by `ir.fit`."""
     out = node.out
     if node.op == "var":
         return Interval(out.lo, out.hi)
     if node.op == "const":
         return Interval(node.value, node.value)
-    ranges = [iv if slot.lo <= iv.lo and iv.hi <= slot.hi
-              else (slot.lo, slot.hi)
-              for iv, slot in zip(child_intervals, node.slots)]
+    ranges = [fit(*iv, slot) for iv, slot in zip(child_intervals, node.slots)]
     lo, hi = op_value_range(node.op, node.slots, ranges, node.indices,
                             out.width)
-    if out.lo <= lo and hi <= out.hi:
-        return Interval(lo, hi)
-    return Interval(out.lo, out.hi)  # truncation possible: wraparound widens
+    return Interval(*fit(lo, hi, out))
 
 
 def interval_merge(a: Interval, b: Interval) -> Interval:

@@ -18,8 +18,7 @@ from .egraph import EGraphError, init_pair, saturate
 from .extract import (ExtractionError, export_lp, extract_greedy, extract_ilp,
                       shared)
 from .frontend import Design, ParseError, emit_sexpr, parse_sexpr, parse_sv
-from .oracle import OracleConfig, OracleError, check_equiv, run_waterfall, \
-    run_waterfall_dir
+from .oracle import OracleConfig, OracleError, run_waterfall, run_waterfall_dir
 from .proof import ProofError, build_waterfall, check_adjacency, \
     write_waterfall
 from .rewrites import baseline_rules, parse_rules, validate_rule

@@ -460,7 +460,9 @@ def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
     or None.  With `samples` None the joint input space is enumerated in
     lexicographic order (inputs in the given order, each low to high), so
     the result is the lexicographically first counterexample; otherwise
-    `samples` seeded uniform draws are checked."""
+    `samples` seeded uniform draws are checked.  Each input ranges over the
+    annotation given here, whose values its variable must represent: a
+    narrower one than the variable's own searches a subset of its values."""
     names = [n for n, _ in inputs]
     anns = [x for _, x in inputs]
     sizes = [x.hi - x.lo + 1 for x in anns]
@@ -684,6 +686,16 @@ def op_value_range(kind: str, slots: tuple[Annotation, ...],
             return r[0]
         return -half, half - 1
     raise IrError(f"unknown opcode: {kind}")
+
+
+def fit(lo: int, hi: int, a: Annotation) -> tuple[int, int]:
+    """The range of a value in [lo, hi] once coerced into `a`: the same
+    range when `a` holds all of it, else every value of `a`, since the
+    coercion may wrap.  The one rule by which a range passes a slot or an
+    output truncation."""
+    if a.lo <= lo and hi <= a.hi:
+        return lo, hi
+    return a.lo, a.hi
 
 
 def min_width(lo: int, hi: int, signed: bool) -> int:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .frontend import Design, emit_sv, parse_sexpr
-from .ir import (SHIFT_OPS, Annotation, Term, first_mismatch, op,
-                 op_value_range, var)
+from .ir import (SHIFT_OPS, Annotation, Term, first_mismatch, fit,
+                 op_value_range)
 
 
 class OracleError(Exception):
@@ -185,13 +185,12 @@ def _split_inputs(t: Term, out: set[str]) -> set[str]:
 
 def _fit(lo: int, hi: int, a: Annotation, degree: dict | None
          ) -> tuple[int, int]:
-    """The range of a value in [lo, hi] once read under `a`.  Only a
-    constant per split value (`degree` None) may wrap."""
-    if a.lo <= lo and hi <= a.hi:
-        return lo, hi
-    if degree is None:
-        return a.lo, a.hi
-    raise OffGrid("slot wraps")
+    """`ir.fit` of [lo, hi] under `a`, where only a constant per split
+    value (`degree` None) may wrap."""
+    r = fit(lo, hi, a)
+    if degree is not None and r != (lo, hi):
+        raise OffGrid("slot wraps")
+    return r
 
 
 def _polynomial(t: Term, inputs: dict[str, Annotation], split: set[str]
@@ -234,21 +233,6 @@ def _polynomial(t: Term, inputs: dict[str, Annotation], split: set[str]
     return (*_fit(lo, hi, t.out, degree), degree)
 
 
-def _on_grid(t: Term, grid: dict[str, Annotation]) -> Term:
-    """`t` with each input of `grid` read from its grid annotation, which
-    holds a prefix 0, 1, ... of the input's values, and zero-extended."""
-    if t.kind == "var":
-        if t.name not in grid:
-            return t
-        g = grid[t.name]
-        return op("zext", t.out, (g, var(t.name, g)))
-    if not t.operands:
-        return t
-    return Term(t.kind, t.out, t.name, t.value,
-                tuple((s, _on_grid(c, grid)) for s, c in t.operands),
-                t.indices)
-
-
 def grid_method(d1: Design, d2: Design, max_bits: int
                 ) -> tuple[str, dict[str, int] | None]:
     """Decide d1 ≅ d2 on a grid.  Returns the method, `grid(d=D,split=S)`
@@ -267,7 +251,9 @@ def grid_method(d1: Design, d2: Design, max_bits: int
     split_bits = sum(inputs[x].width for x in split)
     if split_bits > max_bits:
         raise OffGrid("split too wide")
-    # A grid of 2^b >= d + 1 points; an input too narrow to hold it is
+    # A grid of 2^b >= d + 1 points, the values 0 … 2^b - 1 of the input
+    # itself: its annotation here is only the search space, and the designs
+    # are evaluated as given.  An input too narrow to hold the grid is
     # enumerated whole, which is sound for any degree.  An input that is
     # neither split nor read has degree 0 and is left out.
     grid = {x: Annotation(k.bit_length()) for x, k in degree.items()
@@ -277,8 +263,7 @@ def grid_method(d1: Design, d2: Design, max_bits: int
     if sum(a.width for _, a in space) > max_bits:
         raise OffGrid("grid too wide")
     method = f"grid(d={max(degree.values(), default=0)},split={split_bits})"
-    cex = first_mismatch(_on_grid(d1.body, grid), _on_grid(d2.body, grid),
-                         space)
+    cex = first_mismatch(d1.body, d2.body, space)
     if cex is None:
         return method, None
     return method, {x: cex[0].get(x, 0) for x, _ in d1.inputs}

@@ -220,6 +220,15 @@ class TestSaturate:
         rep = saturate(g, baseline_rules(), {"iter": 1}, stop_on_merge=False)
         assert rep.iterations == 1
 
+    def test_node_limit_without_room_for_a_narrowing(self):
+        # fig4 starts with 5 nodes: a limit of 6 leaves no room for the two
+        # nodes of a narrowing, so no iteration starts
+        g = init_pair(*load_pair("fig4"))
+        assert g.num_nodes() == 5
+        rep = saturate(g, baseline_rules(), {"nodes": 6})
+        assert (rep.iterations, rep.stop_reason) == (0, "node-limit")
+        assert rep.node_counts == [5] and g.num_nodes() == 5
+
     def test_node_limit_binds_inside_an_iteration(self):
         # fir8's third iteration alone grows 384 nodes to 2332: the budget
         # stops its applications, and the iteration still rebuilds

@@ -12,7 +12,7 @@ from wordec import ir
 from wordec.ir import (ARITY, ROW_INT64_WIDTH, SHIFT_OPS, Annotation, IrError,
                        RowAnnotation, RowTerm, Term, UnboundVariableError,
                        coerce, const, evaluate, evaluate_many, exact_width,
-                       first_mismatch, first_mismatches, min_width, op,
+                       first_mismatch, first_mismatches, fit, min_width, op,
                        op_value_range, var, vectorizable)
 
 
@@ -371,3 +371,38 @@ class TestTermStructure:
     def test_bad_arity_rejected(self):
         with pytest.raises(IrError):
             op("+", ann(5), (ann(4), var("a", ann(4))))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda a: Term("var", a), "var terms need a name"),
+        (lambda a: Term("const", a, value=16),
+         "constant 16 not representable"),
+        (lambda a: Term("neg", a, operands=((a, var("x", a)),) * 2),
+         "neg expects 1 operands, got 2"),
+        (lambda a: Term("slice", a, operands=((a, var("x", a)),)),
+         r"slice needs \(hi, lo\) indices"),
+        (lambda a: Term("slice", a, operands=((a, var("x", a)),),
+                        indices=(1, 2)), r"bad slice indices \(1, 2\)"),
+        (lambda a: Term("%", a, operands=((a, var("x", a)),) * 2),
+         "unknown opcode: %"),
+    ], ids=["unnamed-var", "unrepresentable-const", "arity",
+            "slice-no-indices", "slice-bad-indices", "unknown-opcode"])
+    def test_malformed_term_rejected(self, make, message):
+        with pytest.raises(IrError, match=message):
+            make(ann(4))
+
+
+class TestFit:
+    @pytest.mark.parametrize("a", [ann(w, s) for w in (1, 2, 3)
+                                   for s in (False, True)])
+    def test_holds_every_coerced_value(self, a):
+        # the range a coercion into `a` can produce: the same range when
+        # `a` holds it (coercion is then the identity), else all of `a`
+        for lo, hi in itertools.combinations_with_replacement(range(-9, 10),
+                                                              2):
+            got = {coerce(v, a, a) for v in range(lo, hi + 1)}
+            f_lo, f_hi = fit(lo, hi, a)
+            assert got <= set(range(f_lo, f_hi + 1)), (lo, hi)
+            if a.lo <= lo and hi <= a.hi:
+                assert (f_lo, f_hi) == (lo, hi)
+            else:
+                assert (f_lo, f_hi) == (a.lo, a.hi)

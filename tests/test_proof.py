@@ -1,15 +1,16 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from wordec.egraph import init_pair, saturate
+from wordec.egraph import EGraph, init_pair, saturate
 from wordec.extract import extract_ilp
 from wordec.fixtures import load_pair
-from wordec.ir import evaluate
-from wordec.proof import (ProofError, _cancel_inverses, build_waterfall,
-                          check_adjacency, explain, rule_hints,
-                          write_waterfall)
+from wordec.ir import Annotation, evaluate, op, var
+from wordec.proof import (ProofError, RewriteStep, _cancel_inverses,
+                          build_waterfall, check_adjacency, explain,
+                          rule_hints, write_waterfall)
 from wordec.rewrites import baseline_rules
 
 
@@ -54,6 +55,41 @@ class TestExplain:
             for x in range(16):
                 assert evaluate(s.before, {"x": x}) == \
                     evaluate(s.after, {"x": x}), s.rule_id
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_shift_cancel_both_ways(self, backward):
+        # (a << s) >> s = a.  From a back to the shift, the step's rhs
+        # `?a` is a bare pattern variable that binds a, and its lhs names
+        # ?s, which nothing binds: it is realized as its class's smallest
+        # term, s
+        u = Annotation
+        a, s = var("a", u(4)), var("s", u(2))
+        shifted = op(">>", u(4),
+                     (u(8), op("<<", u(8), (u(4), a), (u(2), s))), (u(2), s))
+        rules = [r for r in baseline_rules() if r.id == "shift-cancel"]
+        g = EGraph()
+        g.roots = (g.add_term(shifted)[0], g.add_term(a)[0])
+        g.rebuild()
+        assert saturate(g, rules).roots_merged
+        source, target = (a, shifted) if backward else (shifted, a)
+        steps = explain(g, source, target, rule_hints(rules))
+        assert [st.rule_id for st in steps] == ["shift-cancel"]
+        assert steps[0].before == source and steps[-1].after == target
+        for prev, st in zip(steps, steps[1:]):
+            assert st.before == prev.after
+        for st in steps:
+            for x, y in itertools.product(range(16), range(4)):
+                env = {"a": x, "s": y}
+                assert evaluate(st.before, env) == evaluate(st.after, env)
+
+
+class TestCancelInverses:
+    def test_adjacent_inverse_pair_dropped(self):
+        x, y, z = (var(n, Annotation(4)) for n in "xyz")
+        there = RewriteStep("comm-add", (), x, y)
+        other = RewriteStep("comm-mul", (), x, z)
+        assert _cancel_inverses([there, there.reversed(), other]) == [other]
+        assert _cancel_inverses([there, other]) == [there, other]
 
 
 class TestWaterfall:
