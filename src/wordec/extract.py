@@ -5,10 +5,12 @@ class is shared between the spec and impl cones earns K = |C|; every other
 selected node costs 1.  Constraints: at most one node per class, children of
 selected nodes selected, both roots selected, no unused selections, and the
 selected child relation acyclic.  Solved by a self-contained branch-and-bound
-(instances are small); a greedy bottom-up extraction provides the incumbent
-and the fallback.  export_lp() writes the same program in LP format for an
-external solver.  Both read one Model, built by build_model(), which also
-finds the classes where a cycle can form; acyclicity is enforced only there.
+whose bound counts only the open shared classes still reachable from the
+undecided ones; a greedy bottom-up extraction provides the incumbent and the
+fallback.  export_lp() writes the same program in LP format for an external
+solver.  Both read one Model, built by build_model(): one candidate node per
+class and set of child classes, the classes where a cycle can form (where
+alone acyclicity is enforced) and each class's reach mask.
 """
 
 from __future__ import annotations
@@ -150,40 +152,55 @@ class Model:
     kids: dict[int, list[int]]       # candidate node -> sorted child classes
     cand: dict[int, list[int]]       # class -> candidates, fewest children
                                      # first (cheap incumbents early), then
-                                     # by node id
+                                     # by node id; one per child-class set
     cyclic: frozenset[int]           # classes on a cycle of candidate edges
+    reach: dict[int, int]            # class -> bitmask of itself and every
+                                     # class below it through any candidate;
+                                     # bit i stands for universe[i]
 
 
 def build_model(g: EGraph, sh: SharedSets) -> Model:
     """The model of g.  A node whose children include its own class can
-    never be selected (it would close a cycle), so it is not a candidate."""
+    never be selected (it would close a cycle), so it is not a candidate.
+    Nodes of one class with the same set of child classes (they differ only
+    in annotations or in child order or multiplicity) add the same weight
+    and the same edges, so only the first of them is a candidate."""
     universe = sorted(sh.c_spec | sh.c_impl)
     cand: dict[int, list[int]] = {}
     kids: dict[int, list[int]] = {}
     for c in universe:
         cand[c] = []
+        seen: set[tuple[int, ...]] = set()
         for nid in sorted(g.classes[c].node_ids,
                           key=lambda nid: (len(g.nodes[nid].children), nid)):
             ks = sorted({g.find(ch) for ch in g.nodes[nid].children})
-            if c not in ks:
+            if c not in ks and tuple(ks) not in seen:
+                seen.add(tuple(ks))
                 cand[c].append(nid)
                 kids[nid] = ks
+    cyclic, reach = _condense(universe, cand, kids)
     return Model(universe, sorted({g.find(r) for r in g.roots}),
                  {c: sh.K if c in sh.c_shared else -1 for c in universe},
-                 kids, cand, _cyclic_classes(universe, cand, kids))
+                 kids, cand, cyclic, reach)
 
 
-def _cyclic_classes(universe: list[int], cand: dict[int, list[int]],
-                    kids: dict[int, list[int]]) -> frozenset[int]:
+def _condense(universe: list[int], cand: dict[int, list[int]],
+              kids: dict[int, list[int]]
+              ) -> tuple[frozenset[int], dict[int, int]]:
     """The classes of every strongly connected component of more than one
-    class, where class c has an edge to each child class of its candidates
-    (Tarjan's algorithm, iterative: class graphs can be deep)."""
+    class, where class c has an edge to each child class of its candidates,
+    and the reach mask of every class (Tarjan's algorithm, iterative: class
+    graphs can be deep).  Tarjan closes each component after every
+    component below it, so its mask is the union of its members' bits and
+    its successors' masks, one mask shared by all its members."""
+    bit = {c: 1 << i for i, c in enumerate(universe)}
     succ = {c: {k for n in cand[c] for k in kids[n]} for c in universe}
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
     on_stack: set[int] = set()
     cyclic: set[int] = set()
+    reach: dict[int, int] = {}
     work: list[tuple[int, object]] = []  # (class, its unexplored edges)
 
     def visit(c: int) -> None:
@@ -216,7 +233,14 @@ def _cyclic_classes(universe: list[int], cand: dict[int, list[int]],
                     on_stack.difference_update(scc)
                     if len(scc) > 1:
                         cyclic.update(scc)
-    return frozenset(cyclic)
+                    mask = 0
+                    for s in scc:  # no mask yet for members: get() is 0
+                        mask |= bit[s]
+                        for k in succ[s]:
+                            mask |= reach.get(k, 0)
+                    for s in scc:
+                        reach[s] = mask
+    return frozenset(cyclic), reach
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +250,11 @@ def _cyclic_classes(universe: list[int], cand: dict[int, list[int]],
 def extract_ilp(g: EGraph, sh: SharedSets | None = None,
                 timeout: float = 10.0) -> ExtractionResult:
     """Exact solution of the sharing ILP by depth-first branch-and-bound over
-    per-class node choices, with an optimistic bound of K per still-undecided
-    shared class.  Acyclicity is checked on the fly, and only for classes on
-    a cycle of the model: elsewhere no choice can close one."""
+    per-class node choices.  The bound adds K for each unselected shared
+    class that an undecided needed class still reaches (every later
+    selection is one of those) and -1 for each undecided needed class that
+    is not shared.  Acyclicity is checked on the fly, and only for classes
+    on a cycle of the model: elsewhere no choice can close one."""
     if sh is None:
         sh = shared(g)
     K = sh.K
@@ -239,9 +265,11 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
     best_sel: dict[int, int] | None = None
     timed_out = False
     m = build_model(g, sh)
+    bit = {c: 1 << i for i, c in enumerate(m.universe)}
+    shared_bits = sum(bit[c] for c in sh.c_shared)
 
     sel: dict[int, int] = {}
-    open_shared = len(sh.c_shared)  # shared classes not in sel
+    sel_bits = 0  # the classes in sel
 
     def reaches(src: int, dst: int) -> bool:
         stack, seen = [src], set()
@@ -257,11 +285,16 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
         return False
 
     def bound(obj: int, need: list[int]) -> int:
-        return obj + K * open_shared - sum(
-            1 for c in set(need) if c not in sel and c not in sh.c_shared)
+        below, private = 0, 0
+        for c in set(need):
+            if c not in sel:
+                below |= m.reach[c]
+                private += c not in sh.c_shared
+        return obj + K * (below & shared_bits & ~sel_bits).bit_count() \
+            - private
 
     def dfs(need: list[int], obj: int):
-        nonlocal best_obj, best_sel, timed_out, open_shared
+        nonlocal best_obj, best_sel, timed_out, sel_bits
         if time.monotonic() > deadline:
             timed_out = True
             return
@@ -284,11 +317,11 @@ def extract_ilp(g: EGraph, sh: SharedSets | None = None,
             if on_cycle and any(reaches(k, c) for k in kids):
                 continue  # would close a cycle in the selected child relation
             sel[c] = nid
-            open_shared -= c in sh.c_shared
+            sel_bits |= bit[c]
             new = [k for k in kids if k not in sel]
             dfs(rest + new, obj + m.weight[c])
             del sel[c]
-            open_shared += c in sh.c_shared
+            sel_bits ^= bit[c]
             if timed_out:
                 return
 

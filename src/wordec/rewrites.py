@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from .analysis import NARROWING_NODES
@@ -342,7 +342,7 @@ def pattern_nodes(p: Pattern) -> int:
 HINTS = ("trivial", "simulation", "external-strong")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rule:
     id: str
     lhs: Pattern
@@ -1006,12 +1006,15 @@ zext-fold : (zext ?wo ?so ?w1 ?s1 (zext ?w2 ?s2 ?wa ?sa ?a))
 """
 
 
+@cache
+def _catalogue() -> tuple[Rule, ...]:
+    return tuple(parse_rules(CATALOGUE_TEXT))
+
+
 def baseline_rules() -> list:
-    """The built-in conditional catalogue, including the dynamic rules."""
-    rules: list = parse_rules(CATALOGUE_TEXT)
-    rules.append(ZextIntroRule())
-    rules.append(WidthReduceRule())
-    return rules
+    """The built-in conditional catalogue, including the dynamic rules: a
+    new list each call, of the rules parsed once per process."""
+    return [*_catalogue(), ZextIntroRule(), WidthReduceRule()]
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,36 @@ def random_cyclic_egraph(seed: int) -> EGraph:
     return g
 
 
+def with_twins(g: EGraph, seed: int) -> EGraph:
+    """g plus, in up to three classes, a twin of one of its nodes: the same
+    child classes under another annotation, child order or multiplicity, so
+    that the model keeps only the first of the two.  The roots are redrawn
+    so that both designs share some classes but not all."""
+    rng = random.Random(1000 + seed)
+    nodes = [(nid, g.nodes[nid]) for c in sorted(g.classes)
+             for nid in g.classes[c].node_ids if g.nodes[nid].children]
+    for nid, n in rng.sample(nodes, min(3, len(nodes))):
+        kids = list(n.children)
+        if len(kids) == 2 and rng.random() < 0.5:
+            kids.reverse()
+        elif len(kids) == 1:
+            kids *= 2  # + [a, a] twins neg [a]
+        out = rng.choice((U4, Annotation(5)))
+        size = len(g.nodes)
+        _, twin = g.add(NodeRec("+" if len(kids) == 2 else "neg", out,
+                                (U4,) * len(kids), tuple(kids)))
+        if len(g.nodes) > size:  # a new node: no classes merge
+            g.union(nid, twin, CONGRUENCE)
+    g.rebuild()
+    top = sorted(g.classes)[len(g.classes) // 2:]
+    for _ in range(20):
+        g.roots = (rng.choice(top), rng.choice(top))
+        sh = shared(g)
+        if sh.c_shared and sh.c_shared != sh.c_spec | sh.c_impl:
+            break
+    return g
+
+
 def diamond_egraph() -> EGraph:
     """Both roots can reach a shared subtree only through a detour that the
     greedy bottom-up cost treats as more expensive than a private path."""
@@ -204,6 +234,21 @@ class TestIlpOptimality:
             assert not res.timed_out
             assert res.objective == enumerate_optimum(g), seed
 
+    def test_matches_enumeration_with_twins_and_private_classes(self):
+        dropped = mixed = 0
+        for seed in range(40):
+            base = random_egraph if seed % 2 else random_cyclic_egraph
+            g = with_twins(base(seed // 2), seed)
+            sh = shared(g)
+            m = build_model(g, sh)
+            dropped += sum(len(g.classes[c].node_ids)
+                           for c in m.universe) - len(m.kids)
+            mixed += bool(sh.c_shared) and sh.c_shared != set(m.universe)
+            res = extract_ilp(g, timeout=30.0)
+            assert not res.timed_out
+            assert res.objective == enumerate_optimum(g, sh), seed
+        assert dropped >= 40 and mixed >= 20, (dropped, mixed)
+
     def test_greedy_dominated_by_ilp(self):
         strict = False
         for seed in range(20):
@@ -251,6 +296,18 @@ class TestExtractedDesigns:
         assert evaluate(res.s_star, env) == evaluate(spec.body, env)
 
 
+class TestFixtureOptimum:
+    @pytest.mark.parametrize("name, fmt, objective", [
+        ("fir8", "ir", 1820), ("fir8", "sv", 1820),
+        ("vbsme8", "ir", 15006), ("vbsme8", "sv", 15006)])
+    def test_branch_and_bound_finishes(self, name, fmt, objective):
+        g = init_pair(*load_pair(name, fmt))
+        saturate(g, baseline_rules())
+        res = extract_ilp(g, timeout=60.0)
+        assert not res.timed_out and res.method == "ilp"
+        assert res.objective == objective
+
+
 class TestRealization:
     def test_cyclic_selection_rejected(self):
         # class {x, neg(x)}: selecting neg for it realises an infinite term
@@ -292,6 +349,64 @@ class TestModel:
         m = build_model(g, shared(g))
         assert m.cyclic == {g.find(a), g.find(b)}
         assert g.find(y) not in m.cyclic
+
+
+    def test_one_candidate_per_child_class_set(self):
+        # class r: neg(a), then a + b, b + a, a + b at width 5 and a + a;
+        # only neg(a) and the first a + b have a child-class set of their own
+        g = EGraph()
+        a, _ = _leaf(g, "a")
+        b, _ = _leaf(g, "b")
+        r, n_neg = _node(g, [a])
+        n_ab = _node(g, [a, b])[1]
+        n_ba = _node(g, [b, a])[1]
+        n_ab5 = g.add(NodeRec("+", Annotation(5), (U4, U4), (a, b)))[1]
+        n_aa = _node(g, [a, a])[1]
+        for n in (n_ab, n_ba, n_ab5, n_aa):
+            g.union(n_neg, n, CONGRUENCE)
+        g.rebuild()
+        g.roots = (g.find(r), g.find(r))
+        m = build_model(g, shared(g))
+        assert m.cand[g.find(r)] == [n_neg, n_ab]
+        assert m.kids[n_ab] == sorted([a, b])
+        assert not {n_ba, n_ab5, n_aa} & set(m.kids)
+
+    def test_fixture_candidates_are_first_of_their_child_class_set(self):
+        g = init_pair(*load_pair("fir8"))
+        saturate(g, baseline_rules())
+        m = build_model(g, shared(g))
+        dropped = 0
+        for c in m.universe:
+            def order(n):
+                return len(g.nodes[n].children), n
+
+            def kid_set(n):
+                return frozenset(g.find(ch) for ch in g.nodes[n].children)
+            assert m.cand[c] == sorted(m.cand[c], key=order)
+            kept = {kid_set(n): n for n in m.cand[c]}
+            assert len(kept) == len(m.cand[c])
+            for n in g.classes[c].node_ids:
+                if n in m.cand[c] or c in kid_set(n):
+                    continue
+                dropped += 1
+                assert order(kept[kid_set(n)]) < order(n)
+        assert dropped > 0
+
+    def test_reach_is_candidate_closure(self):
+        for seed in range(20):
+            for g in (random_egraph(seed), random_cyclic_egraph(seed),
+                      with_twins(random_cyclic_egraph(seed), seed)):
+                m = build_model(g, shared(g))
+                pos = {c: i for i, c in enumerate(m.universe)}
+                for c in m.universe:
+                    seen, stack = set(), [c]
+                    while stack:
+                        k = stack.pop()
+                        if k not in seen:
+                            seen.add(k)
+                            stack += [ch for n in m.cand[k]
+                                      for ch in m.kids[n]]
+                    assert m.reach[c] == sum(1 << pos[k] for k in seen), seed
 
 
 _TERM = re.compile(r"([+-])?\s*(\d+)?\s*([a-z]\w*)")

@@ -35,6 +35,19 @@ class TestRuleParser:
                 "shift-to-mult", "mult-to-shift", "mult-to-add",
                 "shift-cancel", "zext-fold"} <= ids
 
+    def test_catalogue_parsed_once_and_shared_read_only(self):
+        first, second = baseline_rules(), baseline_rules()
+        assert first is not second
+        assert [r.id for r in first] == [r.id for r in second]
+        # the parsed rules are shared; the dynamic rules are made afresh
+        assert all(a is b for a, b in zip(first[:-2], second[:-2]))
+        assert first[-1] is not second[-1]
+        assert first[:-2] == parse_rules(CATALOGUE_TEXT)
+        first.pop()
+        assert len(baseline_rules()) == len(second)
+        with pytest.raises(AttributeError):
+            first[0].cond = False
+
     def test_bidirectional_expands(self):
         rules = parse_rules(
             "r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
