@@ -375,13 +375,15 @@ class TestModel:
         g = init_pair(*load_pair("fir8"))
         saturate(g, baseline_rules())
         m = build_model(g, shared(g))
+
+        def order(n):
+            return len(g.nodes[n].children), n
+
+        def kid_set(n):
+            return frozenset(g.find(ch) for ch in g.nodes[n].children)
+
         dropped = 0
         for c in m.universe:
-            def order(n):
-                return len(g.nodes[n].children), n
-
-            def kid_set(n):
-                return frozenset(g.find(ch) for ch in g.nodes[n].children)
             assert m.cand[c] == sorted(m.cand[c], key=order)
             kept = {kid_set(n): n for n in m.cand[c]}
             assert len(kept) == len(m.cand[c])
