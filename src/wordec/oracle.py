@@ -269,36 +269,33 @@ def grid_method(d1: Design, d2: Design, max_bits: int
     return method, {x: cex[0].get(x, 0) for x, _ in d1.inputs}
 
 
+def _fold(statuses: list[str]) -> str:
+    """pass if every status is pass, else fail if any is, else unproven."""
+    if all(s == "pass" for s in statuses):
+        return "pass"
+    return "fail" if "fail" in statuses else "unproven"
+
+
 def _run(obs: list[dict], load, cfg: OracleConfig | None) -> WaterfallReport:
-    """Check each non-final obligation, then derive the Assume-Guarantee
-    verdict from its premises.  `load(stem)` returns the design of that file
+    """Check each non-final obligation; the Assume-Guarantee verdict folds
+    the verdicts before it.  `load(stem)` returns the design of that file
     stem or raises OracleError for a missing or broken artifact."""
     cfg = cfg or OracleConfig()
     rep = WaterfallReport()
-    premises_pass = True
-    any_fail = False
     for ob in obs:
         if ob["kind"] == "assume-guarantee":
-            status = "pass" if premises_pass else (
-                "fail" if any_fail else "unproven")
+            status = rep.assume_guarantee = _fold(
+                [v.status for _, v in rep.verdicts])
             v = Verdict(status, "assume-guarantee", 0.0,
-                        note=None if premises_pass
+                        note=None if status == "pass"
                         else "not all premises discharged")
-            rep.verdicts.append((ob, v))
-            rep.assume_guarantee = status
-            continue
-        try:
-            v = check_equiv(load(ob["left"]), load(ob["right"]), cfg)
-        except OracleError as e:
-            v = Verdict("unproven", "none", 0.0, note=str(e))
+        else:
+            try:
+                v = check_equiv(load(ob["left"]), load(ob["right"]), cfg)
+            except OracleError as e:
+                v = Verdict("unproven", "none", 0.0, note=str(e))
         rep.verdicts.append((ob, v))
-        if v.status != "pass":
-            premises_pass = False
-        if v.status == "fail":
-            any_fail = True
-    statuses = [v.status for _, v in rep.verdicts]
-    rep.overall = ("pass" if all(s == "pass" for s in statuses)
-                   else "fail" if "fail" in statuses else "unproven")
+    rep.overall = _fold([v.status for _, v in rep.verdicts])
     return rep
 
 

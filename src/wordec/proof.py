@@ -38,11 +38,9 @@ class RewriteStep:
     position: tuple[int, ...]
     before: Term                    # whole design term
     after: Term
-    checker_hint: str = "simulation"
 
     def reversed(self) -> "RewriteStep":
-        return RewriteStep(self.rule_id, self.position, self.after,
-                           self.before, self.checker_hint)
+        return RewriteStep(self.rule_id, self.position, self.after, self.before)
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +48,8 @@ class RewriteStep:
 # ---------------------------------------------------------------------------
 
 class _Explainer:
-    def __init__(self, g: EGraph, hints: dict[str, str]):
+    def __init__(self, g: EGraph):
         self.g = g
-        self.hints = hints
         self.steps: list[RewriteStep] = []
         self.whole: Term | None = None
 
@@ -64,8 +61,7 @@ class _Explainer:
             raise ProofError("explanation exceeded the step limit")
         before = self.whole
         after = before.replace(pos, after_sub)
-        hint = self.hints.get(rule_id, "simulation")
-        self.steps.append(RewriteStep(rule_id, pos, before, after, hint))
+        self.steps.append(RewriteStep(rule_id, pos, before, after))
         self.whole = after
 
     # -- realization --------------------------------------------------------
@@ -173,17 +169,10 @@ class _Explainer:
         return self.steps
 
 
-def explain(g: EGraph, a: Term, b: Term,
-            hints: dict[str, str] | None = None) -> list[RewriteStep]:
+def explain(g: EGraph, a: Term, b: Term) -> list[RewriteStep]:
     """Single-rewrite steps transforming term a into term b.  Both terms must
     be present in g and their classes merged."""
-    return _Explainer(g, hints or {}).explain(a, b)
-
-
-def rule_hints(rules) -> dict[str, str]:
-    """Each rule's checker hint; a step of any other rule (a width-reduce
-    narrowing when no rule stands for it) is hinted "simulation"."""
-    return {r.id: r.checker_hint for r in rules}
+    return _Explainer(g).explain(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +201,13 @@ class Waterfall:
 
 def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
                     rules=()) -> Waterfall:
-    hints = rule_hints(rules)
-    spec_steps = _cancel_inverses(
-        explain(g, spec.body, extraction.s_star, hints))
+    spec_steps = _cancel_inverses(explain(g, spec.body, extraction.s_star))
     impl_fwd = _cancel_inverses(
-        explain(g, impl.body, extraction.i_star, hints))  # I -> I*
+        explain(g, impl.body, extraction.i_star))  # I -> I*
     # the impl chain runs I* … I: reverse the forward explanation
     impl_steps = [s.reversed() for s in reversed(impl_fwd)]
     w = Waterfall(spec, impl, spec_steps, impl_steps, {}, [])
+    hints = {r.id: r.checker_hint for r in rules}
 
     def design(chain: str, label: str, body: Term) -> str:
         stem = f"{len(w.designs):03d}_{chain}_{label}".replace("-", "_")
@@ -235,7 +223,10 @@ def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
         stems = [design(name, label, body)]
         for s in steps:
             stems.append(design(name, s.rule_id, s.after))
-            record(stems[-2], stems[-1], s.rule_id, s.checker_hint, "step")
+            # a step of no given rule (a width-reduce narrowing when no
+            # rule stands for it) is hinted "simulation"
+            record(stems[-2], stems[-1], s.rule_id,
+                   hints.get(s.rule_id, "simulation"), "step")
         return stems
 
     spec_stems = chain("spec", "source", spec.body, spec_steps)

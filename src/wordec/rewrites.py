@@ -22,9 +22,8 @@ widths.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable
 
 from .analysis import NARROWING_NODES
 from .egraph import EGraph, NodeRec, RuleJust, Skeleton
@@ -378,7 +377,18 @@ class Rule:
         """Every match of the lhs whose condition holds, by class id, then
         by node order at each structured pattern position.  A bare-variable
         rhs only matches a class with the annotation of the matched one."""
-        return rule_program(self).match(g, self)
+        return self._match(g, self)
+
+    @cached_property
+    def _match(self):
+        """`match(g, rule)`, compiled on the first `matches`."""
+        return _compile_matcher(self)["match"]
+
+    @cached_property
+    def build(self):
+        """`build(g, env)`, adding the rhs instance under env, compiled on
+        the first application."""
+        return _compile_builder(self.rhs, self.id)
 
 
 def _width(value) -> int:
@@ -395,8 +405,10 @@ def _is_signed(value) -> bool:
 # Rule programs
 # ---------------------------------------------------------------------------
 #
-# A pattern rule runs as Python generated from it and compiled once per
-# process for each distinct (lhs, cond, rhs):
+# A pattern rule runs as Python generated from it and kept on the rule:
+# its matcher is compiled on the first Rule.matches and its builder on the
+# first application, so the built-in catalogue, parsed once per process,
+# compiles each once:
 #
 # - the matcher walks the lhs with one nested loop per structured position
 #   and returns the rule's matches in the order described at Rule.matches;
@@ -518,7 +530,7 @@ def _binding_order(p: Pattern) -> list:
     return list(keys)
 
 
-def _compile_matcher(rule: Rule, build) -> dict:
+def _compile_matcher(rule: Rule) -> dict:
     """The namespace holding `match(g, rule)` and, for a conditional rule,
     `cond(...)`.  The matcher checks every annotation of a node before it
     descends, and reads each child class once per node: unification is a
@@ -615,11 +627,11 @@ def _compile_matcher(rule: Rule, build) -> dict:
                   ".node_ids[0]].out != nodes[classes[c0].node_ids[0]].out: "
                   "continue")
     env = ", ".join(f"{k!r}: {local[k]}" for k in _binding_order(rule.lhs))
-    code.emit(f"append(Match(rule, c0, {{{env}}}, {skeleton}, build))")
+    code.emit(f"append(Match(rule, c0, {{{env}}}, {skeleton}))")
     code.depth = 1
     code.emit("return out")
     code.lines += cond_src
-    return code.run(f"<rule {rule.id}>", Match=Match, build=build)
+    return code.run(f"<rule {rule.id}>", Match=Match)
 
 
 def _compile_builder(p: Pattern, name: str):
@@ -687,41 +699,11 @@ def _compile_builder(p: Pattern, name: str):
     return code.run(f"<rule {name}>")["build"]
 
 
-class RuleProgram:
-    """A pattern rule compiled: `match(g, rule)` gives rule's matches in g
-    (testing its condition, compiled as a function of the parameters it
-    reads), and `build(g, env)` adds its rhs instance."""
-
-    def __init__(self, rule: Rule):
-        self.build = _builder(rule.rhs, rule.id)
-        self.match = _compile_matcher(rule, self.build)["match"]
-
-
-_PROGRAMS: dict[tuple, RuleProgram] = {}
-_BUILDERS: dict[Pattern, object] = {}
-
-
-def rule_program(rule: Rule) -> RuleProgram:
-    """The process's program for rule's (lhs, cond, rhs), compiled on first
-    use, so rules parsed again share it."""
-    key = (rule.lhs, rule.cond, rule.rhs)
-    prog = _PROGRAMS.get(key)
-    if prog is None:
-        prog = _PROGRAMS[key] = RuleProgram(rule)
-    return prog
-
-
-def _builder(p: Pattern, name: str = "pattern"):
-    build = _BUILDERS.get(p)
-    if build is None:
-        build = _BUILDERS[p] = _compile_builder(p, name)
-    return build
-
-
 def instantiate(g: EGraph, p: Pattern, env: dict
                 ) -> tuple[int, int, Skeleton]:
-    """Add the rhs instance to the graph; returns (class, node, skeleton)."""
-    return _builder(p)(g, env)
+    """Add p's instance under env to the graph, compiling its builder on
+    each call; returns (class, node, skeleton)."""
+    return _compile_builder(p, "pattern")(g, env)
 
 
 @dataclass
@@ -730,15 +712,13 @@ class Match:
     cid: int
     env: dict
     lhs_skel: Skeleton
-    # the rule program's builder
-    build: Callable = field(repr=False, compare=False)
 
     def apply(self, g: EGraph) -> bool:
         """Instantiate the rhs and union it with the matched class.  Returns
         False when the application added nothing new."""
         target = g.find(self.cid)
         try:
-            rcid, rnid, rskel = self.build(g, self.env)
+            rcid, rnid, rskel = self.rule.build(g, self.env)
         except BlockedMatch:
             return False
         if g.find(rcid) == target:

@@ -11,7 +11,7 @@ from wordec.extract import extract_greedy, extract_ilp, pick_nodes, shared
 from wordec.fixtures import load_pair, names
 from wordec.ir import evaluate
 from wordec.oracle import OracleConfig, run_waterfall
-from wordec.proof import build_waterfall, check_adjacency, explain, rule_hints
+from wordec.proof import build_waterfall, check_adjacency, explain
 from wordec.rewrites import CATALOGUE_TEXT, baseline_rules, parse_rules
 
 from test_extract import diamond_egraph, enumerate_optimum, random_egraph
@@ -196,7 +196,7 @@ def test_c8_interval_soundness(report):
 
 def test_c9_two_step_proof(report):
     spec, impl, g, rules, rep = _saturated("fig4")
-    steps = explain(g, spec.body, impl.body, rule_hints(rules))
+    steps = explain(g, spec.body, impl.body)
     ok = rep.roots_merged and rep.iterations <= 2 and len(steps) == 2
     report(ok, f"merged in {rep.iterations} iterations; proof is "
                f"{[s.rule_id for s in steps]}")

@@ -6,24 +6,24 @@ import pytest
 
 from wordec.egraph import EGraph, init_pair, saturate
 from wordec.extract import extract_ilp
-from wordec.fixtures import load_pair
+from wordec.fixtures import load_pair, names
 from wordec.ir import Annotation, evaluate, op, var
 from wordec.proof import (ProofError, RewriteStep, _cancel_inverses,
                           build_waterfall, check_adjacency, explain,
-                          rule_hints, write_waterfall)
+                          write_waterfall)
 from wordec.rewrites import baseline_rules
 
 
-def _saturated(name):
-    spec, impl = load_pair(name)
+def _saturated(name, fmt="ir"):
+    spec, impl = load_pair(name, fmt)
     g = init_pair(spec, impl)
     rules = baseline_rules()
     saturate(g, rules)
     return spec, impl, g, rules
 
 
-def _waterfall(name):
-    spec, impl, g, rules = _saturated(name)
+def _waterfall(name, fmt="ir"):
+    spec, impl, g, rules = _saturated(name, fmt)
     res = extract_ilp(g, timeout=20.0)
     return build_waterfall(g, spec, impl, res, rules), spec, impl
 
@@ -38,7 +38,7 @@ def _chains(w):
 class TestExplain:
     def test_fig4_exactly_two_steps(self):
         spec, impl, g, rules = _saturated("fig4")
-        steps = explain(g, spec.body, impl.body, rule_hints(rules))
+        steps = explain(g, spec.body, impl.body)
         assert len(steps) == 2
         assert [s.rule_id for s in steps] == ["mult-to-shift", "shift-cancel"]
         assert [s.position for s in steps] == [(0,), ()]
@@ -46,11 +46,11 @@ class TestExplain:
     def test_unmerged_terms_rejected(self):
         spec, impl, g, rules = _saturated("boxfilter")
         with pytest.raises(ProofError):
-            explain(g, spec.body, impl.body, rule_hints(rules))
+            explain(g, spec.body, impl.body)
 
     def test_steps_are_semantically_sound(self):
         spec, impl, g, rules = _saturated("adpcm")
-        steps = explain(g, spec.body, impl.body, rule_hints(rules))
+        steps = explain(g, spec.body, impl.body)
         for s in steps:
             for x in range(16):
                 assert evaluate(s.before, {"x": x}) == \
@@ -72,7 +72,7 @@ class TestExplain:
         g.rebuild()
         assert saturate(g, rules).roots_merged
         source, target = (a, shifted) if backward else (shifted, a)
-        steps = explain(g, source, target, rule_hints(rules))
+        steps = explain(g, source, target)
         assert [st.rule_id for st in steps] == ["shift-cancel"]
         assert steps[0].before == source and steps[-1].after == target
         for prev, st in zip(steps, steps[1:]):
@@ -149,12 +149,11 @@ class TestWaterfall:
         # is added between the explainer's steps
         spec, impl, g, rules = _saturated(name)
         res = extract_ilp(g, timeout=20.0)
-        hints = rule_hints(rules)
         w = build_waterfall(g, spec, impl, res, rules)
         assert w.spec_steps == _cancel_inverses(
-            explain(g, spec.body, res.s_star, hints))
+            explain(g, spec.body, res.s_star))
         assert [s.reversed() for s in reversed(w.impl_steps)] \
-            == _cancel_inverses(explain(g, impl.body, res.i_star, hints))
+            == _cancel_inverses(explain(g, impl.body, res.i_star))
         assert len(w.obligations()) == obligations
         check_adjacency(w)
 
@@ -163,6 +162,24 @@ class TestWaterfall:
         index = {stem: i for i, stem in enumerate(w.designs)}
         for ob in w.obligations():
             assert 0 <= index[ob["left"]] < index[ob["right"]] < len(index)
+
+    def test_records_carry_their_rules_hints(self):
+        hint = {r.id: r.checker_hint for r in baseline_rules()}
+        seen = set()
+        for name, fmt in itertools.product(names(), ("ir", "sv")):
+            w, _, _ = _waterfall(name, fmt)
+            for ob in w.obligations():
+                if ob["kind"] == "step":
+                    want = ("simulation" if ob["rule"] == "width-reduce"
+                            else hint[ob["rule"]])
+                else:
+                    want = {"center": "external-strong",
+                            "assume-guarantee": "trivial"}[ob["kind"]]
+                assert ob["checker_hint"] == want, (name, fmt, ob)
+                if ob["kind"] == "step":
+                    seen.add(want)
+        # every hint occurs on a step, so no single default passes
+        assert seen == {"simulation", "trivial", "external-strong"}
 
 
 class TestWriteWaterfall:

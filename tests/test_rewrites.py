@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import re
@@ -18,8 +19,7 @@ from wordec.ir import SIGNED, UNSIGNED, Annotation, const, evaluate, op, var
 from wordec.rewrites import (CATALOGUE_TEXT, BlockedMatch, PatConst, PatOp,
                              PatVar, RuleError, _is_signed, _width, eval_expr,
                              instantiate, parse_expr, parse_rules,
-                             pattern_slots, baseline_rules, rule_program,
-                             validate_rule)
+                             pattern_slots, baseline_rules, validate_rule)
 
 
 def _eval_ann(w, s, env):
@@ -755,7 +755,7 @@ class TestRulePrograms:
             got, want = _outcome(ns["f"], env), _outcome(eval_expr, e, env)
             assert got == want and type(got) is type(want), (text, env)
 
-    def test_programs_compiled_once_per_process(self, monkeypatch):
+    def test_each_rule_compiles_its_own_program_once(self, monkeypatch):
         compiled = []
         run = rewrites._Code.run
 
@@ -764,20 +764,42 @@ class TestRulePrograms:
             return run(self, filename, **names)
 
         monkeypatch.setattr(rewrites._Code, "run", counted)
-        baseline_rules()
-        assert compiled == []
         text = ("once : (+ 13 unsigned 11 unsigned ?a 11 unsigned ?b)"
                 " => (+ 13 unsigned 11 unsigned ?b 11 unsigned ?a) ;")
         first, again = parse_rules(text)[0], parse_rules(text)[0]
-        assert compiled == []
-        first.matches(EGraph())
-        assert compiled == ["<rule once>"] * 2    # builder, then matcher
-        again.matches(EGraph())
+        assert compiled == []                     # parsing compiles nothing
+        a11, a13 = Annotation(11), Annotation(13)
+        g = EGraph()
+        g.add_term(op("+", a13, (a11, var("x", a11)), (a11, var("y", a11))))
+        g.rebuild()
+        matches = first.matches(g)
+        assert len(matches) == 1
+        assert compiled == ["<rule once>"]        # the matcher
+        first.matches(g)
+        assert len(compiled) == 1
+        assert matches[0].apply(g)
+        assert compiled == ["<rule once>"] * 2    # then the builder
+        first.matches(g)[0].apply(g)
         assert len(compiled) == 2
-        assert rule_program(first) is rule_program(again)
-        one, two = parse_rules(CATALOGUE_TEXT), parse_rules(CATALOGUE_TEXT)
-        for a, b in zip(one, two):
-            assert rule_program(a) is rule_program(b)
+        # a rule parsed again compiles its own program
+        again.matches(g)[0].apply(g)
+        assert compiled == ["<rule once>"] * 4
+        # the catalogue, parsed afresh: baseline_rules() returns the same
+        # rules on each call, so each program compiles once
+        monkeypatch.setattr(rewrites, "_catalogue",
+                            functools.cache(rewrites._catalogue.__wrapped__))
+        compiled.clear()
+        one, two = baseline_rules(), baseline_rules()
+        assert compiled == []
+        patterns = [r for r in one if isinstance(r, rewrites.Rule)]
+        assert patterns and all(a is b for a, b in zip(patterns, two))
+        for r in one + two:
+            if isinstance(r, rewrites.Rule):
+                r.matches(EGraph())
+                assert callable(r.build)
+        # a matcher and a builder each
+        assert sorted(compiled) == sorted(2 * [f"<rule {r.id}>"
+                                               for r in patterns])
 
 
 def reference_table(e, domains, convert, fill):
