@@ -4,6 +4,7 @@ discharge obligations, report."""
 from __future__ import annotations
 
 import json
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -31,11 +32,12 @@ _USER_ERRORS = (ParseError, EGraphError, ExtractionError, ProofError,
                 OracleError, AnalysisError, OSError, ValueError, KeyError)
 
 
-def _load_design(path: str, fmt: str) -> Design:
+def _load_design(path: str) -> Design:
+    """Read an IR design when the text's first token, after blanks and `;`
+    comments, is `(`, and a SystemVerilog design otherwise."""
     text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = "sv" if Path(path).suffix in (".sv", ".v") else "ir"
-    return parse_sv(text) if fmt == "sv" else parse_sexpr(text)
+    ir = re.match(r"(?:\s|;.*)*\(", text)
+    return parse_sexpr(text) if ir else parse_sv(text)
 
 
 def _load_rules(spec: str) -> list:
@@ -62,7 +64,7 @@ def _read_config(path: str | None, keys: set[str]) -> dict:
         key = flag.replace("-", "_")
         # flag names whose click parameter is named differently
         aliases = {"out": "outdir", "spec": "spec_path", "impl": "impl_path",
-                   "format": "fmt", "lp": "lp_path"}
+                   "lp": "lp_path"}
         key = aliases.get(key, key)
         if key not in keys:
             raise ValueError(f"{path}:{ln}: unknown key {flag!r}")
@@ -90,9 +92,6 @@ _limit_opts = _options(
     click.option("--time-limit", default=60.0, show_default=True))
 
 _common = _options(
-    click.option("--format", "fmt", default="auto",
-                 type=click.Choice(["auto", "sv", "ir"]),
-                 help="Input format (auto: by file extension)."),
     click.option("--rules", default="builtin",
                  help="Rule file path, 'builtin', or 'none'."),
     _limit_opts)
@@ -248,11 +247,11 @@ def _finish(outdir, report, **blocks):
 @_oracle_opts
 @_cmd_errors
 def check(spec_path, impl_path, outdir, extraction, extract_timeout,
-          dump_graph, fmt, rules, iter_limit, node_limit, time_limit,
+          dump_graph, rules, iter_limit, node_limit, time_limit,
           max_exhaustive_bits, samples, seed, external_checker):
     """Full flow: saturate, extract, build the waterfall, prove, report."""
     g, rep, res, w, extract_s = _waterfall(
-        _load_design(spec_path, fmt), _load_design(impl_path, fmt),
+        _load_design(spec_path), _load_design(impl_path),
         _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
         extract_timeout, dump_graph)
     write_waterfall(w, outdir)
@@ -281,11 +280,11 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
 @click.option("--dump-graph", default=None, type=click.Path())
 @_common
 @_cmd_errors
-def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
+def saturate_cmd(spec_path, impl_path, dump_graph, rules, iter_limit,
                  node_limit, time_limit):
     """Grow the two-rooted e-graph and report saturation statistics."""
-    spec = _load_design(spec_path, fmt)
-    impl = _load_design(impl_path, fmt)
+    spec = _load_design(spec_path)
+    impl = _load_design(impl_path)
     g, rep = _saturated_graph(spec, impl, _load_rules(rules), iter_limit,
                               node_limit, time_limit, dump_graph)
     click.echo(f"iterations: {rep.iterations} ({rep.stop_reason})")
@@ -314,10 +313,10 @@ def saturate_cmd(spec_path, impl_path, dump_graph, fmt, rules, iter_limit,
 @_common
 @_cmd_errors
 def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
-                fmt, rules, iter_limit, node_limit, time_limit):
+                rules, iter_limit, node_limit, time_limit):
     """Saturate, then extract the maximally-shared design pair."""
-    spec = _load_design(spec_path, fmt)
-    impl = _load_design(impl_path, fmt)
+    spec = _load_design(spec_path)
+    impl = _load_design(impl_path)
     g, _ = _saturated_graph(spec, impl, _load_rules(rules), iter_limit,
                             node_limit, time_limit)
     if lp_path:
@@ -326,11 +325,9 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
     click.echo(f"method: {res.method}  objective: {res.objective}  "
                f"shared nodes: {res.shared_node_count}  "
                f"timed_out: {res.timed_out}")
-    click.echo("S*: " + emit_sexpr(Design("s_star", spec.inputs,
-                                          (spec.output[0], res.s_star.out),
+    click.echo("S*: " + emit_sexpr(Design("s_star", spec.inputs, spec.output,
                                           res.s_star)).strip())
-    click.echo("I*: " + emit_sexpr(Design("i_star", spec.inputs,
-                                          (spec.output[0], res.i_star.out),
+    click.echo("I*: " + emit_sexpr(Design("i_star", spec.inputs, spec.output,
                                           res.i_star)).strip())
 
 
@@ -341,10 +338,10 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
 @_common
 @_cmd_errors
 def waterfall_cmd(spec_path, impl_path, outdir, extraction, extract_timeout,
-                  fmt, rules, iter_limit, node_limit, time_limit):
+                  rules, iter_limit, node_limit, time_limit):
     """Build and emit the waterfall directory without proving it."""
     _, _, _, w, _ = _waterfall(
-        _load_design(spec_path, fmt), _load_design(impl_path, fmt),
+        _load_design(spec_path), _load_design(impl_path),
         _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
         extract_timeout)
     manifest = write_waterfall(w, outdir)

@@ -20,23 +20,13 @@ from .tokens import ParseError, Tokens, lex
 
 @dataclass(frozen=True)
 class Design:
+    """A design as its reader checked it: distinct inputs, a body that
+    reads only them, and an output named `output` whose annotation is
+    `body.out`."""
     name: str
     inputs: tuple[tuple[str, Annotation], ...]
-    output: tuple[str, Annotation]
+    output: str
     body: Term
-
-    def __post_init__(self):
-        names = [n for n, _ in self.inputs]
-        if len(set(names)) != len(names):
-            raise ParseError(f"duplicate input names in design {self.name}")
-        if self.body.out != self.output[1]:
-            raise ParseError(
-                f"design {self.name}: body annotation ({self.body.out}) does "
-                f"not match output port ({self.output[1]})")
-        missing = self.body.free_vars() - set(names)
-        if missing:
-            raise ParseError(
-                f"design {self.name}: undeclared variables {sorted(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +38,14 @@ _SX_TOKEN = re.compile(r"(?P<ws>\s+|;[^\n]*)|(?P<sym>[()])|(?P<atom>[^\s();]+)")
 
 
 def _sx_ann(ts: Tokens) -> Annotation:
+    wloc = ts.loc()
     w = ts.int()
-    line, col = ts.loc()
+    sloc = ts.loc()
     s = ts.next()
     if s not in (UNSIGNED, SIGNED):
-        raise ParseError(f"expected signage, got {s!r}", line, col)
+        raise ParseError(f"expected signage, got {s!r}", *sloc)
     if w < 1:
-        raise ParseError(f"width must be >= 1, got {w}", line, col)
+        raise ParseError(f"width must be >= 1, got {w}", *wloc)
     return Annotation(w, s == SIGNED)
 
 
@@ -99,7 +90,6 @@ def _sx_term(ts: Tokens, declared: dict[str, Annotation]) -> Term:
 
 def parse_sexpr(text: str) -> Design:
     ts = lex(_SX_TOKEN, text)
-    line, col = ts.loc()
     ts.expect("(")
     ts.expect("design")
     name = ts.next()
@@ -109,11 +99,12 @@ def parse_sexpr(text: str) -> Design:
     declared: dict[str, Annotation] = {}
     while ts.peek() != ")":
         ts.expect("(")
+        iloc = ts.loc()
         iname = ts.next()
         a = _sx_ann(ts)
         ts.expect(")")
         if iname in declared:
-            raise ParseError(f"duplicate input {iname!r}", line, col)
+            raise ParseError(f"duplicate input {iname!r}", *iloc)
         declared[iname] = a
         inputs.append((iname, a))
     ts.expect(")")
@@ -130,7 +121,7 @@ def parse_sexpr(text: str) -> Design:
     if body.out != oann:
         raise ParseError(f"design {name}: body annotation ({body.out}) does "
                          f"not match output port ({oann})", *body_loc)
-    return Design(name, tuple(inputs), (oname, oann), body)
+    return Design(name, tuple(inputs), oname, body)
 
 
 def _sx_emit_term(t: Term, parts: list[str]) -> None:
@@ -155,7 +146,7 @@ def emit_sexpr(d: Design) -> str:
     _sx_emit_term(d.body, parts)
     body = " ".join(parts)
     return (f"(design {d.name}\n  (inputs {ins})\n"
-            f"  (output {d.output[0]} {d.output[1]})\n  {body})\n")
+            f"  (output {d.output} {d.body.out})\n  {body})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +626,13 @@ def parse_sv(text: str) -> Design:
                 raise ParseError(f"signal {d!r} is never driven", *loc)
         try:
             terms[sig] = el.rhs_term(expr, decls[sig].ann)
-        except IrError as e:
+        except (IrError, ParseError) as e:  # located at the assignment
             raise ParseError(str(e), *loc) from None
         state[sig] = 2
 
     elaborate(out_name)
     body = terms[out_name]
-    return Design(name, tuple(inputs), (out_name, decls[out_name].ann), body)
+    return Design(name, tuple(inputs), out_name, body)
 
 
 # ---------------------------------------------------------------------------
@@ -772,15 +763,14 @@ def emit_sv(d: Design) -> str:
     ports = []
     for n, a in d.inputs:
         ports.append(f"input {_sv_ann_decl(a)} {n}")
-    oname, oann = d.output
-    ports.append(f"output {_sv_ann_decl(oann)} {oname}")
-    reserved = {n for n, _ in d.inputs} | {oname, d.name}
+    ports.append(f"output {_sv_ann_decl(d.body.out)} {d.output}")
+    reserved = {n for n, _ in d.inputs} | {d.output, d.name}
     em = _SvEmitter(reserved)
     root = em.emit(d.body)
     lines = [f"module {d.name} ("]
     lines.append(",\n".join(f"    {p}" for p in ports))
     lines.append(");")
     lines.extend(em.lines)
-    lines.append(f"  assign {oname} = {root};")
+    lines.append(f"  assign {d.output} = {root};")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -185,14 +185,6 @@ class Term:
         else:
             raise IrError(f"unknown opcode: {self.kind}")
 
-    def free_vars(self) -> set[str]:
-        if self.kind == "var":
-            return {self.name}
-        out: set[str] = set()
-        for _, t in self.operands:
-            out |= t.free_vars()
-        return out
-
     def at(self, position: tuple[int, ...]) -> "Term":
         t = self
         for i in position:

@@ -79,9 +79,9 @@ def _check_ports(d1: Design, d2: Design) -> None:
             f"input port mismatch: {d1.name} has "
             f"{[(n, str(a)) for n, a in d1.inputs]}, {d2.name} has "
             f"{[(n, str(a)) for n, a in d2.inputs]}")
-    if d1.output[1] != d2.output[1]:
+    if d1.body.out != d2.body.out:
         raise OracleError(
-            f"output annotation mismatch: {d1.output[1]} vs {d2.output[1]}")
+            f"output annotation mismatch: {d1.body.out} vs {d2.body.out}")
 
 
 def _external(d1: Design, d2: Design, cmd_template: str,
@@ -174,12 +174,18 @@ class OffGrid(Exception):
     """Why the grid tier does not decide a pair."""
 
 
-def _split_inputs(t: Term, out: set[str]) -> set[str]:
-    """Add the inputs that feed a shift amount in `t` to `out`."""
-    if t.kind in SHIFT_OPS:
-        out |= t.operands[1][1].free_vars()
-    for _, child in t.operands:
-        _split_inputs(child, out)
+def _split_inputs(t: Term, out: set[str], amount: bool = False) -> set[str]:
+    """Add the inputs that feed a shift amount in `t` to `out`; `amount`
+    says that `t` lies below one."""
+    if t.kind == "var" and amount:
+        out.add(t.name)
+    elif t.kind in SHIFT_OPS:
+        (_, value), (_, amt) = t.operands
+        _split_inputs(value, out, amount)
+        _split_inputs(amt, out, True)
+    else:
+        for _, child in t.operands:
+            _split_inputs(child, out, amount)
     return out
 
 

@@ -87,15 +87,25 @@ class _Explainer:
 
     # -- traversal ----------------------------------------------------------
 
-    def walk(self, pos: tuple[int, ...], cur: Term, target: int) -> Term:
+    def walk(self, pos: tuple[int, ...], cur: Term, target: int,
+             started: tuple[Term, ...] = ()) -> Term:
         """Transform the subterm at pos so that its head is congruent to
-        `target`; children end up as members of target's child classes."""
+        `target`; children end up as members of target's child classes.
+
+        A path whose last edge has a bare pattern variable on its target
+        side (`zext-intro`'s lhs, or `shift-cancel` walked forward) ends on
+        the term bound to that variable, which another node of the class
+        may head; the walk then goes on from that node.  `started` holds
+        the terms it already started from."""
         g = self.g
         u = g.lookup(cur)
         if g.find(u) != g.find(target):
             raise ProofError("walk between nodes of different classes")
         if g.congruent(u, target):
             return cur  # nothing to rewrite
+        if cur in started:
+            raise ProofError("walk does not reach its target node")
+        started += (cur,)  # a tuple: `in` compares, with no hash of cur
         for x, y, just in g.forest_path(u, target):
             if just == CONGRUENCE:
                 if not g.congruent(x, y):
@@ -109,7 +119,7 @@ class _Explainer:
             after_sub = self.realize(skel_to, binding)
             self.record(pos, after_sub, just.rule_id)
             cur = after_sub
-        return cur
+        return self.walk(pos, cur, target, started)
 
     def align(self, pos: tuple[int, ...], cur: Term, skel,
               binding: dict) -> Term:
@@ -211,8 +221,7 @@ def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
 
     def design(chain: str, label: str, body: Term) -> str:
         stem = f"{len(w.designs):03d}_{chain}_{label}".replace("-", "_")
-        w.designs[stem] = Design(f"d{stem}", spec.inputs,
-                                 (spec.output[0], body.out), body)
+        w.designs[stem] = Design(f"d{stem}", spec.inputs, spec.output, body)
         return stem
 
     def record(left: str, right: str, rule: str, hint: str, kind: str):

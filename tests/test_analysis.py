@@ -20,7 +20,7 @@ def ann(w, s=False):
 
 
 def _design(body, inputs):
-    return Design("d", tuple(inputs), ("o", body.out), body)
+    return Design("d", tuple(inputs), "o", body)
 
 
 class TestIntervalMerge:

@@ -7,7 +7,8 @@ from click.testing import CliRunner
 
 from wordec.cli import main
 from wordec.fixtures import load_pair
-from wordec.frontend import emit_sexpr, emit_sv
+from wordec.frontend import (ParseError, emit_sexpr, emit_sv, parse_sexpr,
+                             parse_sv)
 
 
 @pytest.fixture
@@ -58,6 +59,19 @@ class TestCheck:
         sp, ip = _emit_pair(tmp_path, "adpcm", fmt="sv")
         r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
                                  "--out", str(tmp_path / "out")])
+        assert r.exit_code == 0, r.output
+
+    @pytest.mark.parametrize("suffix", [".sv", ".txt", ""])
+    def test_first_token_picks_the_reader(self, runner, tmp_path, suffix):
+        # the same IR pair, with a leading comment, under any extension
+        spec, impl = load_pair("adpcm")
+        paths = []
+        for role, d in (("spec", spec), ("impl", impl)):
+            path = tmp_path / f"{role}{suffix}"
+            path.write_text(f"  ; {role}\n" + emit_sexpr(d))
+            paths.append(str(path))
+        r = runner.invoke(main, ["check", "--spec", paths[0], "--impl",
+                                 paths[1], "--out", str(tmp_path / "out")])
         assert r.exit_code == 0, r.output
 
     def test_no_rules_full_width_unproven(self, runner, tmp_path):
@@ -221,6 +235,63 @@ class TestCheck:
                                  "--extraction", "greedy",
                                  "--max-exhaustive-bits", "16"])
         assert r.exit_code == 0, r.output
+
+
+_IR = "(design d (inputs (a 4 unsigned))\n (output o 4 unsigned)\n {})"
+_SV = "module m(x, o);\ninput [7:0] x; output [3:0] o;\n{}\nendmodule"
+
+
+class TestReaderChecks:
+    """The readers are where a design is checked: each malformed text is
+    rejected with its line and column, and `check` exits 3 on it."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("(design d (inputs (a 4 unsigned)\n  (a 4 unsigned))\n"
+         " (output o 4 unsigned) (var a 4 unsigned))",
+         "duplicate input 'a' at line 2, column 4"),
+        (_IR.format("(var b 4 unsigned)"),
+         "undeclared variable 'b' at line 3, column 2"),
+        (_IR.format("(var a 4 signed)"),
+         "variable 'a' annotated (4 signed) but declared (4 unsigned) "
+         "at line 3, column 2"),
+        (_IR.format("(foo 4 unsigned)"),
+         "unknown term head 'foo' at line 3, column 2"),
+        (_IR.format("(var a 4 unsigned)") + " (extra)",
+         "trailing tokens after design: '(' at line 3, column 22"),
+        (_IR.format("(var a 4 unsigend)"),
+         "expected signage, got 'unsigend' at line 3, column 11"),
+        ("(design d (inputs (a 0 unsigned))\n (output o 4 unsigned)\n"
+         " (var a 4 unsigned))",
+         "width must be >= 1, got 0 at line 1, column 22"),
+        (_SV.format("wire [3:0] w; wire [3:0] w;\nassign o = x;"),
+         "signal 'w' declared twice at line 3, column 26"),
+        (_SV.format("assign y = x;\nassign o = x;"),
+         "assignment to undeclared signal 'y' at line 3, column 1"),
+        (_SV.format("assign x = 8'd1;\nassign o = x;"),
+         "assignment to input 'x' at line 3, column 1"),
+        (_SV.format("wire [3:0] w;\nassign o = w;"),
+         "signal 'w' is never driven at line 4, column 1"),
+        (_SV.format("assign o = 2'd7;"),
+         "literal 2'd7 does not fit its size at line 3, column 12"),
+        (_SV.format("initial o = x;"),
+         "unsupported construct 'initial' at line 3, column 1"),
+        (_SV.format("assign o = x[9:2];"),
+         "slice [9:2] out of range for x at line 3, column 1"),
+    ])
+    def test_malformed_design_located(self, runner, tmp_path, text,
+                                      message):
+        read = parse_sexpr if text.startswith("(") else parse_sv
+        with pytest.raises(ParseError) as e:
+            read(text)
+        assert str(e.value) == message
+        assert e.value.line is not None and e.value.col is not None
+        sp, ip = _emit_pair(tmp_path, "fig4")
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        r = runner.invoke(main, ["check", "--spec", str(bad), "--impl", ip,
+                                 "--out", str(tmp_path / "out")])
+        assert r.exit_code == 3, r.output
+        assert f"error: {message}" in r.output
 
 
 class TestSaturateExtract:
@@ -428,6 +499,14 @@ class TestConfigFile:
         r = runner.invoke(main, ["--config", str(cfg), "bench", "fig4"])
         assert r.exit_code == 3, r.output
         assert f"error: {cfg}:2: unknown key 'sampels'" in r.output
+
+    def test_format_key_is_unknown(self, runner, tmp_path):
+        # the reader is picked from the text; there is no format option
+        cfg = tmp_path / "format.cfg"
+        cfg.write_text("format = sv\n")
+        r = runner.invoke(main, ["--config", str(cfg), "bench", "fig4"])
+        assert r.exit_code == 3, r.output
+        assert f"error: {cfg}:1: unknown key 'format'" in r.output
 
     def test_key_of_another_command_is_accepted(self, runner, tmp_path):
         # one file supplies defaults to all commands: bench has no --out

@@ -184,8 +184,7 @@ class TestInitPair:
 
     def test_port_mismatch_rejected(self):
         spec, _ = load_pair("fig1")
-        other = Design("other", (("Z", ann(4)),), ("O", ann(4)),
-                       var("Z", ann(4)))
+        other = Design("other", (("Z", ann(4)),), "O", var("Z", ann(4)))
         with pytest.raises(EGraphError):
             init_pair(spec, other)
 

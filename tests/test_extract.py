@@ -283,8 +283,7 @@ class TestExtractedDesigns:
             res = extract_ilp(g, timeout=20.0)
             cfg = OracleConfig(max_exhaustive_bits=16)
             for orig, star in ((spec, res.s_star), (impl, res.i_star)):
-                d = Design("star", orig.inputs, (orig.output[0], star.out),
-                           star)
+                d = Design("star", orig.inputs, orig.output, star)
                 assert check_equiv(orig, d, cfg).status == "pass", name
 
     def test_greedy_on_merged_graph_valid(self):

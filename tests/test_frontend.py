@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,25 @@ class TestParseSv:
         np.testing.assert_array_equal(
             evaluate_many(d.body, {"a": a, "b": b}), expected(a, b))
 
+    def test_shared_wires_read_once(self):
+        # w_i = w_{i-1} + w_{i-1}: a check that walks the body as a tree
+        # takes 2^24 steps here, seconds where the reader takes milliseconds
+        n = 24
+        lines = ["module dbl(x, o);", "input [7:0] x; output [7:0] o;",
+                 "wire [7:0] w0;", "assign w0 = x;"]
+        for i in range(1, n):
+            lines += [f"wire [7:0] w{i};",
+                      f"assign w{i} = w{i - 1} + w{i - 1};"]
+        lines += [f"assign o = w{n - 1};", "endmodule"]
+        t0 = time.perf_counter()
+        d = parse_sv("\n".join(lines))
+        assert time.perf_counter() - t0 < 0.5
+        t = d.body
+        for _ in range(n - 1):
+            assert t.kind == "+" and t.operands[0][1] is t.operands[1][1]
+            t = t.operands[0][1]
+        assert t.kind == "var"
+
     def test_multiply_driven_rejected(self):
         with pytest.raises(ParseError, match="driv"):
             parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"
@@ -269,7 +289,6 @@ def test_sv_fixture_is_its_ir_twin(stem):
     ir, sv = load_design(stem, "ir"), load_design(stem, "sv")
     assert sv.body == ir.body
     assert sv.inputs == ir.inputs
-    assert sv.output[1] == ir.output[1]
 
 
 class TestEmitSv:
@@ -316,7 +335,7 @@ def _terms(draw, inputs, depth):
 def _designs(draw):
     inputs = tuple((n, draw(_ANNS)) for n in ("a", "b", "c"))
     body = draw(_terms(inputs, 3))
-    return Design("rt", inputs, ("o", body.out), body)
+    return Design("rt", inputs, "o", body)
 
 
 class TestRoundTripProperty:
@@ -326,6 +345,7 @@ class TestRoundTripProperty:
         assert parse_sexpr(emit_sexpr(d)) == d
         back = parse_sv(emit_sv(d))
         assert back.inputs == d.inputs and back.output == d.output
+        assert back.body.out == d.body.out
         rng = random.Random(seed)
         envs = [{n: a.lo for n, a in d.inputs}, {n: a.hi for n, a in d.inputs}]
         envs += [{n: rng.randint(a.lo, a.hi) for n, a in d.inputs}

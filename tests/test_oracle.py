@@ -20,7 +20,7 @@ from wordec.rewrites import baseline_rules
 
 
 def _design(name, body, inputs):
-    return Design(name, tuple(inputs), ("o", body.out), body)
+    return Design(name, tuple(inputs), "o", body)
 
 
 def _ab(width=4):
@@ -493,7 +493,7 @@ class TestRunWaterfallDir:
         # sabotage: swap the body for a constant-zero design of same ports
         from wordec.frontend import emit_sexpr
         from wordec.ir import const
-        bad = Design(d.name, d.inputs, d.output, const(0, d.output[1]))
+        bad = Design(d.name, d.inputs, d.output, const(0, d.body.out))
         victim.write_text(emit_sexpr(bad))
         rep = run_waterfall_dir(tmp_path, OracleConfig(max_exhaustive_bits=16))
         assert rep.overall == "fail"

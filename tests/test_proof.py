@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from wordec.egraph import EGraph, init_pair, saturate
-from wordec.extract import extract_ilp
+from wordec.extract import extract_greedy, extract_ilp
 from wordec.fixtures import load_pair, names
+from wordec.frontend import parse_sv
 from wordec.ir import Annotation, evaluate, op, var
 from wordec.proof import (ProofError, RewriteStep, _cancel_inverses,
                           build_waterfall, check_adjacency, explain,
@@ -81,6 +83,57 @@ class TestExplain:
             for x, y in itertools.product(range(16), range(4)):
                 env = {"a": x, "s": y}
                 assert evaluate(st.before, env) == evaluate(st.after, env)
+
+
+def _vbsme(n):
+    """Generated vbsmeN: the sum of n absolute differences of 4-bit inputs.
+    The spec adds them along a chain whose wires all have the output's
+    width; the impl along a balanced tree whose wires widen by one bit per
+    level, each left subtree summing the largest power of two below it."""
+    width = 4 + math.ceil(math.log2(n))
+    ports = ", ".join(f"a{i}, b{i}" for i in range(n))
+    common = [f"input [3:0] {ports};", f"output [{width - 1}:0] O;"]
+    for i in range(n):
+        common += [f"wire [3:0] d{i};", f"assign d{i} = (a{i} < b{i}) ? "
+                                        f"(b{i} - a{i}) : (a{i} - b{i});"]
+    spec = []
+    for k in range(1, n):
+        prev = f"s{k - 1}" if k > 1 else "d0"
+        spec += [f"wire [{width - 1}:0] s{k};",
+                 f"assign s{k} = {prev} + d{k};"]
+    spec.append(f"assign O = s{n - 1};")
+    impl = []
+
+    def tree(lo, hi):
+        """The wire summing d_lo … d_{hi-1}, and its width."""
+        if hi - lo == 1:
+            return f"d{lo}", 4
+        mid = lo + (1 << ((hi - lo - 1).bit_length() - 1))
+        (a, wa), (b, wb) = tree(lo, mid), tree(mid, hi)
+        name, w = f"t{len(impl)}", max(wa, wb) + 1
+        impl.extend([f"wire [{w - 1}:0] {name};",
+                     f"assign {name} = {a} + {b};"])
+        return name, w
+
+    impl.append(f"assign O = {tree(0, n)[0]};")
+    return tuple(parse_sv("\n".join([f"module vbsme{n}_{role}({ports}, O);",
+                                      *common, *body, "endmodule"]))
+                 for role, body in (("spec", spec), ("impl", impl)))
+
+
+class TestGeneratedVbsme:
+    @pytest.mark.parametrize("extraction", ["greedy", "ilp"])
+    def test_walk_goes_on_past_a_bare_variable(self, extraction):
+        # a forest path to a node can end on an edge whose target side is
+        # a bare pattern variable (zext-intro's lhs), so on the term bound
+        # to it, which another node heads; the walk must go on from there
+        spec, impl = _vbsme(5)
+        g = init_pair(spec, impl)
+        rules = baseline_rules()
+        assert saturate(g, rules).roots_merged
+        res = (extract_greedy(g) if extraction == "greedy"
+               else extract_ilp(g, timeout=20.0))
+        check_adjacency(build_waterfall(g, spec, impl, res, rules))
 
 
 class TestCancelInverses:
