@@ -272,6 +272,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
     }, extraction={"method": res.method, "objective": res.objective,
                    "timed_out": res.timed_out,
                    "optimal": res.method == "ilp" and not res.timed_out,
+                   "visits": res.visits,
                    "seconds": round(extract_s, 6)})
 
 
@@ -324,7 +325,7 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
     res = _extract(g, extraction, extract_timeout)
     click.echo(f"method: {res.method}  objective: {res.objective}  "
                f"shared nodes: {res.shared_node_count}  "
-               f"timed_out: {res.timed_out}")
+               f"visits: {res.visits}  timed_out: {res.timed_out}")
     click.echo("S*: " + emit_sexpr(Design("s_star", spec.inputs, spec.output,
                                           res.s_star)).strip())
     click.echo("I*: " + emit_sexpr(Design("i_star", spec.inputs, spec.output,

@@ -213,6 +213,7 @@ class TestCheck:
         assert ext["optimal"] is optimal
         assert ext["optimal"] == (ext["method"] == "ilp"
                                   and not ext["timed_out"])
+        assert (ext["visits"] > 0) is optimal  # greedy runs no search
 
     def test_dump_graph(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4")
@@ -330,7 +331,9 @@ class TestSaturateExtract:
         r = runner.invoke(main, ["extract", "--spec", sp, "--impl", ip,
                                  "--lp", str(lp)])
         assert r.exit_code == 0, r.output
-        assert "objective" in r.output
+        method = r.output.splitlines()[0]
+        assert method.startswith("method: ilp  objective: ")
+        assert int(method.split("visits: ")[1].split()[0]) > 0
         assert "Maximize" in lp.read_text()
 
 
