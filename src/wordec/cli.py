@@ -4,7 +4,7 @@ discharge obligations, report."""
 from __future__ import annotations
 
 import json
-import re
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -18,13 +18,14 @@ from .analysis import AnalysisError
 from .egraph import EGraphError, init_pair, saturate
 from .extract import (ExtractionError, export_lp, extract_greedy, extract_ilp,
                       shared)
-from .frontend import Design, ParseError, emit_sexpr, parse_sexpr, parse_sv
+from .frontend import Design, ParseError, emit_sexpr, parse_design
 from .oracle import OracleConfig, OracleError, run_waterfall, run_waterfall_dir
 from .proof import ProofError, build_waterfall, check_adjacency, \
     write_waterfall
 from .rewrites import baseline_rules, parse_rules, validate_rule
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNPROVEN, EXIT_ERROR = 0, 1, 2, 3
+EXIT_PIPE = 128 + 13  # killed by SIGPIPE, as a shell reports it
 
 # AnalysisError: an unsound user rule merged classes with disjoint intervals;
 # ParseError covers the rule reader's RuleError
@@ -33,11 +34,7 @@ _USER_ERRORS = (ParseError, EGraphError, ExtractionError, ProofError,
 
 
 def _load_design(path: str) -> Design:
-    """Read an IR design when the text's first token, after blanks and `;`
-    comments, is `(`, and a SystemVerilog design otherwise."""
-    text = Path(path).read_text()
-    ir = re.match(r"(?:\s|;.*)*\(", text)
-    return parse_sexpr(text) if ir else parse_sv(text)
+    return parse_design(Path(path).read_text())
 
 
 def _load_rules(spec: str) -> list:
@@ -48,11 +45,15 @@ def _load_rules(spec: str) -> list:
     return parse_rules(Path(spec).read_text())
 
 
-def _read_config(path: str | None, keys: set[str]) -> dict:
+def _read_config(path: str | None, commands: dict) -> dict:
     """key=value file mirroring the CLI flags; '#' starts a comment.  Every
-    key must name an option of some command (one of `keys`)."""
+    key names an option of one of `commands`, by its flag without the
+    leading dashes (`out`) or by its parameter (`outdir`)."""
     if not path:
         return {}
+    keys = {key.lstrip("-").replace("-", "_"): p.name
+            for c in commands.values() for p in c.params
+            if isinstance(p, click.Option) for key in (p.name, *p.opts)}
     cfg: dict = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -62,13 +63,9 @@ def _read_config(path: str | None, keys: set[str]) -> dict:
             raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
         flag, val = (part.strip() for part in line.split("=", 1))
         key = flag.replace("-", "_")
-        # flag names whose click parameter is named differently
-        aliases = {"out": "outdir", "spec": "spec_path", "impl": "impl_path",
-                   "lp": "lp_path"}
-        key = aliases.get(key, key)
         if key not in keys:
             raise ValueError(f"{path}:{ln}: unknown key {flag!r}")
-        cfg[key] = val
+        cfg[keys[key]] = val
     return cfg
 
 
@@ -191,9 +188,7 @@ def main(ctx, config_path):
     # one file supplies defaults to every command
     commands = ctx.command.commands
     try:
-        cfg = _read_config(config_path, {
-            p.name for c in commands.values() for p in c.params
-            if isinstance(p, click.Option)})
+        cfg = _read_config(config_path, commands)
     except _USER_ERRORS as e:
         click.echo(f"error: {e}", err=True)
         ctx.exit(EXIT_ERROR)
@@ -205,6 +200,12 @@ def _cmd_errors(fn):
     def wrapper(*args, **kw):
         try:
             return fn(*args, **kw)
+        except BrokenPipeError:
+            # the reader of stdout stopped early (`| head`): exit as SIGPIPE
+            # would, and let the interpreter's flush at exit write to
+            # /dev/null rather than fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_PIPE)
         except _USER_ERRORS as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(EXIT_ERROR)
@@ -219,12 +220,15 @@ def _report_exit(report) -> int:
     return EXIT_FAIL if report.overall == "fail" else EXIT_UNPROVEN
 
 
-def _finish(outdir, report, **blocks):
-    """Write report.json (the verdicts and any further `blocks`), print the
-    verdicts and exit with the code of the overall verdict."""
+def _finish(outdir, report, summary=(), **blocks):
+    """Write report.json (the verdicts and any further `blocks`), then print
+    the `summary` lines and the verdicts, and exit with the code of the
+    overall verdict."""
     (Path(outdir) / "report.json").write_text(
         json.dumps(dict(report.to_json(), **blocks), indent=2,
                    sort_keys=True) + "\n")
+    for line in summary:
+        click.echo(line)
     for ob, v in report.verdicts:
         line = f"  [{v.status:8s}] {ob['kind']:16s} {ob['rule']:20s} {v.method}"
         click.echo(line)
@@ -258,13 +262,14 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
     ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
     t0 = time.perf_counter()
     report = run_waterfall(w, ocfg)
-    click.echo(f"saturation: {rep.iterations} iterations, {g.num_nodes()} "
-               f"nodes, roots merged: {rep.roots_merged} ({rep.stop_reason})")
-    click.echo(f"extraction: {res.method}, objective {res.objective}, "
-               f"timed_out: {res.timed_out}")
-    click.echo(f"waterfall: {len(w.obligations())} obligations "
-               f"-> {outdir} (proved in {time.perf_counter() - t0:.2f}s)")
-    _finish(outdir, report, saturation={
+    _finish(outdir, report, [
+        f"saturation: {rep.iterations} iterations, {g.num_nodes()} nodes, "
+        f"roots merged: {rep.roots_merged} ({rep.stop_reason})",
+        f"extraction: {res.method}, objective {res.objective}, "
+        f"timed_out: {res.timed_out}",
+        f"waterfall: {len(w.obligations())} obligations -> {outdir} "
+        f"(proved in {time.perf_counter() - t0:.2f}s)",
+    ], saturation={
         "iterations": rep.iterations, "nodes": g.num_nodes(),
         "roots_merged": rep.roots_merged, "stop_reason": rep.stop_reason,
         "per_iteration": [asdict(st) for st in rep.per_iteration],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .frontend import Design, parse_sexpr, parse_sv
+from .frontend import Design, parse_design
 
 # name -> (spec stem, impl stem); the .ir file is the canonical source, the
 # .sv twin is the human-auditable rendering of the same design.
@@ -32,11 +32,9 @@ def _read(fname: str) -> str:
 
 
 def load_design(stem: str, fmt: str = "ir") -> Design:
-    if fmt == "ir":
-        return parse_sexpr(_read(f"{stem}.ir"))
-    if fmt == "sv":
-        return parse_sv(_read(f"{stem}.sv"))
-    raise ValueError(f"unknown fixture format {fmt!r}")
+    """The bundled file `stem.fmt`, read by the reader its first token
+    picks."""
+    return parse_design(_read(f"{stem}.{fmt}"))
 
 
 def load_pair(name: str, fmt: str = "ir") -> tuple[Design, Design]:

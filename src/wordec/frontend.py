@@ -2,10 +2,14 @@
 SystemVerilog subset.
 
 Verilog's context-determined sizing is resolved at parse time into explicit
-operand annotations, making the resulting term self-contained.  The SV
-emitter re-materializes one wire per operator (plus coercion wires wherever
-an operand annotation differs from the driving signal), so each emitted line
-is auditable on its own.
+operand annotations, making the resulting term self-contained; the reader
+elaborates each signal the first time an expression reads it.  The SV
+emitter writes one wire per operator and follows one coercion rule: a lone
+continuous assignment `assign n = m;` extends `m` per its own signedness
+and truncates to the width of `n`, which is exactly the IR slot coercion.
+So an operand reaches its operator through a chain of such wires, one
+wherever its annotation changes, and each emitted line is auditable on its
+own.
 """
 
 from __future__ import annotations
@@ -313,31 +317,73 @@ def _sv_primary(ts):
 
 # -- elaboration: Verilog sizing resolved into explicit annotations ---------
 
+@dataclass
+class _SvDecl:
+    kind: str  # input | output | wire
+    ann: Annotation
+    lsb: int
+    loc: tuple[int, int]  # of the declared name
+
+
 class _Elaborator:
-    """Turns an expression AST into a Term under Verilog sizing semantics.
+    """Turns a module's signals into Terms under Verilog sizing semantics,
+    elaborating each signal the first time an expression reads it.
 
     The self-determined size/signedness of each subexpression is computed
     bottom-up; context width/signedness propagates top-down.  Operand slots
     of value-computing operators are (operand's own width, context signage),
     which reproduces Verilog's reinterpret-then-extend operand conversion
-    under the IR's coercion rule.
+    under the IR's coercion rule.  Operands are built in source order, so an
+    error names the first bad signal an expression reads; an undeclared one
+    is met first, by the sizing walk.
     """
 
-    def __init__(self, signals: dict[str, Annotation],
-                 terms: dict[str, Term], lsb: dict[str, int]):
-        self.signals = signals
-        self.terms = terms
-        self.lsb = lsb
+    def __init__(self, decls: dict[str, _SvDecl],
+                 driven: dict[str, tuple[object, tuple]]):
+        self.decls = decls
+        self.driven = driven
+        self.terms: dict[str, Term | None] = {}  # None while elaborating
 
-    def signal(self, name: str) -> Annotation:
-        if name not in self.signals:
+    def signal(self, name: str) -> _SvDecl:
+        if name not in self.decls:
             raise ParseError(f"undeclared signal {name!r}")
-        return self.signals[name]
+        return self.decls[name]
+
+    def read(self, name: str) -> Term:
+        """The Term of signal `name`: an input's variable, or a driven
+        signal's right-hand side sized into its declared slot, elaborated
+        on the first read.  An error that does not yet name a place is
+        located at the assignment being elaborated."""
+        if name in self.terms:
+            if self.terms[name] is None:
+                raise ParseError(f"combinational cycle through {name!r}",
+                                 *self.driven[name][1])
+            return self.terms[name]
+        d = self.signal(name)
+        if d.kind == "input":
+            t = Term("var", d.ann, name=name)
+        elif name not in self.driven:
+            raise ParseError(f"signal {name!r} is never driven")
+        else:
+            expr, loc = self.driven[name]
+            self.terms[name] = None
+            try:
+                w, s = self.self_size(expr)
+                t = self.to_term(expr, max(w, d.ann.width), s)
+                if t.out != d.ann:
+                    t = Term("sext" if t.out.signed else "zext", d.ann,
+                             operands=((t.out, t),))
+            except (IrError, ParseError) as e:
+                if getattr(e, "line", None) is not None:
+                    raise
+                raise ParseError(str(e), *loc) from None
+        self.terms[name] = t
+        return t
 
     # self-determined (width, signed)
     def self_size(self, e) -> tuple[int, bool]:
         if isinstance(e, _Ref):
-            a = self.signal(e.name)
+            a = self.signal(e.name).ann
             return a.width, a.signed
         if isinstance(e, _Lit):
             return e.width, e.signed
@@ -365,13 +411,12 @@ class _Elaborator:
         """Build a Term computing `e` in a (W, signed) sizing context."""
         ctx = Annotation(W, signed)
         if isinstance(e, _Ref):
-            return self.terms[e.name] if e.name in self.terms \
-                else Term("var", self.signal(e.name), name=e.name)
+            return self.read(e.name)
         if isinstance(e, _Lit):
             return Term("const", Annotation(e.width, e.signed), value=e.value)
         if isinstance(e, _Slice):
-            base = self.to_term(_Ref(e.name), *self.self_size(_Ref(e.name)))
-            off = self.lsb.get(e.name, 0)
+            base = self.read(e.name)
+            off = self.signal(e.name).lsb
             hi, lo = e.hi - off, e.lo - off
             if not (base.out.width > hi >= lo >= 0):
                 raise ParseError(
@@ -415,9 +460,9 @@ class _Elaborator:
                 (Annotation(a.out.width, scmp), a),
                 (Annotation(b.out.width, scmp), b)))
         if e.op in SHIFT_OPS:
+            a = self.to_term(e.a, W, signed)
             wb, sb = self.self_size(e.b)
             amt = self.to_term(e.b, wb, sb)
-            a = self.to_term(e.a, W, signed)
             op = e.op
             aslot = Annotation(a.out.width, signed)
             if op == ">>>" and not signed:
@@ -436,26 +481,8 @@ class _Elaborator:
             (Annotation(a.out.width, signed), a),
             (Annotation(b.out.width, signed), b)))
 
-    def rhs_term(self, e, target: Annotation) -> Term:
-        """Elaborate an assignment right-hand side into the target slot."""
-        w, s = self.self_size(e)
-        W = max(w, target.width)
-        t = self.to_term(e, W, s)
-        if t.out == target:
-            return t
-        wrap = "sext" if t.out.signed else "zext"
-        return Term(wrap, target, operands=((t.out, t),))
-
 
 # -- module-level parsing ---------------------------------------------------
-
-@dataclass
-class _SvDecl:
-    kind: str  # input | output | wire
-    ann: Annotation
-    lsb: int
-    loc: tuple[int, int]  # of the declared name
-
 
 def _sv_parse_range(ts: Tokens) -> tuple[int, int]:
     loc = ts.loc()
@@ -581,58 +608,15 @@ def parse_sv(text: str) -> Design:
     if out_name not in driven:
         ts.fail(f"output {out_name!r} is never assigned", decls[out_name].loc)
 
-    # elaborate assignments in dependency order (inlining wires)
-    signals = {n: d.ann for n, d in decls.items()}
-    lsb = {n: d.lsb for n, d in decls.items()}
-    terms: dict[str, Term] = {}
-    el = _Elaborator(signals, terms, lsb)
-
-    def deps(e, out: dict[str, None]):
-        """Add the signals e reads to `out`, an ordered set, in source
-        order, so a dependency error names the first bad signal."""
-        if isinstance(e, (_Ref, _Slice)):
-            out[e.name] = None
-        elif isinstance(e, _Unary):
-            deps(e.a, out)
-        elif isinstance(e, _Binary):
-            deps(e.a, out)
-            deps(e.b, out)
-        elif isinstance(e, _Ternary):
-            deps(e.cond, out)
-            deps(e.a, out)
-            deps(e.b, out)
-        elif isinstance(e, _Concat):
-            for p in e.parts:
-                deps(p, out)
-
-    state: dict[str, int] = {}  # 1 = in progress, 2 = done
-
-    def elaborate(sig: str):
-        if state.get(sig) == 2:
-            return
-        if state.get(sig) == 1:
-            raise ParseError(f"combinational cycle through {sig!r}",
-                             *driven[sig][1])
-        state[sig] = 1
-        expr, loc = driven[sig]
-        needed: dict[str, None] = {}
-        deps(expr, needed)
-        for d in needed:
-            if d not in decls:
-                raise ParseError(f"undeclared signal {d!r}", *loc)
-            if d in driven:
-                elaborate(d)
-            elif decls[d].kind != "input":
-                raise ParseError(f"signal {d!r} is never driven", *loc)
-        try:
-            terms[sig] = el.rhs_term(expr, decls[sig].ann)
-        except (IrError, ParseError) as e:  # located at the assignment
-            raise ParseError(str(e), *loc) from None
-        state[sig] = 2
-
-    elaborate(out_name)
-    body = terms[out_name]
+    body = _Elaborator(decls, driven).read(out_name)
     return Design(name, tuple(inputs), out_name, body)
+
+
+def parse_design(text: str) -> Design:
+    """Read an IR design when the text's first token, after blanks and `;`
+    comments, is `(`, and a SystemVerilog design otherwise."""
+    ir = re.match(r"(?:\s|;.*)*\(", text)
+    return parse_sexpr(text) if ir else parse_sv(text)
 
 
 # ---------------------------------------------------------------------------
@@ -664,32 +648,14 @@ class _SvEmitter:
         self.lines.append(f"  assign {n} = {rhs};")
         return n
 
-    def slot_ref(self, child: Term, slot: Annotation) -> str:
-        """Name of a signal declared (slot.width, slot.signed) whose value is
-        the IR slot coercion of the child."""
-        ref = self.emit(child)
-        if child.out == slot:
-            return ref
-        # a lone continuous assignment extends per the source's signedness
-        # and truncates to the target width: exactly the IR coercion
-        return self.wire(slot, ref)
-
-    def pattern_ref(self, child: Term, slot: Annotation) -> str:
-        """Like slot_ref but declared unsigned: the raw slot bit pattern."""
-        ref = self.emit(child)
-        if child.out == slot and not slot.signed:
-            return ref
-        return self.wire(Annotation(slot.width), ref if child.out == slot
-                         else self.slot_ref(child, slot))
-
-    def extended(self, child: Term, slot: Annotation, w: int) -> str:
-        """Operand pre-extended to width w (per the slot signage), so the
-        emitted operator sees equal-width operands and Verilog's own context
-        sizing becomes a no-op modulo 2^w."""
-        ref = self.slot_ref(child, slot)
-        if slot.width == w:
-            return ref
-        return self.wire(Annotation(w, slot.signed), ref)
+    def ref(self, child: Term, *anns: Annotation) -> str:
+        """Name of a signal holding `child` coerced through each of `anns`
+        in turn, with one wire wherever the annotation changes."""
+        name, a = self.emit(child), child.out
+        for b in anns:
+            if b != a:
+                name, a = self.wire(b, name), b
+        return name
 
     def emit(self, t: Term) -> str:
         if t in self.memo:
@@ -705,57 +671,51 @@ class _SvEmitter:
             return t.name
         if k == "const":
             return self.wire(out, f"{out.width}'d{to_bits(t.value, out)}")
-        slots = [s for s, _ in t.operands]
-        kids = [c for _, c in t.operands]
+
+        def arg(i: int, *anns: Annotation) -> str:
+            slot, child = t.operands[i]
+            return self.ref(child, slot, *anns)
+
+        def wide(i: int) -> Annotation:
+            # the output width per the slot signage, so the operator sees
+            # equal-width operands and Verilog's own context sizing is a
+            # no-op modulo 2^w
+            return Annotation(out.width, t.operands[i][0].signed)
+
+        def pattern(i: int) -> Annotation:  # the slot's raw bits
+            return Annotation(t.operands[i][0].width)
+
         if k in ("+", "-", "*", "&", "|", "^"):
-            a = self.extended(kids[0], slots[0], out.width)
-            b = self.extended(kids[1], slots[1], out.width)
-            return self.wire(out, f"{a} {k} {b}")
+            return self.wire(out, f"{arg(0, wide(0))} {k} {arg(1, wide(1))}")
         if k in ("neg", "~"):
-            a = self.extended(kids[0], slots[0], out.width)
             sym = "-" if k == "neg" else "~"
-            return self.wire(out, f"{sym}{a}")
+            return self.wire(out, f"{sym}{arg(0, wide(0))}")
         if k == "<<":
-            a = self.extended(kids[0], slots[0], out.width)
-            amt = self.pattern_ref(kids[1], slots[1])
-            return self.wire(out, f"{a} << {amt}")
+            return self.wire(out, f"{arg(0, wide(0))} << {arg(1, pattern(1))}")
         if k == ">>":
-            pat = self.pattern_ref(kids[0], slots[0])
-            amt = self.pattern_ref(kids[1], slots[1])
-            return self.wire(out, f"{pat} >> {amt}")
-        if k == ">>>":
-            if not slots[0].signed:  # floor shift of a non-negative value
-                a = self.pattern_ref(kids[0], slots[0])
-                amt = self.pattern_ref(kids[1], slots[1])
-                return self.wire(out, f"{a} >> {amt}")
-            a = self.slot_ref(kids[0], slots[0])
-            amt = self.pattern_ref(kids[1], slots[1])
-            return self.wire(out, f"{a} >>> {amt}")
+            return self.wire(out, f"{arg(0, pattern(0))} >> "
+                                  f"{arg(1, pattern(1))}")
+        if k == ">>>":  # of an unsigned slot, a floor shift of its pattern
+            sym = ">>>" if t.operands[0][0].signed else ">>"
+            return self.wire(out, f"{arg(0)} {sym} {arg(1, pattern(1))}")
         if k == "mux":
-            c = self.slot_ref(kids[0], slots[0])
-            a = self.extended(kids[1], slots[1], out.width)
-            b = self.extended(kids[2], slots[2], out.width)
-            return self.wire(out, f"{c} ? {a} : {b}")
+            return self.wire(out, f"{arg(0)} ? {arg(1, wide(1))} : "
+                                  f"{arg(2, wide(2))}")
         if k == "concat":
-            a = self.pattern_ref(kids[0], slots[0])
-            b = self.pattern_ref(kids[1], slots[1])
-            return self.wire(out, f"{{{a}, {b}}}")
+            return self.wire(out, f"{{{arg(0, pattern(0))}, "
+                                  f"{arg(1, pattern(1))}}}")
         if k == "slice":
-            a = self.pattern_ref(kids[0], slots[0])
             hi, lo = t.indices
-            return self.wire(out, f"{a}[{hi}:{lo}]")
+            return self.wire(out, f"{arg(0, pattern(0))}[{hi}:{lo}]")
         if k in ("==", "<"):
             # compare values: extend both to a common signed width
-            w = max(slots[0].width, slots[1].width) + 1
-            a = self.wire(Annotation(w, True), self.slot_ref(kids[0], slots[0]))
-            b = self.wire(Annotation(w, True), self.slot_ref(kids[1], slots[1]))
-            return self.wire(out, f"{a} {k} {b}")
+            cmp = Annotation(max(s.width for s, _ in t.operands) + 1, True)
+            return self.wire(out, f"{arg(0, cmp)} {k} {arg(1, cmp)}")
         if k == "zext":
-            return self.wire(out, self.pattern_ref(kids[0], slots[0]))
+            return self.wire(out, arg(0, pattern(0)))
         if k == "sext":
-            pat = self.pattern_ref(kids[0], slots[0])
-            s = self.wire(Annotation(slots[0].width, True), pat)
-            return self.wire(out, s)
+            signed = Annotation(t.operands[0][0].width, True)
+            return self.wire(out, arg(0, pattern(0), signed))
         raise IrError(f"unknown opcode: {k}")
 
 

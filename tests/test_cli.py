@@ -1,11 +1,16 @@
 import json
+import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
-from wordec.cli import main
+import wordec
+from wordec.cli import _read_config, main
 from wordec.fixtures import load_pair
 from wordec.frontend import (ParseError, emit_sexpr, emit_sv, parse_sexpr,
                              parse_sv)
@@ -523,6 +528,50 @@ class TestConfigFile:
         cfg.write_text("this is not a key value line\n")
         r = runner.invoke(main, ["--config", str(cfg), "bench", "adpcm"])
         assert r.exit_code == 3, r.output
+
+
+class TestClosedPipe:
+    """A reader that stops early (`wordec ... | head`) is no user error: the
+    command ends as SIGPIPE would end it, 141, and writes nothing to
+    stderr, also when the interpreter flushes stdout at exit."""
+
+    @pytest.mark.parametrize("command", ["extract", "check"])
+    def test_exits_141_silently(self, tmp_path, command):
+        sp, ip = _emit_pair(tmp_path, "adpcm")
+        out = tmp_path / "out"
+        args = [command, "--spec", sp, "--impl", ip]
+        if command == "check":
+            args += ["--out", str(out)]
+        src = str(Path(wordec.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first line
+        try:
+            r = subprocess.run(
+                [sys.executable, "-c", "from wordec.cli import main; main()",
+                 *args], stdout=write, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr.decode()) == (141, "")
+        if command == "check":  # written before the first line is printed
+            report = json.loads((out / "report.json").read_text())
+            assert report["overall"] == "pass"
+
+
+_OPTIONS = [(name, p) for name, c in sorted(main.commands.items())
+            for p in c.params if isinstance(p, click.Option)]
+
+
+@pytest.mark.parametrize("command, option", _OPTIONS,
+                         ids=[f"{n}-{p.name}" for n, p in _OPTIONS])
+def test_every_flag_is_a_config_key(tmp_path, command, option):
+    # by its flag without the dashes, and by its parameter's name
+    for key in (*(o.lstrip("-") for o in option.opts), option.name):
+        cfg = tmp_path / "wordec.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert _read_config(str(cfg), main.commands) == {option.name: "1"}
 
 
 class TestUsageErrors:

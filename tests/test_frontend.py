@@ -207,6 +207,44 @@ class TestParseSv:
         assert messages[0] == messages[1]
         assert messages[0].startswith("signal 'p' is never driven at line 3")
 
+    # lines 3 to 5 of a module over `a`, with wires x and y
+    _WIRES = ("module m(a, o); input [3:0] a; output [3:0] o;\n"
+              "wire [3:0] x; wire [1:0] y;\n{}\n{}\n{}\nendmodule")
+
+    @pytest.mark.parametrize("lines, message", [
+        (("assign o = x;", "assign x = y;", "assign y = a << x;"),
+         "combinational cycle through 'x' at line 4, column 1"),
+        (("assign o = x;", "assign x = a + y;", "assign y = x[1:0];"),
+         "combinational cycle through 'x' at line 4, column 1"),
+        (("assign o = x;", "assign x = a << y;", ""),
+         "signal 'y' is never driven at line 4, column 1"),
+        (("assign o = x;", "assign x = a + y[1:0];", ""),
+         "signal 'y' is never driven at line 4, column 1"),
+    ], ids=["cycle-through-shift-amount", "cycle-through-slice",
+            "undriven-shift-amount", "undriven-slice"])
+    def test_error_behind_shift_amount_or_slice_located(self, lines,
+                                                        message):
+        # each error is located at the assignment it arises in, not at the
+        # output's assignment that leads there
+        with pytest.raises(ParseError) as e:
+            parse_sv(self._WIRES.format(*lines))
+        assert str(e.value) == message
+
+    def test_shift_names_its_value_before_its_amount(self):
+        # two undriven wires under one shift: the first in source order
+        with pytest.raises(ParseError, match=r"^signal 'y' is never driven "
+                                             r"at line 4, column 1$"):
+            parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"
+                     "wire [3:0] x, y, z;\nassign o = x;\n"
+                     "assign x = y << z; endmodule")
+
+    def test_unread_wire_not_elaborated(self):
+        # out of range, never driven and cyclic, but read by nothing the
+        # output reads
+        d = parse_sv(self._WIRES.format("assign x = a[9:2] + y;",
+                                        "assign y = y;", "assign o = a;"))
+        assert d.body == Term("var", ann(4), name="a")
+
     def test_unsupported_construct_named(self):
         with pytest.raises(ParseError):
             parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"
@@ -306,6 +344,41 @@ class TestEmitSv:
                             for _ in range(500)]
                 for env in envs:
                     assert evaluate(back.body, env) == evaluate(d.body, env)
+
+
+def _idle_copies(text: str, output: str) -> list[tuple[str, str]]:
+    """The `assign n = m;` lines of an emitted module, but the output's,
+    whose two signals are declared alike: wires that change nothing."""
+    decl = {n: ty for ty, n in re.findall(
+        r"(logic(?: signed)? \[\d+:0\]) (\w+)", text)}
+    return [(n, m) for n, m in re.findall(r"assign (\w+) = (\w+);", text)
+            if n != output and decl[n] == decl[m]]
+
+
+class TestEmitterRule:
+    """Every wire emit_sv writes computes an operator or a constant, or
+    changes its source's annotation.  (A `zext` or `sext` writes its own
+    wire, a copy when the extension is the identity; no design here has
+    one.)"""
+
+    @pytest.mark.parametrize("stem", _STEMS)
+    @pytest.mark.parametrize("fmt", ["ir", "sv"])
+    def test_bundled_design(self, stem, fmt):
+        d = load_design(stem, fmt)
+        assert _idle_copies(emit_sv(d), d.output) == []
+
+    def test_shift_amount_slot_narrower_than_its_child(self):
+        # the amount's slot coercion is its unsigned bit pattern already
+        d = parse_sexpr("(design s (inputs (a 8 unsigned) (s 4 unsigned))\n"
+                        " (output o 8 unsigned)\n"
+                        " (<< 8 unsigned 8 unsigned (var a 8 unsigned)\n"
+                        "    2 unsigned (var s 4 unsigned)))")
+        text = emit_sv(d)
+        assert _idle_copies(text, d.output) == []
+        assert text.count("logic [1:0]") == 1
+        back = parse_sv(text)
+        for env in _all_envs(d):
+            assert evaluate(back.body, env) == evaluate(d.body, env)
 
 
 _ANNS = st.builds(Annotation, st.integers(1, 6), st.booleans())
