@@ -209,6 +209,9 @@ def _cmd_errors(fn):
         except _USER_ERRORS as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(EXIT_ERROR)
+        except RecursionError:  # the walks recurse once or more per level
+            click.echo("error: design nested too deeply", err=True)
+            sys.exit(EXIT_ERROR)
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper

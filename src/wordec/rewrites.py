@@ -385,10 +385,10 @@ class Rule:
         return _compile_matcher(self)["match"]
 
     @cached_property
-    def build(self):
-        """`build(g, env)`, adding the rhs instance under env, compiled on
-        the first application."""
-        return _compile_builder(self.rhs, self.id)
+    def applier(self):
+        """`apply(g, nodes)`, applying the match at lhs nodes `nodes` as
+        `Match.apply` does, compiled on the first application."""
+        return _compile_applier(self)
 
 
 def _width(value) -> int:
@@ -406,19 +406,19 @@ def _is_signed(value) -> bool:
 # ---------------------------------------------------------------------------
 #
 # A pattern rule runs as Python generated from it and kept on the rule:
-# its matcher is compiled on the first Rule.matches and its builder on the
+# its matcher is compiled on the first Rule.matches and its applier on the
 # first application, so the built-in catalogue, parsed once per process,
 # compiles each once:
 #
 # - the matcher walks the lhs with one nested loop per structured position
-#   and returns the rule's matches in the order described at Rule.matches;
+#   and records a match as the ids of the nodes at those positions;
 # - the condition is one function of the parameters it reads;
-# - the builder walks the rhs in pre-order (a node's output annotation, then
-#   per operand its slot annotation and its subterm, then the node itself),
-#   so a BlockedMatch partway leaves the nodes added before it; it passes
-#   each node to EGraph.add as a tuple of its fields, which builds a NodeRec
-#   only on a miss, and looks a computed annotation up in the intern table
-#   before it calls Annotation.
+# - the applier reads what the rhs needs back from those nodes, whose
+#   annotations and values no rebuild changes, and emits the rhs as
+#   `instantiate` does: in pre-order (a node's output annotation, then per
+#   operand its slot annotation and its subterm, then the node itself), so
+#   a BlockedMatch partway leaves the nodes added before it.  Each node goes
+#   to EGraph.add as a tuple of its fields (a NodeRec is built on a miss).
 #
 # eval_expr stays the reference semantics of the expression language.
 
@@ -431,19 +431,13 @@ def _unrepresentable(v, a: Annotation):
     raise BlockedMatch(f"constant {v} not representable in ({a})")
 
 
-def _unbound(e: KeyError) -> None:
-    """Re-raise a builder's missing parameter as eval_expr does."""
-    if e.args and isinstance(e.args[0], str):
-        raise RuleError(f"unbound parameter {e.args[0]}") from None
-
-
 _GLOBALS = {
     "Annotation": Annotation, "_INTERNED": _INTERNED,
-    "BlockedMatch": BlockedMatch,
-    "Skeleton": Skeleton,
+    "BlockedMatch": BlockedMatch, "RuleError": RuleError,
+    "RuleJust": RuleJust, "Skeleton": Skeleton,
     "_compare": _compare, "_power": _power, "_width_of": _width_of,
     "_log2": _log2, "_unknown_operator": _unknown_operator, "_width": _width,
-    "_unrepresentable": _unrepresentable, "_unbound": _unbound,
+    "_unrepresentable": _unrepresentable,
 }
 
 
@@ -521,95 +515,106 @@ class _Code:
         return ns
 
 
-def _binding_order(p: Pattern) -> list:
-    """The keys a match of p binds, in the order the lhs binds them: each
-    class variable as ('class', name), each parameter by name."""
-    keys = {("class", e) if kind == "class" else e: None
-            for kind, e, _ in pattern_slots(p)
-            if kind == "class" or isinstance(e, str) and e.startswith("?")}
-    return list(keys)
-
-
-def _compile_matcher(rule: Rule) -> dict:
-    """The namespace holding `match(g, rule)` and, for a conditional rule,
-    `cond(...)`.  The matcher checks every annotation of a node before it
-    descends, and reads each child class once per node: unification is a
-    conjunction of equalities, so the order changes no result."""
-    code = _Code(["def match(g, rule):",
-                  "    nodes, classes, parent, find = "
-                  "g.nodes, g.classes, g.parent, g.find",
-                  "    out = []",
-                  "    append = out.append",
-                  "    for c0 in sorted(classes):"])
-    code.depth = 2
-    local: dict[object, str] = {}    # env key -> local holding its value
-    kinds: dict[str, str] = {}       # parameter -> static type
+def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
+    """Walk the lhs in pre-order, the node at position k in `pk`.  Matching,
+    emit a loop per position that checks every slot of a node before it
+    descends, and reads each child class once per node; with `bind`, emit
+    nothing.  Returns the sources of each parameter, of each variable's class
+    (keyed ('class', name)) and of each (?w, ?s) pair's annotation (keyed
+    ('ann', w, s)); the parameters' types; the positions' node tuple; and
+    the lhs skeleton."""
+    local: dict[object, str] = {}
+    kinds: dict[str, str] = {}
     positions = 0
 
     def unify(key, value: str, kind: str | None) -> None:
-        if isinstance(key, int):
+        if isinstance(key, str) and key.startswith("?") and key not in local:
+            local[key], kinds[key] = value if bind else code.fresh("v"), kind
+            if not bind:
+                code.emit(f"{local[key]} = {value}")
+        elif bind:
+            return
+        elif isinstance(key, int):
             code.emit(f"if {value} != {key!r}: continue")
         elif isinstance(key, tuple) and key[0] == "sig":
             code.emit(f"if {value} != {key[1]!r}: continue")
         elif isinstance(key, str) and key.startswith("?"):
-            if key in local:
-                code.emit(f"if {value} != {local[key]}: continue")
-            else:
-                local[key], kinds[key] = code.fresh("v"), kind
-                code.emit(f"{local[key]} = {value}")
+            code.emit(f"if {value} != {local[key]}: continue")
         else:
             raise RuleError(f"{rule.id}: unmatchable slot expression "
                             f"{key!r} on lhs")
 
     def annotation(w, s, value: str) -> None:
-        code.emit(f"a = {value}")
-        unify(w, "a.width", "int")
+        local.setdefault(("ann", w, s), value)
+        unify(w, f"{value}.width", "int")
         if isinstance(s, tuple) and s[0] == "sig" and s[1] in (SIGNED,
                                                               UNSIGNED):
-            code.emit(f"if {'not ' if s[1] == SIGNED else ''}a.signed: "
-                      "continue")
+            if not bind:
+                code.emit(f"if {'not ' if s[1] == SIGNED else ''}"
+                          f"{value}.signed: continue")
         else:
-            unify(s, f"({SIGNED!r} if a.signed else {UNSIGNED!r})", "str")
+            unify(s, f"({SIGNED!r} if {value}.signed else {UNSIGNED!r})",
+                  "str")
 
     def position(p: Pattern, cls: str) -> str:
-        """Loop over the nodes of class `cls` that match p; returns the
-        source of the skeleton."""
+        """Walk the nodes of class `cls` that match p; returns the source of
+        the skeleton."""
         nonlocal positions
+        n, N = f"p{positions}", "N"
         positions += 1
         if positions > _MAX_POSITIONS:
             raise RuleError(f"{rule.id}: more than {_MAX_POSITIONS} "
                             "structured positions on the lhs")
-        n = code.fresh("n")
-        code.emit(f"for {n} in classes[{cls}].node_ids:")
-        code.depth += 1
-        code.emit(f"N = nodes[{n}]")
+        if bind:
+            N = f"gnodes[{n}]"
+        else:
+            code.emit(f"for {n} in classes[{cls}].node_ids:")
+            code.depth += 1
+            code.emit(f"N = gnodes[{n}]")
+            code.emit(f"if N.op != {getattr(p, 'op', 'const')!r}: continue")
         if isinstance(p, PatConst):
-            code.emit("if N.op != 'const': continue")
-            unify(p.value, "N.value", None)  # an int, unless malformed
-            annotation(p.width, p.sig, "N.out")
+            unify(p.value, f"{N}.value", None)  # an int, unless malformed
+            annotation(p.width, p.sig, f"{N}.out")
             return f"Skeleton({n}, ())"
-        code.emit(f"if N.op != {p.op!r}: continue")
-        annotation(p.out_w, p.out_s, "N.out")
+        annotation(p.out_w, p.out_s, f"{N}.out")
         for i, (w, s, _) in enumerate(p.operands):
-            annotation(w, s, f"N.slots[{i}]")
+            annotation(w, s, f"{N}.slots[{i}]")
         kids = []
         for i, (_, _, sub) in enumerate(p.operands):
-            c = code.fresh("c")
-            code.emit(f"{c} = parent[N.children[{i}]]")
-            code.emit(f"if parent[{c}] != {c}: {c} = find(N.children[{i}])")
             key = ("class", sub.name) if isinstance(sub, PatVar) else None
+            c = f"{N}.children[{i}]"
+            if not bind:
+                c = code.fresh("c")
+                code.emit(f"{c} = parent[N.children[{i}]]")
+                code.emit(f"if parent[{c}] != {c}: "
+                          f"{c} = find(N.children[{i}])")
             if key is None:
                 kids.append((i, sub, c))
-            elif key in local:
-                code.emit(f"if {c} != {local[key]}: continue")
-            else:
+            elif key not in local:
                 local[key] = c
+            elif not bind:
+                code.emit(f"if {c} != {local[key]}: continue")
         subs = ["None"] * len(p.operands)
         for i, sub, c in kids:
             subs[i] = position(sub, c)
         return f"Skeleton({n}, {_tuple_code(subs)})"
 
     skeleton = position(rule.lhs, "c0")
+    nodes = _tuple_code([f"p{k}" for k in range(positions)])
+    return local, kinds, nodes, skeleton
+
+
+def _compile_matcher(rule: Rule) -> dict:
+    """The namespace holding `match(g, rule)` and, for a conditional rule,
+    `cond(...)`."""
+    code = _Code(["def match(g, rule):",
+                  "    gnodes, classes, parent, find = "
+                  "g.nodes, g.classes, g.parent, g.find",
+                  "    out = []",
+                  "    append = out.append",
+                  "    for c0 in sorted(classes):"])
+    code.depth = 2
+    local, kinds, nodes, _ = _walk_lhs(code, rule, bind=False)
     cond_src = []
     if rule.cond is not True:
         params: set[str] = set()
@@ -623,35 +628,32 @@ def _compile_matcher(rule: Rule) -> dict:
         code.emit("    continue")
     if isinstance(rule.rhs, PatVar):
         # merging with a bare class requires matching annotations
-        code.emit(f"if nodes[classes[{local[('class', rule.rhs.name)]}]"
-                  ".node_ids[0]].out != nodes[classes[c0].node_ids[0]].out: "
+        code.emit(f"if gnodes[classes[{local[('class', rule.rhs.name)]}]"
+                  ".node_ids[0]].out != gnodes[classes[c0].node_ids[0]].out: "
                   "continue")
-    env = ", ".join(f"{k!r}: {local[k]}" for k in _binding_order(rule.lhs))
-    code.emit(f"append(Match(rule, c0, {{{env}}}, {skeleton}))")
+    code.emit(f"append(Match(rule, {nodes}))")
     code.depth = 1
     code.emit("return out")
     code.lines += cond_src
     return code.run(f"<rule {rule.id}>", Match=Match)
 
 
-def _compile_builder(p: Pattern, name: str):
-    """`build(g, env)`: add p's instance under env to g, as instantiate
-    does."""
-    code = _Code(["def build(g, env):",
-                  "    add, find, classes = g.add, g.find, g.classes",
-                  "    try:"])
-    code.depth = 2
-
-    def param(key: str) -> str:
-        return f"env[{key!r}]"
+def _emit_rhs(code: _Code, p: Pattern, read, reuse=lambda w, s: None
+              ) -> tuple[str, str, str]:
+    """Emit p's instance; returns the sources of its class, node and
+    skeleton.  `read(key)` is the source of a parameter or a variable's class
+    (keyed ('class', name)), `reuse(w, s)` that of an annotation at hand."""
 
     def expr(e) -> str:
-        return _expr_code(e, param, {})[0]
+        return _expr_code(e, read, {})[0]
 
     def annotation(w, s) -> str:
         sig = isinstance(s, tuple) and s[0] == "sig"
         if type(w) is int and w >= 1 and sig:
             return code.const(Annotation(w, s[1] == SIGNED))
+        a = reuse(w, s)
+        if a:
+            return a
         a = code.fresh("a")
         code.emit(f"w = {expr(w)}")
         if not (type(w) is int and w >= 1):
@@ -662,11 +664,9 @@ def _compile_builder(p: Pattern, name: str):
         return a
 
     def node(p: Pattern, top: bool) -> tuple[str, str, str]:
-        """Emit p's instance; returns the sources of its class, its node and
-        its skeleton (None for a variable below the top)."""
         c, n = code.fresh("c"), code.fresh("n")
         if isinstance(p, PatVar):
-            code.emit(f"{c} = find(env[{('class', p.name)!r}])")
+            code.emit(f"{c} = find({read(('class', p.name))})")
             if not top:
                 return c, "", "None"
             code.emit(f"{n} = min(classes[{c}].node_ids)")
@@ -690,47 +690,64 @@ def _compile_builder(p: Pattern, name: str):
                   f"{_tuple_code(kids)}, None, None, None))")
         return c, n, f"Skeleton({n}, {_tuple_code(subs)})"
 
-    c, n, skeleton = node(p, True)
-    code.emit(f"return {c}, {n}, {skeleton}")
+    return node(p, True)
+
+
+def _compile_applier(rule: Rule):
+    """`apply(g, nodes)`, as Match.apply; the rhs reads each parameter,
+    class and annotation from the nodes where it needs it."""
+    code = _Code(["def apply(g, nodes):",
+                  "    gnodes, add, find, classes = "
+                  "g.nodes, g.add, g.find, g.classes"])
+    source, _, nodes, skeleton = _walk_lhs(code, rule, bind=True)
+    code.lines += [f"    {nodes[1:-1]} = nodes", "    target = find(p0)",
+                   "    try:"]
+    code.depth = 2
+    c, n, rskel = _emit_rhs(code, rule.rhs, source.__getitem__,
+                            lambda w, s: source.get(("ann", w, s)))
     code.depth = 1
-    code.emit("except KeyError as e:")
-    code.emit("    _unbound(e)")
-    code.emit("    raise")
-    return code.run(f"<rule {name}>")["build"]
+    code.emit("except BlockedMatch:")
+    code.emit("    return False")
+    code.emit(f"if {c} == target: return False")
+    code.emit(f"a, t = gnodes[{n}].out, "
+              "gnodes[classes[target].node_ids[0]].out")
+    rid = code.const(rule.id)
+    code.emit(f"if a != t: raise RuleError(f'{{{rid}}}: rhs annotation "
+              "({a}) differs from matched class ({t})')")
+    code.emit(f"return g.union(p0, {n}, RuleJust({rid}, {skeleton}, {rskel}))")
+    return code.run(f"<rule {rule.id} applier>")["apply"]
 
 
 def instantiate(g: EGraph, p: Pattern, env: dict
                 ) -> tuple[int, int, Skeleton]:
     """Add p's instance under env to the graph, compiling its builder on
     each call; returns (class, node, skeleton)."""
-    return _compile_builder(p, "pattern")(g, env)
+    code = _Code(["def build(g, env):",
+                  "    add, find, classes = g.add, g.find, g.classes"])
+    c, n, skeleton = _emit_rhs(code, p, lambda key: f"env[{key!r}]")
+    code.emit(f"return {c}, {n}, {skeleton}")
+    try:
+        return code.run("<rule pattern>")["build"](g, env)
+    except KeyError as e:  # a missing parameter, as eval_expr reports it
+        if e.args and isinstance(e.args[0], str):
+            raise RuleError(f"unbound parameter {e.args[0]}") from None
+        raise
 
 
 @dataclass
 class Match:
+    """A match of a pattern rule: the ids of the nodes at its lhs's
+    structured positions, in pre-order."""
+
+    __slots__ = ("rule", "nodes", "__weakref__")
     rule: Rule
-    cid: int
-    env: dict
-    lhs_skel: Skeleton
+    nodes: tuple[int, ...]
 
     def apply(self, g: EGraph) -> bool:
-        """Instantiate the rhs and union it with the matched class.  Returns
-        False when the application added nothing new."""
-        target = g.find(self.cid)
-        try:
-            rcid, rnid, rskel = self.rule.build(g, self.env)
-        except BlockedMatch:
-            return False
-        if g.find(rcid) == target:
-            return False
-        tgt_ann = g.nodes[g.classes[target].node_ids[0]].out
-        rhs_ann = g.nodes[rnid].out
-        if tgt_ann != rhs_ann:
-            raise RuleError(
-                f"{self.rule.id}: rhs annotation ({rhs_ann}) differs from "
-                f"matched class ({tgt_ann})")
-        return g.union(self.lhs_skel.node, rnid,
-                       RuleJust(self.rule.id, self.lhs_skel, rskel))
+        """Instantiate the rhs and union it with the class of `nodes[0]`.
+        Returns False when the instance is blocked or already in the class;
+        raises RuleError when its annotation differs from the class's."""
+        return self.rule.applier(g, self.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +769,7 @@ class ZextIntroRule:
             for nid in g.classes[cid].node_ids:
                 n = g.nodes[nid]
                 if n.op not in ("var", "const", "zext", "sext"):
-                    out.append(ZextIntroMatch(self, cid, nid))
+                    out.append(ZextIntroMatch(self, nid))
                     break
         return out
 
@@ -776,14 +793,12 @@ class ZextIntroRule:
 @dataclass
 class ZextIntroMatch:
     rule: ZextIntroRule
-    cid: int
     nid: int
 
     def apply(self, g: EGraph) -> bool:
-        target = g.find(self.cid)
         out = g.nodes[self.nid].out
         wrap = "sext" if out.signed else "zext"
-        _, wnid = g.add(NodeRec(wrap, out, (out,), (target,)))
+        _, wnid = g.add(NodeRec(wrap, out, (out,), (g.find(self.nid),)))
         return g.union(self.nid, wnid, RuleJust(
             "zext-intro", Skeleton(self.nid, None), Skeleton(wnid, (None,))))
 

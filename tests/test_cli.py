@@ -530,6 +530,31 @@ class TestConfigFile:
         assert r.exit_code == 3, r.output
 
 
+def _plus_chain(depth, left):
+    """An IR design: x + x + ... + x, `depth` additions nested to the left
+    or to the right."""
+    t = "(var x 8 unsigned)"
+    for _ in range(depth):
+        a, b = (t, "(var x 8 unsigned)") if left else ("(var x 8 unsigned)", t)
+        t = f"(+ 8 unsigned 8 unsigned {a} 8 unsigned {b})"
+    return (f"(design {'left' if left else 'right'}\n"
+            f"  (inputs (x 8 unsigned))\n  (output o 8 unsigned)\n  {t})\n")
+
+
+def test_design_nested_too_deeply_exits_3(runner, tmp_path):
+    # the walks recurse once or more per level, and the two bracketings
+    # differ from the root down: past the recursion limit the command
+    # stops with one line, not a traceback and the counterexample exit code
+    paths = []
+    for left in (True, False):
+        paths.append(tmp_path / f"{left}.ir")
+        paths[-1].write_text(_plus_chain(300, left))
+    r = runner.invoke(main, ["check", "--spec", str(paths[0]), "--impl",
+                             str(paths[1]), "--out", str(tmp_path / "out")])
+    assert r.exit_code == 3, r.output
+    assert r.output == "error: design nested too deeply\n"
+
+
 class TestClosedPipe:
     """A reader that stops early (`wordec ... | head`) is no user error: the
     command ends as SIGPIPE would end it, 141, and writes nothing to

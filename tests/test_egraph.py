@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -366,6 +367,35 @@ class TestSaturate:
         assert rep.rules["width-reduce"].useful_applications \
             == g.unions - g.congruences > 0
 
+    # saturation results recorded while each match still carried its
+    # parameters in a dict; node-id match records must not change them
+    PINNED = {
+        "vbsme8": (
+            [61, 196, 626, 3214, 16601], [61, 97, 246, 1067, 4234], 16360,
+            {"comm-add": (2881, 1713), "assoc-add": (7021, 4702),
+             "assoc-add-rev": (6836, 4416), "zext-fold": (652, 0),
+             "zext-intro": (1407, 589), "width-reduce": (6681, 4627)}),
+        "fir8": (
+            [44, 115, 384, 2332, 14462], [44, 52, 149, 857, 4373], 13044,
+            {"comm-add": (2020, 1365), "comm-mul": (56, 8),
+             "assoc-add": (5367, 3574), "assoc-add-rev": (5050, 3447),
+             "shift-to-mult": (31, 7), "mult-to-shift": (32, 1),
+             "mult-to-add": (8, 2), "zext-fold": (393, 1),
+             "zext-intro": (1046, 532), "width-reduce": (5464, 3950)}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_results_after_four_iterations(self, name):
+        g = init_pair(*load_pair(name))
+        rep = saturate(g, baseline_rules(), {"iter": 4}, stop_on_merge=False)
+        node_counts, class_counts, unions, counts = self.PINNED[name]
+        assert rep.node_counts == node_counts
+        assert rep.class_counts == class_counts
+        assert g.unions == unions
+        assert {rid: (c.matches, c.useful_applications)
+                for rid, c in rep.rules.items()} \
+            == dict.fromkeys(rep.rules, (0, 0)) | counts
+
     def test_bad_limits_rejected(self):
         spec, impl = load_pair("fig1")
         g = init_pair(spec, impl)
@@ -551,6 +581,26 @@ class TestSaturationMemory:
         rep = saturate(g, baseline_rules(), {"iter": 3}, stop_on_merge=False)
         assert len(applied) > 100
         assert sum(st.matches for st in rep.per_iteration) >= len(applied)
+
+    def test_matches_hold_their_node_ids_only(self):
+        # a match is its rule and the ids of its lhs nodes, about 100
+        # bytes; one that kept a dict of its parameters and a skeleton of
+        # its lhs held about 800
+        g = init_pair(*load_pair("vbsme8"))
+        rules = baseline_rules()
+        saturate(g, rules, {"iter": 3}, stop_on_merge=False)
+        for r in rules:
+            r.matches(g)  # compiles the matchers
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = [r.matches(g) for r in rules]
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        count = sum(map(len, held))
+        assert count > 10_000
+        assert size <= 200 * count, size / count
 
     @pytest.mark.parametrize("name", names())
     def test_nodes_share_one_slot_tuple_per_value(self, name):

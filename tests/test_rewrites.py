@@ -595,11 +595,13 @@ def reference_instantiate(g, p, env):
     return cid, nid, Skeleton(nid, tuple(subs))
 
 
-def reference_apply(m, g):
-    """`Match.apply` on `reference_instantiate`."""
-    target = g.find(m.cid)
+def reference_apply(rule, ref, g):
+    """`Match.apply` on `reference_instantiate`, for the reference match
+    `ref`, a (class, env, lhs skeleton) of `reference_matches`."""
+    _, env, lhs = ref
+    target = g.find(lhs.node)
     try:
-        rcid, rnid, rskel = reference_instantiate(g, m.rule.rhs, m.env)
+        rcid, rnid, rskel = reference_instantiate(g, rule.rhs, env)
     except BlockedMatch:
         return False
     if g.find(rcid) == target:
@@ -607,10 +609,15 @@ def reference_apply(m, g):
     tgt_ann = g.nodes[g.classes[target].node_ids[0]].out
     rhs_ann = g.nodes[rnid].out
     if tgt_ann != rhs_ann:
-        raise RuleError(f"{m.rule.id}: rhs annotation ({rhs_ann}) differs "
+        raise RuleError(f"{rule.id}: rhs annotation ({rhs_ann}) differs "
                         f"from matched class ({tgt_ann})")
-    return g.union(m.lhs_skel.node, rnid,
-                   RuleJust(m.rule.id, m.lhs_skel, rskel))
+    return g.union(lhs.node, rnid, RuleJust(rule.id, lhs, rskel))
+
+
+def _preorder(skel):
+    """The nodes of an lhs skeleton's structured positions, in pre-order."""
+    return (skel.node, *(n for sub in skel.subs if sub is not None
+                         for n in _preorder(sub)))
 
 
 # Expressions covering every operator, typed and untyped comparisons, and
@@ -636,24 +643,27 @@ def _state(g):
             repr(sorted(g.classes.items())), g.unions)
 
 
-def _compare_applications(g, matches):
-    """Apply `matches` in order with the rule programs and with the
-    reference, each on its own copy of g; both must leave the same graph."""
+def _compare_applications(g, pairs):
+    """Apply the matches of `pairs` in order with the rule programs, and
+    their reference matches with the reference, each on its own copy of g;
+    both must leave the same graph."""
     a, b = copy.deepcopy(g), copy.deepcopy(g)
-    got = [_outcome(m.apply, a) for m in matches]
-    want = [_outcome(reference_apply, m, b) for m in matches]
+    got = [_outcome(m.apply, a) for m, _ in pairs]
+    want = [_outcome(reference_apply, m.rule, ref, b) for m, ref in pairs]
     assert got == want
     assert _state(a) == _state(b)
     return got
 
 
 def _compare_matches(rule, g):
+    """The rule's matches, each paired with its reference match: a match
+    holds the reference skeleton's nodes, in pre-order, and nothing else."""
     got = rule.matches(g)
     want = reference_matches(rule, g)
-    assert [(m.cid, m.env, m.lhs_skel) for m in got] == want, rule.id
-    # the environments bind their keys in the same order too
-    assert [list(m.env) for m in got] == [list(e) for _, e, _ in want]
-    return got
+    assert [m.nodes for m in got] == [_preorder(sk) for _, _, sk in want], \
+        rule.id
+    assert all(m.rule is rule and not hasattr(m, "__dict__") for m in got)
+    return list(zip(got, want))
 
 
 class TestRulePrograms:
@@ -686,7 +696,7 @@ class TestRulePrograms:
         assert _compare_applications(g, matches) == [False] * len(matches)
         # the first operand's zext was added before the second slot blocked
         g2 = copy.deepcopy(g)
-        matches[0].apply(g2)
+        matches[0][0].apply(g2)
         assert len(g2.nodes) > before
         assert g2.nodes[before].op == "zext"
 
@@ -778,12 +788,14 @@ class TestRulePrograms:
         first.matches(g)
         assert len(compiled) == 1
         assert matches[0].apply(g)
-        assert compiled == ["<rule once>"] * 2    # then the builder
+        # then the applier, kept on the rule
+        assert compiled == ["<rule once>", "<rule once applier>"]
+        assert first.__dict__["applier"] is first.applier
         first.matches(g)[0].apply(g)
         assert len(compiled) == 2
-        # a rule parsed again compiles its own program
+        # a rule parsed again compiles its own programs
         again.matches(g)[0].apply(g)
-        assert compiled == ["<rule once>"] * 4
+        assert compiled == ["<rule once>", "<rule once applier>"] * 2
         # the catalogue, parsed afresh: baseline_rules() returns the same
         # rules on each call, so each program compiles once
         monkeypatch.setattr(rewrites, "_catalogue",
@@ -796,10 +808,11 @@ class TestRulePrograms:
         for r in one + two:
             if isinstance(r, rewrites.Rule):
                 r.matches(EGraph())
-                assert callable(r.build)
-        # a matcher and a builder each
-        assert sorted(compiled) == sorted(2 * [f"<rule {r.id}>"
-                                               for r in patterns])
+                assert callable(r.applier)
+        # a matcher and an applier each
+        assert sorted(compiled) == sorted(
+            name for r in patterns
+            for name in (f"<rule {r.id}>", f"<rule {r.id} applier>"))
 
 
 def reference_table(e, domains, convert, fill):
