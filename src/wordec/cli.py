@@ -281,7 +281,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
                    "timed_out": res.timed_out,
                    "optimal": res.method == "ilp" and not res.timed_out,
                    "visits": res.visits,
-                   "seconds": round(extract_s, 6)})
+                   "seconds": round(extract_s, 6)}, waterfall=w.chains)
 
 
 @main.command("saturate")

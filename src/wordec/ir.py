@@ -15,7 +15,20 @@ import operator
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
+
+class _NumpyOnFirstUse:
+    """Stands for numpy until the first read of one of its names, which
+    imports numpy and binds the module global `np` to it.  Only the
+    vectorised evaluators read `np`, so a process that never evaluates a
+    design (`wordec extract`, `waterfall`, `saturate`) never loads numpy."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 UNSIGNED = "unsigned"
 SIGNED = "signed"

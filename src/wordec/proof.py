@@ -200,6 +200,9 @@ class Waterfall:
     impl_steps: list[RewriteStep]      # I* … I
     designs: dict[str, Design]
     records: list[dict]
+    # per chain ("spec", "impl"): the steps explained, and the adjacent
+    # inverse pairs dropped from them
+    chains: dict[str, dict[str, int]]
 
     def obligations(self) -> list[dict]:
         return self.records
@@ -211,12 +214,18 @@ class Waterfall:
 
 def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
                     rules=()) -> Waterfall:
-    spec_steps = _cancel_inverses(explain(g, spec.body, extraction.s_star))
-    impl_fwd = _cancel_inverses(
-        explain(g, impl.body, extraction.i_star))  # I -> I*
+    explained = {"spec": explain(g, spec.body, extraction.s_star),
+                 "impl": explain(g, impl.body, extraction.i_star)}  # I -> I*
+    kept = {name: _cancel_inverses(steps)
+            for name, steps in explained.items()}
+    chains = {name: {"explained_steps": len(steps),
+                     "inverse_pairs_dropped":
+                         (len(steps) - len(kept[name])) // 2}
+              for name, steps in explained.items()}
     # the impl chain runs I* … I: reverse the forward explanation
-    impl_steps = [s.reversed() for s in reversed(impl_fwd)]
-    w = Waterfall(spec, impl, spec_steps, impl_steps, {}, [])
+    w = Waterfall(spec, impl, kept["spec"],
+                  [s.reversed() for s in reversed(kept["impl"])], {}, [],
+                  chains)
     hints = {r.id: r.checker_hint for r in rules}
 
     def design(chain: str, label: str, body: Term) -> str:
@@ -238,8 +247,8 @@ def build_waterfall(g: EGraph, spec: Design, impl: Design, extraction,
                    hints.get(s.rule_id, "simulation"), "step")
         return stems
 
-    spec_stems = chain("spec", "source", spec.body, spec_steps)
-    impl_stems = chain("impl", "extracted", extraction.i_star, impl_steps)
+    spec_stems = chain("spec", "source", spec.body, w.spec_steps)
+    impl_stems = chain("impl", "extracted", extraction.i_star, w.impl_steps)
     if extraction.s_star != extraction.i_star:
         record(spec_stems[-1], impl_stems[0], "center", "external-strong",
                "center")

@@ -520,8 +520,9 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
     emit a loop per position that checks every slot of a node before it
     descends, and reads each child class once per node; with `bind`, emit
     nothing.  Returns the sources of each parameter, of each variable's class
-    (keyed ('class', name)) and of each (?w, ?s) pair's annotation (keyed
-    ('ann', w, s)); the parameters' types; the positions' node tuple; and
+    (keyed ('class', name)), of each (?w, ?s) pair's annotation (keyed
+    ('ann', w, s)) and of each signage parameter as a bool (keyed
+    ('signed', s)); the parameters' types; the positions' node tuple; and
     the lhs skeleton."""
     local: dict[object, str] = {}
     kinds: dict[str, str] = {}
@@ -553,6 +554,7 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
                 code.emit(f"if {'not ' if s[1] == SIGNED else ''}"
                           f"{value}.signed: continue")
         else:
+            local.setdefault(("signed", s), f"{value}.signed")
             unify(s, f"({SIGNED!r} if {value}.signed else {UNSIGNED!r})",
                   "str")
 
@@ -638,28 +640,36 @@ def _compile_matcher(rule: Rule) -> dict:
     return code.run(f"<rule {rule.id}>", Match=Match)
 
 
-def _emit_rhs(code: _Code, p: Pattern, read, reuse=lambda w, s: None
+def _emit_rhs(code: _Code, p: Pattern, read, known=lambda key: None
               ) -> tuple[str, str, str]:
     """Emit p's instance; returns the sources of its class, node and
     skeleton.  `read(key)` is the source of a parameter or a variable's class
-    (keyed ('class', name)), `reuse(w, s)` that of an annotation at hand."""
+    (keyed ('class', name)); `known(key)` is that of an annotation at hand
+    (keyed ('ann', w, s)) or of a signage parameter as a bool (keyed
+    ('signed', s)), or None.  Each (w, s) annotation is computed once."""
+    anns: dict[tuple, str] = {}
 
     def expr(e) -> str:
         return _expr_code(e, read, {})[0]
 
     def annotation(w, s) -> str:
+        if (w, s) not in anns:
+            anns[w, s] = new_annotation(w, s)
+        return anns[w, s]
+
+    def new_annotation(w, s) -> str:
         sig = isinstance(s, tuple) and s[0] == "sig"
         if type(w) is int and w >= 1 and sig:
             return code.const(Annotation(w, s[1] == SIGNED))
-        a = reuse(w, s)
+        a = known(("ann", w, s))
         if a:
             return a
         a = code.fresh("a")
         code.emit(f"w = {expr(w)}")
         if not (type(w) is int and w >= 1):
             code.emit("if type(w) is not int or w < 1: w = _width(w)")
-        code.emit(f"s = {s[1] == SIGNED!r}" if sig
-                  else f"s = {expr(s)} == {SIGNED!r}")
+        code.emit(f"s = {s[1] == SIGNED!r}" if sig else
+                  f"s = {known(('signed', s)) or f'{expr(s)} == {SIGNED!r}'}")
         code.emit(f"{a} = _INTERNED.get((w, s)) or Annotation(w, s)")
         return a
 
@@ -703,8 +713,7 @@ def _compile_applier(rule: Rule):
     code.lines += [f"    {nodes[1:-1]} = nodes", "    target = find(p0)",
                    "    try:"]
     code.depth = 2
-    c, n, rskel = _emit_rhs(code, rule.rhs, source.__getitem__,
-                            lambda w, s: source.get(("ann", w, s)))
+    c, n, rskel = _emit_rhs(code, rule.rhs, source.__getitem__, source.get)
     code.depth = 1
     code.emit("except BlockedMatch:")
     code.emit("    return False")

@@ -205,6 +205,21 @@ class TestCheck:
                 assert verdict["input_bits"] == bits, ob
         assert kinds[-1] == "assume-guarantee" and len(kinds) > 1
 
+    def test_report_counts_each_chains_explained_steps(self, runner,
+                                                       tmp_path):
+        sp, ip = _emit_pair(tmp_path, "fir8")
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
+                                 "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        rep = json.loads((out / "report.json").read_text())
+        # each chain explains 15 steps and drops one detour of 2
+        assert rep["waterfall"] == {
+            chain: {"explained_steps": 15, "inverse_pairs_dropped": 1}
+            for chain in ("spec", "impl")}
+        kinds = [ob["kind"] for ob in rep["obligations"]]
+        assert kinds.count("step") == 2 * (15 - 2)
+
     @pytest.mark.parametrize("args, optimal", [
         ([], True), (["--extraction", "greedy"], False)])
     def test_report_says_whether_extraction_is_optimal(
@@ -382,7 +397,7 @@ class TestProve:
                                  "--out", str(out)])
         assert r.exit_code == 0, r.output
         checked = report()
-        del checked["saturation"], checked["extraction"]
+        del checked["saturation"], checked["extraction"], checked["waterfall"]
         r = runner.invoke(main, ["prove", str(out)])
         assert r.exit_code == 0, r.output
         assert report() == checked
@@ -583,6 +598,46 @@ class TestClosedPipe:
         if command == "check":  # written before the first line is printed
             report = json.loads((out / "report.json").read_text())
             assert report["overall"] == "pass"
+
+
+_NUMPY_FREE_START = """\
+import contextlib, io, json, sys
+from pathlib import Path
+import wordec.cli
+from wordec.rewrites import baseline_rules
+baseline_rules()
+seen = [["import", 0, "numpy" in sys.modules]]
+data, out = Path(wordec.cli.__file__).parent / "data", Path(sys.argv[1])
+pair = lambda spec, impl: ["--spec", data / spec, "--impl", data / impl]
+for args in (["extract", *pair("vbsme8_spec.ir", "vbsme8_impl.ir")],
+             ["waterfall", *pair("fir8_spec.sv", "fir8_impl.sv"),
+              "--out", out / "waterfall"],
+             ["saturate", *pair("vbsme8_spec.sv", "vbsme8_impl.sv")],
+             ["check", *pair("fig4a.ir", "fig4b.ir"), "--out", out / "check"]):
+    code = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            wordec.cli.main([str(a) for a in args], standalone_mode=False)
+        except SystemExit as e:
+            code = e.code
+    seen.append([args[0], code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_evaluating_commands_load_numpy(tmp_path):
+    # extract, waterfall and saturate never evaluate a design, so one
+    # process runs all three without numpy; check loads it to discharge
+    src = str(Path(wordec.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    r = subprocess.run([sys.executable, "-c", _NUMPY_FREE_START,
+                        str(tmp_path)], capture_output=True, text=True,
+                       env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [
+        ["import", 0, False], ["extract", 0, False], ["waterfall", 0, False],
+        ["saturate", 0, False], ["check", 0, True]]
 
 
 _OPTIONS = [(name, p) for name, c in sorted(main.commands.items())

@@ -134,7 +134,11 @@ class TestGeneratedVbsme:
         assert saturate(g, rules).roots_merged
         res = (extract_greedy(g) if extraction == "greedy"
                else extract_ilp(g, timeout=20.0))
-        check_adjacency(build_waterfall(g, spec, impl, res, rules))
+        w = build_waterfall(g, spec, impl, res, rules)
+        check_adjacency(w)
+        # and its chains leave out inverse pairs, which they count
+        assert w.chains == _chain_counts(g, spec, impl, res)
+        assert sum(c["inverse_pairs_dropped"] for c in w.chains.values()) > 0
 
     @pytest.mark.parametrize("n, objective, selection", [
         (7, 94552, "70601c037541cb51"), (8, 191113, "cf45554ce4c598e5")])
@@ -151,6 +155,20 @@ class TestGeneratedVbsme:
         digest = hashlib.sha256(
             repr(sorted(res.selection.items())).encode()).hexdigest()
         assert digest[:16] == selection
+
+
+def _chain_counts(g, spec, impl, res):
+    """Each chain's explained steps, and the inverse pairs dropped from
+    them, counted from the explanations themselves."""
+    counts = {}
+    for name, a, b in (("spec", spec.body, res.s_star),
+                       ("impl", impl.body, res.i_star)):
+        steps = explain(g, a, b)
+        counts[name] = {
+            "explained_steps": len(steps),
+            "inverse_pairs_dropped":
+                (len(steps) - len(_cancel_inverses(steps))) // 2}
+    return counts
 
 
 class TestCancelInverses:
@@ -226,6 +244,20 @@ class TestWaterfall:
             == _cancel_inverses(explain(g, impl.body, res.i_star))
         assert len(w.obligations()) == obligations
         check_adjacency(w)
+
+    @pytest.mark.parametrize("name", names())
+    def test_bundled_chains_count_their_inverse_pairs(self, name):
+        # fir8's optimal selection is the one bundled run whose chains
+        # each detour through a class member and back
+        dropped = 1 if name == "fir8" else 0
+        spec, impl, g, rules = _saturated(name)
+        res = extract_ilp(g, timeout=20.0)
+        w = build_waterfall(g, spec, impl, res, rules)
+        kept = [len(w.spec_steps), len(w.impl_steps)]
+        assert [c["inverse_pairs_dropped"] for c in w.chains.values()] \
+            == [dropped, dropped]
+        assert [c["explained_steps"] for c in w.chains.values()] \
+            == [n + 2 * dropped for n in kept]
 
     def test_obligation_indices_consistent(self):
         w, _, _ = _waterfall("vbsme4")

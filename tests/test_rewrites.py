@@ -814,6 +814,34 @@ class TestRulePrograms:
             name for r in patterns
             for name in (f"<rule {r.id}>", f"<rule {r.id} applier>"))
 
+    def test_applier_computes_each_annotation_once(self, monkeypatch):
+        sources = {}
+        run = rewrites._Code.run
+
+        def kept(self, filename, **names):
+            sources[filename] = [line.strip() for line in self.lines]
+            return run(self, filename, **names)
+
+        monkeypatch.setattr(rewrites._Code, "run", kept)
+        for rule in parse_rules(CATALOGUE_TEXT):
+            rewrites._compile_applier(rule)
+        assert len(sources) == len(parse_rules(CATALOGUE_TEXT))
+        computed = {}
+        for filename, lines in sources.items():
+            # an annotation is its `w = …` and `s = …` lines, then the lookup
+            w = s = None
+            for line in lines:
+                if line.startswith(("w = ", "s = ")):
+                    w, s = (line, s) if line[0] == "w" else (w, line)
+                elif "_INTERNED.get((w, s))" in line:
+                    computed.setdefault(filename, []).append((w, s))
+            pairs = computed.get(filename, [])
+            assert len(set(pairs)) == len(pairs), (filename, pairs)
+            # a signage read from an lhs slot is that slot's bool
+            assert not any(f"== {SIGNED!r}" in line for line in lines), \
+                filename
+        assert len(computed["<rule assoc-add applier>"]) == 1
+
 
 def reference_table(e, domains, convert, fill):
     """An audit table built with the scalar `eval_expr`, one entry at a
