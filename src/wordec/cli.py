@@ -112,20 +112,13 @@ _oracle_opts = _options(
                  help='Command template, e.g. "ec-tool {left} {right}".'))
 
 
-def _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker):
-    return OracleConfig(max_exhaustive_bits=int(max_exhaustive_bits),
-                        samples=int(samples), seed=int(seed),
-                        external_cmd=external_checker)
-
-
 def _saturated_graph(spec, impl, rules, iter_limit, node_limit, time_limit,
                      dump_graph=None):
     """Saturate the two-rooted graph of the pair, and dump it as JSON if
     asked, before anything later can fail."""
     g = init_pair(spec, impl)
-    rep = saturate(g, rules, {"iter": int(iter_limit),
-                              "nodes": int(node_limit),
-                              "time": float(time_limit)})
+    rep = saturate(g, rules, {"iter": iter_limit, "nodes": node_limit,
+                              "time": time_limit})
     if dump_graph:
         Path(dump_graph).write_text(
             json.dumps(g.dump(shared(g)), indent=2, sort_keys=True) + "\n")
@@ -135,7 +128,7 @@ def _saturated_graph(spec, impl, rules, iter_limit, node_limit, time_limit,
 def _extract(g, method: str, timeout: float):
     if method == "greedy":
         return extract_greedy(g)
-    return extract_ilp(g, timeout=float(timeout))
+    return extract_ilp(g, timeout=timeout)
 
 
 def _waterfall(spec, impl, rules, iter_limit, node_limit, time_limit,
@@ -239,6 +232,9 @@ def _finish(outdir, report, summary=(), **blocks):
             click.echo(f"      counterexample: {v.counterexample}")
         if v.note:
             click.echo(f"      note: {v.note}")
+        if v.declined:
+            click.echo("      declined: " + "; ".join(
+                f"{tier}: {why}" for tier, why in v.declined))
     click.echo(f"overall: {report.overall}  "
                f"assume-guarantee: {report.assume_guarantee}")
     sys.exit(_report_exit(report))
@@ -262,7 +258,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
         _load_rules(rules), iter_limit, node_limit, time_limit, extraction,
         extract_timeout, dump_graph)
     write_waterfall(w, outdir)
-    ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
+    ocfg = OracleConfig(max_exhaustive_bits, samples, seed, external_checker)
     t0 = time.perf_counter()
     report = run_waterfall(w, ocfg)
     _finish(outdir, report, [
@@ -292,8 +288,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
 def saturate_cmd(spec_path, impl_path, dump_graph, rules, iter_limit,
                  node_limit, time_limit):
     """Grow the two-rooted e-graph and report saturation statistics."""
-    spec = _load_design(spec_path)
-    impl = _load_design(impl_path)
+    spec, impl = _load_design(spec_path), _load_design(impl_path)
     g, rep = _saturated_graph(spec, impl, _load_rules(rules), iter_limit,
                               node_limit, time_limit, dump_graph)
     click.echo(f"iterations: {rep.iterations} ({rep.stop_reason})")
@@ -324,8 +319,7 @@ def saturate_cmd(spec_path, impl_path, dump_graph, rules, iter_limit,
 def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
                 rules, iter_limit, node_limit, time_limit):
     """Saturate, then extract the maximally-shared design pair."""
-    spec = _load_design(spec_path)
-    impl = _load_design(impl_path)
+    spec, impl = _load_design(spec_path), _load_design(impl_path)
     g, _ = _saturated_graph(spec, impl, _load_rules(rules), iter_limit,
                             node_limit, time_limit)
     if lp_path:
@@ -364,7 +358,7 @@ def waterfall_cmd(spec_path, impl_path, outdir, extraction, extract_timeout,
 @_cmd_errors
 def prove_cmd(outdir, max_exhaustive_bits, samples, seed, external_checker):
     """Discharge the obligations of an emitted waterfall directory."""
-    ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
+    ocfg = OracleConfig(max_exhaustive_bits, samples, seed, external_checker)
     _finish(outdir, run_waterfall_dir(outdir, ocfg))
 
 
@@ -379,7 +373,7 @@ def validate_rules_cmd(rules, maxw):
     bad = 0
     for r in rls:
         t0 = time.perf_counter()
-        violations = validate_rule(r, maxw=int(maxw))
+        violations = validate_rule(r, maxw=maxw)
         click.echo(f"{r.id:20s} {len(violations):3d} violations "
                    f"({time.perf_counter() - t0:.1f}s)")
         for v in violations[:3]:
@@ -398,7 +392,7 @@ def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
     """Run bundled benchmark fixtures end to end and print a table."""
     names = list(names) or fixtures.names()
     rls = baseline_rules()
-    ocfg = _oracle_cfg(max_exhaustive_bits, samples, seed, external_checker)
+    ocfg = OracleConfig(max_exhaustive_bits, samples, seed, external_checker)
     click.echo(f"{'name':12s} {'iters':>5s} {'nodes':>6s} {'merged':>6s} "
                f"{'timed_out':>9s} {'obls':>4s} {'overall':>8s} {'time':>7s}")
     worst = EXIT_PASS

@@ -1,10 +1,9 @@
 """Simulation-based equivalence oracle and waterfall runner.
 
-check_equiv decides (or falsifies) equivalence of two designs with matching
-ports: exhaustively when the joint input space is small enough, else
-exhaustively on a small grid when both sides are polynomials that never
-wrap, otherwise by seeded random sampling, optionally delegating to an
-external checker command.
+check_equiv decides two designs with matching ports by a chain of tiers,
+`_TIERS`: exhaustive, grid, random (sampling) and external.  Each tier
+returns a Verdict or raises Refusal with its reason (external never does);
+the first Verdict wins, and the refusals before it are its `declined`.
 run_waterfall discharges every obligation of a waterfall — in memory or from
 an emitted directory — and folds the verdicts into a single report.
 """
@@ -28,15 +27,19 @@ class OracleError(Exception):
     pass
 
 
+class Refusal(Exception):
+    """Why a tier does not decide a pair."""
+
+
 @dataclass
 class Verdict:
     status: str                       # pass | fail | unproven
-    method: str                       # exhaustive | grid(d=…,split=…) |
-                                      # random(n) | external | ...
-    elapsed: float
+    method: str                       # the deciding tier's, e.g. random(n)
     counterexample: dict | None = None
-    note: str | None = None
+    note: str | None = None           # the deciding tier's own message
+    elapsed: float = 0.0
     input_bits: int | None = None     # of the checked designs' inputs
+    declined: tuple = ()              # (tier, reason) of each refusal
 
     def to_json(self) -> dict:
         out = {"status": self.status, "method": self.method,
@@ -47,6 +50,9 @@ class Verdict:
             out["counterexample"] = dict(self.counterexample)
         if self.note:
             out["note"] = self.note
+        if self.declined:
+            out["declined"] = [{"tier": t, "reason": r}
+                               for t, r in self.declined]
         return out
 
 
@@ -84,75 +90,72 @@ def _check_ports(d1: Design, d2: Design) -> None:
             f"output annotation mismatch: {d1.body.out} vs {d2.body.out}")
 
 
-def _external(d1: Design, d2: Design, cmd_template: str,
-              t0: float) -> Verdict:
+def check_equiv(d1: Design, d2: Design,
+                cfg: OracleConfig | None = None) -> Verdict:
+    """Decide d1 ≅ d2 by the first of `_TIERS` that does not refuse; the
+    verdict records the chain's time, the input width and each refusal."""
+    cfg = cfg or OracleConfig()
+    _check_ports(d1, d2)
+    t0 = time.perf_counter()
+    declined = []
+    for name, tier in _TIERS:
+        try:
+            v = tier(d1, d2, cfg)
+            break
+        except Refusal as e:
+            declined.append((name, str(e)))
+    v.elapsed = time.perf_counter() - t0
+    v.input_bits = sum(a.width for _, a in d1.inputs)
+    v.declined = tuple(declined)
+    return v
+
+
+def _exhaustive(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
+    """Identical bodies, or every input enumerated low to high in port
+    order, so a failure has the lexicographically first counterexample."""
+    if d1.body != d2.body:
+        bits = sum(a.width for _, a in d1.inputs)
+        if bits > cfg.max_exhaustive_bits:
+            raise Refusal(f"{bits} input bits > {cfg.max_exhaustive_bits}")
+        cex = first_mismatch(d1.body, d2.body, d1.inputs)
+        if cex is not None:
+            return Verdict("fail", "exhaustive", cex[0])
+    return Verdict("pass", "exhaustive")
+
+
+def _random(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
+    """Seeded sampling: a clean sample is unproven, or left to a checker."""
+    method = f"random({cfg.samples})"
+    cex = first_mismatch(d1.body, d2.body, d1.inputs, cfg.samples, cfg.seed)
+    if cex is not None:
+        return Verdict("fail", method, cex[0])
+    if cfg.external_cmd:
+        raise Refusal("no counterexample found by sampling")
+    return Verdict("unproven", method,
+                   note="no counterexample found by sampling")
+
+
+def _external(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
+    """cfg.external_cmd on the designs as .sv: exit 0 pass, 1 fail."""
     with tempfile.TemporaryDirectory(prefix="wordec-ec-") as tmp:
-        left = Path(tmp) / f"{d1.name}.sv"
-        right = Path(tmp) / f"{d2.name}.sv"
+        left, right = (Path(tmp) / f"{d.name}.sv" for d in (d1, d2))
         left.write_text(emit_sv(d1))
         right.write_text(emit_sv(d2))
         cmd = [part.format(left=str(left), right=str(right))
-               for part in shlex.split(cmd_template)]
+               for part in shlex.split(cfg.external_cmd)]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=600)
         except (OSError, subprocess.TimeoutExpired) as e:
-            return Verdict("unproven", "external", time.perf_counter() - t0,
+            return Verdict("unproven", "external",
                            note=f"external checker failed: {e}")
         if proc.returncode == 0:
-            return Verdict("pass", "external", time.perf_counter() - t0)
+            return Verdict("pass", "external")
         if proc.returncode == 1:
-            return Verdict("fail", "external", time.perf_counter() - t0,
-                           note=(proc.stdout.strip() or None))
-        return Verdict("unproven", "external", time.perf_counter() - t0,
+            return Verdict("fail", "external",
+                           note=proc.stdout.strip() or None)
+        return Verdict("unproven", "external",
                        note=f"external checker exit {proc.returncode}")
-
-
-def check_equiv(d1: Design, d2: Design,
-                cfg: OracleConfig | None = None) -> Verdict:
-    """Decide d1 ≅ d2.  Exhaustive when the joint input space fits in
-    cfg.max_exhaustive_bits; else on a grid (`grid_method`) when that
-    applies; otherwise sampled, then delegated to the external checker if
-    one is configured, with the reason the grid did not apply in the note.
-    Exhaustive failures report the lexicographically first counterexample
-    (inputs enumerated low-to-high, in port order).  The verdict records
-    the total input width."""
-    cfg = cfg or OracleConfig()
-    _check_ports(d1, d2)
-    total_bits = sum(a.width for _, a in d1.inputs)
-    v = _decide(d1, d2, cfg, total_bits)
-    v.input_bits = total_bits
-    return v
-
-
-def _decide(d1: Design, d2: Design, cfg: OracleConfig,
-            total_bits: int) -> Verdict:
-    t0 = time.perf_counter()
-    if d1.body == d2.body:
-        return Verdict("pass", "exhaustive", time.perf_counter() - t0)
-    if total_bits <= cfg.max_exhaustive_bits:
-        cex = first_mismatch(d1.body, d2.body, d1.inputs)
-        if cex is not None:
-            return Verdict("fail", "exhaustive", time.perf_counter() - t0,
-                           cex[0])
-        return Verdict("pass", "exhaustive", time.perf_counter() - t0)
-    try:
-        method, cex = grid_method(d1, d2, cfg.max_exhaustive_bits)
-        return Verdict("pass" if cex is None else "fail", method,
-                       time.perf_counter() - t0, cex)
-    except OffGrid as e:
-        why = f"grid: {e}"
-    method = f"random({cfg.samples})"
-    cex = first_mismatch(d1.body, d2.body, d1.inputs, cfg.samples, cfg.seed)
-    if cex is not None:
-        v = Verdict("fail", method, time.perf_counter() - t0, cex[0])
-    elif cfg.external_cmd:
-        v = _external(d1, d2, cfg.external_cmd, t0)
-    else:
-        v = Verdict("unproven", method, time.perf_counter() - t0,
-                    note="no counterexample found by sampling")
-    v.note = why if v.note is None else f"{why}; {v.note}"
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +171,6 @@ def _decide(d1: Design, d2: Design, cfg: OracleConfig,
 # Opcodes whose exact result is a polynomial in their operands' values when
 # nothing wraps, with a `<<` amount constant per split value.
 _POLY_OPS = frozenset({"+", "-", "*", "neg", "zext", "sext", "<<"})
-
-
-class OffGrid(Exception):
-    """Why the grid tier does not decide a pair."""
 
 
 def _split_inputs(t: Term, out: set[str], amount: bool = False) -> set[str]:
@@ -195,7 +194,7 @@ def _fit(lo: int, hi: int, a: Annotation, degree: dict | None
     value (`degree` None) may wrap."""
     r = fit(lo, hi, a)
     if degree is not None and r != (lo, hi):
-        raise OffGrid("slot wraps")
+        raise Refusal("slot wraps")
     return r
 
 
@@ -204,7 +203,7 @@ def _polynomial(t: Term, inputs: dict[str, Annotation], split: set[str]
     """Bottom-up range of `t` over the whole input domain, and its degree
     in each input that is not split, or None when `t` is a constant for
     each value of the split inputs (any opcode may appear in such a
-    subterm, and it may wrap).  Raises OffGrid where `t` is no polynomial
+    subterm, and it may wrap).  Raises Refusal where `t` is no polynomial
     that computes its value exactly."""
     if t.kind == "var":
         a = inputs[t.name]
@@ -221,12 +220,12 @@ def _polynomial(t: Term, inputs: dict[str, Annotation], split: set[str]
     if all(d is None for d in degrees):
         degree = None
     elif t.kind not in _POLY_OPS:
-        raise OffGrid(f"opcode {t.kind}")
+        raise Refusal(f"opcode {t.kind}")
     elif t.kind == "zext" and ranges[0][0] < 0:
-        raise OffGrid("zext of a negative value")
+        raise Refusal("zext of a negative value")
     elif t.kind == "sext" and not (slots[0].signed
                                    or ranges[0][1] <= slots[0].hi >> 1):
-        raise OffGrid("sext of an unsigned value past the sign bit")
+        raise Refusal("sext of an unsigned value past the sign bit")
     elif t.kind in ("+", "-", "*"):
         degree = {}
         for d in degrees:
@@ -239,15 +238,12 @@ def _polynomial(t: Term, inputs: dict[str, Annotation], split: set[str]
     return (*_fit(lo, hi, t.out, degree), degree)
 
 
-def grid_method(d1: Design, d2: Design, max_bits: int
-                ) -> tuple[str, dict[str, int] | None]:
-    """Decide d1 ≅ d2 on a grid.  Returns the method, `grid(d=D,split=S)`
-    (D the greatest degree of any input, S the bits of the split inputs),
-    and the first grid point on which the designs differ, or None when they
-    are proven equal.  Every grid point is an input of the designs; an input
-    the grid leaves out is read by neither side and is set to 0.  Raises
-    OffGrid with the reason when the tier does not apply or does not fit in
-    `max_bits`."""
+def grid_method(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
+    """The grid tier, method `grid(d=D,split=S)`: D the greatest degree of
+    any input, S the bits of the split inputs.  A mismatch on a grid point
+    fails with it, each input the grid leaves out (read by neither side)
+    set to 0.  Refuses where the tier does not apply or does not fit in
+    cfg.max_exhaustive_bits."""
     inputs = dict(d1.inputs)
     split = _split_inputs(d2.body, _split_inputs(d1.body, set()))
     degree: dict[str, int] = {}
@@ -255,8 +251,8 @@ def grid_method(d1: Design, d2: Design, max_bits: int
         for x, k in (_polynomial(d.body, inputs, split)[2] or {}).items():
             degree[x] = max(degree.get(x, 0), k)
     split_bits = sum(inputs[x].width for x in split)
-    if split_bits > max_bits:
-        raise OffGrid("split too wide")
+    if split_bits > cfg.max_exhaustive_bits:
+        raise Refusal("split too wide")
     # A grid of 2^b >= d + 1 points, the values 0 … 2^b - 1 of the input
     # itself: its annotation here is only the search space, and the designs
     # are evaluated as given.  An input too narrow to hold the grid is
@@ -266,13 +262,18 @@ def grid_method(d1: Design, d2: Design, max_bits: int
             if (1 << k.bit_length()) - 1 <= inputs[x].hi}
     space = [(x, grid.get(x, a)) for x, a in d1.inputs
              if x in split or x in degree]
-    if sum(a.width for _, a in space) > max_bits:
-        raise OffGrid("grid too wide")
+    if sum(a.width for _, a in space) > cfg.max_exhaustive_bits:
+        raise Refusal("grid too wide")
     method = f"grid(d={max(degree.values(), default=0)},split={split_bits})"
     cex = first_mismatch(d1.body, d2.body, space)
     if cex is None:
-        return method, None
-    return method, {x: cex[0].get(x, 0) for x, _ in d1.inputs}
+        return Verdict("pass", method)
+    return Verdict("fail", method,
+                   {x: cex[0].get(x, 0) for x, _ in d1.inputs})
+
+
+_TIERS = (("exhaustive", _exhaustive), ("grid", grid_method),
+          ("random", _random), ("external", _external))
 
 
 def _fold(statuses: list[str]) -> str:
@@ -286,20 +287,19 @@ def _run(obs: list[dict], load, cfg: OracleConfig | None) -> WaterfallReport:
     """Check each non-final obligation; the Assume-Guarantee verdict folds
     the verdicts before it.  `load(stem)` returns the design of that file
     stem or raises OracleError for a missing or broken artifact."""
-    cfg = cfg or OracleConfig()
     rep = WaterfallReport()
     for ob in obs:
         if ob["kind"] == "assume-guarantee":
             status = rep.assume_guarantee = _fold(
                 [v.status for _, v in rep.verdicts])
-            v = Verdict(status, "assume-guarantee", 0.0,
+            v = Verdict(status, "assume-guarantee",
                         note=None if status == "pass"
                         else "not all premises discharged")
         else:
             try:
                 v = check_equiv(load(ob["left"]), load(ob["right"]), cfg)
             except OracleError as e:
-                v = Verdict("unproven", "none", 0.0, note=str(e))
+                v = Verdict("unproven", "none", note=str(e))
         rep.verdicts.append((ob, v))
     rep.overall = _fold([v.status for _, v in rep.verdicts])
     return rep

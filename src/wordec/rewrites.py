@@ -21,6 +21,7 @@ widths.
 
 from __future__ import annotations
 
+import linecache
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -510,8 +511,12 @@ class _Code:
         return name
 
     def run(self, filename: str, **names) -> dict:
+        text = "\n".join(self.lines) + "\n"
+        # for tracebacks; an mtime of None keeps it past checkcache
+        linecache.cache[filename] = (len(text), None,
+                                     text.splitlines(True), filename)
         ns = {**_GLOBALS, **self.consts, **names}
-        exec(compile("\n".join(self.lines) + "\n", filename, "exec"), ns)
+        exec(compile(text, filename, "exec"), ns)
         return ns
 
 

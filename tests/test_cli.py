@@ -93,7 +93,10 @@ class TestCheck:
         assert checked[-1]["kind"] == "center"
         for ob in checked:
             assert ob["verdict"]["note"] == (
-                "grid: opcode <; no counterexample found by sampling")
+                "no counterexample found by sampling")
+            assert ob["verdict"]["declined"] == [
+                {"tier": "exhaustive", "reason": "64 input bits > 20"},
+                {"tier": "grid", "reason": "opcode <"}]
 
     def test_no_rules_fig1_passes_on_grid(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig1")
@@ -382,9 +385,14 @@ class TestProve:
         assert r2.exit_code == 0, r2.output
         assert "overall: pass" in r2.output
 
+    @pytest.mark.parametrize("name", ["fig4", "vbsme4"])
     def test_prove_after_check_writes_the_same_report(self, runner,
-                                                      tmp_path):
-        sp, ip = _emit_pair(tmp_path, "fig4")
+                                                      tmp_path, name):
+        # vbsme4's obligations are sampled after the exhaustive tier and the
+        # grid refuse them, so `prove` must record the same refusals
+        sampled = name == "vbsme4"
+        code = 2 if sampled else 0
+        sp, ip = _emit_pair(tmp_path, name)
         out = tmp_path / "out"
 
         def report():
@@ -394,12 +402,14 @@ class TestProve:
             return rep
 
         r = runner.invoke(main, ["check", "--spec", sp, "--impl", ip,
-                                 "--out", str(out)])
-        assert r.exit_code == 0, r.output
+                                 "--out", str(out), "--samples", "2000"])
+        assert r.exit_code == code, r.output
         checked = report()
         del checked["saturation"], checked["extraction"], checked["waterfall"]
-        r = runner.invoke(main, ["prove", str(out)])
-        assert r.exit_code == 0, r.output
+        assert any("declined" in ob["verdict"]
+                   for ob in checked["obligations"]) == sampled
+        r = runner.invoke(main, ["prove", str(out), "--samples", "2000"])
+        assert r.exit_code == code, r.output
         assert report() == checked
 
     def test_prove_reaches_the_grid_verdicts_of_check(self, runner,

@@ -321,7 +321,7 @@ _STEMS = sorted(stem for pair in PAIRS.values() for stem in pair)
     pytest.param(stem, marks=pytest.mark.xfail(
         strict=True, reason="fig4a.sv is not the design fig4a.ir holds: it "
         "parses with a truncating zext at the root (FOUND in CHANGES.md, "
-        "ROADMAP item 10); check-oracle reads the file as it is"))
+        "ROADMAP item 11); check-oracle reads the file as it is"))
     if stem == "fig4a" else stem for stem in _STEMS])
 def test_sv_fixture_is_its_ir_twin(stem):
     ir, sv = load_design(stem, "ir"), load_design(stem, "sv")

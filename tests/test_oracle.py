@@ -1,5 +1,6 @@
 import os
 import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from wordec.fixtures import load_pair, names
 from wordec.frontend import Design, parse_sexpr
 from wordec.ir import (ARITY, Annotation, const, evaluate, evaluate_many,
                        exact_width, first_mismatch, op, var)
-from wordec.oracle import (OffGrid, OracleConfig, OracleError, _polynomial,
+from wordec.oracle import (OracleConfig, OracleError, Refusal, _polynomial,
                            _split_inputs, check_equiv, grid_method,
                            run_waterfall, run_waterfall_dir)
 from wordec.proof import build_waterfall, write_waterfall
@@ -54,8 +55,9 @@ class TestCheckEquiv:
         v = check_equiv(d1, d2, cfg)
         assert v.status == "unproven"
         assert v.method == "random(500)"
-        assert v.note == ("grid: opcode &; "
-                          "no counterexample found by sampling")
+        assert v.note == "no counterexample found by sampling"
+        assert v.declined == (("exhaustive", "32 input bits > 8"),
+                              ("grid", "opcode &"))
 
     def test_wide_polynomial_pair_passes_on_grid(self):
         # a+b vs b+a at 16 bits each: degree 1 in each, so a 2x2 grid
@@ -182,6 +184,37 @@ class TestExternalChecker:
         assert v.status == "unproven" and "failed" in v.note
 
 
+class TestRefusals:
+    def test_each_refusal_reaches_the_report(self, tmp_path):
+        """`&` is no polynomial, fig1 splits 8 bits, both pairs are too wide
+        to enumerate, and a clean sample is left to the external checker;
+        each tier's reason is in `declined`, in order, in the report."""
+        sampled = ("random", "no counterexample found by sampling")
+        pairs = {"and": (_wide_and_pair(), [
+                     ("exhaustive", "32 input bits > 7"),
+                     ("grid", "opcode &"), sampled]),
+                 "fig1": (load_pair("fig1"), [
+                     ("exhaustive", "40 input bits > 7"),
+                     ("grid", "split too wide"), sampled])}
+        cmd = _script(tmp_path, "chk.sh", 0)
+        cfg = OracleConfig(max_exhaustive_bits=7, samples=100,
+                           external_cmd=f"{cmd} {{left}} {{right}}")
+        for (d1, d2), declined in pairs.values():
+            v = check_equiv(d1, d2, cfg)
+            assert (v.status, v.method) == ("pass", "external")
+            assert list(v.declined) == declined
+        w = SimpleNamespace(
+            designs={f"{name}{i}": d for name, (pair, _) in pairs.items()
+                     for i, d in enumerate(pair)},
+            obligations=lambda: [{"kind": "step", "rule": name,
+                                  "left": f"{name}0", "right": f"{name}1"}
+                                 for name in pairs])
+        report = run_waterfall(w, cfg).to_json()
+        assert [ob["verdict"]["declined"] for ob in report["obligations"]] \
+            == [[{"tier": t, "reason": r} for t, r in declined]
+                for _, declined in pairs.values()]
+
+
 _GRID_OPS = ("+", "-", "*", "neg", "zext", "sext", "<<")
 _AMOUNT = Annotation(2)
 _SMALL = (("x", Annotation(4)), ("y", Annotation(3, True)), ("s", _AMOUNT))
@@ -263,8 +296,9 @@ def _grid_verdict(d1, d2):
     not apply (None).  A refutation's counterexample must be a real one:
     the two original bodies differ on it."""
     try:
-        _, cex = grid_method(d1, d2, 64)
-    except OffGrid:
+        cex = grid_method(d1, d2, OracleConfig(max_exhaustive_bits=64)
+                          ).counterexample
+    except Refusal:
         return None
     if cex is not None:
         assert set(cex) == {x for x, _ in d1.inputs}
@@ -299,7 +333,7 @@ class TestGridTier:
         split = _split_inputs(t, set())
         try:
             lo, hi, degree = _polynomial(t, dict(_SMALL), split)
-        except OffGrid:
+        except Refusal:
             return
         axes = [np.arange(a.lo, a.hi + 1) for _, a in _SMALL]
         grid = np.meshgrid(*axes, indexing="ij")
@@ -315,9 +349,10 @@ class TestGridTier:
         methods = {}
         for name in names():
             try:
-                methods[name], cex = grid_method(*load_pair(name), 20)
-                assert cex is None
-            except OffGrid as e:
+                v = grid_method(*load_pair(name), OracleConfig())
+                methods[name] = v.method
+                assert v.counterexample is None
+            except Refusal as e:
                 methods[name] = str(e)
         assert methods == {
             "adpcm": "grid(d=1,split=0)", "boxfilter": "opcode mux",
@@ -327,11 +362,12 @@ class TestGridTier:
 
     def test_budget_reasons(self):
         fig1 = load_pair("fig1")
-        with pytest.raises(OffGrid, match="split too wide"):
-            grid_method(*fig1, 7)
-        with pytest.raises(OffGrid, match="grid too wide"):
-            grid_method(*fig1, 9)
-        assert grid_method(*fig1, 10) == ("grid(d=1,split=8)", None)
+        with pytest.raises(Refusal, match="split too wide"):
+            grid_method(*fig1, OracleConfig(max_exhaustive_bits=7))
+        with pytest.raises(Refusal, match="grid too wide"):
+            grid_method(*fig1, OracleConfig(max_exhaustive_bits=9))
+        v = grid_method(*fig1, OracleConfig(max_exhaustive_bits=10))
+        assert (v.method, v.counterexample) == ("grid(d=1,split=8)", None)
 
     def test_degree_two_grid(self):
         # (x+1)^2 vs x*x + 2x + 1: degree 2 in x needs 3 points, so 2 bits
@@ -346,8 +382,9 @@ class TestGridTier:
                   (Annotation(17), op("+", Annotation(17), (u9, two_x),
                                       (one.out, one))))
         ins = [("x", u8)]
-        assert grid_method(_design("a", sq, ins), _design("b", poly, ins),
-                           8) == ("grid(d=2,split=0)", None)
+        v = grid_method(_design("a", sq, ins), _design("b", poly, ins),
+                        OracleConfig(max_exhaustive_bits=8))
+        assert (v.method, v.counterexample) == ("grid(d=2,split=0)", None)
 
     def _unary_pair(self, x_ann, kind, slot, out):
         """kind(x) vs x itself, both read at `out`: they agree on the grid
@@ -365,11 +402,11 @@ class TestGridTier:
     ])
     def test_non_identity_extension_is_off_grid(self, x_ann, kind, why):
         d1, d2 = self._unary_pair(x_ann, kind, x_ann, Annotation(12, True))
-        with pytest.raises(OffGrid, match=why):
-            grid_method(d1, d2, 20)
+        with pytest.raises(Refusal, match=why):
+            grid_method(d1, d2, OracleConfig())
         v = check_equiv(d1, d2, OracleConfig(max_exhaustive_bits=4,
                                              samples=1000))
-        assert v.status == "fail" and why in v.note
+        assert v.status == "fail" and ("grid", why) in v.declined
 
     def test_identity_extensions_are_on_grid(self):
         # zext of an unsigned slot and sext of a signed one change nothing
@@ -377,7 +414,9 @@ class TestGridTier:
                             (Annotation(8, True), "sext")):
             d1, d2 = self._unary_pair(x_ann, kind, x_ann,
                                       Annotation(12, True))
-            assert grid_method(d1, d2, 20) == ("grid(d=1,split=0)", None)
+            v = grid_method(d1, d2, OracleConfig())
+            assert (v.method, v.counterexample) == ("grid(d=1,split=0)",
+                                                    None)
 
     def test_overflow_is_off_grid(self):
         """x+y through an 8-bit slot agrees with x+y on the grid {0,1}^2
@@ -389,12 +428,14 @@ class TestGridTier:
         exact = op("+", u9, (u8, x), (u8, y))
         ins = [("x", u8), ("y", u8)]
         d1, d2 = _design("d1", wrapped, ins), _design("d2", exact, ins)
-        with pytest.raises(OffGrid, match="slot wraps"):
-            grid_method(d1, d2, 20)
+        with pytest.raises(Refusal, match="slot wraps"):
+            grid_method(d1, d2, OracleConfig())
         v = check_equiv(d1, d2, OracleConfig(max_exhaustive_bits=8,
                                              samples=1000))
         assert v.status == "fail" and v.method == "random(1000)"
-        assert v.note == "grid: slot wraps"
+        assert v.note is None
+        assert v.declined == (("exhaustive", "16 input bits > 8"),
+                              ("grid", "slot wraps"))
 
     def test_input_too_narrow_for_its_grid_is_enumerated(self):
         # b*b*b has degree 3 in a 1-bit b: a 2-bit grid does not fit, so
@@ -406,9 +447,9 @@ class TestGridTier:
         body1 = op("+", Annotation(17), (a.out, a), (u3, bbb))
         body2 = op("+", Annotation(17), (b.out, b), (a.out, a))
         ins = [("a", Annotation(16)), ("b", Annotation(1))]
-        assert grid_method(_design("d1", body1, ins),
-                           _design("d2", body2, ins), 8) \
-            == ("grid(d=3,split=0)", None)
+        v = grid_method(_design("d1", body1, ins), _design("d2", body2, ins),
+                        OracleConfig(max_exhaustive_bits=8))
+        assert (v.method, v.counterexample) == ("grid(d=3,split=0)", None)
 
 
 def _build(name, rules=None):

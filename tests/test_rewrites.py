@@ -1,8 +1,10 @@
 import copy
 import functools
 import itertools
+import linecache
 import math
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -814,18 +816,14 @@ class TestRulePrograms:
             name for r in patterns
             for name in (f"<rule {r.id}>", f"<rule {r.id} applier>"))
 
-    def test_applier_computes_each_annotation_once(self, monkeypatch):
+    def test_applier_computes_each_annotation_once(self):
         sources = {}
-        run = rewrites._Code.run
-
-        def kept(self, filename, **names):
-            sources[filename] = [line.strip() for line in self.lines]
-            return run(self, filename, **names)
-
-        monkeypatch.setattr(rewrites._Code, "run", kept)
         for rule in parse_rules(CATALOGUE_TEXT):
             rewrites._compile_applier(rule)
-        assert len(sources) == len(parse_rules(CATALOGUE_TEXT))
+            filename = f"<rule {rule.id} applier>"
+            sources[filename] = [line.strip()
+                                 for line in linecache.getlines(filename)]
+            assert sources[filename], filename
         computed = {}
         for filename, lines in sources.items():
             # an annotation is its `w = …` and `s = …` lines, then the lookup
@@ -841,6 +839,17 @@ class TestRulePrograms:
             assert not any(f"== {SIGNED!r}" in line for line in lines), \
                 filename
         assert len(computed["<rule assoc-add applier>"]) == 1
+
+    def test_applier_traceback_shows_its_source_line(self):
+        rules = parse_rules("wider : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b) "
+                            "=> (+ (?wo+1) ?so ?wa ?sa ?a ?wb ?sb ?b) ;")
+        with pytest.raises(RuleError, match="rhs annotation") as info:
+            saturate(init_pair(*load_pair("adpcm")), rules)
+        linecache.checkcache()
+        frames = [f for f in traceback.extract_tb(info.value.__traceback__)
+                  if f.filename == "<rule wider applier>"]
+        assert len(frames) == 1
+        assert frames[0].line.startswith("if a != t: raise RuleError(")
 
 
 def reference_table(e, domains, convert, fill):
