@@ -42,8 +42,6 @@ ARITY = {
     "==": 2, "<": 2, "zext": 1, "sext": 1,
 }
 
-OPCODES = frozenset(ARITY)
-
 # operand positions interpreted as an unsigned shift amount
 SHIFT_OPS = frozenset({"<<", ">>", ">>>"})
 
@@ -128,10 +126,6 @@ class Annotation:
 
     def __str__(self) -> str:
         return f"{self.width} {self.signage}"
-
-
-def ann(width: int, signed: bool = False) -> Annotation:
-    return Annotation(width, signed)
 
 
 def from_bits(bits: int, a: Annotation) -> int:
@@ -229,7 +223,11 @@ def op(kind: str, out: Annotation,
     return Term(kind, out, operands=tuple(operands), indices=indices)
 
 
-Environment = Mapping[str, int]
+# opcodes that are one Python operator on operand values, ints or arrays
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "neg": operator.neg, "~": operator.invert, "&": operator.and_,
+          "|": operator.or_, "^": operator.xor}
+_COMPARE = {"==": operator.eq, "<": operator.lt}
 
 
 def _exact_op(kind: str, vals: list[int], slots: tuple[Annotation, ...],
@@ -237,19 +235,8 @@ def _exact_op(kind: str, vals: list[int], slots: tuple[Annotation, ...],
     """Exact integer result of an opcode on slot-coerced operand values,
     but for a `<<` amount clamped at the output width, past which every
     amount truncates to the same output."""
-    if kind == "+":
-        return vals[0] + vals[1]
-    if kind == "-":
-        return vals[0] - vals[1]
-    if kind == "*":
-        return vals[0] * vals[1]
-    if kind == "neg":
-        return -vals[0]
-    if kind == "~":
-        return ~vals[0]
-    if kind in ("&", "|", "^"):
-        a, b = vals
-        return a & b if kind == "&" else (a | b if kind == "|" else a ^ b)
+    if kind in _ARITH:
+        return _ARITH[kind](*vals)
     if kind in SHIFT_OPS:
         amt = to_bits(vals[1], slots[1])  # shift amounts always unsigned
         if kind == "<<":
@@ -264,10 +251,8 @@ def _exact_op(kind: str, vals: list[int], slots: tuple[Annotation, ...],
     if kind == "slice":
         hi, lo = indices
         return (to_bits(vals[0], slots[0]) >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if kind == "==":
-        return int(vals[0] == vals[1])
-    if kind == "<":
-        return int(vals[0] < vals[1])
+    if kind in _COMPARE:
+        return int(_COMPARE[kind](*vals))
     if kind == "zext":
         return to_bits(vals[0], slots[0])
     if kind == "sext":
@@ -276,7 +261,7 @@ def _exact_op(kind: str, vals: list[int], slots: tuple[Annotation, ...],
     raise IrError(f"unknown opcode: {kind}")
 
 
-def evaluate(t: Term, env: Environment) -> int:
+def evaluate(t: Term, env: Mapping[str, int]) -> int:
     """Evaluate a term: exact arithmetic on coerced operands, result truncated
     to the output width and reinterpreted under the output signage."""
     if t.kind == "var":
@@ -293,33 +278,100 @@ def evaluate(t: Term, env: Environment) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation.  One opcode table over two lane types: int64 when
-# every exact intermediate fits in 62 bits (vectorizable), numpy object
-# arrays of exact Python ints otherwise.  Both agree with `evaluate`.
+# Vectorized evaluation.  `program` lists the distinct subterms of the terms
+# to evaluate in post-order, and `_run` evaluates each once per batch, on
+# int64 lanes when every exact intermediate fits in 62 bits (vectorizable),
+# else on numpy object arrays of exact Python ints, skipping the coercions
+# that ranges show to be identities.  Both agree with `evaluate`.
 # ---------------------------------------------------------------------------
 
-def _range_bound(t: Term) -> int:
-    """Max bits any exact intermediate of `t` can need (pre-truncation)."""
-    worst = t.out.width + 1  # +1: signed magnitude
-    for slot, child in t.operands:
-        worst = max(worst, slot.width + 1, _range_bound(child))
-    if t.kind in ARITY:
-        slots = tuple(slot for slot, _ in t.operands)
-        lohi = [(s.lo, s.hi) for s in slots]
-        lo, hi = op_value_range(t.kind, slots, lohi, t.indices, t.out.width)
-        worst = max(worst, max(abs(lo), abs(hi)).bit_length() + 1)
-    return worst
+class Step(NamedTuple):
+    """A distinct subterm: its node, its operands' steps, whether each slot
+    coercion (`same`) and the output truncation (`fits`) is the identity,
+    and the node's value range."""
+
+    node: Term  # or a RowTerm
+    args: tuple[int, ...]
+    same: tuple[bool, ...]
+    fits: bool = False
+    range: tuple[int, int] | None = None
+
+
+class Program(NamedTuple):
+    """Steps in post-order, the step of each root, the steps whose last use
+    each step is, and whether every exact intermediate fits in 62 bits."""
+
+    steps: list[Step]
+    roots: list[int]
+    drops: list[list[int]]
+    vectorizable: bool
+
+
+def program(roots: Sequence[Term | RowTerm]) -> Program:
+    """Compile `roots` into one `Program`, walking each root in turn, a node
+    at a time, so designs that share most subterms reach each together.
+    `Term`s alike in kind, annotations, name, value, indices and operand
+    steps are one step, and none is hashed or compared whole; a `RowTerm`,
+    with array annotations, is one step per object.  A `Term`'s bottom-up
+    range (`op_value_range`, `fit`) tells which coercions are identities."""
+    steps: list[Step] = []
+    index: dict = {}  # id of a walked node, or a Term step's key -> step
+    bound = 0  # bits an exact intermediate can need, +1 for the sign
+    walks = [[(t, False)] for t in roots]
+    while walks:
+        todo = walks.pop(0)
+        if not todo:
+            continue
+        walks.append(todo)
+        t, ready = todo.pop()
+        if id(t) in index:
+            continue
+        if not ready and t.operands:
+            todo.append((t, True))
+            todo += [(c, False) for _, c in reversed(t.operands)]
+            continue
+        slots = tuple([s for s, _ in t.operands])
+        args = tuple([index[id(c)] for _, c in t.operands])
+        term = isinstance(t, Term)
+        key = (t.kind, t.out, t.name, t.value, t.indices, slots, args) \
+            if term else id(t)
+        if key in index:
+            index[id(t)] = index[key]
+            continue
+        index[id(t)] = index[key] = len(steps)
+        if not term:
+            steps.append(Step(t, args, tuple(
+                s is steps[j].node.out for s, j in zip(slots, args))))
+            continue
+        bound = max(bound, t.out.width + 1, *(s.width + 1 for s in slots))
+        fitted = [fit(*steps[j].range, s) for s, j in zip(slots, args)]
+        if t.kind in ARITY:
+            r = op_value_range(t.kind, slots, fitted, t.indices, t.out.width)
+            lo, hi = op_value_range(t.kind, slots,
+                                    [(s.lo, s.hi) for s in slots],
+                                    t.indices, t.out.width)
+            bound = max(bound, max(abs(lo), abs(hi)).bit_length() + 1)
+        else:
+            r = (t.out.lo, t.out.hi) if t.kind == "var" else (t.value,) * 2
+        same = tuple(f == steps[j].range for f, j in zip(fitted, args))
+        steps.append(Step(t, args, same, fit(*r, t.out) == r, fit(*r, t.out)))
+    top = [index[id(t)] for t in roots]
+    drops: list[list[int]] = [[] for _ in steps]
+    for j, i in {j: i for i, s in enumerate(steps) for j in s.args}.items():
+        if j not in top:
+            drops[i].append(j)
+    return Program(steps, top, drops, bound <= 62)
 
 
 def vectorizable(t: Term) -> bool:
     """True when `evaluate_many` can run `t` on int64 lanes."""
-    return _range_bound(t) <= 62
+    return program([t]).vectorizable
 
 
 class RowAnnotation(NamedTuple):
     """Annotations that differ from row to row of one batch, one array entry
     per row: the `width`, `mask` and `sign` that `Annotation` computes
-    (`sign` is 0 exactly on unsigned rows).  `_Lanes` takes one wherever it
+    (`sign` is 0 exactly on unsigned rows).  `_run` takes one wherever it
     takes an `Annotation`."""
 
     width: np.ndarray
@@ -334,109 +386,85 @@ class RowAnnotation(NamedTuple):
         return cls(width, mask, np.where(signed, (mask >> 1) + 1, 0))
 
 
-class _Lanes:
-    """One batch of input rows on one lane type: int64, or exact Python
-    ints.  `value` is the shared opcode table; its terms carry `Annotation`s
-    or `RowAnnotation`s.  (A class rather than nested closures: a
-    self-referencing closure would keep each batch alive until the cycle
-    collector runs.)"""
+def _bits(v, a):
+    """Two's-complement pattern of `v` in `a.width` bits."""
+    return v & a.mask
 
-    def __init__(self, exact: bool, env: Mapping[str, np.ndarray],
-                 rows: int | None = None):
-        self.dtype = object if exact else np.int64
-        self.env = env
-        if rows is None:
-            rows = len(next(iter(env.values()))) if env else 1
-        self.rows = rows
 
-    def bits(self, v, a):
-        """Two's-complement pattern of `v` in `a.width` bits."""
-        return v & a.mask
+def _interpret(bits, a):
+    """Read `a.width`-bit patterns under `a`'s signage."""
+    if isinstance(a, Annotation) and not a.signed:
+        return bits
+    return (bits ^ a.sign) - a.sign
 
-    def interpret(self, bits, a):
-        """Read `a.width`-bit patterns under `a`'s signage."""
-        if isinstance(a, Annotation) and not a.signed:
-            return bits
-        return (bits ^ a.sign) - a.sign
 
-    def coerce(self, v, src, dst):
-        """`coerce` of values representable in `src`."""
-        if src is dst or (isinstance(src, Annotation)
-                          and isinstance(dst, Annotation)
-                          and dst.lo <= src.lo and src.hi <= dst.hi):
-            return v  # every src value is representable in dst: unchanged
-        return self.interpret(self.bits(v, dst), dst)
-
-    def value(self, t: Term):
-        if t.kind == "var":
-            if t.name not in self.env:
-                raise UnboundVariableError(t.name)
-            return np.asarray(self.env[t.name], dtype=self.dtype)
-        if t.kind == "const":
-            return np.broadcast_to(np.asarray(t.value, dtype=self.dtype),
-                                   self.rows)
-        vals = [self.coerce(self.value(child), child.out, slot)
-                for slot, child in t.operands]
-        slots = [slot for slot, _ in t.operands]
+def _run(p: Program, env: Mapping[str, np.ndarray], exact: bool,
+         rows: int | None = None, nodes: list | None = None) -> list:
+    """`p`'s root values on one batch of rows, on int64 lanes or exact ints
+    (`nodes`, if given, in place of the steps' own): the one opcode table."""
+    dtype = object if exact else np.int64
+    if rows is None:
+        rows = len(next(iter(env.values()))) if env else 1
+    vals: list = [None] * len(p.steps)
+    for i, s in enumerate(p.steps):
+        t = s.node if nodes is None else nodes[i]
         k = t.kind
-        if k == "+":
-            r = vals[0] + vals[1]
-        elif k == "-":
-            r = vals[0] - vals[1]
-        elif k == "*":
-            r = vals[0] * vals[1]
-        elif k == "neg":
-            r = -vals[0]
-        elif k == "~":
-            r = ~vals[0]
-        elif k == "&":
-            r = vals[0] & vals[1]
-        elif k == "|":
-            r = vals[0] | vals[1]
-        elif k == "^":
-            r = vals[0] ^ vals[1]
+        if k == "var":
+            if t.name not in env:
+                raise UnboundVariableError(t.name)
+            vals[i] = np.asarray(env[t.name], dtype=dtype)
+            continue
+        if k == "const":
+            vals[i] = np.broadcast_to(np.asarray(t.value, dtype=dtype), rows)
+            continue
+        slots = [slot for slot, _ in t.operands]
+        v = [vals[j] if same else _interpret(_bits(vals[j], a), a)
+             for j, a, same in zip(s.args, slots, s.same)]
+        if k in _ARITH:
+            r = _ARITH[k](*v)
         elif k in SHIFT_OPS:
             # Amounts are unsigned.  Past the output width (<<) or the
             # operand width (>>, >>>) every amount gives the same truncated
             # result, so clamp there: int64 shifts are modular in the
             # count, and object lanes would build huge ints.
-            amt = self.bits(vals[1], slots[1])
+            amt = _bits(v[1], slots[1])
             if k == "<<":
-                r = vals[0] << np.minimum(amt, t.out.width)
+                r = v[0] << np.minimum(amt, t.out.width)
             elif k == ">>":
-                r = (self.bits(vals[0], slots[0])
-                     >> np.minimum(amt, slots[0].width))
+                r = _bits(v[0], slots[0]) >> np.minimum(amt, slots[0].width)
             else:
-                r = vals[0] >> np.minimum(amt, slots[0].width)
+                r = v[0] >> np.minimum(amt, slots[0].width)
         elif k == "mux":
-            r = np.where(vals[0] != 0, vals[1], vals[2])
+            r = np.where(v[0] != 0, v[1], v[2])
         elif k == "concat":
-            r = ((self.bits(vals[0], slots[0]) << slots[1].width)
-                 | self.bits(vals[1], slots[1]))
+            r = ((_bits(v[0], slots[0]) << slots[1].width)
+                 | _bits(v[1], slots[1]))
         elif k == "slice":
             hi, lo = t.indices
-            field = (1 << (hi - lo + 1)) - 1
-            r = (self.bits(vals[0], slots[0]) >> lo) & field
-        elif k == "==":
-            r = (vals[0] == vals[1]).astype(self.dtype)
-        elif k == "<":
-            r = (vals[0] < vals[1]).astype(self.dtype)
+            r = (_bits(v[0], slots[0]) >> lo) & ((1 << (hi - lo + 1)) - 1)
+        elif k in _COMPARE:
+            r = _COMPARE[k](*v).astype(dtype)
         elif k == "zext":
-            r = self.bits(vals[0], slots[0])
+            r = _bits(v[0], slots[0])
         elif k == "sext":
             sign = 1 << (slots[0].width - 1)
-            r = (self.bits(vals[0], slots[0]) ^ sign) - sign
+            r = (_bits(v[0], slots[0]) ^ sign) - sign
         else:
             raise IrError(f"unknown opcode: {k}")
-        return self.interpret(self.bits(r, t.out), t.out)
+        vals[i] = r if s.fits else _interpret(_bits(r, t.out), t.out)
+        for j in p.drops[i]:
+            vals[j] = None
+    return [vals[r] for r in p.roots]
 
 
-def evaluate_many(t: Term, env: Mapping[str, np.ndarray]) -> np.ndarray:
+def evaluate_many(t: Term | Program, env: Mapping[str, np.ndarray]):
     """Vectorized `evaluate` over equal-length arrays of input values, each
-    representable in its variable's annotation (an empty env is one row).
-    Runs on int64 lanes when `vectorizable(t)`, on object lanes of exact
-    Python ints otherwise."""
-    return _Lanes(exact=not vectorizable(t), env=env).value(t)
+    representable in its variable's annotation (an empty env is one row);
+    given a `Program`, the list of its roots' values.  Runs on int64 lanes
+    when vectorizable, on object lanes of exact Python ints otherwise."""
+    p = t if isinstance(t, Program) else program([t])
+    vals = _run(p, env, exact=not p.vectorizable)
+    return vals if p is t else vals[0]
 
 
 # Rows per batch in first_mismatch, by lane type.  Samples are drawn per
@@ -453,9 +481,8 @@ def _draw(rng: np.random.Generator, a: Annotation, n: int) -> np.ndarray:
         return rng.integers(a.lo, a.hi + 1, size=n, dtype=np.int64)
     words = rng.integers(0, 1 << 32, size=((a.width + 31) // 32, n),
                          dtype=np.uint64).astype(object)
-    L = _Lanes(exact=True, env={})
     pattern = sum(w << (32 * i) for i, w in enumerate(words))
-    return L.interpret(L.bits(pattern, a), a)
+    return _interpret(_bits(pattern, a), a)
 
 
 def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
@@ -472,9 +499,9 @@ def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
     anns = [x for _, x in inputs]
     sizes = [x.hi - x.lo + 1 for x in anns]
     total = math.prod(sizes) if samples is None else samples  # no inputs: 1
-    # a space that fits one object batch needs no lane-type test
-    rows = (INT64_ROWS if total > OBJECT_ROWS and vectorizable(a)
-            and vectorizable(b) else OBJECT_ROWS)
+    p = program([a, b])
+    rows = (INT64_ROWS if total > OBJECT_ROWS and p.vectorizable
+            else OBJECT_ROWS)
     rng = np.random.default_rng(seed) if samples is not None else None
     for start in range(0, total, rows):
         n = min(rows, total - start)
@@ -486,7 +513,7 @@ def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
             env = dict(zip(names, idx))
         else:
             env = {nm: _draw(rng, x, n) for nm, x in zip(names, anns)}
-        va, vb = evaluate_many(a, env), evaluate_many(b, env)
+        va, vb = evaluate_many(p, env)
         bad = np.flatnonzero(va != vb)
         if bad.size:
             i = int(bad[0])
@@ -506,7 +533,7 @@ ROW_INT64_WIDTH = 31
 
 class _TakenAnnotation:
     """A `RowAnnotation` read at instances `at`, one field at a time: a
-    field is gathered on its first read and kept as an attribute.  `_Lanes`
+    field is gathered on its first read and kept as an attribute.  `_run`
     reads `width` only for shifts, `concat` and `sext`."""
 
     def __init__(self, rows: RowAnnotation, at: np.ndarray, exact: bool):
@@ -525,8 +552,7 @@ class _TakenAnnotation:
 
 class RowTerm(NamedTuple):
     """A term whose annotations and constants differ per instance.
-    `_Lanes.value` reads one, taken at the instance of each row, like a
-    `Term`."""
+    `program` compiles one like a `Term`, into one step per object."""
 
     kind: str
     out: RowAnnotation
@@ -534,26 +560,13 @@ class RowTerm(NamedTuple):
     name: str | None = None
     value: np.ndarray | None = None
 
-    def annotations(self):
-        yield self.out
-        for slot, child in self.operands:
-            yield slot
-            yield from child.annotations()
-
-    def take(self, at: np.ndarray, memo: dict, exact: bool) -> "RowTerm":
-        """This term with its annotations and constants read at instances
-        `at` (exact ints on object lanes); `memo` shares the reads, and an
-        annotation's fields are read when `_Lanes` first asks for them."""
-        def ann(a: RowAnnotation) -> _TakenAnnotation:
-            if id(a) not in memo:
-                memo[id(a)] = _TakenAnnotation(a, at, exact)
-            return memo[id(a)]
-
-        return RowTerm(self.kind, ann(self.out),
-                       tuple((ann(s), c.take(at, memo, exact))
-                             for s, c in self.operands),
-                       self.name,
-                       None if self.value is None else self.value[at])
+    def take(self, at: np.ndarray, taken: dict) -> "RowTerm":
+        """This node with each annotation as `taken` holds it by id, and its
+        constant read at instances `at`."""
+        value = None if self.value is None else self.value[at]
+        return RowTerm(self.kind, taken[id(self.out)],
+                       tuple([(taken[id(s)], c) for s, c in self.operands]),
+                       self.name, value)
 
 
 def first_mismatches(a: RowTerm, b: RowTerm,
@@ -572,8 +585,11 @@ def first_mismatches(a: RowTerm, b: RowTerm,
     counts = 1 << sum((x.width for _, x in inputs), np.zeros_like(instances))
     ends = np.cumsum(counts)
     starts = ends - counts
-    exact = max(int(x.width[instances].max()) for x in
-                (*a.annotations(), *b.annotations())) > ROW_INT64_WIDTH
+    p = program([a, b])
+    anns = {id(x): x for s in p.steps
+            for x in (s.node.out, *(slot for slot, _ in s.node.operands))}
+    exact = max(int(x.width[instances].max())
+                for x in anns.values()) > ROW_INT64_WIDTH
     found: dict[int, tuple[dict[str, int], int, int]] = {}
     total = int(ends[-1])
     for begin in range(0, total, rows):
@@ -589,10 +605,10 @@ def first_mismatches(a: RowTerm, b: RowTerm,
             env[name] = (local & x.mask[inst]) - x.sign[inst]
             local >>= x.width[inst]
         at = instances[inst]
-        memo: dict = {}
-        lanes = _Lanes(exact, env, rows=stop - begin)
-        va = lanes.value(a.take(at, memo, exact))
-        vb = lanes.value(b.take(at, memo, exact))
+        # each annotation read at instances `at`, each field on first read
+        taken = {k: _TakenAnnotation(x, at, exact) for k, x in anns.items()}
+        nodes = [s.node.take(at, taken) for s in p.steps]
+        va, vb = _run(p, env, exact, stop - begin, nodes)
         bad = np.flatnonzero(va != vb)
         first = np.ones(len(bad), dtype=bool)  # rows run instance by instance
         first[1:] = inst[bad[1:]] != inst[bad[:-1]]
@@ -628,7 +644,7 @@ def op_value_range(kind: str, slots: tuple[Annotation, ...],
                    out_width: int | None = None) -> tuple[int, int]:
     """Sound (and where easy, exact) range of the pre-truncation result of an
     opcode, given ranges of the slot-coerced operand values.  Given the
-    output width, a `<<` amount is clamped there, as `_Lanes` does: past it
+    output width, a `<<` amount is clamped there, as `_run` does: past it
     every amount truncates to the same output, and the exact shift would
     build an integer about as many bits wide as the amount's largest
     value."""
@@ -713,15 +729,3 @@ def min_width(lo: int, hi: int, signed: bool) -> int:
     if lo < 0:
         raise IrError("negative range cannot be unsigned")
     return max(1, hi.bit_length())
-
-
-def exact_width(kind: str, slots: tuple[Annotation, ...],
-                indices: tuple[int, int] | None = None,
-                out_width: int | None = None) -> Annotation:
-    """Smallest output annotation under which `evaluate` never truncates,
-    over all representable operand values; a `<<` amount is clamped at
-    `out_width` as in `op_value_range`."""
-    ranges = [(s.lo, s.hi) for s in slots]
-    lo, hi = op_value_range(kind, tuple(slots), ranges, indices, out_width)
-    signed = lo < 0
-    return Annotation(min_width(lo, hi, signed), signed)

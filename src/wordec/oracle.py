@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .frontend import Design, emit_sv, parse_sexpr
-from .ir import (SHIFT_OPS, Annotation, Term, first_mismatch, fit,
-                 op_value_range)
+from .ir import (SHIFT_OPS, Annotation, Program, Step, first_mismatch,
+                 program)
 
 
 class OracleError(Exception):
@@ -173,69 +173,60 @@ def _external(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
 _POLY_OPS = frozenset({"+", "-", "*", "neg", "zext", "sext", "<<"})
 
 
-def _split_inputs(t: Term, out: set[str], amount: bool = False) -> set[str]:
-    """Add the inputs that feed a shift amount in `t` to `out`; `amount`
-    says that `t` lies below one."""
-    if t.kind == "var" and amount:
-        out.add(t.name)
-    elif t.kind in SHIFT_OPS:
-        (_, value), (_, amt) = t.operands
-        _split_inputs(value, out, amount)
-        _split_inputs(amt, out, True)
-    else:
-        for _, child in t.operands:
-            _split_inputs(child, out, amount)
-    return out
+def _split_inputs(p: Program) -> set[str]:
+    """The inputs that feed a shift amount in `p`, marked in one pass over
+    its steps in reversed post-order, where each precedes its operands."""
+    below = [False] * len(p.steps)
+    for i, s in reversed(list(enumerate(p.steps))):
+        for pos, j in enumerate(s.args):
+            below[j] |= below[i] or (pos == 1 and s.node.kind in SHIFT_OPS)
+    return {s.node.name for s, b in zip(p.steps, below)
+            if b and s.node.kind == "var"}
 
 
-def _fit(lo: int, hi: int, a: Annotation, degree: dict | None
-         ) -> tuple[int, int]:
-    """`ir.fit` of [lo, hi] under `a`, where only a constant per split
-    value (`degree` None) may wrap."""
-    r = fit(lo, hi, a)
-    if degree is not None and r != (lo, hi):
-        raise Refusal("slot wraps")
-    return r
+def _degrees(p: Program, split: set[str]) -> list:
+    """Each root's degree in each input that is not split, None where it is
+    a constant for each value of the split inputs (it may then wrap), or,
+    where by the steps' ranges it is no exact polynomial over the whole
+    input domain, the first Refusal in operand order."""
+    out: list = []
+    for s in p.steps:
+        try:
+            out.append(_degree(p, s, [out[j] for j in s.args], split))
+        except Refusal as e:
+            out.append(e)
+    return [out[r] for r in p.roots]
 
 
-def _polynomial(t: Term, inputs: dict[str, Annotation], split: set[str]
-                ) -> tuple[int, int, dict[str, int] | None]:
-    """Bottom-up range of `t` over the whole input domain, and its degree
-    in each input that is not split, or None when `t` is a constant for
-    each value of the split inputs (any opcode may appear in such a
-    subterm, and it may wrap).  Raises Refusal where `t` is no polynomial
-    that computes its value exactly."""
+def _degree(p: Program, s: Step, degrees: list, split: set[str]
+            ) -> dict[str, int] | None:
+    t = s.node
     if t.kind == "var":
-        a = inputs[t.name]
-        degree = None if t.name in split else {t.name: 1}
-        return (*_fit(a.lo, a.hi, t.out, degree), degree)
-    if t.kind == "const":
-        return t.value, t.value, None
-    slots = tuple(slot for slot, _ in t.operands)
-    ranges, degrees = [], []
-    for slot, child in t.operands:
-        lo, hi, degree = _polynomial(child, inputs, split)
-        ranges.append(_fit(lo, hi, slot, degree))
-        degrees.append(degree)
+        return None if t.name in split else {t.name: 1}
+    for d, same in zip(degrees, s.same):
+        if isinstance(d, Refusal):
+            raise d
+        if d is not None and not same:
+            raise Refusal("slot wraps")
     if all(d is None for d in degrees):
-        degree = None
-    elif t.kind not in _POLY_OPS:
+        return None
+    if t.kind not in _POLY_OPS:
         raise Refusal(f"opcode {t.kind}")
-    elif t.kind == "zext" and ranges[0][0] < 0:
+    slot, (lo, hi) = t.operands[0][0], p.steps[s.args[0]].range
+    if t.kind == "zext" and lo < 0:
         raise Refusal("zext of a negative value")
-    elif t.kind == "sext" and not (slots[0].signed
-                                   or ranges[0][1] <= slots[0].hi >> 1):
+    if t.kind == "sext" and not (slot.signed or hi <= slot.hi >> 1):
         raise Refusal("sext of an unsigned value past the sign bit")
-    elif t.kind in ("+", "-", "*"):
+    degree = degrees[0]  # neg, zext, sext, and << by a constant per split
+    if t.kind in ("+", "-", "*"):
         degree = {}
         for d in degrees:
             for x, k in (d or {}).items():
                 degree[x] = (max(degree.get(x, 0), k) if t.kind != "*"
                              else degree.get(x, 0) + k)
-    else:  # neg, zext, sext, and << by a constant per split value
-        degree = degrees[0]
-    lo, hi = op_value_range(t.kind, slots, ranges, t.indices, t.out.width)
-    return (*_fit(lo, hi, t.out, degree), degree)
+    if not s.fits:
+        raise Refusal("slot wraps")
+    return degree
 
 
 def grid_method(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
@@ -245,10 +236,13 @@ def grid_method(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
     set to 0.  Refuses where the tier does not apply or does not fit in
     cfg.max_exhaustive_bits."""
     inputs = dict(d1.inputs)
-    split = _split_inputs(d2.body, _split_inputs(d1.body, set()))
+    p = program([d1.body, d2.body])
+    split = _split_inputs(p)
     degree: dict[str, int] = {}
-    for d in (d1, d2):
-        for x, k in (_polynomial(d.body, inputs, split)[2] or {}).items():
+    for r in _degrees(p, split):
+        if isinstance(r, Refusal):
+            raise r
+        for x, k in (r or {}).items():
             degree[x] = max(degree.get(x, 0), k)
     split_bits = sum(inputs[x].width for x in split)
     if split_bits > cfg.max_exhaustive_bits:

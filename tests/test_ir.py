@@ -1,7 +1,10 @@
 import copy
 import itertools
+import math
 import operator
 import pickle
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from wordec import ir
 from wordec.ir import (ARITY, ROW_INT64_WIDTH, SHIFT_OPS, Annotation, IrError,
                        RowAnnotation, RowTerm, Term, UnboundVariableError,
-                       coerce, const, evaluate, evaluate_many, exact_width,
+                       coerce, const, evaluate, evaluate_many,
                        first_mismatch, first_mismatches, fit, min_width, op,
                        op_value_range, var, vectorizable)
 
@@ -159,6 +162,15 @@ class TestEvaluate:
     def test_slice(self):
         t = op("slice", ann(4), (ann(8), var("a", ann(8))), indices=(5, 2))
         assert evaluate(t, {"a": 0b10110100}) == 0b1101
+
+
+def exact_width(kind, slots, indices=None, out_width=None):
+    """Smallest output annotation under which `evaluate` never truncates,
+    over all representable operand values; a `<<` amount is clamped at
+    `out_width` as in `op_value_range`."""
+    ranges = [(s.lo, s.hi) for s in slots]
+    lo, hi = op_value_range(kind, tuple(slots), ranges, indices, out_width)
+    return Annotation(min_width(lo, hi, lo < 0), lo < 0)
 
 
 class TestExactWidth:
@@ -406,3 +418,296 @@ class TestFit:
                 assert (f_lo, f_hi) == (lo, hi)
             else:
                 assert (f_lo, f_hi) == (a.lo, a.hi)
+
+
+# ---------------------------------------------------------------------------
+# The recursive tree walk that `ir.program` replaced, kept as the reference:
+# every occurrence of a subterm is evaluated, and a coercion is skipped only
+# when its annotations alone show it to be the identity.
+# ---------------------------------------------------------------------------
+
+def _reference_bound(t):
+    """Max bits any exact intermediate of `t` can need (pre-truncation)."""
+    worst = t.out.width + 1  # +1: signed magnitude
+    for slot, child in t.operands:
+        worst = max(worst, slot.width + 1, _reference_bound(child))
+    if t.kind in ARITY:
+        slots = tuple(slot for slot, _ in t.operands)
+        lohi = [(s.lo, s.hi) for s in slots]
+        lo, hi = op_value_range(t.kind, slots, lohi, t.indices, t.out.width)
+        worst = max(worst, max(abs(lo), abs(hi)).bit_length() + 1)
+    return worst
+
+
+class _ReferenceLanes:
+    def __init__(self, exact, env):
+        self.dtype = object if exact else np.int64
+        self.env = env
+        self.rows = len(next(iter(env.values()))) if env else 1
+
+    def bits(self, v, a):
+        return v & a.mask
+
+    def interpret(self, bits, a):
+        if not a.signed:
+            return bits
+        return (bits ^ a.sign) - a.sign
+
+    def coerce(self, v, src, dst):
+        if src is dst or (dst.lo <= src.lo and src.hi <= dst.hi):
+            return v
+        return self.interpret(self.bits(v, dst), dst)
+
+    def value(self, t):
+        if t.kind == "var":
+            return np.asarray(self.env[t.name], dtype=self.dtype)
+        if t.kind == "const":
+            return np.broadcast_to(np.asarray(t.value, dtype=self.dtype),
+                                   self.rows)
+        vals = [self.coerce(self.value(child), child.out, slot)
+                for slot, child in t.operands]
+        slots = [slot for slot, _ in t.operands]
+        k = t.kind
+        if k in ("+", "-", "*", "&", "|", "^"):
+            r = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "&": operator.and_, "|": operator.or_,
+                 "^": operator.xor}[k](vals[0], vals[1])
+        elif k == "neg":
+            r = -vals[0]
+        elif k == "~":
+            r = ~vals[0]
+        elif k in SHIFT_OPS:
+            amt = self.bits(vals[1], slots[1])
+            if k == "<<":
+                r = vals[0] << np.minimum(amt, t.out.width)
+            elif k == ">>":
+                r = (self.bits(vals[0], slots[0])
+                     >> np.minimum(amt, slots[0].width))
+            else:
+                r = vals[0] >> np.minimum(amt, slots[0].width)
+        elif k == "mux":
+            r = np.where(vals[0] != 0, vals[1], vals[2])
+        elif k == "concat":
+            r = ((self.bits(vals[0], slots[0]) << slots[1].width)
+                 | self.bits(vals[1], slots[1]))
+        elif k == "slice":
+            hi, lo = t.indices
+            r = (self.bits(vals[0], slots[0]) >> lo) & ((1 << (hi - lo + 1))
+                                                        - 1)
+        elif k == "==":
+            r = (vals[0] == vals[1]).astype(self.dtype)
+        elif k == "<":
+            r = (vals[0] < vals[1]).astype(self.dtype)
+        elif k == "zext":
+            r = self.bits(vals[0], slots[0])
+        else:
+            assert k == "sext"
+            sign = 1 << (slots[0].width - 1)
+            r = (self.bits(vals[0], slots[0]) ^ sign) - sign
+        return self.interpret(self.bits(r, t.out), t.out)
+
+
+def _reference_evaluate_many(t, env):
+    return _ReferenceLanes(_reference_bound(t) > 62, env).value(t)
+
+
+def _reference_first_mismatch(a, b, inputs, samples=None, seed=0):
+    names = [n for n, _ in inputs]
+    anns = [x for _, x in inputs]
+    sizes = [x.hi - x.lo + 1 for x in anns]
+    total = math.prod(sizes) if samples is None else samples
+    rows = (ir.INT64_ROWS if total > ir.OBJECT_ROWS
+            and _reference_bound(a) <= 62 and _reference_bound(b) <= 62
+            else ir.OBJECT_ROWS)
+    rng = np.random.default_rng(seed) if samples is not None else None
+    for start in range(0, total, rows):
+        n = min(rows, total - start)
+        if samples is None:
+            idx = (np.unravel_index(np.arange(start, start + n), sizes)
+                   if sizes else ())
+            env = {nm: i + x.lo for nm, i, x in zip(names, idx, anns)}
+        else:
+            env = {nm: ir._draw(rng, x, n) for nm, x in zip(names, anns)}
+        va = _reference_evaluate_many(a, env)
+        vb = _reference_evaluate_many(b, env)
+        bad = np.flatnonzero(va != vb)
+        if bad.size:
+            i = int(bad[0])
+            return ({nm: int(env[nm][i]) for nm in names},
+                    int(va[i]), int(vb[i]))
+    return None
+
+
+_PAIR_INPUTS = [("a", ann(3)), ("b", ann(2, True)), ("c", ann(4))]
+
+
+@st.composite
+def _shared_pairs(draw, widths):
+    """Two terms over _PAIR_INPUTS that share subterm objects: a random
+    term built from a pool that reuses its members, and that term with one
+    subterm replaced by another pool member (or a structurally equal copy
+    of the whole).  The pool also holds structurally equal distinct
+    objects, and nodes that differ from another only in one slot."""
+    anns = st.builds(Annotation, st.sampled_from(widths), st.booleans())
+    pool = [var(n, a) for n, a in _PAIR_INPUTS]
+    for _ in range(draw(st.integers(1, 8))):
+        how = draw(st.integers(0, 9))
+        if how == 0:
+            a = draw(anns)
+            pool.append(const(draw(st.integers(a.lo, a.hi)), a))
+            continue
+        if how == 1:
+            t = draw(st.sampled_from(pool))
+            pool.append(Term(t.kind, t.out, t.name, t.value, t.operands,
+                             t.indices))
+            continue
+        kind = draw(st.sampled_from(sorted(ARITY)))
+
+        def slot(i):
+            if kind in SHIFT_OPS and i == 1:  # a narrow shift amount
+                return Annotation(draw(st.integers(1, 6)), draw(st.booleans()))
+            return draw(anns)
+
+        operands = [(slot(i), draw(st.sampled_from(pool)))
+                    for i in range(ARITY[kind])]
+        indices = None
+        if kind == "slice":
+            w = operands[0][0].width
+            lo = draw(st.integers(0, w - 1))
+            indices = (draw(st.integers(lo, w - 1)), lo)
+        t = op(kind, draw(anns), *operands, indices=indices)
+        pool.append(t)
+        if draw(st.booleans()):  # the same node but for one slot
+            i = draw(st.integers(0, len(operands) - 1))
+            operands[i] = (slot(i), operands[i][1])
+            pool.append(op(kind, t.out, *operands, indices=indices))
+    a = pool[-1]
+    if draw(st.integers(0, 4)) == 0:
+        b = Term(a.kind, a.out, a.name, a.value, a.operands, a.indices)
+    else:
+        at = ()
+        while a.at(at).operands and draw(st.booleans()):
+            at += (draw(st.integers(0, len(a.at(at).operands) - 1)),)
+        b = a.replace(at, draw(st.sampled_from(pool)))
+    return a, b
+
+
+class TestProgram:
+    """`program` against the recursive reference walk and scalar
+    `evaluate`, on term pairs that share subterms, as a waterfall step's
+    two designs do."""
+
+    @pytest.mark.parametrize("widths", [(1, 2, 3, 4, 5, 8, 13),
+                                        (1, 3, 8, 33, 47, 64, 70)],
+                             ids=["int64", "exact"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_reference_walk(self, widths, data):
+        a, b = data.draw(_shared_pairs(widths))
+        if widths[-1] > 62:  # a root past int64 puts the pair on objects
+            a, b = (op("zext", ann(70), (t.out, t)) for t in (a, b))
+        p = ir.program([a, b])
+        assert p.vectorizable == (widths[-1] < 62)
+        assert p.vectorizable == (_reference_bound(a) <= 62
+                                  and _reference_bound(b) <= 62)
+        assert vectorizable(a) == (_reference_bound(a) <= 62)
+        grid = np.meshgrid(*(np.arange(x.lo, x.hi + 1)
+                             for _, x in _PAIR_INPUTS), indexing="ij")
+        env = {n: g.ravel() for (n, _), g in zip(_PAIR_INPUTS, grid)}
+        got = [v.tolist() for v in evaluate_many(p, env)]
+        assert got == [_reference_evaluate_many(t, env).tolist()
+                       for t in (a, b)]
+        assert evaluate_many(a, env).tolist() == got[0]
+        for row in range(0, len(env["a"]), 37):
+            e = {n: int(v[row]) for n, v in env.items()}
+            assert [evaluate(a, e), evaluate(b, e)] == [g[row] for g in got]
+        # batches of a few rows, so that a space spans several
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ir, "INT64_ROWS", 96)
+            mp.setattr(ir, "OBJECT_ROWS", 40)
+            assert (first_mismatch(a, b, _PAIR_INPUTS)
+                    == _reference_first_mismatch(a, b, _PAIR_INPUTS))
+            samples = data.draw(st.integers(1, 300))
+            seed = data.draw(st.integers(0, 2 ** 32 - 1))
+            assert (first_mismatch(a, b, _PAIR_INPUTS, samples, seed)
+                    == _reference_first_mismatch(a, b, _PAIR_INPUTS,
+                                                 samples, seed))
+
+    def test_distinct_subterms_are_one_step(self):
+        x, y = var("x", ann(4)), var("y", ann(4))
+        s1 = op("+", ann(5), (ann(4), x), (ann(4), y))
+        s2 = op("+", ann(5), (ann(4), var("x", ann(4))), (ann(4), y))
+        s3 = op("+", ann(5), (ann(4, True), x), (ann(4), y))  # one slot
+        a = op("*", ann(10), (ann(5), s1), (ann(5), s2))
+        b = op("*", ann(10), (ann(5), s2), (ann(5), s3))
+        p = ir.program([a, b])
+        # post-order: x, y, s1 (= s2), a, s3, b
+        assert [s.node for s in p.steps] == [x, y, s1, a, s3, b]
+        assert p.roots == [3, 5]
+        assert [s.args for s in p.steps] == [(), (), (0, 1), (2, 2), (0, 1),
+                                             (2, 4)]
+        # each array is dropped after its last use, and a root never
+        assert p.drops == [[], [], [], [], [0, 1], [2, 4]]
+
+    def test_identity_coercions_and_truncations(self):
+        x = var("x", ann(4))
+        fits = op("+", ann(5), (ann(4), x), (ann(8, True), x))
+        wraps = op("+", ann(4), (ann(4), x), (ann(3), x))
+        p = ir.program([fits, wraps])
+        f, w = (p.steps[r] for r in p.roots)
+        assert f.same == (True, True) and f.fits and f.range == (0, 30)
+        # a 3-bit slot can wrap x, and the sum can wrap 4 bits
+        assert w.same == (True, False) and not w.fits
+        assert w.range == (0, 15)
+
+    def test_row_terms_are_one_step_per_object(self):
+        a = RowAnnotation.of(np.array([2, 3]), np.array([False, True]))
+        x = RowTerm("var", a, name="x")
+        s1 = RowTerm("+", a, ((a, x), (a, x)))
+        s2 = RowTerm("+", a, ((a, x), (a, x)))  # equal, not the same
+        p = ir.program([RowTerm("*", a, ((a, s1), (a, s1))),
+                        RowTerm("*", a, ((a, s2), (a, s1)))])
+        assert len(p.steps) == 5
+        assert all(s.same == (True,) * len(s.args) for s in p.steps)
+
+
+class TestDeepAndSharedTerms:
+    """The evaluator walks are iterative and visit each distinct subterm
+    once, so a deep chain needs no deep recursion and a chain of wires that
+    each read the one before twice (a tree of 2^n leaves) is linear."""
+
+    def test_deep_chain_under_default_recursion_limit(self):
+        a8 = ann(8)
+        x = var("x", a8)
+        t = x
+        for _ in range(2000):
+            t = op("+", a8, (a8, t), (a8, const(1, a8)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert vectorizable(t)
+            xs = np.arange(256)
+            assert evaluate_many(t, {"x": xs}).tolist() \
+                == ((xs + 2000) % 256).tolist()
+            same = op("+", a8, (a8, x), (a8, const(2000 % 256, a8)))
+            assert first_mismatch(t, same, [("x", a8)]) is None
+            assert first_mismatch(t, same, [("x", a8)], 500, 3) is None
+            assert first_mismatch(t, x, [("x", a8)]) == ({"x": 0}, 208, 0)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_doubling_chain_is_linear(self):
+        a8 = ann(8)
+        x = var("x", a8)
+        w = x
+        for _ in range(64):  # w_i = w_{i-1} + w_{i-1}, mod 2^8
+            w = op("+", a8, (a8, w), (a8, w))
+        t0 = time.perf_counter()
+        assert vectorizable(w)
+        assert len(ir.program([w]).steps) == 65
+        assert not evaluate_many(w, {"x": np.arange(256)}).any()
+        zero = const(0, a8)
+        assert first_mismatch(w, zero, [("x", a8)]) is None
+        assert first_mismatch(w, zero, [("x", a8)], 100_000, 1) is None
+        assert first_mismatch(w, x, [("x", a8)]) == ({"x": 1}, 0, 1)
+        assert time.perf_counter() - t0 < 1.0

@@ -1,5 +1,6 @@
 import os
 import stat
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,12 +13,14 @@ from wordec.extract import extract_greedy, extract_ilp
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design, parse_sexpr
 from wordec.ir import (ARITY, Annotation, const, evaluate, evaluate_many,
-                       exact_width, first_mismatch, op, var)
-from wordec.oracle import (OracleConfig, OracleError, Refusal, _polynomial,
+                       first_mismatch, op, program, var)
+from wordec.oracle import (OracleConfig, OracleError, Refusal, _degrees,
                            _split_inputs, check_equiv, grid_method,
                            run_waterfall, run_waterfall_dir)
 from wordec.proof import build_waterfall, write_waterfall
 from wordec.rewrites import baseline_rules
+
+from test_ir import exact_width
 
 
 def _design(name, body, inputs):
@@ -330,11 +333,12 @@ class TestGridTier:
         """Along each input that is not split, the values of `t` have a
         vanishing difference of order one past its degree, and every value
         lies in the computed range."""
-        split = _split_inputs(t, set())
-        try:
-            lo, hi, degree = _polynomial(t, dict(_SMALL), split)
-        except Refusal:
+        p = program([t])
+        split = _split_inputs(p)
+        degree = _degrees(p, split)[0]
+        if isinstance(degree, Refusal):
             return
+        lo, hi = p.steps[p.roots[0]].range
         axes = [np.arange(a.lo, a.hi + 1) for _, a in _SMALL]
         grid = np.meshgrid(*axes, indexing="ij")
         env = {n: g.ravel() for (n, _), g in zip(_SMALL, grid)}
@@ -344,6 +348,30 @@ class TestGridTier:
             if name not in split:
                 k = (degree or {}).get(name, 0)
                 assert not np.diff(vals, n=k + 1, axis=i).any(), (name, k)
+
+    def test_doubling_chain_decides_or_refuses_at_once(self):
+        """Each of 64 wires reads the one before twice, a tree of 2^64
+        leaves: the tier's walks visit each distinct subterm once."""
+        a8, big = Annotation(8), Annotation(72)
+        x = var("x", a8)
+        wraps, wide = x, x
+        for i in range(1, 65):  # w_i = w_{i-1} + w_{i-1}
+            wraps = op("+", a8, (a8, wraps), (a8, wraps))
+            wide = op("+", Annotation(8 + i), (wide.out, wide),
+                      (wide.out, wide))
+        times = op("*", big, (big, x), (big, const(1 << 64, big)))
+        ins = [("x", a8)]
+        t0 = time.perf_counter()
+        with pytest.raises(Refusal, match="slot wraps"):
+            grid_method(_design("w", wraps, ins),
+                        _design("z", const(0, a8), ins), OracleConfig())
+        v = grid_method(_design("w", wide, ins), _design("t", times, ins),
+                        OracleConfig())
+        assert (v.status, v.method) == ("pass", "grid(d=1,split=0)")
+        # x feeds a shift amount through the whole chain
+        shift = op("<<", a8, (a8, const(1, a8)), (a8, wraps))
+        assert _split_inputs(program([shift])) == {"x"}
+        assert time.perf_counter() - t0 < 1.0
 
     def test_methods_of_bundled_pairs(self):
         methods = {}
