@@ -16,8 +16,9 @@ sides over all operand values.  This module does that work in batches:
   through `ir.first_mismatches` in batches of at most AUDIT_ROWS rows,
   whose annotations differ row by row.
 
-The violations, the blocked instances and the errors raised are those of
-checking one instance and one operand assignment at a time, in order.
+The violations and the blocked instances are those of checking one
+instance and one operand assignment at a time, in order.  Every expression
+was typed when the rule was made, so a table entry is a value or blocked.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import rewrites
-from .ir import (SIGNED, UNSIGNED, Annotation, IrError, RowAnnotation,
-                 RowTerm, first_mismatches)
+from .ir import (SIGNED, UNSIGNED, Annotation, RowAnnotation, RowTerm,
+                 first_mismatches)
 from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
                        RuleError, _is_signed, _width, expr_params,
                        pattern_slots)
@@ -45,57 +46,37 @@ AUDIT_VECTORS = 1 << 10
 AUDIT_ROWS = 1 << 12
 # Widest operand space, in bits, that the audit enumerates for one instance.
 MAX_OPERAND_BITS = 22
-# Errors that an expression raises as `eval_expr` would, besides
-# BlockedMatch (an unbound condition parameter, a signage in arithmetic).
-# A table keeps them until a live instance reads the entry.
-_EXPR_ERRORS = (RuleError, TypeError, ValueError)
-
-
-def _unbound_parameter(name: str):
-    raise RuleError(f"unbound parameter {name}")
 
 
 def _compile(e, params: list[str], kinds: dict, convert):
     """`convert` of expression e as a function of `params`, positionally,
-    from `rewrites._expr_code`; `kinds` gives each parameter's static type.
-    A parameter outside `params` raises eval_expr's RuleError when the
-    evaluation reaches it."""
+    from `rewrites._expr_code`; `kinds` gives each parameter's kind."""
     args = {p: f"p{i}" for i, p in enumerate(params)}
-    src, _ = rewrites._expr_code(
-        e, lambda p: args.get(p) or f"_unbound_parameter({p!r})", kinds)
+    src, _ = rewrites._expr_code(e, args.__getitem__, kinds)
     code = rewrites._Code([f"def f({', '.join(args.values())}):",
                            f"    return convert({src})"])
-    return code.run("<audit table>", convert=convert,
-                    _unbound_parameter=_unbound_parameter)["f"]
+    return code.run("<audit table>", convert=convert)["f"]
 
 
 class _Table:
     """An expression tabulated over the product of the domains of the
-    parameters it reads, in C order, by one function compiled for it.
-    `blocked` marks the entries that raised BlockedMatch or one of
-    `_EXPR_ERRORS`; `errors` keeps the latter by flat index.  `value` is
-    int64 unless a value needs exact Python ints, and `fill` where
-    blocked."""
+    parameters it reads, in C order, by one function compiled for it;
+    `kinds` gives each parameter's kind.  `blocked` marks the entries that
+    raised BlockedMatch.  `value` is int64 unless a value needs exact Python
+    ints, and `fill` where blocked."""
 
-    def __init__(self, e, domains: dict, convert, fill: int):
+    def __init__(self, e, domains: dict, kinds: dict, convert, fill: int):
         names: set[str] = set()
         expr_params(e, names)
-        self.params = sorted(names & domains.keys())
+        self.params = sorted(names)
         sizes = [len(domains[p]) for p in self.params]
         self.strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
-        kinds = {p: "int" if isinstance(domains[p], range) else "str"
-                 for p in self.params}
         f = _compile(e, self.params, kinds, convert)
-        self.errors: dict[int, Exception] = {}
         values, blocked = [], []
-        for i, combo in enumerate(
-                itertools.product(*(domains[p] for p in self.params))):
+        for combo in itertools.product(*(domains[p] for p in self.params)):
             try:
                 v = f(*combo)   # an int or a bool, never None
             except BlockedMatch:
-                v = None
-            except _EXPR_ERRORS as exc:
-                self.errors[i] = exc
                 v = None
             values.append(fill if v is None else v)
             blocked.append(v is None)
@@ -108,42 +89,24 @@ class _Table:
 
 class _Block:
     """The instances of one block in enumeration order: a column of domain
-    indices per parameter, which instances are still live, and the earliest
-    error a live instance raised, as (enumeration position, exception)."""
+    indices per parameter, and which instances are still live."""
 
     def __init__(self, cols: dict[str, np.ndarray], n: int):
         self.cols = cols
-        self.order = np.arange(n)
         self.live = np.ones(n, dtype=bool)
-        self.error: tuple[int, Exception] | None = None
         self.anns: dict[tuple[int, int], RowAnnotation] = {}
 
-    def fail(self, i: int, exc: Exception) -> None:
-        pos = self.order[i]
-        if self.error is None or pos < self.error[0]:
-            self.error = (pos, exc)
-        self.live[i] = False
-
     def read(self, table: _Table) -> np.ndarray:
-        """`table`'s entry for every instance.  An instance that reads a
-        blocked entry stops being live; the first live one that reads a
-        kept error fails with it."""
+        """`table`'s entry for every instance; an instance that reads a
+        blocked entry stops being live."""
         flat = np.zeros(len(self.live), dtype=np.int64)
         for p, stride in zip(table.params, table.strides):
             flat += self.cols[p] * stride
-        hit = table.blocked[flat] & self.live
-        if table.errors:
-            for i in np.flatnonzero(hit):
-                exc = table.errors.get(int(flat[i]))
-                if exc is not None:
-                    self.fail(int(i), exc)
-                    break
-        self.live &= ~hit
+        self.live &= ~table.blocked[flat]
         return table.value[flat]
 
     def keep(self, rows: np.ndarray) -> None:
         self.cols = {p: c[rows] for p, c in self.cols.items()}
-        self.order = self.order[rows]
         self.live = self.live[rows]
 
 
@@ -157,18 +120,14 @@ class RuleAudit:
         shift_widths = {e for p in (rule.lhs, rule.rhs)
                         for kind, e, _ in pattern_slots(p)
                         if kind == "amount" and isinstance(e, str)}
-        # classify parameters by where they occur on the lhs
-        width_ps, sig_ps, val_ann = set(), set(), {}
-        for kind, e, owner in pattern_slots(rule.lhs):
-            if not isinstance(e, str) or kind == "class":
-                continue
-            if kind == "value":
-                val_ann[e] = (owner.width, owner.sig)
-            else:
-                (sig_ps if kind == "sig" else width_ps).add(e)
-        self.grid = sorted(width_ps) + sorted(sig_ps)
-        self.vals = sorted(val_ann)
-        self.val_ann = val_ann
+        width_ps, sig_ps = (sorted(p for p, k in rule.kinds.items()
+                                   if k == kind) for kind in ("width", "sig"))
+        self.grid = width_ps + sig_ps
+        # a constant value's annotation, from its last lhs constant
+        self.val_ann = {e: (owner.width, owner.sig)
+                        for kind, e, owner in pattern_slots(rule.lhs)
+                        if kind == "value" and isinstance(e, str)}
+        self.vals = sorted(self.val_ann)
         self.domains: dict[str, Sequence] = {
             w: range(1, (min(maxw, 3) if w in shift_widths else maxw) + 1)
             for w in width_ps}
@@ -177,8 +136,8 @@ class RuleAudit:
         self.tables: dict[tuple, _Table] = {}
         # a constant value ranges over every annotation its constant takes
         for v in self.vals:
-            w = self.table(val_ann[v][0], _width, fill=1)
-            s = self.table(val_ann[v][1], _is_signed)
+            w = self.table(self.val_ann[v][0], _width, fill=1)
+            s = self.table(self.val_ann[v][1], _is_signed)
             anns = [Annotation(wv, bool(sv))
                     for wv in set(w.value[~w.blocked].tolist())
                     for sv in set(s.value[~s.blocked].tolist())]
@@ -193,7 +152,8 @@ class RuleAudit:
     def table(self, e, convert, fill=0) -> _Table:
         key = (e, convert)
         if key not in self.tables:
-            self.tables[key] = _Table(e, self.domains, convert, fill)
+            self.tables[key] = _Table(e, self.domains, self.rule.kinds,
+                                      convert, fill)
         return self.tables[key]
 
     def ann(self, b: _Block, w, s) -> RowAnnotation:
@@ -212,7 +172,7 @@ class RuleAudit:
         """The instances of grid vectors start..stop-1: each vector once per
         assignment of its constant values (each low to high).  A constant's
         annotation reads only grid parameters and literals, so it can block
-        a vector but raise nothing."""
+        a vector."""
         n = stop - start
         idx = np.unravel_index(np.arange(start, stop), self.shape) \
             if self.shape else ()
@@ -233,9 +193,9 @@ class RuleAudit:
 
     def term(self, b: _Block, p: Pattern, var_anns: dict) -> RowTerm:
         """`p` instantiated for the block's instances, reading expressions
-        in the order `rewrites.instantiate` evaluates them.  An instance
-        with a blocked expression or an unrepresentable constant stops being
-        live.  A variable takes the annotation of its first lhs slot."""
+        in the order the rule's applier evaluates them.  An instance with a
+        blocked expression or an unrepresentable constant stops being live.
+        A variable takes the annotation of its first lhs slot."""
         if isinstance(p, PatVar):
             return RowTerm("var", var_anns[p.name], name=p.name.lstrip("?"))
         if isinstance(p, PatConst):
@@ -250,9 +210,6 @@ class RuleAudit:
             if isinstance(sub, PatVar):
                 var_anns.setdefault(sub.name, slot)
             operands.append((slot, self.term(b, sub, var_anns)))
-        if p.op == "slice" and b.live.any():
-            b.fail(np.flatnonzero(b.live)[0],
-                   IrError("slice needs (hi, lo) indices"))
         return RowTerm(p.op, out, tuple(operands))
 
     def params(self, b: _Block, i: int) -> dict:
@@ -276,12 +233,9 @@ class RuleAudit:
         mismatch = b.live & ((lhs.out.width != rhs.out.width)
                              | (lhs.out.sign != rhs.out.sign))
         bits = sum(a.width for _, a in inputs)
-        wide = b.live & ~mismatch & (bits > MAX_OPERAND_BITS)
-        if wide.any():
-            b.fail(np.flatnonzero(wide)[0], RuleError(
-                f"{rule.id}: operand space too large to enumerate"))
-        if b.error is not None:
-            raise b.error[1]
+        if (b.live & ~mismatch & (bits > MAX_OPERAND_BITS)).any():
+            raise RuleError(f"{rule.id}: operand space too large to "
+                            "enumerate")
 
         def ann_at(a: RowAnnotation, i: int) -> Annotation:
             return Annotation(int(a.width[i]), bool(a.sign[i]))

@@ -187,8 +187,10 @@ class Term:
                 if self.indices is None:
                     raise IrError("slice needs (hi, lo) indices")
                 hi, lo = self.indices
-                if not (hi >= lo >= 0):
-                    raise IrError(f"bad slice indices {self.indices}")
+                w = self.operands[0][0].width
+                if not (w > hi >= lo >= 0):
+                    raise IrError(f"bad slice indices {self.indices} for a "
+                                  f"{w}-bit operand")
         else:
             raise IrError(f"unknown opcode: {self.kind}")
 

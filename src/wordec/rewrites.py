@@ -13,10 +13,11 @@ parameter variables binding widths, signages and constant values:
 Right-hand sides may compute widths/values with +, -, *, 2^e, min, max,
 width(e) and log2(e); an instance where one is undefined (log2 of a value
 below 1, 2^e for a negative e) is blocked.  Conditions are boolean
-expressions over the bound parameters.  A rule's condition must be
-*sufficient*: whenever it holds, the two sides are extensionally equal
-under the IR semantics; validate_rule audits this exhaustively at small
-widths.
+expressions over the bound parameters.  A rule is checked and its
+expressions typed once, when it is made (`Rule.__post_init__`).  A rule's
+condition must be *sufficient*: whenever it holds, the two sides are
+extensionally equal under the IR semantics; validate_rule audits this
+exhaustively at small widths.
 """
 
 from __future__ import annotations
@@ -69,6 +70,19 @@ _PRECEDENCE = {"||": 1, "&&": 2, **dict.fromkeys(_CMP, 3),
 _STRONGEST = max(_PRECEDENCE.values())
 # `!` takes its operand at comparison strength
 _NOT = _PRECEDENCE["=="]
+
+# The type of each kind of slot and parameter: a width (a shift amount's
+# included) and a constant's value are ints, a signage is a str.
+_TYPES = {"width": "int", "amount": "int", "value": "int", "sig": "str"}
+# Each operator's operand types and result type; `==` and `!=` take two
+# operands of one type, and `min` and `max` one or more ints.
+_SIGNATURES = {
+    "!": (("bool",), "bool"),
+    **dict.fromkeys(("&&", "||"), (("bool", "bool"), "bool")),
+    **dict.fromkeys(("<=", ">=", "<", ">"), (("int", "int"), "bool")),
+    **dict.fromkeys(("+", "-", "*", "^"), (("int", "int"), "int")),
+    **dict.fromkeys(("width", "log2"), (("int",), "int")),
+}
 
 
 def _expr(ts: Tokens, level: int):
@@ -340,6 +354,11 @@ def pattern_nodes(p: Pattern) -> int:
 # ---------------------------------------------------------------------------
 
 HINTS = ("trivial", "simulation", "external-strong")
+_SIGNAGES = (("sig", UNSIGNED), ("sig", SIGNED))
+_KIND_NAMES = {"width": "width", "sig": "signage", "value": "constant value"}
+# Structured lhs positions per matcher: one nested loop each, and CPython
+# allows 20 nested blocks in a function.
+_MAX_POSITIONS = 16
 
 
 @dataclass(frozen=True)
@@ -351,8 +370,21 @@ class Rule:
     checker_hint: str = "simulation"
 
     def __post_init__(self):
+        """The one check of a rule: what passes it matches, applies and
+        audits without a type error."""
         if isinstance(self.lhs, PatVar):
             raise RuleError(f"{self.id}: left-hand side cannot be a bare variable")
+        for kind, e, _ in pattern_slots(self.lhs):
+            if kind != "class" and isinstance(e, tuple) and e not in _SIGNAGES:
+                raise RuleError(f"{self.id}: a left-hand {kind} slot must be "
+                                "a literal or a parameter")
+        if "slice" in {getattr(owner, "op", None) for p in (self.lhs, self.rhs)
+                       for _, _, owner in pattern_slots(p)}:
+            raise RuleError(f"{self.id}: a pattern cannot write a slice's "
+                            "indices")
+        if pattern_nodes(self.lhs) > _MAX_POSITIONS:
+            raise RuleError(f"{self.id}: more than {_MAX_POSITIONS} "
+                            "structured positions on the lhs")
         lv, rv = pattern_vars(self.lhs), pattern_vars(self.rhs)
         if not rv <= lv:
             raise RuleError(f"{self.id}: rhs variables {rv - lv} unbound")
@@ -366,6 +398,36 @@ class Rule:
         if not cp <= lp:
             raise RuleError(f"{self.id}: condition parameters "
                             f"{', '.join(sorted(cp - lp))} unbound")
+        kinds = self.kinds
+
+        def check_type(e, want: str, where: str) -> None:
+            try:
+                _, got = _expr_code(e, str, kinds)
+            except RuleError as err:
+                raise RuleError(f"{self.id}: {where}: {err}") from None
+            if got != want:
+                raise RuleError(f"{self.id}: {where} is {got}, not {want}")
+
+        for p in (self.lhs, self.rhs):
+            for kind, e, _ in pattern_slots(p):
+                if kind != "class":
+                    check_type(e, _TYPES[kind], f"{kind} slot")
+        check_type(self.cond, "bool", "condition")
+
+    @cached_property
+    def kinds(self) -> dict[str, str]:
+        """Each parameter's kind, 'width', 'sig' or 'value', from the lhs
+        slots that bind it: all of one kind, a shift amount's width being a
+        width."""
+        kinds: dict[str, str] = {}
+        for slot, e, _ in pattern_slots(self.lhs):
+            if slot != "class" and isinstance(e, str):
+                kind = "width" if slot == "amount" else slot
+                if kinds.setdefault(e, kind) != kind:
+                    raise RuleError(
+                        f"{self.id}: {e} is bound as a {_KIND_NAMES[kinds[e]]}"
+                        f" and as a {_KIND_NAMES[kind]}")
+        return kinds
 
     @cached_property
     def rhs_nodes(self) -> int:
@@ -392,8 +454,8 @@ class Rule:
         return _compile_applier(self)
 
 
-def _width(value) -> int:
-    if not isinstance(value, int) or value < 1:
+def _width(value: int) -> int:
+    if value < 1:
         raise BlockedMatch(f"computed width {value!r} invalid")
     return value
 
@@ -415,17 +477,16 @@ def _is_signed(value) -> bool:
 #   and records a match as the ids of the nodes at those positions;
 # - the condition is one function of the parameters it reads;
 # - the applier reads what the rhs needs back from those nodes, whose
-#   annotations and values no rebuild changes, and emits the rhs as
-#   `instantiate` does: in pre-order (a node's output annotation, then per
-#   operand its slot annotation and its subterm, then the node itself), so
-#   a BlockedMatch partway leaves the nodes added before it.  Each node goes
-#   to EGraph.add as a tuple of its fields (a NodeRec is built on a miss).
+#   annotations and values no rebuild changes, and emits the rhs in
+#   pre-order (a node's output annotation, then per operand its slot
+#   annotation and its subterm, then the node itself), so a BlockedMatch
+#   partway leaves the nodes added before it.  Each node goes to EGraph.add
+#   as a tuple of its fields (a NodeRec is built on a miss).
 #
-# eval_expr stays the reference semantics of the expression language.
-
-# Structured lhs positions per matcher: one nested loop each, and CPython
-# allows 20 nested blocks in a function.
-_MAX_POSITIONS = 16
+# Every expression is typed when the rule is made, so a program tests only
+# values: a width below 1, a blocked 2^ or log2, an unrepresentable
+# constant.  eval_expr stays the reference semantics of the expression
+# language.
 
 
 def _unrepresentable(v, a: Annotation):
@@ -436,8 +497,8 @@ _GLOBALS = {
     "Annotation": Annotation, "_INTERNED": _INTERNED,
     "BlockedMatch": BlockedMatch, "RuleError": RuleError,
     "RuleJust": RuleJust, "Skeleton": Skeleton,
-    "_compare": _compare, "_power": _power, "_width_of": _width_of,
-    "_log2": _log2, "_unknown_operator": _unknown_operator, "_width": _width,
+    "_power": _power, "_width_of": _width_of, "_log2": _log2,
+    "_width": _width,
     "_unrepresentable": _unrepresentable,
 }
 
@@ -446,46 +507,47 @@ def _tuple_code(items: list[str]) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-def _expr_code(e, ref, kinds: dict) -> tuple[str, str | None]:
-    """Python source computing expression e as eval_expr does, and its
-    static type: 'bool', 'int', 'str', or None when unknown.  `ref(name)` is
-    the source of a parameter's value and `kinds[name]` its type."""
+# The helper each function-like operator compiles to, and the Python
+# spelling of the boolean operators; the others are spelled alike.
+_CALLS = {"^": "_power", "width": "_width_of", "log2": "_log2"}
+_PY_OPS = {"&&": "and", "||": "or"}
+
+
+def _expr_code(e, ref, kinds: dict) -> tuple[str, str]:
+    """Python source computing expression e as eval_expr does, and its type,
+    'int', 'str' or 'bool': the one typing rule of the expression language.
+    `ref(name)` is the source of a parameter's value and `kinds[name]` its
+    kind.  An ill-typed e raises RuleError."""
     if isinstance(e, bool):
         return repr(e), "bool"
     if isinstance(e, int):
         return repr(e), "int"
     if isinstance(e, str):
-        return ref(e), kinds.get(e)
+        return ref(e), _TYPES[kinds[e]]
     op = e[0]
     if op == "sig":
         return repr(e[1]), "str"
-    if op == "!":
-        return f"(not {_expr_code(e[1], ref, kinds)[0]})", "bool"
     code = [_expr_code(x, ref, kinds) for x in e[1:]]
     src = [s for s, _ in code]
-    types = {t for _, t in code}
-    ints = types <= {"bool", "int"}
-    if op in ("&&", "||"):
-        a, b = (s if t == "bool" else f"bool({s})" for s, t in code)
-        return f"({a} {'and' if op == '&&' else 'or'} {b})", "bool"
-    if op in _CMP:
-        if ints or types == {"str"}:  # then every comparison is defined
-            return f"({src[0]} {op} {src[1]})", "bool"
-        return f"_compare({op!r}, {src[0]}, {src[1]})", None
-    if op in ("+", "-", "*"):
-        return f"({src[0]} {op} {src[1]})", "int" if ints else None
-    if op == "^":
-        return f"_power({src[0]}, {src[1]})", "int" if ints else None
+    types = tuple(t for _, t in code)
+    if op in ("==", "!="):
+        takes, result = (types[0] if types else "int",) * 2, "bool"
+    elif op in ("min", "max"):
+        takes, result = ("int",) * max(1, len(types)), "int"
+    elif op in _SIGNATURES:
+        takes, result = _SIGNATURES[op]
+    else:
+        raise RuleError(f"unknown operator {op!r}")
+    if types != takes:
+        raise RuleError(f"{op} takes ({', '.join(takes)}), "
+                        f"not ({', '.join(types)})")
+    if op == "!":
+        return f"(not {src[0]})", result
+    if op in _CALLS:
+        return f"{_CALLS[op]}({', '.join(src)})", result
     if op in ("min", "max"):
-        kind = "int" if ints else "str" if types == {"str"} else None
-        if len(src) == 1:
-            return f"{op}(({src[0]},))", kind
-        return f"{op}({', '.join(src)})", kind
-    if op == "width":
-        return f"_width_of({src[0]})", "int"
-    if op == "log2":
-        return f"_log2({src[0]})", "int"
-    return f"_unknown_operator({op!r}, {', '.join(src)})", None
+        return (f"{op}({', '.join(src)})" if len(src) > 1 else src[0]), result
+    return f"({src[0]} {_PY_OPS.get(op, op)} {src[1]})", result
 
 
 class _Code:
@@ -527,41 +589,31 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
     nothing.  Returns the sources of each parameter, of each variable's class
     (keyed ('class', name)), of each (?w, ?s) pair's annotation (keyed
     ('ann', w, s)) and of each signage parameter as a bool (keyed
-    ('signed', s)); the parameters' types; the positions' node tuple; and
-    the lhs skeleton."""
+    ('signed', s)); the positions' node tuple; and the lhs skeleton."""
     local: dict[object, str] = {}
-    kinds: dict[str, str] = {}
     positions = 0
 
-    def unify(key, value: str, kind: str | None) -> None:
-        if isinstance(key, str) and key.startswith("?") and key not in local:
-            local[key], kinds[key] = value if bind else code.fresh("v"), kind
+    def unify(key, value: str) -> None:
+        # a slot holds a parameter or an int literal; a signage literal is
+        # tested by `annotation`
+        if isinstance(key, str) and key not in local:
+            local[key] = value if bind else code.fresh("v")
             if not bind:
                 code.emit(f"{local[key]} = {value}")
-        elif bind:
-            return
-        elif isinstance(key, int):
-            code.emit(f"if {value} != {key!r}: continue")
-        elif isinstance(key, tuple) and key[0] == "sig":
-            code.emit(f"if {value} != {key[1]!r}: continue")
-        elif isinstance(key, str) and key.startswith("?"):
-            code.emit(f"if {value} != {local[key]}: continue")
-        else:
-            raise RuleError(f"{rule.id}: unmatchable slot expression "
-                            f"{key!r} on lhs")
+        elif not bind:
+            want = local[key] if isinstance(key, str) else repr(key)
+            code.emit(f"if {value} != {want}: continue")
 
     def annotation(w, s, value: str) -> None:
         local.setdefault(("ann", w, s), value)
-        unify(w, f"{value}.width", "int")
-        if isinstance(s, tuple) and s[0] == "sig" and s[1] in (SIGNED,
-                                                              UNSIGNED):
+        unify(w, f"{value}.width")
+        if isinstance(s, tuple):
             if not bind:
                 code.emit(f"if {'not ' if s[1] == SIGNED else ''}"
                           f"{value}.signed: continue")
         else:
             local.setdefault(("signed", s), f"{value}.signed")
-            unify(s, f"({SIGNED!r} if {value}.signed else {UNSIGNED!r})",
-                  "str")
+            unify(s, f"({SIGNED!r} if {value}.signed else {UNSIGNED!r})")
 
     def position(p: Pattern, cls: str) -> str:
         """Walk the nodes of class `cls` that match p; returns the source of
@@ -569,9 +621,6 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
         nonlocal positions
         n, N = f"p{positions}", "N"
         positions += 1
-        if positions > _MAX_POSITIONS:
-            raise RuleError(f"{rule.id}: more than {_MAX_POSITIONS} "
-                            "structured positions on the lhs")
         if bind:
             N = f"gnodes[{n}]"
         else:
@@ -580,7 +629,7 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
             code.emit(f"N = gnodes[{n}]")
             code.emit(f"if N.op != {getattr(p, 'op', 'const')!r}: continue")
         if isinstance(p, PatConst):
-            unify(p.value, f"{N}.value", None)  # an int, unless malformed
+            unify(p.value, f"{N}.value")
             annotation(p.width, p.sig, f"{N}.out")
             return f"Skeleton({n}, ())"
         annotation(p.out_w, p.out_s, f"{N}.out")
@@ -608,7 +657,7 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
 
     skeleton = position(rule.lhs, "c0")
     nodes = _tuple_code([f"p{k}" for k in range(positions)])
-    return local, kinds, nodes, skeleton
+    return local, nodes, skeleton
 
 
 def _compile_matcher(rule: Rule) -> dict:
@@ -621,13 +670,13 @@ def _compile_matcher(rule: Rule) -> dict:
                   "    append = out.append",
                   "    for c0 in sorted(classes):"])
     code.depth = 2
-    local, kinds, nodes, _ = _walk_lhs(code, rule, bind=False)
+    local, nodes, _ = _walk_lhs(code, rule, bind=False)
     cond_src = []
     if rule.cond is not True:
         params: set[str] = set()
         expr_params(rule.cond, params)
         args = ", ".join(local[p] for p in sorted(params))
-        body, _ = _expr_code(rule.cond, local.__getitem__, kinds)
+        body, _ = _expr_code(rule.cond, local.__getitem__, rule.kinds)
         cond_src = [f"def cond({args}):", f"    return {body}"]
         code.emit("try:")
         code.emit(f"    if not cond({args}): continue")
@@ -645,17 +694,15 @@ def _compile_matcher(rule: Rule) -> dict:
     return code.run(f"<rule {rule.id}>", Match=Match)
 
 
-def _emit_rhs(code: _Code, p: Pattern, read, known=lambda key: None
-              ) -> tuple[str, str, str]:
-    """Emit p's instance; returns the sources of its class, node and
-    skeleton.  `read(key)` is the source of a parameter or a variable's class
-    (keyed ('class', name)); `known(key)` is that of an annotation at hand
-    (keyed ('ann', w, s)) or of a signage parameter as a bool (keyed
-    ('signed', s)), or None.  Each (w, s) annotation is computed once."""
+def _emit_rhs(code: _Code, rule: Rule, local: dict) -> tuple[str, str, str]:
+    """Emit the instance of rule's rhs; returns the sources of its class,
+    node and skeleton.  `local` holds the sources `_walk_lhs` returns: of each
+    parameter, each variable's class and each lhs annotation, and of each
+    signage parameter as a bool.  Each (w, s) annotation is computed once."""
     anns: dict[tuple, str] = {}
 
     def expr(e) -> str:
-        return _expr_code(e, read, {})[0]
+        return _expr_code(e, local.__getitem__, rule.kinds)[0]
 
     def annotation(w, s) -> str:
         if (w, s) not in anns:
@@ -663,25 +710,25 @@ def _emit_rhs(code: _Code, p: Pattern, read, known=lambda key: None
         return anns[w, s]
 
     def new_annotation(w, s) -> str:
-        sig = isinstance(s, tuple) and s[0] == "sig"
+        # a signage is a literal or an lhs parameter, read as its slot's bool
+        sig = isinstance(s, tuple)
         if type(w) is int and w >= 1 and sig:
             return code.const(Annotation(w, s[1] == SIGNED))
-        a = known(("ann", w, s))
+        a = local.get(("ann", w, s))
         if a:
             return a
         a = code.fresh("a")
         code.emit(f"w = {expr(w)}")
         if not (type(w) is int and w >= 1):
-            code.emit("if type(w) is not int or w < 1: w = _width(w)")
-        code.emit(f"s = {s[1] == SIGNED!r}" if sig else
-                  f"s = {known(('signed', s)) or f'{expr(s)} == {SIGNED!r}'}")
+            code.emit("if w < 1: _width(w)")
+        code.emit(f"s = {s[1] == SIGNED if sig else local[('signed', s)]}")
         code.emit(f"{a} = _INTERNED.get((w, s)) or Annotation(w, s)")
         return a
 
     def node(p: Pattern, top: bool) -> tuple[str, str, str]:
         c, n = code.fresh("c"), code.fresh("n")
         if isinstance(p, PatVar):
-            code.emit(f"{c} = find({read(('class', p.name))})")
+            code.emit(f"{c} = find({local[('class', p.name)]})")
             if not top:
                 return c, "", "None"
             code.emit(f"{n} = min(classes[{c}].node_ids)")
@@ -705,7 +752,7 @@ def _emit_rhs(code: _Code, p: Pattern, read, known=lambda key: None
                   f"{_tuple_code(kids)}, None, None, None))")
         return c, n, f"Skeleton({n}, {_tuple_code(subs)})"
 
-    return node(p, True)
+    return node(rule.rhs, True)
 
 
 def _compile_applier(rule: Rule):
@@ -714,11 +761,11 @@ def _compile_applier(rule: Rule):
     code = _Code(["def apply(g, nodes):",
                   "    gnodes, add, find, classes = "
                   "g.nodes, g.add, g.find, g.classes"])
-    source, _, nodes, skeleton = _walk_lhs(code, rule, bind=True)
+    local, nodes, skeleton = _walk_lhs(code, rule, bind=True)
     code.lines += [f"    {nodes[1:-1]} = nodes", "    target = find(p0)",
                    "    try:"]
     code.depth = 2
-    c, n, rskel = _emit_rhs(code, rule.rhs, source.__getitem__, source.get)
+    c, n, rskel = _emit_rhs(code, rule, local)
     code.depth = 1
     code.emit("except BlockedMatch:")
     code.emit("    return False")
@@ -730,22 +777,6 @@ def _compile_applier(rule: Rule):
               "({a}) differs from matched class ({t})')")
     code.emit(f"return g.union(p0, {n}, RuleJust({rid}, {skeleton}, {rskel}))")
     return code.run(f"<rule {rule.id} applier>")["apply"]
-
-
-def instantiate(g: EGraph, p: Pattern, env: dict
-                ) -> tuple[int, int, Skeleton]:
-    """Add p's instance under env to the graph, compiling its builder on
-    each call; returns (class, node, skeleton)."""
-    code = _Code(["def build(g, env):",
-                  "    add, find, classes = g.add, g.find, g.classes"])
-    c, n, skeleton = _emit_rhs(code, p, lambda key: f"env[{key!r}]")
-    code.emit(f"return {c}, {n}, {skeleton}")
-    try:
-        return code.run("<rule pattern>")["build"](g, env)
-    except KeyError as e:  # a missing parameter, as eval_expr reports it
-        if e.args and isinstance(e.args[0], str):
-            raise RuleError(f"unbound parameter {e.args[0]}") from None
-        raise
 
 
 @dataclass
@@ -888,9 +919,12 @@ def parse_rules(text: str) -> list[Rule]:
             else:
                 ts.fail(f"{rid}: unexpected token {t!r}", tloc)
         ts.expect(";")
-        new = [Rule(rid, lhs, rhs, cond, hint)]
-        if arrow == "<=>":
-            new.append(Rule(rid + "-rev", rhs, lhs, cond, hint))
+        try:
+            new = [Rule(rid, lhs, rhs, cond, hint)]
+            if arrow == "<=>":
+                new.append(Rule(rid + "-rev", rhs, lhs, cond, hint))
+        except RuleError as e:
+            raise RuleError(str(e), *loc) from None
         for r in new:
             if r.id in ids:
                 ts.fail(f"duplicate rule id {r.id!r}", loc)

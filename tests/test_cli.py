@@ -282,6 +282,8 @@ class TestReaderChecks:
          "unknown term head 'foo' at line 3, column 2"),
         (_IR.format("(var a 4 unsigned)") + " (extra)",
          "trailing tokens after design: '(' at line 3, column 22"),
+        (_IR.format("(slice 4 unsigned 5 2 4 unsigned (var a 4 unsigned))"),
+         "bad slice indices (5, 2) for a 4-bit operand at line 3, column 2"),
         (_IR.format("(var a 4 unsigend)"),
          "expected signage, got 'unsigend' at line 3, column 11"),
         ("(design d (inputs (a 0 unsigned))\n (output o 4 unsigned)\n"
@@ -438,7 +440,45 @@ class TestProve:
         assert r.exit_code == 3, r.output
 
 
+_ADD = "(+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+_SWAP = "(+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
+
+
 class TestValidateRules:
+    @pytest.mark.parametrize("rule, message", [
+        (f"{_ADD} => {_SWAP} if ?wa < ?sa",
+         "r: condition: < takes (int, int), not (int, str)"),
+        (f"{_ADD} => (+ (?wo + ?so) ?so ?wb ?sb ?b ?wa ?sa ?a)",
+         "r: width slot: + takes (int, int), not (int, str)"),
+        ("(zext ?wo ?so ?wa ?sa ?a) => (slice ?wo ?so ?wa ?sa ?a)",
+         "r: a pattern cannot write a slice's indices"),
+        (f"{_ADD} => {_SWAP} if ?wa && ?so",
+         "r: condition: && takes (bool, bool), not (int, str)"),
+        ("(+ ?wo ?wo ?wa ?sa ?a ?wb ?sb ?b) => (+ ?wo ?wo ?wb ?sb ?b ?wa ?sa ?a)",
+         "r: ?wo is bound as a width and as a signage"),
+    ], ids=["width-vs-signage", "signage-in-width", "slice", "int-and",
+            "width-and-signage"])
+    @pytest.mark.parametrize("command", ["check", "saturate",
+                                         "validate-rules"])
+    def test_ill_typed_rule_file_is_error(self, runner, tmp_path, rule,
+                                          message, command):
+        p = tmp_path / "bad.rules"
+        p.write_text(f"# one rule\nr : {rule} ;\n")
+        args = [command, "--rules", str(p)]
+        if command == "validate-rules":
+            args += ["--maxw", "2"]
+        else:
+            sp, ip = _emit_pair(tmp_path, "fig1")
+            args += ["--spec", sp, "--impl", ip]
+        if command == "check":
+            args += ["--out", str(tmp_path / "out")]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, r.output
+        assert [line for line in r.output.splitlines()
+                if line.startswith("error:")] == [
+            f"error: {message} at line 2, column 1"]
+        assert "Traceback" not in r.output
+
     def test_builtin_clean_small_width(self, runner):
         r = runner.invoke(main, ["validate-rules", "--maxw", "2"])
         assert r.exit_code == 0, r.output

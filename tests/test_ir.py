@@ -394,10 +394,14 @@ class TestTermStructure:
          r"slice needs \(hi, lo\) indices"),
         (lambda a: Term("slice", a, operands=((a, var("x", a)),),
                         indices=(1, 2)), r"bad slice indices \(1, 2\)"),
+        (lambda a: Term("slice", a, operands=((a, var("x", a)),),
+                        indices=(5, 2)),
+         r"bad slice indices \(5, 2\) for a 4-bit operand"),
         (lambda a: Term("%", a, operands=((a, var("x", a)),) * 2),
          "unknown opcode: %"),
     ], ids=["unnamed-var", "unrepresentable-const", "arity",
-            "slice-no-indices", "slice-bad-indices", "unknown-opcode"])
+            "slice-no-indices", "slice-bad-indices", "slice-past-operand",
+            "unknown-opcode"])
     def test_malformed_term_rejected(self, make, message):
         with pytest.raises(IrError, match=message):
             make(ann(4))
@@ -579,7 +583,10 @@ def _shared_pairs(draw, widths):
         pool.append(t)
         if draw(st.booleans()):  # the same node but for one slot
             i = draw(st.integers(0, len(operands) - 1))
-            operands[i] = (slot(i), operands[i][1])
+            a = slot(i)
+            if kind == "slice":  # a slot that still holds the sliced bits
+                a = Annotation(max(a.width, indices[0] + 1), a.signed)
+            operands[i] = (a, operands[i][1])
             pool.append(op(kind, t.out, *operands, indices=indices))
     a = pool[-1]
     if draw(st.integers(0, 4)) == 0:

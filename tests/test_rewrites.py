@@ -20,8 +20,8 @@ from wordec.fixtures import load_pair, names
 from wordec.ir import SIGNED, UNSIGNED, Annotation, const, evaluate, op, var
 from wordec.rewrites import (CATALOGUE_TEXT, BlockedMatch, PatConst, PatOp,
                              PatVar, RuleError, _is_signed, _width, eval_expr,
-                             instantiate, parse_expr, parse_rules,
-                             pattern_slots, baseline_rules, validate_rule)
+                             parse_expr, parse_rules, pattern_slots,
+                             baseline_rules, validate_rule)
 
 
 def _eval_ann(w, s, env):
@@ -74,7 +74,8 @@ class TestRuleParser:
 
     def test_unbound_condition_parameter_rejected(self):
         with pytest.raises(RuleError,
-                           match=r"^r: condition parameters \?zz unbound$"):
+                           match=r"^r: condition parameters \?zz unbound "
+                                 r"at line 1, column 1$"):
             parse_rules("r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
                         " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
                         " if ?wo > 2 && ?zz == 1 ;")
@@ -213,6 +214,218 @@ class TestRuleReader:
         # ?wb is a shift amount on the rhs only
         assert domains["?wb"] == range(1, 4)
         assert domains["?wa"] == range(1, 5)
+
+
+# The rule files of each kind of check a rule gets when it is made, with
+# the error each gives.
+_ADD = "(+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+_SWAP = "(+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
+BAD_RULES = {
+    "width-vs-signage": (f"r : {_ADD} => {_SWAP} if ?wa < ?sa ;",
+                         "r: condition: < takes (int, int), not (int, str)"),
+    "signage-in-width": (
+        f"r : {_ADD} => (+ (?wo + ?so) ?so ?wb ?sb ?b ?wa ?sa ?a) ;",
+        "r: width slot: + takes (int, int), not (int, str)"),
+    "slice": ("r : (zext ?wo ?so ?wa ?sa ?a) => (slice ?wo ?so ?wa ?sa ?a) ;",
+              "r: a pattern cannot write a slice's indices"),
+    "int-and": (f"r : {_ADD} => {_SWAP} if ?wa && ?so ;",
+                "r: condition: && takes (bool, bool), not (int, str)"),
+    "width-and-signage": (
+        "r : (+ ?wo ?wo ?wa ?sa ?a ?wb ?sb ?b)"
+        " => (+ ?wo ?wo ?wb ?sb ?b ?wa ?sa ?a) ;",
+        "r: ?wo is bound as a width and as a signage"),
+    "int-condition": (f"r : {_ADD} => {_SWAP} if ?wa + 1 ;",
+                      "r: condition is int, not bool"),
+    "bool-width": (
+        f"r : {_ADD} => (+ (?wo > 1) ?so ?wb ?sb ?b ?wa ?sa ?a) ;",
+        "r: width slot is bool, not int"),
+    "signage-value": (
+        f"r : {_ADD} => (+ ?wo ?so ?wa ?sa ?a ?wb ?sb (const ?sb 2 unsigned))"
+        " ;", "r: value slot is str, not int"),
+    "width-in-signage": (f"r : {_ADD} => (+ ?wo ?wa ?wb ?sb ?b ?wa ?sa ?a) ;",
+                         "r: sig slot is int, not str"),
+    "shift-amount-as-value": (
+        "r : (<< ?wo ?so ?wa ?sa ?a ?v ?sc (const ?v ?vw ?vs)) => ?a ;",
+        "r: ?v is bound as a width and as a constant value"),
+    "two-argument-width": (f"r : {_ADD} => {_SWAP} if width(?wa, ?so) > 1 ;",
+                           "r: condition: width takes (int), not (int, str)"),
+}
+
+
+class TestRuleCheck:
+    """A rule is checked once, when it is made: what the check accepts
+    matches, applies and audits without a type error."""
+
+    @pytest.mark.parametrize("name", BAD_RULES)
+    def test_bad_rule_rejected_when_read(self, name):
+        text, message = BAD_RULES[name]
+        with pytest.raises(RuleError, match=re.escape(
+                f"{message} at line 3, column 1")):
+            parse_rules(_FILE_HEAD + text)
+
+    def test_kinds_from_lhs_slots(self):
+        rule = {r.id: r for r in parse_rules(CATALOGUE_TEXT)}["shift-to-mult"]
+        assert rule.kinds == {
+            "?wo": "width", "?so": "sig", "?wa": "width", "?sa": "sig",
+            "?wc": "width", "?sc": "sig", "?v": "value", "?vw": "width",
+            "?vs": "sig"}
+
+    def test_rule_built_in_code_checked(self):
+        add = PatOp("+", "?wo", "?so", (("?wa", "?sa", PatVar("?a")),
+                                        ("?wb", "?sb", PatVar("?b"))))
+        with pytest.raises(RuleError, match="^r: a left-hand width slot "
+                                            "must be a literal or a "
+                                            "parameter$"):
+            rewrites.Rule("r", PatOp("+", ("+", "?wo", 1), "?so",
+                                     add.operands), add)
+        with pytest.raises(RuleError,
+                           match="^r: width slot: unknown operator 'pow'$"):
+            rewrites.Rule("r", add, PatOp("+", ("pow", "?wo", 1), "?so",
+                                          add.operands))
+        deep = PatVar("?a")
+        for _ in range(rewrites._MAX_POSITIONS):
+            deep = PatOp("zext", "?w", "?s", (("?w", "?s", deep),))
+        rewrites.Rule("deep", deep, PatVar("?a"))
+        with pytest.raises(RuleError, match="^deep: more than 16 structured "
+                                            "positions on the lhs$"):
+            rewrites.Rule("deep", PatOp("zext", "?w", "?s",
+                                        (("?w", "?s", deep),)), PatVar("?a"))
+
+    def test_catalogue_programs_test_only_values(self):
+        for rule in parse_rules(CATALOGUE_TEXT):
+            rule.matches(EGraph())
+            rewrites._compile_applier(rule)
+            for name in (f"<rule {rule.id}>", f"<rule {rule.id} applier>"):
+                source = "".join(linecache.getlines(name))
+                assert source, name
+                for word in ("_compare", "bool(", "type(w)",
+                             "_unknown_operator"):
+                    assert word not in source, (name, word)
+
+
+# Rule texts over an lhs `+` with a variable or a constant as its second
+# operand, whose slot expressions and conditions are drawn for their types
+# from the parameters the lhs binds.  Most texts then get one fault that
+# mixes the kinds: the lhs binds a parameter in slots of two kinds, leaves
+# of another type turn up now and then, or the condition applies `&&`,
+# `||` or `!` to an int.
+@functools.cache
+def _leaves(t: str, ints: tuple, strs: tuple, mix: bool):
+    right = st.sampled_from(ints) | st.integers(0, 3) if t == "int" else \
+        st.sampled_from([*strs, ("sig", UNSIGNED), ("sig", SIGNED)])
+    if not mix:
+        return right
+    # the other type about once in twelve leaves
+    return st.sampled_from([False] * 11 + [True]).flatmap(
+        lambda wrong: st.sampled_from(strs if t == "int" else ints)
+        if wrong else right)
+
+
+@functools.cache
+def _typed(t: str, depth: int, ints: tuple, strs: tuple, mix: bool):
+    if t == "str" or (t == "int" and not depth):
+        return _leaves(t, ints, strs, mix)
+    sub_ints = _typed("int", depth - 1, ints, strs, mix)
+    if t == "int":
+        return st.one_of(
+            sub_ints, st.tuples(st.sampled_from(["+", "-"]), sub_ints,
+                                sub_ints),
+            st.tuples(st.just("*"), sub_ints, st.integers(0, 3)),
+            st.builds(lambda f, args: (f, *args),
+                      st.sampled_from(["min", "max"]),
+                      st.lists(sub_ints, min_size=1, max_size=2)),
+            st.tuples(st.sampled_from(["width", "log2"]), sub_ints))
+    sub_strs = _leaves("str", ints, strs, mix)
+    bools = st.one_of(
+        st.tuples(st.sampled_from(["<", "<=", ">", ">="]), sub_ints,
+                  sub_ints),
+        st.tuples(st.sampled_from(["==", "!="]), sub_ints, sub_ints),
+        st.tuples(st.sampled_from(["==", "!="]), sub_strs, sub_strs))
+    sub = _typed("bool", depth - 1, ints, strs, mix) if depth > 1 else bools
+    return st.one_of(bools, st.tuples(st.sampled_from(["&&", "||"]), sub, sub),
+                     st.tuples(st.just("!"), sub))
+
+
+def _slot(e) -> str:
+    text, level = _render(e)
+    return text if level == _ATOM else f"({text})"
+
+
+@st.composite
+def _rule_texts(draw) -> str:
+    const = draw(st.booleans())
+    fault = draw(st.sampled_from([None, "kinds", "leaves", "logic"]))
+    # the lhs slots that may bind a parameter of another kind
+    spots = {"wo": ("?wo", "?so", "?v"), "sb": ("?sb", "?wa"),
+             "vw": ("?vw", "?v", "?wa")}
+    if fault == "kinds":
+        spot = draw(st.sampled_from(["wo", "sb", "vw"] if const else
+                                    ["wo", "sb"]))
+        spots[spot] = (draw(st.sampled_from(spots[spot][1:])),)
+    wo, sb, vw = (spots[k][0] for k in ("wo", "sb", "vw"))
+    ints = tuple(sorted({wo, "?wa", "?wb", *(("?v", vw) if const else ())}))
+    strs = tuple(sorted({"?so", "?sa", sb, *(("?vs",) if const else ())}))
+    mix = fault == "leaves"
+    if fault == "logic":
+        a = _typed("int", 1, ints, strs, False)
+        b = _typed("bool", 1, ints, strs, False)
+        cond = draw(st.one_of(
+            st.tuples(st.sampled_from(["&&", "||"]), a, b),
+            st.tuples(st.sampled_from(["&&", "||"]), b, a),
+            st.tuples(st.just("!"), a)))
+    else:
+        cond = draw(st.none() | _typed("bool", 2, ints, strs, mix))
+    width = lambda: _slot(draw(_typed("int", 2, ints, strs, mix)))
+    sig = lambda: _slot(draw(_leaves("str", ints, strs, mix)))
+    operand = f"(const ?v {vw} ?vs)" if const else "?b"
+    lhs = f"(+ {wo} ?so ?wa ?sa ?a ?wb {sb} {operand})"
+    last = draw(st.sampled_from(
+        ["?a", f"(const {width()} {width()} {sig()})"]))
+    rhs = f"(+ {width()} {sig()} {width()} {sig()} ?a {width()} {sig()} {last})"
+    return (f"r : {lhs}\n  => {rhs}"
+            f"{'' if cond is None else ' if ' + _render(cond)[0]} ;")
+
+
+_PARAM_VALUES = {"width": st.integers(1, 8), "value": st.integers(-4, 20),
+                 "sig": st.sampled_from([UNSIGNED, SIGNED])}
+
+
+def _value_or_blocked(fn, *args):
+    try:
+        return fn(*args)
+    except BlockedMatch as e:
+        return f"BlockedMatch: {e}"
+
+
+class TestRuleTextProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_rule_texts(), data=st.data())
+    def test_rejected_when_read_or_runs_clean(self, text, data):
+        try:
+            (rule,) = parse_rules(text)
+        except RuleError as e:
+            assert e.line is not None and e.col is not None, text
+            return
+        try:
+            validate_rule(rule, maxw=2)
+        except RuleError:
+            pass
+        try:
+            saturate(init_pair(*load_pair("fig1")), [rule], {"iter": 1},
+                     stop_on_merge=False)
+        except (RuleError, AnalysisError):
+            pass
+        if rule.cond is True:
+            return
+        names = set()
+        rewrites.expr_params(rule.cond, names)
+        cond = rewrites._compile_matcher(rule)["cond"]
+        for _ in range(4):
+            env = {p: data.draw(_PARAM_VALUES[rule.kinds[p]])
+                   for p in sorted(names)}
+            got = _value_or_blocked(cond, *(env[p] for p in sorted(names)))
+            want = _value_or_blocked(eval_expr, rule.cond, env)
+            assert got == want and type(got) is type(want), (text, env)
 
 
 class TestValidateRule:
@@ -419,15 +632,15 @@ class TestBatchedAudit:
                 kinds.add("error" if "error" in v else "witness")
         assert kinds == {"error", "witness"}
 
-    def test_condition_error_raised_only_when_reached(self):
-        # a signage in arithmetic: TypeError once ?wo > 2 lets it run
-        rule = parse_rules(
-            "r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
-            " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
-            " if ?wo > 2 && ?so + 1 == 1 ;")[0]
-        assert validate_rule(rule, maxw=2) == []
-        with pytest.raises(TypeError):
-            validate_rule(rule, maxw=3)
+    def test_condition_type_error_rejected_when_read(self):
+        # a signage in arithmetic, which no audit width reaches before it
+        # is rejected
+        with pytest.raises(RuleError, match=re.escape(
+                "r: condition: + takes (int, int), not (str, int) "
+                "at line 2, column 1")):
+            parse_rules("\nr : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
+                        " => (+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
+                        " if ?wo > 2 && ?so + 1 == 1 ;")
 
     def test_negative_exponent_is_blocked(self):
         with pytest.raises(BlockedMatch):
@@ -436,9 +649,6 @@ class TestBatchedAudit:
         violations = validate_rule(rule, maxw=2)
         assert violations
         assert all(v["params"]["?v"] >= 0 for v in violations)
-        pat = PatConst(parse_expr("2^?v"), 4, ("sig", UNSIGNED))
-        with pytest.raises(BlockedMatch):
-            instantiate(EGraph(), pat, {"?v": -1})
 
 
 class TestMatching:
@@ -622,14 +832,24 @@ def _preorder(skel):
                          for n in _preorder(sub)))
 
 
-# Expressions covering every operator, typed and untyped comparisons, and
-# errors an expression raises: a signage in arithmetic, log2 of zero.
+# Well-typed expressions over parameters of EXPR_KINDS covering every
+# operator, and an expression that blocks: log2 of zero.
+EXPR_KINDS = {"?a": "width", "?b": "value", "?s": "sig"}
 EXPR_TEXTS = [
     "?a + ?b * 2 - 1", "?a == ?b", "?a < ?b || !(?a >= 2)",
-    "?a && ?b", "?a || ?b", "min(?a)", "max(?a, ?b, 3)",
-    "width(?a) + log2(?b)", "2^?a", "?a ^ ?b", "?s == unsigned",
-    "?s != ?a", "?s <= signed", "?s * 2", "?s + 1", "!?s",
-    "max(?s, signed)", "width(?s)", "log2(?a - ?a)"]
+    "min(?a)", "max(?a, ?b, 3)", "width(?a) + log2(?b)", "2^?a", "?a ^ ?b",
+    "?s == unsigned", "log2(?a - ?a)"]
+# Ill-typed ones, each with the error naming the operator that takes it.
+ILL_TYPED_EXPRS = {
+    "?a && ?b": "&& takes (bool, bool), not (int, int)",
+    "?a || ?b": "|| takes (bool, bool), not (int, int)",
+    "?s != ?a": "!= takes (str, str), not (str, int)",
+    "?s <= signed": "<= takes (int, int), not (str, str)",
+    "?s * 2": "* takes (int, int), not (str, int)",
+    "?s + 1": "+ takes (int, int), not (str, int)",
+    "!?s": "! takes (bool), not (str)",
+    "max(?s, signed)": "max takes (int, int), not (str, str)",
+    "width(?s)": "width takes (int), not (str)"}
 
 
 def _outcome(fn, *args):
@@ -734,28 +954,33 @@ class TestRulePrograms:
             assert len(matches) == 1, rid
             assert _compare_applications(g, matches) == [True], rid
 
-    def test_builder_checks_as_reference(self):
+    @pytest.mark.parametrize("value, width, message", [
+        ("1", "(?vw - ?vw)", "computed width 0 invalid"),
+        ("4", "2", "constant 4 not representable in (2 unsigned)"),
+        ("?v", "3", "constant -1 not representable in (3 unsigned)"),
+        ("log2(?v)", "4", "log2 of non-positive value"),
+        ("2^?v", "4", "negative exponent"),
+    ], ids=["width-0", "too-wide", "negative", "log2", "power"])
+    def test_blocked_application_as_reference(self, value, width, message):
+        # the one match binds ?v to -1, a 4-bit signed constant
+        a4 = Annotation(4, True)
         g = EGraph()
-        pat = PatConst(parse_expr("?v"), parse_expr("?w"), ("sig", UNSIGNED))
-        for env in ({"?v": 1}, {"?v": 1, "?w": 0}, {"?v": 4, "?w": 2},
-                    {"?v": 3, "?w": 2}, {"?v": -1, "?w": 3}):
-            got = _outcome(instantiate, g, pat, env)
-            assert got == _outcome(reference_instantiate, g, pat, env)
-            assert got in ("RuleError: unbound parameter ?w",
-                           "BlockedMatch: computed width 0 invalid",
-                           "BlockedMatch: constant 4 not representable in "
-                           "(2 unsigned)", (0, 0, Skeleton(0, ())),
-                           "BlockedMatch: constant -1 not representable in "
-                           "(3 unsigned)")
-        for text in ("log2(?v)", "2^?v"):
-            pat = PatConst(parse_expr(text), 4, ("sig", UNSIGNED))
-            got = _outcome(instantiate, g, pat, {"?v": -1})
-            assert got.startswith("BlockedMatch")
-            assert got == _outcome(reference_instantiate, g, pat, {"?v": -1})
+        g.add_term(op("*", a4, (a4, var("x", a4)), (a4, const(-1, a4))))
+        g.rebuild()
+        rule = parse_rules(
+            "blocked : (* ?wo ?so ?wa ?sa ?a ?wc ?sc (const ?v ?vw ?vs))"
+            f" => (* ?wo ?so ?wa ?sa ?a {width} unsigned"
+            f" (const {value} {width} unsigned)) ;")[0]
+        matches = _compare_matches(rule, g)
+        assert len(matches) == 1
+        env = matches[0][1][1]
+        assert env["?v"] == -1
+        assert (_outcome(reference_instantiate, copy.deepcopy(g), rule.rhs,
+                         env) == f"BlockedMatch: {message}")
+        assert _compare_applications(g, matches) == [False]
 
     @pytest.mark.parametrize("text", EXPR_TEXTS)
-    @pytest.mark.parametrize("kinds", [
-        {}, {"?a": "int", "?b": "int", "?s": "str"}], ids=["untyped", "typed"])
+    @pytest.mark.parametrize("kinds", [EXPR_KINDS], ids=["typed"])
     def test_compiled_expressions_as_eval_expr(self, text, kinds):
         e = parse_expr(text)
         src, _ = rewrites._expr_code(e, lambda p: f"env[{p!r}]", kinds)
@@ -766,6 +991,14 @@ class TestRulePrograms:
                     {"?a": -2, "?b": 5, "?s": UNSIGNED}):
             got, want = _outcome(ns["f"], env), _outcome(eval_expr, e, env)
             assert got == want and type(got) is type(want), (text, env)
+
+    @pytest.mark.parametrize("text", ILL_TYPED_EXPRS)
+    def test_ill_typed_condition_rejected_when_read(self, text):
+        message = ILL_TYPED_EXPRS[text]
+        with pytest.raises(RuleError, match=re.escape(
+                f"r: condition: {message} at line 1, column 1")):
+            parse_rules("r : (+ ?a ?s ?b ?s ?x ?a ?s (const ?v ?b ?s))"
+                        f" => ?x if {text} ;")
 
     def test_each_rule_compiles_its_own_program_once(self, monkeypatch):
         compiled = []
@@ -854,15 +1087,13 @@ class TestRulePrograms:
 
 def reference_table(e, domains, convert, fill):
     """An audit table built with the scalar `eval_expr`, one entry at a
-    time: (value, blocked, errors), `value` int64 until an entry
-    overflows it."""
+    time: (value, blocked), `value` int64 until an entry overflows it."""
     names = set()
     rewrites.expr_params(e, names)
-    params = sorted(names & domains.keys())
+    params = sorted(names)
     value = np.full(math.prod(len(domains[p]) for p in params), fill,
                     dtype=np.int64)
     blocked = np.zeros(len(value), dtype=bool)
-    errors = {}
     for i, combo in enumerate(
             itertools.product(*(domains[p] for p in params))):
         try:
@@ -870,34 +1101,30 @@ def reference_table(e, domains, convert, fill):
         except BlockedMatch:
             blocked[i] = True
             continue
-        except (RuleError, TypeError, ValueError) as exc:
-            errors[i] = exc
-            blocked[i] = True
-            continue
         try:
             value[i] = v
         except OverflowError:
             value = value.astype(object)
             value[i] = v
-    return value, blocked, errors
+    return value, blocked
 
 
 def _assert_table_as_reference(table, e, domains, convert, fill):
-    value, blocked, errors = reference_table(e, domains, convert, fill)
+    value, blocked = reference_table(e, domains, convert, fill)
     assert table.value.dtype == value.dtype
     assert table.value.tolist() == value.tolist()
     assert table.blocked.tolist() == blocked.tolist()
-    assert ({i: (type(x), str(x)) for i, x in table.errors.items()}
-            == {i: (type(x), str(x)) for i, x in errors.items()})
 
 
 _PATTERN_RULES = [r for r in baseline_rules() if not hasattr(r, "validate")]
 _FILLS = {_width: 1}
+# The conversions the audit applies to an expression of each type.
+_CONVERTS = {"int": [_width, int], "bool": [bool], "str": [_is_signed]}
 
 
 class TestAuditTables:
     """The audit's compiled tables hold what `eval_expr` gives entry by
-    entry: values, dtype, blocked entries and kept errors."""
+    entry: values, dtype and blocked entries."""
 
     @pytest.mark.parametrize("maxw", [2, 3])
     @pytest.mark.parametrize(
@@ -918,30 +1145,34 @@ class TestAuditTables:
                                        _FILLS.get(convert, 0))
 
     @settings(max_examples=200, deadline=None)
-    @given(text=st.sampled_from(EXPR_TEXTS),
-           convert=st.sampled_from([_width, _is_signed, int, bool]),
-           domains=st.fixed_dictionaries({}, optional={
-               p: st.one_of(
-                   st.just((UNSIGNED, SIGNED)),
-                   st.builds(lambda lo, n: range(lo, lo + n),
-                             st.integers(-3, 3), st.integers(0, 4)))
-               for p in ("?a", "?b", "?s")}))
-    def test_random_expressions(self, text, convert, domains):
-        # a parameter left out of the domains is unbound
-        e, fill = parse_expr(text), _FILLS.get(convert, 0)
-        _assert_table_as_reference(_Table(e, domains, convert, fill), e,
-                                   domains, convert, fill)
+    @given(text=st.sampled_from(EXPR_TEXTS + ["?s"]), data=st.data())
+    def test_random_expressions(self, text, data):
+        # a domain of its kind for every parameter the expression reads
+        e = parse_expr(text)
+        _, kind = rewrites._expr_code(e, str, EXPR_KINDS)
+        convert = data.draw(st.sampled_from(_CONVERTS[kind]))
+        names = set()
+        rewrites.expr_params(e, names)
+        domains = {p: data.draw(
+            st.just((UNSIGNED, SIGNED)) if EXPR_KINDS[p] == "sig" else
+            st.builds(lambda lo, n: range(lo, lo + n),
+                      st.integers(-3, 3), st.integers(0, 4)))
+            for p in sorted(names)}
+        fill = _FILLS.get(convert, 0)
+        _assert_table_as_reference(_Table(e, domains, EXPR_KINDS, convert,
+                                          fill), e, domains, convert, fill)
 
     def test_values_past_int64_are_exact(self):
         e, domains = parse_expr("2^(?w*30)"), {"?w": range(1, 4)}
-        table = _Table(e, domains, int, 0)
+        table = _Table(e, domains, {"?w": "width"}, int, 0)
         _assert_table_as_reference(table, e, domains, int, 0)
         assert table.value.dtype == object
         assert table.value.tolist() == [2 ** 30, 2 ** 60, 2 ** 90]
 
-    def test_unbound_parameter_raised_when_reached(self):
-        e, domains = parse_expr("?a > 1 && ?x == 2"), {"?a": range(3)}
-        table = _Table(e, domains, bool, 0)
-        _assert_table_as_reference(table, e, domains, bool, 0)
-        assert table.blocked.tolist() == [False, False, True]
-        assert str(table.errors[2]) == "unbound parameter ?x"
+    def test_value_and_width_parameter_rejected(self):
+        # as both, ?u would be a grid width and a value column of the audit
+        with pytest.raises(RuleError, match=re.escape(
+                "r: ?u is bound as a constant value and as a width "
+                "at line 1, column 1")):
+            parse_rules("r : (+ ?wo ?so ?wa ?sa (const ?u ?uw ?us)"
+                        " ?u ?sb ?b) => ?b ;")
