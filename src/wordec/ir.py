@@ -290,13 +290,15 @@ def evaluate(t: Term, env: Mapping[str, int]) -> int:
 class Step(NamedTuple):
     """A distinct subterm: its node, its operands' steps, whether each slot
     coercion (`same`) and the output truncation (`fits`) is the identity,
-    and the node's value range."""
+    the node's value range, and the bits (+1 for the sign) an exact
+    intermediate of this step or of any step below it can need."""
 
     node: Term  # or a RowTerm
     args: tuple[int, ...]
     same: tuple[bool, ...]
     fits: bool = False
     range: tuple[int, int] | None = None
+    bits: int = 0
 
 
 class Program(NamedTuple):
@@ -318,7 +320,6 @@ def program(roots: Sequence[Term | RowTerm]) -> Program:
     range (`op_value_range`, `fit`) tells which coercions are identities."""
     steps: list[Step] = []
     index: dict = {}  # id of a walked node, or a Term step's key -> step
-    bound = 0  # bits an exact intermediate can need, +1 for the sign
     walks = [[(t, False)] for t in roots]
     while walks:
         todo = walks.pop(0)
@@ -341,28 +342,36 @@ def program(roots: Sequence[Term | RowTerm]) -> Program:
             index[id(t)] = index[key]
             continue
         index[id(t)] = index[key] = len(steps)
+        below = max([steps[j].bits for j in args], default=0)
         if not term:
             steps.append(Step(t, args, tuple(
-                s is steps[j].node.out for s, j in zip(slots, args))))
+                s is steps[j].node.out for s, j in zip(slots, args)),
+                bits=below))
             continue
-        bound = max(bound, t.out.width + 1, *(s.width + 1 for s in slots))
+        bits = max(below, t.out.width + 1, *(s.width + 1 for s in slots))
         fitted = [fit(*steps[j].range, s) for s, j in zip(slots, args)]
         if t.kind in ARITY:
             r = op_value_range(t.kind, slots, fitted, t.indices, t.out.width)
             lo, hi = op_value_range(t.kind, slots,
                                     [(s.lo, s.hi) for s in slots],
                                     t.indices, t.out.width)
-            bound = max(bound, max(abs(lo), abs(hi)).bit_length() + 1)
+            bits = max(bits, max(abs(lo), abs(hi)).bit_length() + 1)
         else:
             r = (t.out.lo, t.out.hi) if t.kind == "var" else (t.value,) * 2
         same = tuple(f == steps[j].range for f, j in zip(fitted, args))
-        steps.append(Step(t, args, same, fit(*r, t.out) == r, fit(*r, t.out)))
+        steps.append(Step(t, args, same, fit(*r, t.out) == r, fit(*r, t.out),
+                          bits))
     top = [index[id(t)] for t in roots]
     drops: list[list[int]] = [[] for _ in steps]
     for j, i in {j: i for i, s in enumerate(steps) for j in s.args}.items():
         if j not in top:
             drops[i].append(j)
-    return Program(steps, top, drops, bound <= 62)
+    return Program(steps, top, drops, _narrow(steps, top))
+
+
+def _narrow(steps: list[Step], roots: Sequence[int]) -> bool:
+    """Whether every exact intermediate of `roots` fits in 62 bits."""
+    return max([steps[r].bits for r in roots], default=0) <= 62
 
 
 def vectorizable(t: Term) -> bool:
@@ -469,12 +478,17 @@ def evaluate_many(t: Term | Program, env: Mapping[str, np.ndarray]):
     return vals if p is t else vals[0]
 
 
-# Rows per batch in first_mismatch, by lane type.  Samples are drawn per
+# Rows per batch in pair_mismatches, by lane type.  Samples are drawn per
 # batch, so the int64 cap also fixes which inputs a seed draws on int64
 # lanes.  Object lanes hold one boxed int per value: a smaller cap bounds
-# peak memory.
+# peak memory.  A batch is evaluated SLICE_ROWS rows at a time, which bounds
+# the arrays that a program of many designs holds at once: on `check` of
+# fir8 and vbsme8 (2-vCPU x86_64 VM), slices of 4096, 8192 and 65536 rows
+# took about 0.20, 0.20 and 0.28 s a pass, at 55.1, 55.6 and 61.3 MB peak
+# RSS over four passes.
 INT64_ROWS = 1 << 16
 OBJECT_ROWS = 1 << 12
+SLICE_ROWS = 1 << 12
 
 
 def _draw(rng: np.random.Generator, a: Annotation, n: int) -> np.ndarray:
@@ -487,24 +501,60 @@ def _draw(rng: np.random.Generator, a: Annotation, n: int) -> np.ndarray:
     return _interpret(_bits(pattern, a), a)
 
 
-def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
+Mismatch = tuple[dict[str, int], int, int]
+
+
+def first_mismatch(a: Term | Program, b: Term | None,
+                   inputs: Sequence[tuple[str, Annotation]],
                    samples: int | None = None, seed: int = 0
-                   ) -> tuple[dict[str, int], int, int] | None:
+                   ) -> Mismatch | None:
     """First input assignment on which `a` and `b` differ, with both values,
-    or None.  With `samples` None the joint input space is enumerated in
+    or None; `a` may instead be a compiled `Program` of the two, with `b`
+    None.  With `samples` None the joint input space is enumerated in
     lexicographic order (inputs in the given order, each low to high), so
     the result is the lexicographically first counterexample; otherwise
     `samples` seeded uniform draws are checked.  Each input ranges over the
     annotation given here, whose values its variable must represent: a
     narrower one than the variable's own searches a subset of its values."""
+    pairs = a if isinstance(a, Program) else [(a, b)]
+    return pair_mismatches(pairs, inputs, samples, seed)[0]
+
+
+def pair_mismatches(pairs: Sequence[tuple[Term, Term]] | Program,
+                    inputs: Sequence[tuple[str, Annotation]],
+                    samples: int | None = None, seed: int = 0
+                    ) -> list[Mismatch | None]:
+    """`first_mismatch` of each of `pairs` over the same `inputs`, in one
+    pass: one program of all their terms (or `pairs` itself, a compiled
+    `Program` whose roots are the pairs' terms in order), each batch of
+    inputs enumerated or drawn once, until every pair has a mismatch or the
+    space is used up.  Each pair meets the rows that it meets alone: pairs
+    whose own program would run on the other lane type, and so draw
+    batches of another size, are checked in a pass of their own."""
+    p = pairs if isinstance(pairs, Program) else program(
+        [t for pair in pairs for t in pair])
+    found: list[Mismatch | None] = [None] * (len(p.roots) // 2)
+    if not found:
+        return found
+    lanes = [_narrow(p.steps, p.roots[2 * k:2 * k + 2])
+             for k in range(len(found))]
+    if len(set(lanes)) > 1:
+        for lane in (True, False):
+            at = [k for k, x in enumerate(lanes) if x is lane]
+            sub = [(p.steps[p.roots[2 * k]].node,
+                    p.steps[p.roots[2 * k + 1]].node) for k in at]
+            for k, cex in zip(at, pair_mismatches(sub, inputs, samples,
+                                                  seed)):
+                found[k] = cex
+        return found
     names = [n for n, _ in inputs]
     anns = [x for _, x in inputs]
     sizes = [x.hi - x.lo + 1 for x in anns]
     total = math.prod(sizes) if samples is None else samples  # no inputs: 1
-    p = program([a, b])
     rows = (INT64_ROWS if total > OBJECT_ROWS and p.vectorizable
             else OBJECT_ROWS)
     rng = np.random.default_rng(seed) if samples is not None else None
+    pending = list(range(len(found)))
     for start in range(0, total, rows):
         n = min(rows, total - start)
         if samples is None:
@@ -515,13 +565,20 @@ def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
             env = dict(zip(names, idx))
         else:
             env = {nm: _draw(rng, x, n) for nm, x in zip(names, anns)}
-        va, vb = evaluate_many(p, env)
-        bad = np.flatnonzero(va != vb)
-        if bad.size:
-            i = int(bad[0])
-            return ({nm: int(env[nm][i]) for nm in names},
-                    int(va[i]), int(vb[i]))
-    return None
+        for lo in range(0, n, SLICE_ROWS):
+            vals = evaluate_many(p, {nm: v[lo:lo + SLICE_ROWS]
+                                     for nm, v in env.items()})
+            for k in pending:
+                va, vb = vals[2 * k], vals[2 * k + 1]
+                bad = np.flatnonzero(va != vb)
+                if bad.size:
+                    i = int(bad[0])
+                    found[k] = ({nm: int(env[nm][lo + i]) for nm in names},
+                                int(va[i]), int(vb[i]))
+            pending = [k for k in pending if found[k] is None]
+            if not pending:
+                return found
+    return found
 
 
 # A batch may mix instances of one term pair whose annotations differ: a

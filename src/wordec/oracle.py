@@ -1,11 +1,15 @@
 """Simulation-based equivalence oracle and waterfall runner.
 
-check_equiv decides two designs with matching ports by a chain of tiers,
-`_TIERS`: exhaustive, grid, random (sampling) and external.  Each tier
-returns a Verdict or raises Refusal with its reason (external never does);
-the first Verdict wins, and the refusals before it are its `declined`.
-run_waterfall discharges every obligation of a waterfall — in memory or from
-an emitted directory — and folds the verdicts into a single report.
+The oracle decides pairs of designs with matching ports by a chain of
+tiers, `_TIERS`: exhaustive, grid, random (sampling) and external.  Each
+tier takes every pair still undecided and returns, for each, a Verdict or a
+Refusal with its reason (external never refuses); the first Verdict wins,
+and the refusals before it are its `declined`.  The exhaustive and random
+tiers check every pair on one input list in one pass, over one program of
+all their designs.  run_waterfall discharges every obligation of a
+waterfall — in memory or from an emitted directory — in one run of the
+chain and folds the verdicts into a single report; check_equiv is the
+chain on one pair.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 
 from .frontend import Design, emit_sv, parse_sexpr
 from .ir import (SHIFT_OPS, Annotation, Program, Step, first_mismatch,
-                 program)
+                 pair_mismatches, program)
 
 
 class OracleError(Exception):
@@ -94,45 +98,98 @@ def check_equiv(d1: Design, d2: Design,
                 cfg: OracleConfig | None = None) -> Verdict:
     """Decide d1 ≅ d2 by the first of `_TIERS` that does not refuse; the
     verdict records the chain's time, the input width and each refusal."""
-    cfg = cfg or OracleConfig()
     _check_ports(d1, d2)
-    t0 = time.perf_counter()
-    declined = []
+    return _decide([(d1, d2)], cfg or OracleConfig())[0]
+
+
+def _decide(pairs: list[tuple[Design, Design]],
+            cfg: OracleConfig) -> list[Verdict]:
+    """Run `_TIERS` in order, each on the pairs still undecided.  A tier's
+    time is split evenly over the pairs it took, so each verdict's
+    `elapsed` is its share and they add up to the chain's time."""
+    verdicts: list = [None] * len(pairs)
+    declined: list[list] = [[] for _ in pairs]
+    elapsed = [0.0] * len(pairs)
+    pending = list(range(len(pairs)))
     for name, tier in _TIERS:
-        try:
-            v = tier(d1, d2, cfg)
+        if not pending:
             break
-        except Refusal as e:
-            declined.append((name, str(e)))
-    v.elapsed = time.perf_counter() - t0
-    v.input_bits = sum(a.width for _, a in d1.inputs)
-    v.declined = tuple(declined)
-    return v
+        t0 = time.perf_counter()
+        out = tier([pairs[i] for i in pending], cfg)
+        share = (time.perf_counter() - t0) / len(pending)
+        for i, v in zip(pending, out):
+            elapsed[i] += share
+            if isinstance(v, Refusal):
+                declined[i].append((name, str(v)))
+            else:
+                verdicts[i] = v
+        pending = [i for i in pending if verdicts[i] is None]
+    for v, (d1, _), e, why in zip(verdicts, pairs, elapsed, declined):
+        v.elapsed = e
+        v.input_bits = sum(a.width for _, a in d1.inputs)
+        v.declined = tuple(why)
+    return verdicts
 
 
-def _exhaustive(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
-    """Identical bodies, or every input enumerated low to high in port
-    order, so a failure has the lexicographically first counterexample."""
-    if d1.body != d2.body:
-        bits = sum(a.width for _, a in d1.inputs)
-        if bits > cfg.max_exhaustive_bits:
-            raise Refusal(f"{bits} input bits > {cfg.max_exhaustive_bits}")
-        cex = first_mismatch(d1.body, d2.body, d1.inputs)
-        if cex is not None:
-            return Verdict("fail", "exhaustive", cex[0])
-    return Verdict("pass", "exhaustive")
+def _each(tier):
+    """A batch tier of a tier that decides one pair or raises Refusal."""
+    def batch(pairs, cfg: OracleConfig) -> list:
+        out: list = []
+        for d1, d2 in pairs:
+            try:
+                out.append(tier(d1, d2, cfg))
+            except Refusal as e:
+                out.append(e)
+        return out
+    return batch
 
 
-def _random(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
+def _programs(pairs):
+    """Each group of pairs that share an input list: the list, the pairs'
+    indices, and one program of all their designs, whose roots are the
+    pairs' bodies in order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (d1, _) in enumerate(pairs):
+        groups.setdefault(d1.inputs, []).append(i)
+    for inputs, at in groups.items():
+        yield inputs, at, program([d.body for i in at for d in pairs[i]])
+
+
+def _exhaustive(pairs, cfg: OracleConfig) -> list:
+    """Identical bodies, by their one root step in the shared program, or
+    every input enumerated low to high in port order, so a failure has the
+    lexicographically first counterexample."""
+    out: list = [None] * len(pairs)
+    for inputs, at, p in _programs(pairs):
+        bits = sum(a.width for _, a in inputs)
+        fits = bits <= cfg.max_exhaustive_bits
+        found = pair_mismatches(p, inputs) if fits else [None] * len(at)
+        for k, (i, cex) in enumerate(zip(at, found)):
+            if cex is not None:
+                out[i] = Verdict("fail", "exhaustive", cex[0])
+            elif fits or p.roots[2 * k] == p.roots[2 * k + 1]:
+                out[i] = Verdict("pass", "exhaustive")
+            else:
+                out[i] = Refusal(f"{bits} input bits > "
+                                 f"{cfg.max_exhaustive_bits}")
+    return out
+
+
+def _random(pairs, cfg: OracleConfig) -> list:
     """Seeded sampling: a clean sample is unproven, or left to a checker."""
     method = f"random({cfg.samples})"
-    cex = first_mismatch(d1.body, d2.body, d1.inputs, cfg.samples, cfg.seed)
-    if cex is not None:
-        return Verdict("fail", method, cex[0])
-    if cfg.external_cmd:
-        raise Refusal("no counterexample found by sampling")
-    return Verdict("unproven", method,
-                   note="no counterexample found by sampling")
+    out: list = [None] * len(pairs)
+    for inputs, at, p in _programs(pairs):
+        found = pair_mismatches(p, inputs, cfg.samples, cfg.seed)
+        for i, cex in zip(at, found):
+            if cex is not None:
+                out[i] = Verdict("fail", method, cex[0])
+            elif cfg.external_cmd:
+                out[i] = Refusal("no counterexample found by sampling")
+            else:
+                out[i] = Verdict("unproven", method,
+                                 note="no counterexample found by sampling")
+    return out
 
 
 def _external(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
@@ -259,15 +316,15 @@ def grid_method(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
     if sum(a.width for _, a in space) > cfg.max_exhaustive_bits:
         raise Refusal("grid too wide")
     method = f"grid(d={max(degree.values(), default=0)},split={split_bits})"
-    cex = first_mismatch(d1.body, d2.body, space)
+    cex = first_mismatch(p, None, space)
     if cex is None:
         return Verdict("pass", method)
     return Verdict("fail", method,
                    {x: cex[0].get(x, 0) for x, _ in d1.inputs})
 
 
-_TIERS = (("exhaustive", _exhaustive), ("grid", grid_method),
-          ("random", _random), ("external", _external))
+_TIERS = (("exhaustive", _exhaustive), ("grid", _each(grid_method)),
+          ("random", _random), ("external", _each(_external)))
 
 
 def _fold(statuses: list[str]) -> str:
@@ -278,23 +335,32 @@ def _fold(statuses: list[str]) -> str:
 
 
 def _run(obs: list[dict], load, cfg: OracleConfig | None) -> WaterfallReport:
-    """Check each non-final obligation; the Assume-Guarantee verdict folds
-    the verdicts before it.  `load(stem)` returns the design of that file
-    stem or raises OracleError for a missing or broken artifact."""
+    """Check every non-final obligation in one run of the tier chain; the
+    Assume-Guarantee verdict folds the verdicts before it.  `load(stem)`
+    returns the design of that file stem or raises OracleError for a
+    missing or broken artifact."""
+    verdicts: dict[int, Verdict] = {}
+    pairs, at = [], []
+    for k, ob in enumerate(obs):
+        if ob["kind"] != "assume-guarantee":
+            try:
+                d1, d2 = load(ob["left"]), load(ob["right"])
+                _check_ports(d1, d2)
+            except OracleError as e:
+                verdicts[k] = Verdict("unproven", "none", note=str(e))
+                continue
+            pairs.append((d1, d2))
+            at.append(k)
+    verdicts.update(zip(at, _decide(pairs, cfg or OracleConfig())))
     rep = WaterfallReport()
-    for ob in obs:
+    for k, ob in enumerate(obs):
         if ob["kind"] == "assume-guarantee":
             status = rep.assume_guarantee = _fold(
                 [v.status for _, v in rep.verdicts])
-            v = Verdict(status, "assume-guarantee",
-                        note=None if status == "pass"
-                        else "not all premises discharged")
-        else:
-            try:
-                v = check_equiv(load(ob["left"]), load(ob["right"]), cfg)
-            except OracleError as e:
-                v = Verdict("unproven", "none", note=str(e))
-        rep.verdicts.append((ob, v))
+            verdicts[k] = Verdict(status, "assume-guarantee",
+                                  note=None if status == "pass"
+                                  else "not all premises discharged")
+        rep.verdicts.append((ob, verdicts[k]))
     rep.overall = _fold([v.status for _, v in rep.verdicts])
     return rep
 

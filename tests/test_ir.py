@@ -16,7 +16,7 @@ from wordec.ir import (ARITY, ROW_INT64_WIDTH, SHIFT_OPS, Annotation, IrError,
                        RowAnnotation, RowTerm, Term, UnboundVariableError,
                        coerce, const, evaluate, evaluate_many,
                        first_mismatch, first_mismatches, fit, min_width, op,
-                       op_value_range, var, vectorizable)
+                       op_value_range, pair_mismatches, var, vectorizable)
 
 
 def ann(w, s=False):
@@ -676,6 +676,65 @@ class TestProgram:
                         RowTerm("*", a, ((a, s2), (a, s1)))])
         assert len(p.steps) == 5
         assert all(s.same == (True,) * len(s.args) for s in p.steps)
+
+
+class TestPairMismatches:
+    """`pair_mismatches` checks many pairs in one pass and finds, for each,
+    what `first_mismatch` finds on that pair alone."""
+
+    def _pairs(self):
+        """Over two 8-bit inputs: a pair that differs on the first row, one
+        that never differs, and one that differs only on the last."""
+        u1, u8, u9 = ann(1), ann(8), ann(9)
+        x, y = var("x", u8), var("y", u8)
+        top = const(255, u8)
+        last = op("&", u1, (u1, op("==", u1, (u8, x), (u8, top))),
+                  (u1, op("==", u1, (u8, y), (u8, top))))
+        return [(op("+", u9, (u8, x), (u1, const(1, u1))),
+                 op("+", u9, (u8, x), (u1, const(0, u1)))),
+                (op("+", u9, (u8, x), (u8, y)), op("+", u9, (u8, y), (u8, x))),
+                (last, const(0, u1))], [("x", u8), ("y", u8)]
+
+    def test_mismatch_in_first_slice_while_others_run_to_end(self,
+                                                             monkeypatch):
+        pairs, inputs = self._pairs()
+        calls = []
+
+        def counted(p, env):
+            calls.append(len(env["x"]))
+            return evaluate_many(p, env)
+
+        monkeypatch.setattr(ir, "evaluate_many", counted)
+        got = pair_mismatches(pairs, inputs)
+        assert got == [({"x": 0, "y": 0}, 1, 0), None,
+                       ({"x": 255, "y": 255}, 1, 0)]
+        # one batch of 2^16 rows, evaluated a slice at a time to its end
+        assert calls == [ir.SLICE_ROWS] * ((1 << 16) // ir.SLICE_ROWS)
+        assert got == [first_mismatch(a, b, inputs) for a, b in pairs]
+        p = ir.program([t for pair in pairs for t in pair])
+        assert pair_mismatches(p, inputs) == got
+        assert pair_mismatches([], inputs) == []
+        for samples, seed in ((100_000, 0), (300, 9)):
+            assert pair_mismatches(pairs, inputs, samples, seed) == [
+                first_mismatch(a, b, inputs, samples, seed) for a, b in pairs]
+
+    def test_each_lane_type_meets_its_own_rows(self):
+        """A pair on object lanes draws batches of OBJECT_ROWS, a pair on
+        int64 lanes of INT64_ROWS, so the same seed gives them different
+        inputs; checked together, each still meets its own."""
+        u16, u17 = ann(16), ann(17)
+        x, y = var("x", u16), var("y", u16)
+        add = op("+", u17, (u16, x), (u16, y))
+        wide = op("+", u17, (ann(70, True), add), (ann(1), const(0, ann(1))))
+        orr = op("|", u17, (u16, x), (u16, y))
+        inputs = [("x", u16), ("y", u16)]
+        pairs = [(add, orr), (wide, orr), (add, orr)]
+        assert [ir.program(pair).vectorizable for pair in pairs] \
+            == [True, False, True]
+        got = pair_mismatches(pairs, inputs, 100_000, 7)
+        assert got == [first_mismatch(a, b, inputs, 100_000, 7)
+                       for a, b in pairs]
+        assert got[0] == got[2] != got[1]
 
 
 class TestDeepAndSharedTerms:

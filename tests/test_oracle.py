@@ -12,15 +12,18 @@ from wordec.egraph import init_pair, saturate
 from wordec.extract import extract_greedy, extract_ilp
 from wordec.fixtures import load_pair, names
 from wordec.frontend import Design, parse_sexpr
-from wordec.ir import (ARITY, Annotation, const, evaluate, evaluate_many,
-                       first_mismatch, op, program, var)
+from wordec import ir
+from wordec.frontend import parse_sv
+from wordec.ir import (ARITY, Annotation, Term, const, evaluate,
+                       evaluate_many, first_mismatch, op, program, var)
 from wordec.oracle import (OracleConfig, OracleError, Refusal, _degrees,
                            _split_inputs, check_equiv, grid_method,
                            run_waterfall, run_waterfall_dir)
 from wordec.proof import build_waterfall, write_waterfall
 from wordec.rewrites import baseline_rules
 
-from test_ir import exact_width
+from test_ir import (_PAIR_INPUTS, _reference_first_mismatch, _shared_pairs,
+                     exact_width)
 
 
 def _design(name, body, inputs):
@@ -478,6 +481,124 @@ class TestGridTier:
         v = grid_method(_design("d1", body1, ins), _design("d2", body2, ins),
                         OracleConfig(max_exhaustive_bits=8))
         assert (v.method, v.counterexample) == ("grid(d=3,split=0)", None)
+
+
+_WIDTHS = (1, 2, 3, 4, 5, 8, 13)
+_WIDE_SLOT = Annotation(70, True)  # past int64 lanes
+_ZERO = const(0, Annotation(1))
+
+
+@st.composite
+def _chains(draw):
+    """A chain of designs over _PAIR_INPUTS, each the one before with one
+    subterm rewritten: commuted, sent through a 70-bit slot (which puts
+    the design on object lanes and changes no value), copied as a new
+    object, re-annotated or replaced (either may change the value)."""
+    t = draw(_shared_pairs(_WIDTHS))[0]
+    terms = [t]
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.sampled_from(list(_positions(t))))
+        sub = t.at(at)
+        how = draw(st.sampled_from(
+            ("commute", "widen", "copy", "annotate", "replace")))
+        if how == "commute" and sub.kind in ("+", "*", "&", "|", "^", "=="):
+            sub = op(sub.kind, sub.out, *reversed(sub.operands))
+        elif how == "widen":
+            sub = op("+", sub.out, (_WIDE_SLOT, sub), (_ZERO.out, _ZERO))
+        elif how == "copy":
+            sub = Term(sub.kind, sub.out, sub.name, sub.value, sub.operands,
+                       sub.indices)
+        elif how == "annotate" and sub.kind not in ("var", "const"):
+            sub = op(sub.kind, _any_ann(draw, 13), *sub.operands,
+                     indices=sub.indices)
+        elif how == "replace":
+            sub = draw(_shared_pairs(_WIDTHS))[0]
+        t = t.replace(at, sub)
+        terms.append(t)
+    out = Annotation(12, True)
+    return [_design(f"d{i}", op("+", out, (t.out, t), (_ZERO.out, _ZERO)),
+                    _PAIR_INPUTS) for i, t in enumerate(terms)]
+
+
+def _fields(v):
+    return (v.status, v.method, v.counterexample, v.note, v.declined,
+            v.input_bits)
+
+
+class TestSharedPass:
+    """`run_waterfall` runs the tier chain over all of a waterfall's
+    obligations at once; each verdict is the one `check_equiv` gives on
+    that pair alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain=_chains(), bits=st.sampled_from((4, 20)),
+           samples=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_verdict_as_alone(self, chain, bits, samples, seed):
+        """Over 9 input bits, 4 exhaustive bits leave most pairs to the
+        grid and to sampling.  Batches and slices of a few rows make a
+        space span several, and the two lane types draw batches of
+        different sizes."""
+        cfg = OracleConfig(max_exhaustive_bits=bits, samples=samples,
+                           seed=seed)
+        steps = [{"kind": "step", "rule": "r", "left": f"d{i}",
+                  "right": f"d{i + 1}"} for i in range(len(chain) - 1)]
+        w = SimpleNamespace(
+            designs={d.name: d for d in chain},
+            obligations=lambda: steps + [{
+                "kind": "assume-guarantee", "rule": None, "left": "d0",
+                "right": chain[-1].name}])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ir, "INT64_ROWS", 96)
+            mp.setattr(ir, "OBJECT_ROWS", 40)
+            mp.setattr(ir, "SLICE_ROWS", 32)
+            rep = run_waterfall(w, cfg)
+            for (ob, v), d1, d2 in zip(rep.verdicts, chain, chain[1:]):
+                alone = check_equiv(d1, d2, cfg)
+                assert _fields(v) == _fields(alone), ob
+                if v.method == "exhaustive":
+                    want = _reference_first_mismatch(d1.body, d2.body,
+                                                     _PAIR_INPUTS)
+                elif v.method.startswith("random"):
+                    want = _reference_first_mismatch(
+                        d1.body, d2.body, _PAIR_INPUTS, samples, seed)
+                else:
+                    continue
+                assert v.counterexample == (want and want[0])
+        assert rep.verdicts[-1][1].status == rep.assume_guarantee
+        assert sum(v.elapsed for _, v in rep.verdicts) > 0
+
+    def test_time_is_split_over_the_pairs(self):
+        """Each tier's time is split evenly over the pairs it took: the
+        three sampled pairs share one pass, so they read the same."""
+        d1, d2 = _wide_and_pair()
+        w = SimpleNamespace(
+            designs={"a": d1, "b": d2},
+            obligations=lambda: [{"kind": "step", "rule": "r", "left": "a",
+                                  "right": "b"}] * 3)
+        rep = run_waterfall(w, OracleConfig(max_exhaustive_bits=8,
+                                            samples=20_000))
+        elapsed = [v.elapsed for _, v in rep.verdicts]
+        assert elapsed[0] > 0 and len(set(elapsed)) == 1
+        assert [v.method for _, v in rep.verdicts] == ["random(20000)"] * 3
+
+    def test_copies_of_a_doubling_chain_pass_at_once(self):
+        """Two separately read copies of a 40-wire chain w_i = w_{i-1} +
+        w_{i-1}, a tree of 2^40 leaves, are one term: `exhaustive` sees
+        their one root step without enumerating the input or comparing
+        the trees."""
+        wires = [f"w{i}" for i in range(1, 41)]
+        text = "\n".join([
+            "module chain(x, o);", "  input [7:0] x;", "  output [7:0] o;",
+            f"  wire [7:0] {', '.join(wires)};",
+            *(f"  assign {w} = {v} + {v};"
+              for w, v in zip(wires, ["x"] + wires)),
+            "  assign o = w40;", "endmodule"])
+        t0 = time.perf_counter()
+        d1, d2 = parse_sv(text), parse_sv(text)
+        assert d1.body is not d2.body
+        v = check_equiv(d1, d2, OracleConfig(max_exhaustive_bits=0))
+        assert (v.status, v.method, v.declined) == ("pass", "exhaustive", ())
+        assert time.perf_counter() - t0 < 1.0
 
 
 def _build(name, rules=None):
