@@ -194,6 +194,19 @@ class Term:
         else:
             raise IrError(f"unknown opcode: {self.kind}")
 
+    def __hash__(self) -> int:
+        # stored on first use: over shared wires the tree is exponential
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.kind, self.out, self.name, self.value,
+                      self.operands, self.indices))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):  # not the stored hash: a str's varies by process
+        return Term, (self.kind, self.out, self.name, self.value,
+                      self.operands, self.indices)
+
     def at(self, position: tuple[int, ...]) -> "Term":
         t = self
         for i in position:
@@ -361,10 +374,30 @@ def program(roots: Sequence[Term | RowTerm]) -> Program:
         same = tuple(f == steps[j].range for f, j in zip(fitted, args))
         steps.append(Step(t, args, same, fit(*r, t.out) == r, fit(*r, t.out),
                           bits))
-    top = [index[id(t)] for t in roots]
+    return _program(steps, [index[id(t)] for t in roots])
+
+
+def select(p: Program, roots: Sequence[int]) -> Program:
+    """The program of `p`'s steps `roots`: the steps below them, in `p`'s
+    order and renumbered, with nothing keyed or ranged again."""
+    if list(roots) == p.roots:
+        return p
+    keep = set(roots)
+    for i in range(len(p.steps) - 1, -1, -1):
+        if i in keep:
+            keep.update(p.steps[i].args)
+    new = {i: k for k, i in enumerate(sorted(keep))}
+    steps = [p.steps[i]._replace(args=tuple([new[j] for j in p.steps[i].args]))
+             for i in new]
+    return _program(steps, [new[r] for r in roots])
+
+
+def _program(steps: list[Step], top: list[int]) -> Program:
+    """`steps` with roots `top`, each step's last uses and the lane type."""
     drops: list[list[int]] = [[] for _ in steps]
+    kept = set(top)
     for j, i in {j: i for i, s in enumerate(steps) for j in s.args}.items():
-        if j not in top:
+        if j not in kept:
             drops[i].append(j)
     return Program(steps, top, drops, _narrow(steps, top))
 
@@ -504,20 +537,17 @@ def _draw(rng: np.random.Generator, a: Annotation, n: int) -> np.ndarray:
 Mismatch = tuple[dict[str, int], int, int]
 
 
-def first_mismatch(a: Term | Program, b: Term | None,
-                   inputs: Sequence[tuple[str, Annotation]],
+def first_mismatch(a: Term, b: Term, inputs: Sequence[tuple[str, Annotation]],
                    samples: int | None = None, seed: int = 0
                    ) -> Mismatch | None:
     """First input assignment on which `a` and `b` differ, with both values,
-    or None; `a` may instead be a compiled `Program` of the two, with `b`
-    None.  With `samples` None the joint input space is enumerated in
+    or None.  With `samples` None the joint input space is enumerated in
     lexicographic order (inputs in the given order, each low to high), so
     the result is the lexicographically first counterexample; otherwise
     `samples` seeded uniform draws are checked.  Each input ranges over the
     annotation given here, whose values its variable must represent: a
     narrower one than the variable's own searches a subset of its values."""
-    pairs = a if isinstance(a, Program) else [(a, b)]
-    return pair_mismatches(pairs, inputs, samples, seed)[0]
+    return pair_mismatches([(a, b)], inputs, samples, seed)[0]
 
 
 def pair_mismatches(pairs: Sequence[tuple[Term, Term]] | Program,
@@ -541,8 +571,7 @@ def pair_mismatches(pairs: Sequence[tuple[Term, Term]] | Program,
     if len(set(lanes)) > 1:
         for lane in (True, False):
             at = [k for k, x in enumerate(lanes) if x is lane]
-            sub = [(p.steps[p.roots[2 * k]].node,
-                    p.steps[p.roots[2 * k + 1]].node) for k in at]
+            sub = select(p, [r for k in at for r in p.roots[2 * k:2 * k + 2]])
             for k, cex in zip(at, pair_mismatches(sub, inputs, samples,
                                                   seed)):
                 found[k] = cex

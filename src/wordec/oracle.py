@@ -4,12 +4,12 @@ The oracle decides pairs of designs with matching ports by a chain of
 tiers, `_TIERS`: exhaustive, grid, random (sampling) and external.  Each
 tier takes every pair still undecided and returns, for each, a Verdict or a
 Refusal with its reason (external never refuses); the first Verdict wins,
-and the refusals before it are its `declined`.  The exhaustive and random
-tiers check every pair on one input list in one pass, over one program of
-all their designs.  run_waterfall discharges every obligation of a
-waterfall — in memory or from an emitted directory — in one run of the
-chain and folds the verdicts into a single report; check_equiv is the
-chain on one pair.
+and the refusals before it are its `declined`.  Every tier reads one
+program of the designs that share an input list, compiled once per check,
+and searches each input space once.  run_waterfall discharges every
+obligation of a waterfall — in memory or from an emitted directory — in
+one run of the chain and folds the verdicts into a single report;
+check_equiv is the chain on one pair.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .frontend import Design, emit_sv, parse_sexpr
-from .ir import (SHIFT_OPS, Annotation, Program, Step, first_mismatch,
-                 pair_mismatches, program)
+from .ir import (SHIFT_OPS, Annotation, Program, Step, pair_mismatches,
+                 program, select)
 
 
 class OracleError(Exception):
@@ -104,20 +104,29 @@ def check_equiv(d1: Design, d2: Design,
 
 def _decide(pairs: list[tuple[Design, Design]],
             cfg: OracleConfig) -> list[Verdict]:
-    """Run `_TIERS` in order, each on the pairs still undecided.  A tier's
-    time is split evenly over the pairs it took, so each verdict's
-    `elapsed` is its share and they add up to the chain's time."""
+    """Compile the designs of each input list, then run `_TIERS` in order,
+    each on the pairs still undecided and the steps below them.  The time
+    of each tier, the first with the compilation, is split evenly over the
+    pairs it took: the verdicts' `elapsed` add up to the chain's time."""
     verdicts: list = [None] * len(pairs)
     declined: list[list] = [[] for _ in pairs]
     elapsed = [0.0] * len(pairs)
     pending = list(range(len(pairs)))
+    t0 = time.perf_counter()
+    groups = _programs(pairs)
     for name, tier in _TIERS:
         if not pending:
             break
-        t0 = time.perf_counter()
-        out = tier([pairs[i] for i in pending], cfg)
-        share = (time.perf_counter() - t0) / len(pending)
-        for i, v in zip(pending, out):
+        views = []
+        for inputs, at, p in groups:
+            ks = [k for k, i in enumerate(at) if verdicts[i] is None]
+            if ks:
+                views.append((inputs, [at[k] for k in ks], _slice(p, ks)))
+        out = tier(pairs, views, cfg)
+        t1 = time.perf_counter()
+        share, t0 = (t1 - t0) / len(pending), t1
+        for i in pending:
+            v = out[i]
             elapsed[i] += share
             if isinstance(v, Refusal):
                 declined[i].append((name, str(v)))
@@ -131,36 +140,28 @@ def _decide(pairs: list[tuple[Design, Design]],
     return verdicts
 
 
-def _each(tier):
-    """A batch tier of a tier that decides one pair or raises Refusal."""
-    def batch(pairs, cfg: OracleConfig) -> list:
-        out: list = []
-        for d1, d2 in pairs:
-            try:
-                out.append(tier(d1, d2, cfg))
-            except Refusal as e:
-                out.append(e)
-        return out
-    return batch
-
-
-def _programs(pairs):
+def _programs(pairs) -> list[tuple]:
     """Each group of pairs that share an input list: the list, the pairs'
     indices, and one program of all their designs, whose roots are the
-    pairs' bodies in order."""
+    pairs' bodies in order: what a tier takes."""
     groups: dict[tuple, list[int]] = {}
     for i, (d1, _) in enumerate(pairs):
         groups.setdefault(d1.inputs, []).append(i)
-    for inputs, at in groups.items():
-        yield inputs, at, program([d.body for i in at for d in pairs[i]])
+    return [(inputs, at, program([d.body for i in at for d in pairs[i]]))
+            for inputs, at in groups.items()]
 
 
-def _exhaustive(pairs, cfg: OracleConfig) -> list:
+def _slice(p: Program, ks: list[int]) -> Program:
+    """The steps of `p` below the roots of its pairs `ks`."""
+    return select(p, [r for k in ks for r in p.roots[2 * k:2 * k + 2]])
+
+
+def _exhaustive(pairs, groups, cfg: OracleConfig) -> dict:
     """Identical bodies, by their one root step in the shared program, or
     every input enumerated low to high in port order, so a failure has the
     lexicographically first counterexample."""
-    out: list = [None] * len(pairs)
-    for inputs, at, p in _programs(pairs):
+    out: dict = {}
+    for inputs, at, p in groups:
         bits = sum(a.width for _, a in inputs)
         fits = bits <= cfg.max_exhaustive_bits
         found = pair_mismatches(p, inputs) if fits else [None] * len(at)
@@ -175,11 +176,11 @@ def _exhaustive(pairs, cfg: OracleConfig) -> list:
     return out
 
 
-def _random(pairs, cfg: OracleConfig) -> list:
+def _random(pairs, groups, cfg: OracleConfig) -> dict:
     """Seeded sampling: a clean sample is unproven, or left to a checker."""
     method = f"random({cfg.samples})"
-    out: list = [None] * len(pairs)
-    for inputs, at, p in _programs(pairs):
+    out: dict = {}
+    for inputs, at, p in groups:
         found = pair_mismatches(p, inputs, cfg.samples, cfg.seed)
         for i, cex in zip(at, found):
             if cex is not None:
@@ -230,19 +231,23 @@ def _external(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
 _POLY_OPS = frozenset({"+", "-", "*", "neg", "zext", "sext", "<<"})
 
 
-def _split_inputs(p: Program) -> set[str]:
-    """The inputs that feed a shift amount in `p`, marked in one pass over
-    its steps in reversed post-order, where each precedes its operands."""
-    below = [False] * len(p.steps)
-    for i, s in reversed(list(enumerate(p.steps))):
-        for pos, j in enumerate(s.args):
-            below[j] |= below[i] or (pos == 1 and s.node.kind in SHIFT_OPS)
-    return {s.node.name for s, b in zip(p.steps, below)
-            if b and s.node.kind == "var"}
+def _splits(p: Program) -> list[frozenset]:
+    """Each step's split inputs, those below a shift amount in its subterm,
+    in one pass up `p`; a pair's are the union of its two roots'."""
+    reads: list[frozenset] = []
+    out: list[frozenset] = []
+    for s in p.steps:
+        shift = s.node.kind in SHIFT_OPS
+        reads.append(frozenset([s.node.name] if s.node.kind == "var" else ())
+                     .union(*[reads[j] for j in s.args]))
+        out.append(frozenset().union(*[
+            reads[j] if shift and pos == 1 else out[j]
+            for pos, j in enumerate(s.args)]))
+    return out
 
 
-def _degrees(p: Program, split: set[str]) -> list:
-    """Each root's degree in each input that is not split, None where it is
+def _degrees(p: Program, split: frozenset) -> list:
+    """Each step's degree in each input that is not split, None where it is
     a constant for each value of the split inputs (it may then wrap), or,
     where by the steps' ranges it is no exact polynomial over the whole
     input domain, the first Refusal in operand order."""
@@ -252,10 +257,10 @@ def _degrees(p: Program, split: set[str]) -> list:
             out.append(_degree(p, s, [out[j] for j in s.args], split))
         except Refusal as e:
             out.append(e)
-    return [out[r] for r in p.roots]
+    return out
 
 
-def _degree(p: Program, s: Step, degrees: list, split: set[str]
+def _degree(p: Program, s: Step, degrees: list, split: frozenset
             ) -> dict[str, int] | None:
     t = s.node
     if t.kind == "var":
@@ -286,45 +291,73 @@ def _degree(p: Program, s: Step, degrees: list, split: set[str]
     return degree
 
 
-def grid_method(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
+def _grid(pairs, groups, cfg: OracleConfig) -> dict:
     """The grid tier, method `grid(d=D,split=S)`: D the greatest degree of
     any input, S the bits of the split inputs.  A mismatch on a grid point
     fails with it, each input the grid leaves out (read by neither side)
     set to 0.  Refuses where the tier does not apply or does not fit in
-    cfg.max_exhaustive_bits."""
-    inputs = dict(d1.inputs)
-    p = program([d1.body, d2.body])
-    split = _split_inputs(p)
+    cfg.max_exhaustive_bits.  The pairs whose grids are the same space are
+    searched in one pass."""
+    out: dict = {}
+    for inputs, at, p in groups:
+        splits, degrees, spaces = _splits(p), {}, {}
+        for k, i in enumerate(at):
+            roots = p.roots[2 * k:2 * k + 2]
+            split = splits[roots[0]] | splits[roots[1]]
+            if split not in degrees:
+                degrees[split] = _degrees(p, split)
+            out[i] = _space(inputs, split, [degrees[split][r] for r in roots],
+                            cfg)  # (space, method) until it is searched
+            if not isinstance(out[i], Refusal):
+                spaces.setdefault(out[i][0], []).append(k)
+        for space, ks in spaces.items():
+            for k, cex in zip(ks, pair_mismatches(_slice(p, ks), space)):
+                method = out[at[k]][1]
+                out[at[k]] = (Verdict("pass", method) if cex is None else
+                              Verdict("fail", method, {x: cex[0].get(x, 0)
+                                                       for x, _ in inputs}))
+    return out
+
+
+def _space(inputs, split: frozenset, roots: list, cfg: OracleConfig):
+    """A pair's grid, by its split inputs and its roots' degrees, and its
+    method; or the first Refusal."""
+    width = dict(inputs)
     degree: dict[str, int] = {}
-    for r in _degrees(p, split):
+    for r in roots:
         if isinstance(r, Refusal):
-            raise r
+            return r
         for x, k in (r or {}).items():
             degree[x] = max(degree.get(x, 0), k)
-    split_bits = sum(inputs[x].width for x in split)
+    split_bits = sum(width[x].width for x in split)
     if split_bits > cfg.max_exhaustive_bits:
-        raise Refusal("split too wide")
+        return Refusal("split too wide")
     # A grid of 2^b >= d + 1 points, the values 0 … 2^b - 1 of the input
     # itself: its annotation here is only the search space, and the designs
     # are evaluated as given.  An input too narrow to hold the grid is
     # enumerated whole, which is sound for any degree.  An input that is
     # neither split nor read has degree 0 and is left out.
     grid = {x: Annotation(k.bit_length()) for x, k in degree.items()
-            if (1 << k.bit_length()) - 1 <= inputs[x].hi}
-    space = [(x, grid.get(x, a)) for x, a in d1.inputs
-             if x in split or x in degree]
+            if (1 << k.bit_length()) - 1 <= width[x].hi}
+    space = tuple((x, grid.get(x, a)) for x, a in inputs
+                  if x in split or x in degree)
     if sum(a.width for _, a in space) > cfg.max_exhaustive_bits:
-        raise Refusal("grid too wide")
-    method = f"grid(d={max(degree.values(), default=0)},split={split_bits})"
-    cex = first_mismatch(p, None, space)
-    if cex is None:
-        return Verdict("pass", method)
-    return Verdict("fail", method,
-                   {x: cex[0].get(x, 0) for x, _ in d1.inputs})
+        return Refusal("grid too wide")
+    return space, (f"grid(d={max(degree.values(), default=0)},"
+                   f"split={split_bits})")
 
 
-_TIERS = (("exhaustive", _exhaustive), ("grid", _each(grid_method)),
-          ("random", _random), ("external", _each(_external)))
+def grid_method(d1: Design, d2: Design, cfg: OracleConfig) -> Verdict:
+    """The grid tier on one pair; raises its Refusal."""
+    v = _grid(None, _programs([(d1, d2)]), cfg)[0]
+    if isinstance(v, Refusal):
+        raise v
+    return v
+
+
+_TIERS = (("exhaustive", _exhaustive), ("grid", _grid), ("random", _random),
+          ("external", lambda pairs, groups, cfg: {
+              i: _external(*pairs[i], cfg) for _, at, _ in groups for i in at}))
 
 
 def _fold(statuses: list[str]) -> str:

@@ -164,6 +164,24 @@ class TestParseSv:
             t = t.operands[0][1]
         assert t.kind == "var"
 
+    def test_shared_wires_hash_and_emit_once(self):
+        # w_i = w_{i-1} + w_{i-1} over 40 wires: a hash of the whole tree,
+        # which emit_sv's memo takes for every wire, visits 2^40 leaves
+        # unless each subterm stores its own
+        lines = ["module dbl(x, o);", "input [7:0] x; output [7:0] o;"]
+        lines += [f"wire [7:0] w{i}; assign w{i} = {v} + {v};"
+                  for i, v in zip(range(1, 41), ["x"] + [f"w{i}" for i in
+                                                         range(1, 40)])]
+        lines += ["assign o = w40;", "endmodule"]
+        d = parse_sv("\n".join(lines))
+        t0 = time.perf_counter()
+        t = d.body
+        assert hash(t) == hash((t.kind, t.out, t.name, t.value, t.operands,
+                                t.indices))
+        text = emit_sv(d)
+        assert time.perf_counter() - t0 < 0.5
+        assert text.count(" + ") == 40
+
     def test_multiply_driven_rejected(self):
         with pytest.raises(ParseError, match="driv"):
             parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"

@@ -104,6 +104,11 @@ class TestAnnotationInterning:
                (Annotation(4), const(3, Annotation(4))))
         assert pickle.loads(pickle.dumps(t)) == t
         assert copy.deepcopy(t).out is t.out
+        # a term's stored hash stays behind: a str hashes differently in a
+        # process with another hash seed
+        hash(t)
+        assert "_hash" in vars(t)
+        assert "_hash" not in vars(pickle.loads(pickle.dumps(t)))
 
 
 class TestCoerce:
@@ -625,6 +630,11 @@ class TestProgram:
         assert got == [_reference_evaluate_many(t, env).tolist()
                        for t in (a, b)]
         assert evaluate_many(a, env).tolist() == got[0]
+        # a select of the roots in the other order, and of b alone
+        q = ir.select(p, p.roots[::-1])
+        assert [v.tolist() for v in evaluate_many(q, env)] == got[::-1]
+        assert q.vectorizable == p.vectorizable
+        assert ir.select(p, p.roots[1:]).vectorizable == vectorizable(b)
         for row in range(0, len(env["a"]), 37):
             e = {n: int(v[row]) for n, v in env.items()}
             assert [evaluate(a, e), evaluate(b, e)] == [g[row] for g in got]
@@ -655,6 +665,34 @@ class TestProgram:
                                              (2, 4)]
         # each array is dropped after its last use, and a root never
         assert p.drops == [[], [], [], [], [0, 1], [2, 4]]
+
+    def test_select_keeps_the_steps_below_its_roots(self):
+        x, y = var("x", ann(4)), var("y", ann(4))
+        s1 = op("+", ann(5), (ann(4), x), (ann(4), y))
+        s3 = op("+", ann(5), (ann(4, True), x), (ann(4), y))
+        a = op("*", ann(10), (ann(5), s1), (ann(5), s1))
+        b = op("*", ann(10), (ann(5), s1), (ann(5), s3))
+        one = const(1, ann(60))
+        wide = op("*", ann(70), (ann(10), a), (ann(60), one))
+        p = ir.program([a, b, wide])
+        assert not p.vectorizable
+        q = ir.select(p, [p.roots[1], p.roots[0]])
+        # p's steps but the two of `wide` alone, in p's order, as they are
+        # but for their operands' new numbers
+        kept = [s for s in p.steps if s.node not in (one, wide)]
+        assert len(kept) == 6
+        assert [s._replace(args=()) for s in q.steps] \
+            == [s._replace(args=()) for s in kept]
+        assert [[q.steps[j].node for j in s.args] for s in q.steps] \
+            == [[p.steps[j].node for j in s.args] for s in kept]
+        assert [q.steps[r].node for r in q.roots] == [b, a]
+        # each array is dropped after its last use, and a root never
+        last = {j: i for i, s in enumerate(q.steps) for j in s.args}
+        assert q.drops == [[j for j, k in last.items()
+                            if k == i and j not in q.roots]
+                           for i in range(6)]
+        assert q.vectorizable
+        assert ir.select(p, []) == ([], [], [], True)
 
     def test_identity_coercions_and_truncations(self):
         x = var("x", ann(4))

@@ -14,11 +14,14 @@ from wordec.fixtures import load_pair, names
 from wordec.frontend import Design, parse_sexpr
 from wordec import ir
 from wordec.frontend import parse_sv
-from wordec.ir import (ARITY, Annotation, Term, const, evaluate,
-                       evaluate_many, first_mismatch, op, program, var)
-from wordec.oracle import (OracleConfig, OracleError, Refusal, _degrees,
-                           _split_inputs, check_equiv, grid_method,
-                           run_waterfall, run_waterfall_dir)
+from wordec.ir import (ARITY, SHIFT_OPS, Annotation, Term, const, evaluate,
+                       evaluate_many, first_mismatch, op, pair_mismatches,
+                       program, var)
+from wordec import oracle
+from wordec.oracle import (OracleConfig, OracleError, Refusal, Verdict,
+                           _degree, _degrees, _grid, _programs, _splits,
+                           check_equiv, grid_method, run_waterfall,
+                           run_waterfall_dir)
 from wordec.proof import build_waterfall, write_waterfall
 from wordec.rewrites import baseline_rules
 
@@ -337,8 +340,8 @@ class TestGridTier:
         vanishing difference of order one past its degree, and every value
         lies in the computed range."""
         p = program([t])
-        split = _split_inputs(p)
-        degree = _degrees(p, split)[0]
+        split = _splits(p)[p.roots[0]]
+        degree = _degrees(p, split)[p.roots[0]]
         if isinstance(degree, Refusal):
             return
         lo, hi = p.steps[p.roots[0]].range
@@ -373,7 +376,8 @@ class TestGridTier:
         assert (v.status, v.method) == ("pass", "grid(d=1,split=0)")
         # x feeds a shift amount through the whole chain
         shift = op("<<", a8, (a8, const(1, a8)), (a8, wraps))
-        assert _split_inputs(program([shift])) == {"x"}
+        p = program([shift])
+        assert _splits(p)[p.roots[0]] == {"x"}
         assert time.perf_counter() - t0 < 1.0
 
     def test_methods_of_bundled_pairs(self):
@@ -481,6 +485,168 @@ class TestGridTier:
         v = grid_method(_design("d1", body1, ins), _design("d2", body2, ins),
                         OracleConfig(max_exhaustive_bits=8))
         assert (v.method, v.counterexample) == ("grid(d=3,split=0)", None)
+
+
+def _reference_split_inputs(p):
+    """The inputs that feed a shift amount in `p`, marked in one pass over
+    its steps in reversed post-order, where each precedes its operands."""
+    below = [False] * len(p.steps)
+    for i, s in reversed(list(enumerate(p.steps))):
+        for pos, j in enumerate(s.args):
+            below[j] |= below[i] or (pos == 1 and s.node.kind in SHIFT_OPS)
+    return {s.node.name for s, b in zip(p.steps, below)
+            if b and s.node.kind == "var"}
+
+
+def _reference_degrees(p, split):
+    """Each root's degree, or its first Refusal in operand order."""
+    out = []
+    for s in p.steps:
+        try:
+            out.append(_degree(p, s, [out[j] for j in s.args], split))
+        except Refusal as e:
+            out.append(e)
+    return [out[r] for r in p.roots]
+
+
+def _reference_grid_method(d1, d2, cfg):
+    """The grid tier on one pair alone, with its own program, split and
+    degrees: the reference for the batch tier."""
+    inputs = dict(d1.inputs)
+    p = program([d1.body, d2.body])
+    split = _reference_split_inputs(p)
+    degree = {}
+    for r in _reference_degrees(p, split):
+        if isinstance(r, Refusal):
+            raise r
+        for x, k in (r or {}).items():
+            degree[x] = max(degree.get(x, 0), k)
+    split_bits = sum(inputs[x].width for x in split)
+    if split_bits > cfg.max_exhaustive_bits:
+        raise Refusal("split too wide")
+    grid = {x: Annotation(k.bit_length()) for x, k in degree.items()
+            if (1 << k.bit_length()) - 1 <= inputs[x].hi}
+    space = [(x, grid.get(x, a)) for x, a in d1.inputs
+             if x in split or x in degree]
+    if sum(a.width for _, a in space) > cfg.max_exhaustive_bits:
+        raise Refusal("grid too wide")
+    method = f"grid(d={max(degree.values(), default=0)},split={split_bits})"
+    cex = pair_mismatches(p, space)[0]
+    if cex is None:
+        return Verdict("pass", method)
+    return Verdict("fail", method,
+                   {x: cex[0].get(x, 0) for x, _ in d1.inputs})
+
+
+@st.composite
+def _grid_chains(draw):
+    """A chain of designs over _SMALL, each the one before with one subterm
+    rewritten: commuted, re-annotated (which may wrap), put under a `<`
+    (no polynomial), shifted by `s` (which splits it) or replaced.  So the
+    chain's pairs differ in split set, degree and refusal."""
+    t = draw(_grid_terms(_SMALL))
+    terms = [t]
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.sampled_from(list(_positions(t))))
+        sub = t.at(at)
+        how = draw(st.sampled_from(
+            ("commute", "annotate", "compare", "shift", "replace")))
+        if how == "commute" and sub.kind in ("+", "*"):
+            sub = op(sub.kind, sub.out, *reversed(sub.operands))
+        elif how == "annotate" and sub.operands:
+            sub = op(sub.kind, _any_ann(draw, 24), *sub.operands)
+        elif how == "compare":
+            sub = op("<", Annotation(1), (sub.out, sub),
+                     (sub.out, const(sub.out.hi, sub.out)))
+        elif how == "shift":
+            sub = op("<<", Annotation(sub.out.width + 3, sub.out.signed),
+                     (sub.out, sub), (_AMOUNT, var("s", _AMOUNT)))
+        else:
+            sub = draw(_grid_terms(_SMALL, 2))
+        t = t.replace(at, sub)
+        terms.append(t)
+    out = (Annotation(32, True) if draw(st.integers(0, 3)) < 3
+           else _any_ann(draw, 40))
+    return [_design(f"d{i}", op("+", out, (t.out, t), (_ZERO.out, _ZERO)),
+                    _SMALL) for i, t in enumerate(terms)]
+
+
+def _waterfall(chain):
+    """The waterfall of one step per link of `chain`."""
+    return SimpleNamespace(
+        designs={d.name: d for d in chain},
+        obligations=lambda: [{"kind": "step", "rule": "r", "left": f"d{i}",
+                              "right": f"d{i + 1}"}
+                             for i in range(len(chain) - 1)])
+
+
+class TestBatchGrid:
+    """The grid tier decides every pair of a waterfall over one program,
+    searching each distinct space once; each pair gets what the reference,
+    the tier on that pair alone, gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain=_grid_chains(), bits=st.sampled_from((1, 3, 5, 8)))
+    def test_each_pair_as_the_reference(self, chain, bits):
+        """Over 9 input bits, no budget here enumerates a pair: identical
+        bodies pass on `exhaustive`, and every other pair reaches the grid,
+        which splits 0, 2 or 5 bits and searches up to 9."""
+        cfg = OracleConfig(max_exhaustive_bits=bits, samples=0)
+        pairs = list(zip(chain, chain[1:]))
+        batch = _grid(pairs, _programs(pairs), cfg)
+        rep = run_waterfall(_waterfall(chain), cfg)
+        for i, ((d1, d2), (_, v)) in enumerate(zip(pairs, rep.verdicts)):
+            try:
+                want = _reference_grid_method(d1, d2, cfg)
+            except Refusal as e:
+                assert isinstance(batch[i], Refusal) and str(batch[i]) == str(e)
+                assert v.method == "exhaustive" or ("grid", str(e)) in v.declined
+                continue
+            got = (want.status, want.method, want.counterexample)
+            assert (batch[i].status, batch[i].method,
+                    batch[i].counterexample) == got
+            assert v.method == "exhaustive" or (
+                v.status, v.method, v.counterexample) == got
+            if want.counterexample is not None:
+                assert evaluate(d1.body, want.counterexample) \
+                    != evaluate(d2.body, want.counterexample)
+
+
+class TestOneProgram:
+    """A check compiles its designs once, one program per input list."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        calls = []
+
+        def counted(roots):
+            calls.append(len(roots))
+            return compile_program(roots)
+
+        compile_program = ir.program
+        monkeypatch.setattr(ir, "program", counted)
+        monkeypatch.setattr(oracle, "program", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["fig1", "vbsme8"])
+    def test_one_program_per_input_list(self, monkeypatch, name):
+        spec, impl = load_pair(name)
+        g = init_pair(spec, impl)
+        rules = baseline_rules()
+        saturate(g, rules)
+        w = build_waterfall(g, spec, impl, extract_greedy(g), rules)
+        checked = [ob for ob in w.obligations()
+                   if ob["kind"] != "assume-guarantee"]
+        calls = self._count(monkeypatch)
+        rep = run_waterfall(w, OracleConfig(samples=1000))
+        assert len(calls) == len({w.designs[ob["left"]].inputs
+                                  for ob in checked}) == 1
+        assert calls == [2 * len(checked)]
+        methods = {v.method.split("(")[0] for _, v in rep.verdicts}
+        assert {"grid" if name == "fig1" else "random"} <= methods
+        calls.clear()
+        check_equiv(spec, impl, OracleConfig(samples=1000))
+        assert calls == [2]
 
 
 _WIDTHS = (1, 2, 3, 4, 5, 8, 13)
