@@ -9,19 +9,17 @@ operators toward their minimum storage width.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
 
 from .ir import Annotation, fit, min_width, op_value_range
 
 if TYPE_CHECKING:
-    from .egraph import EGraph, NodeRec
+    from .egraph import EGraph, NodeRec, Skeleton
 
 WIDTH_REDUCE_RULE = "width-reduce"
 NARROWING_NODES = 2  # a narrowing adds the narrow copy and its zext/sext
-
-# the all-variable `subs` of a narrowed node's skeleton, by arity
-_NO_SUBS = tuple((None,) * k for k in range(4))
 
 
 class AnalysisError(Exception):
@@ -99,13 +97,24 @@ def refine_intervals(g: "EGraph") -> None:
             users_of(cid)
 
 
+@cache
+def _narrowing_shape(arity: int) -> "tuple[Skeleton, Skeleton]":
+    """The shape of a narrowing's justification: node 0, whose `arity`
+    children are variables, becomes node 1, the zext/sext of node 2, its
+    narrow copy."""
+    from .egraph import Skeleton
+
+    subs = (None,) * arity
+    return Skeleton(0, subs), Skeleton(1, (Skeleton(2, subs),))
+
+
 def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
     """For every operator class whose interval fits a narrower width, add a
     zext/sext of the narrowed operator to the class, while the graph has
     room for its two nodes within `node_limit`.  Returns the number of
     narrowing unions performed; `g.narrowings` counts every narrowing
     added."""
-    from .egraph import RuleJust, Skeleton
+    from .egraph import RuleJust
 
     applied = 0
     for cid in sorted(g.classes):
@@ -130,9 +139,8 @@ def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
             wrap_op = "sext" if out.signed else "zext"
             _, wnid = g.add((wrap_op, out, (narrow,), (ncid,), None, None,
                              None))
-            subs = _NO_SUBS[len(n.children)]
             if g.union(nid, wnid, RuleJust(
-                    WIDTH_REDUCE_RULE, lhs=Skeleton(nid, subs),
-                    rhs=Skeleton(wnid, (Skeleton(nnid, subs),)))):
+                    WIDTH_REDUCE_RULE, _narrowing_shape(len(n.children)),
+                    (nid, wnid, nnid))):
                 applied += 1
     return applied

@@ -3,9 +3,13 @@
 Nodes are hash-consed; classes live in a union-find.  Congruence repair is
 deferred to rebuild().  Every union records a justification edge between two
 concrete nodes in an explanation forest, from which single-rewrite proof
-steps are later reconstructed.  Each class keeps a use list (the nodes with a
-child in it), so rebuild() and the interval refinement it ends with visit
-only what the merges since the last rebuild touched.
+steps are later reconstructed.  The forest is two per-node lists, each
+node's parent (`up`) and the justification of that edge (`why`), and a rule
+justification is flat: the rule, its shape and the ids of the nodes it
+rewrote.  The `Skeleton`s of its two sides are built only when the explainer
+reads them.  Each class keeps a use list (the nodes with a child in it), so
+rebuild() and the interval refinement it ends with visit only what the
+merges since the last rebuild touched.
 """
 
 from __future__ import annotations
@@ -56,10 +60,48 @@ class Skeleton(NamedTuple):
     subs: "tuple[Skeleton | None, ...] | None"
 
 
+def _fill(shape: Skeleton | None,
+          nodes: tuple[int, ...]) -> Skeleton | None:
+    """The skeleton `shape` stands for, each position index read in
+    `nodes`."""
+    if shape is None:
+        return None
+    subs = shape.subs
+    return Skeleton(nodes[shape.node], subs if not subs else
+                    tuple(_fill(sub, nodes) for sub in subs))
+
+
 class RuleJust(NamedTuple):
+    """One rewrite's justification.  `shape` is the rule's (lhs, rhs)
+    skeletons with each node a position in `nodes`: the lhs's structured
+    positions, then the rhs's, each in pre-order.  A rule's applications
+    share its one shape, so an application records only its node ids."""
+
     rule_id: str
-    lhs: Skeleton
-    rhs: Skeleton
+    shape: tuple[Skeleton, Skeleton]
+    nodes: tuple[int, ...]
+
+    @property
+    def lhs(self) -> Skeleton:
+        return _fill(self.shape[0], self.nodes)
+
+    @property
+    def rhs(self) -> Skeleton:
+        return _fill(self.shape[1], self.nodes)
+
+    @classmethod
+    def of(cls, rule_id: str, lhs: Skeleton, rhs: Skeleton) -> "RuleJust":
+        """The justification whose sides are `lhs` and `rhs`."""
+        nodes: list[int] = []
+
+        def shape(skel: Skeleton | None) -> Skeleton | None:
+            if skel is None:
+                return None
+            nodes.append(skel.node)
+            return Skeleton(len(nodes) - 1, skel.subs if not skel.subs else
+                            tuple(shape(sub) for sub in skel.subs))
+
+        return cls(rule_id, (shape(lhs), shape(rhs)), tuple(nodes))
 
 
 CONGRUENCE = "congruence"
@@ -121,7 +163,10 @@ class EGraph:
         self.live = bytearray()                  # node id -> 0 once dropped
         self.parent: list[int] = []              # union-find, by node id
         self.classes: dict[int, EClass] = {}     # canonical id -> class
-        self.proof_parent: dict[int, tuple[int, object]] = {}  # explanation forest
+        # explanation forest, by node id: the parent, or -1 at a root, and
+        # the justification of the edge to it
+        self.up: list[int] = []
+        self.why: list[object] = []
         self.unions = 0
         self.congruences = 0                     # unions made by rebuild
         self.rekeyed = 0                         # nodes rebuild re-keyed
@@ -171,6 +216,8 @@ class EGraph:
         self.nodes.append(node)
         self.live.append(1)
         parent.append(nid)
+        self.up.append(-1)
+        self.why.append(None)
         self.hashcons[node] = nid
         classes = self.classes
         for c in node.children:
@@ -210,44 +257,35 @@ class EGraph:
     # -- merging and the explanation forest ---------------------------------
 
     def _forest_link(self, a: int, b: int, just: object) -> None:
-        """Attach edge a--b by rerooting b's proof tree at b."""
-        path = []
-        cur = b
-        while cur in self.proof_parent:
-            nxt, j = self.proof_parent[cur]
-            path.append((cur, nxt, j))
-            cur = nxt
-        for child, par, j in reversed(path):
-            del self.proof_parent[child]
-            self.proof_parent[par] = (child, j)
-        self.proof_parent[b] = (a, just)
+        """Attach edge a--b by rerooting b's proof tree at b: each edge on
+        b's path to its root turns round, keeping its justification."""
+        up, why = self.up, self.why
+        cur, par, j = b, a, just
+        while cur != -1:
+            nxt, nj = up[cur], why[cur]
+            up[cur], why[cur] = par, j
+            cur, par, j = nxt, cur, nj
 
     def forest_path(self, a: int, b: int) -> list[tuple[int, int, object]]:
         """Edges (x, y, justification) on the explanation-forest path from
         node a to node b."""
+        up, why = self.up, self.why
         up_a: list[int] = [a]
         seen = {a: 0}
         cur = a
-        while cur in self.proof_parent:
-            cur = self.proof_parent[cur][0]
+        while up[cur] != -1:
+            cur = up[cur]
             seen[cur] = len(up_a)
             up_a.append(cur)
         chain_b: list[int] = [b]
         cur = b
         while cur not in seen:
-            if cur not in self.proof_parent:
+            cur = up[cur]
+            if cur == -1:
                 raise EGraphError(f"nodes {a} and {b} are not connected")
-            cur = self.proof_parent[cur][0]
             chain_b.append(cur)
-        path: list[tuple[int, int, object]] = []
-        for x in up_a[:seen[cur]]:
-            par, just = self.proof_parent[x]
-            path.append((x, par, just))
-        down = []
-        for x in chain_b[:-1]:
-            par, just = self.proof_parent[x]
-            down.append((par, x, just))
-        path.extend(reversed(down))
+        path = [(x, up[x], why[x]) for x in up_a[:seen[cur]]]
+        path += [(up[x], x, why[x]) for x in reversed(chain_b[:-1])]
         return path
 
     def union(self, a: int, b: int, why: object) -> bool:

@@ -112,8 +112,8 @@ class _Explainer:
                     raise ProofError("congruence edge between unequal shapes")
                 continue  # identical modulo child classes: nothing to rewrite
             assert isinstance(just, RuleJust)
-            skel_from, skel_to = ((just.lhs, just.rhs) if x == just.lhs.node
-                                  else (just.rhs, just.lhs))
+            lhs, rhs = just.lhs, just.rhs
+            skel_from, skel_to = (lhs, rhs) if x == lhs.node else (rhs, lhs)
             binding: dict[int, Term] = {}
             cur = self.align(pos, cur, skel_from, binding)
             after_sub = self.realize(skel_to, binding)

@@ -22,6 +22,7 @@ exhaustively at small widths.
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import re
 from dataclasses import dataclass
@@ -349,6 +350,19 @@ def pattern_nodes(p: Pattern) -> int:
     return 1 + sum(pattern_nodes(sub) for _, _, sub in p.operands)
 
 
+def pattern_shape(p: Pattern, index: "itertools.count[int]",
+                  top: bool = True) -> Skeleton | None:
+    """p's skeleton with each node the next number from `index`, taken in
+    pre-order: a structured position, or a whole-side variable (`top`)."""
+    if isinstance(p, PatVar):
+        return Skeleton(next(index), None) if top else None
+    if isinstance(p, PatConst):
+        return Skeleton(next(index), ())
+    k = next(index)
+    return Skeleton(k, tuple(pattern_shape(sub, index, False)
+                             for _, _, sub in p.operands))
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------
@@ -453,6 +467,12 @@ class Rule:
         `Match.apply` does, compiled on the first application."""
         return _compile_applier(self)
 
+    @cached_property
+    def shape(self) -> tuple[Skeleton, Skeleton]:
+        """The shape of the justification every application records."""
+        index = itertools.count()
+        return pattern_shape(self.lhs, index), pattern_shape(self.rhs, index)
+
 
 def _width(value: int) -> int:
     if value < 1:
@@ -481,7 +501,8 @@ def _is_signed(value) -> bool:
 #   pre-order (a node's output annotation, then per operand its slot
 #   annotation and its subterm, then the node itself), so a BlockedMatch
 #   partway leaves the nodes added before it.  Each node goes to EGraph.add
-#   as a tuple of its fields (a NodeRec is built on a miss).
+#   as a tuple of its fields (a NodeRec is built on a miss).  The union's
+#   justification is the rule's shape and the ids of the lhs and rhs nodes.
 #
 # Every expression is typed when the rule is made, so a program tests only
 # values: a width below 1, a blocked 2^ or log2, an unrepresentable
@@ -496,7 +517,7 @@ def _unrepresentable(v, a: Annotation):
 _GLOBALS = {
     "Annotation": Annotation, "_INTERNED": _INTERNED,
     "BlockedMatch": BlockedMatch, "RuleError": RuleError,
-    "RuleJust": RuleJust, "Skeleton": Skeleton,
+    "RuleJust": RuleJust,
     "_power": _power, "_width_of": _width_of, "_log2": _log2,
     "_width": _width,
     "_unrepresentable": _unrepresentable,
@@ -589,7 +610,7 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
     nothing.  Returns the sources of each parameter, of each variable's class
     (keyed ('class', name)), of each (?w, ?s) pair's annotation (keyed
     ('ann', w, s)) and of each signage parameter as a bool (keyed
-    ('signed', s)); the positions' node tuple; and the lhs skeleton."""
+    ('signed', s)); and the names of the positions' nodes, in pre-order."""
     local: dict[object, str] = {}
     positions = 0
 
@@ -615,9 +636,8 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
             local.setdefault(("signed", s), f"{value}.signed")
             unify(s, f"({SIGNED!r} if {value}.signed else {UNSIGNED!r})")
 
-    def position(p: Pattern, cls: str) -> str:
-        """Walk the nodes of class `cls` that match p; returns the source of
-        the skeleton."""
+    def position(p: Pattern, cls: str) -> None:
+        """Walk the nodes of class `cls` that match p."""
         nonlocal positions
         n, N = f"p{positions}", "N"
         positions += 1
@@ -631,7 +651,7 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
         if isinstance(p, PatConst):
             unify(p.value, f"{N}.value")
             annotation(p.width, p.sig, f"{N}.out")
-            return f"Skeleton({n}, ())"
+            return
         annotation(p.out_w, p.out_s, f"{N}.out")
         for i, (w, s, _) in enumerate(p.operands):
             annotation(w, s, f"{N}.slots[{i}]")
@@ -650,14 +670,11 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
                 local[key] = c
             elif not bind:
                 code.emit(f"if {c} != {local[key]}: continue")
-        subs = ["None"] * len(p.operands)
-        for i, sub, c in kids:
-            subs[i] = position(sub, c)
-        return f"Skeleton({n}, {_tuple_code(subs)})"
+        for _, sub, c in kids:
+            position(sub, c)
 
-    skeleton = position(rule.lhs, "c0")
-    nodes = _tuple_code([f"p{k}" for k in range(positions)])
-    return local, nodes, skeleton
+    position(rule.lhs, "c0")
+    return local, [f"p{k}" for k in range(positions)]
 
 
 def _compile_matcher(rule: Rule) -> dict:
@@ -670,7 +687,7 @@ def _compile_matcher(rule: Rule) -> dict:
                   "    append = out.append",
                   "    for c0 in sorted(classes):"])
     code.depth = 2
-    local, nodes, _ = _walk_lhs(code, rule, bind=False)
+    local, nodes = _walk_lhs(code, rule, bind=False)
     cond_src = []
     if rule.cond is not True:
         params: set[str] = set()
@@ -687,19 +704,21 @@ def _compile_matcher(rule: Rule) -> dict:
         code.emit(f"if gnodes[classes[{local[('class', rule.rhs.name)]}]"
                   ".node_ids[0]].out != gnodes[classes[c0].node_ids[0]].out: "
                   "continue")
-    code.emit(f"append(Match(rule, {nodes}))")
+    code.emit(f"append(Match(rule, {_tuple_code(nodes)}))")
     code.depth = 1
     code.emit("return out")
     code.lines += cond_src
     return code.run(f"<rule {rule.id}>", Match=Match)
 
 
-def _emit_rhs(code: _Code, rule: Rule, local: dict) -> tuple[str, str, str]:
-    """Emit the instance of rule's rhs; returns the sources of its class,
-    node and skeleton.  `local` holds the sources `_walk_lhs` returns: of each
+def _emit_rhs(code: _Code, rule: Rule, local: dict) -> tuple[str, str, list]:
+    """Emit the instance of rule's rhs; returns the sources of its class
+    and node, and the names of its nodes in the pre-order of
+    `pattern_shape`.  `local` holds the sources `_walk_lhs` returns: of each
     parameter, each variable's class and each lhs annotation, and of each
     signage parameter as a bool.  Each (w, s) annotation is computed once."""
     anns: dict[tuple, str] = {}
+    order: list[str] = []
 
     def expr(e) -> str:
         return _expr_code(e, local.__getitem__, rule.kinds)[0]
@@ -725,14 +744,16 @@ def _emit_rhs(code: _Code, rule: Rule, local: dict) -> tuple[str, str, str]:
         code.emit(f"{a} = _INTERNED.get((w, s)) or Annotation(w, s)")
         return a
 
-    def node(p: Pattern, top: bool) -> tuple[str, str, str]:
+    def node(p: Pattern, top: bool) -> tuple[str, str]:
         c, n = code.fresh("c"), code.fresh("n")
         if isinstance(p, PatVar):
             code.emit(f"{c} = find({local[('class', p.name)]})")
             if not top:
-                return c, "", "None"
+                return c, ""
             code.emit(f"{n} = min(classes[{c}].node_ids)")
-            return c, n, f"Skeleton({n}, None)"
+            order.append(n)
+            return c, n
+        order.append(n)
         if isinstance(p, PatConst):
             a = annotation(p.width, p.sig)
             v = code.fresh("x")
@@ -740,19 +761,18 @@ def _emit_rhs(code: _Code, rule: Rule, local: dict) -> tuple[str, str, str]:
             code.emit(f"if not {a}.contains({v}): _unrepresentable({v}, {a})")
             code.emit(f"{c}, {n} = add(('const', {a}, (), (), None, {v}, "
                       "None))")
-            return c, n, f"Skeleton({n}, ())"
+            return c, n
         out = annotation(p.out_w, p.out_s)
-        slots, kids, subs = [], [], []
+        slots, kids = [], []
         for w, s, sub in p.operands:
             slots.append(annotation(w, s))
-            kc, _, ks = node(sub, False)
-            kids.append(kc)
-            subs.append(ks)
+            kids.append(node(sub, False)[0])
         code.emit(f"{c}, {n} = add(({p.op!r}, {out}, {_tuple_code(slots)}, "
                   f"{_tuple_code(kids)}, None, None, None))")
-        return c, n, f"Skeleton({n}, {_tuple_code(subs)})"
+        return c, n
 
-    return node(rule.rhs, True)
+    c, n = node(rule.rhs, True)
+    return c, n, order
 
 
 def _compile_applier(rule: Rule):
@@ -761,11 +781,11 @@ def _compile_applier(rule: Rule):
     code = _Code(["def apply(g, nodes):",
                   "    gnodes, add, find, classes = "
                   "g.nodes, g.add, g.find, g.classes"])
-    local, nodes, skeleton = _walk_lhs(code, rule, bind=True)
-    code.lines += [f"    {nodes[1:-1]} = nodes", "    target = find(p0)",
-                   "    try:"]
+    local, nodes = _walk_lhs(code, rule, bind=True)
+    code.lines += [f"    {_tuple_code(nodes)[1:-1]} = nodes",
+                   "    target = find(p0)", "    try:"]
     code.depth = 2
-    c, n, rskel = _emit_rhs(code, rule, local)
+    c, n, rnodes = _emit_rhs(code, rule, local)
     code.depth = 1
     code.emit("except BlockedMatch:")
     code.emit("    return False")
@@ -775,7 +795,8 @@ def _compile_applier(rule: Rule):
     rid = code.const(rule.id)
     code.emit(f"if a != t: raise RuleError(f'{{{rid}}}: rhs annotation "
               "({a}) differs from matched class ({t})')")
-    code.emit(f"return g.union(p0, {n}, RuleJust({rid}, {skeleton}, {rskel}))")
+    code.emit(f"return g.union(p0, {n}, RuleJust({rid}, "
+              f"{code.const(rule.shape)}, {_tuple_code(nodes + rnodes)}))")
     return code.run(f"<rule {rule.id} applier>")["apply"]
 
 
@@ -835,6 +856,10 @@ class ZextIntroRule:
         return violations
 
 
+# an operator node (the whole lhs, a variable) and its zext/sext
+ZEXT_INTRO_SHAPE = (Skeleton(0, None), Skeleton(1, (None,)))
+
+
 @dataclass
 class ZextIntroMatch:
     rule: ZextIntroRule
@@ -845,7 +870,7 @@ class ZextIntroMatch:
         wrap = "sext" if out.signed else "zext"
         _, wnid = g.add(NodeRec(wrap, out, (out,), (g.find(self.nid),)))
         return g.union(self.nid, wnid, RuleJust(
-            "zext-intro", Skeleton(self.nid, None), Skeleton(wnid, (None,))))
+            "zext-intro", ZEXT_INTRO_SHAPE, (self.nid, wnid)))
 
 
 class WidthReduceRule:

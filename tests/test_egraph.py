@@ -92,13 +92,13 @@ class TestMergeAndCongruence:
         assert g.union(nc, na, "why") is True
         assert g.find(nc) == g.find(na) == ca
         assert g.unions == 1
-        assert g.proof_parent == {na: (nc, "why")}
+        assert forest_edges(g) == [(na, nc, "why", None, None)]
         assert g.forest_path(nc, na) == [(nc, na, "why")]
         # two nodes of one class: nothing is recorded
-        forest = dict(g.proof_parent)
+        forest = forest_edges(g)
         assert g.union(na, nc, "again") is False
         assert g.union(nb, nb, "self") is False
-        assert g.proof_parent == forest and g.unions == 1
+        assert forest_edges(g) == forest and g.unions == 1
 
     def test_unsound_union_names_the_rule(self):
         g = EGraph()
@@ -106,9 +106,9 @@ class TestMergeAndCongruence:
         _, n2 = g.add_term(const(2, ann(4)))
         parent = list(g.parent)
         with pytest.raises(AnalysisError, match="merge by bad-rule: "):
-            g.union(n1, n2, RuleJust("bad-rule", Skeleton(n1, None),
-                                         Skeleton(n2, None)))
-        assert g.parent == parent and g.unions == 0 and not g.proof_parent
+            g.union(n1, n2, RuleJust.of("bad-rule", Skeleton(n1, None),
+                                        Skeleton(n2, None)))
+        assert g.parent == parent and g.unions == 0 and not forest_edges(g)
 
     def test_upward_propagation_one_level(self):
         g = EGraph()
@@ -145,6 +145,82 @@ class TestMergeAndCongruence:
         n, c = g.num_nodes(), g.num_classes()
         g.rebuild()
         assert (g.num_nodes(), g.num_classes()) == (n, c)
+
+
+class DictForest:
+    """The explanation forest as a dict of (parent, why) by node, each
+    union rerooting the path it joins by moving its entries: the reference
+    for `EGraph`'s per-node lists."""
+
+    def __init__(self):
+        self.parent: dict[int, tuple[int, object]] = {}
+
+    def link(self, a: int, b: int, just: object) -> None:
+        path = []
+        cur = b
+        while cur in self.parent:
+            nxt, j = self.parent[cur]
+            path.append((cur, nxt, j))
+            cur = nxt
+        for child, par, j in reversed(path):
+            del self.parent[child]
+            self.parent[par] = (child, j)
+        self.parent[b] = (a, just)
+
+    def path(self, a: int, b: int) -> list[tuple[int, int, object]]:
+        up_a, seen, cur = [a], {a: 0}, a
+        while cur in self.parent:
+            cur = self.parent[cur][0]
+            seen[cur] = len(up_a)
+            up_a.append(cur)
+        chain_b, cur = [b], b
+        while cur not in seen:
+            if cur not in self.parent:
+                raise EGraphError(f"nodes {a} and {b} are not connected")
+            cur = self.parent[cur][0]
+            chain_b.append(cur)
+        path = [(x, *self.parent[x]) for x in up_a[:seen[cur]]]
+        down = [(self.parent[x][0], x, self.parent[x][1])
+                for x in chain_b[:-1]]
+        return path + down[::-1]
+
+
+class TestExplanationForest:
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.integers(1, 10),
+           unions=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                           max_size=30))
+    def test_paths_match_the_dict_forest(self, size, unions):
+        g = EGraph()
+        nodes = [g.add(NodeRec("var", ann(4), (), (), name=f"v{i}"))[1]
+                 for i in range(size)]
+        ref = DictForest()
+        for k, (a, b) in enumerate(unions):
+            a, b = nodes[a % size], nodes[b % size]
+            if g.union(a, b, f"u{k}"):
+                ref.link(a, b, f"u{k}")
+        assert {v: (p, w) for v, (p, w) in enumerate(zip(g.up, g.why))
+                if p != -1} == ref.parent
+        for a, b in itertools.product(nodes, repeat=2):
+            if g.find(a) == g.find(b):
+                assert g.forest_path(a, b) == ref.path(a, b), (a, b)
+            else:
+                for forest_path in (g.forest_path, ref.path):
+                    with pytest.raises(EGraphError, match="not connected"):
+                        forest_path(a, b)
+
+    def test_rule_just_sides(self):
+        lhs = Skeleton(7, (Skeleton(3, (None, None)), None))
+        rhs = Skeleton(9, (None, Skeleton(8, ()), Skeleton(5, None)))
+        just = RuleJust.of("r", lhs, rhs)
+        assert just.nodes == (7, 3, 9, 8, 5)
+        assert just.shape == (Skeleton(0, (Skeleton(1, (None, None)), None)),
+                              Skeleton(2, (None, Skeleton(3, ()),
+                                           Skeleton(4, None))))
+        assert (just.rule_id, just.lhs, just.rhs) == ("r", lhs, rhs)
+        bare = RuleJust.of("r", Skeleton(4, None), Skeleton(6, (None,)))
+        assert bare == ("r", (Skeleton(0, None), Skeleton(1, (None,))),
+                        (4, 6))
 
 
 class TestInitPair:
@@ -602,6 +678,34 @@ class TestSaturationMemory:
         assert count > 10_000
         assert size <= 200 * count, size / count
 
+    def test_a_union_leaves_under_three_tracked_objects(self):
+        # saturate-deep's vbsme8 run, 100,803 unions.  A union keeps one
+        # record: its rule's shared shape and a tuple of node ids, which
+        # the collector untracks.  A forest of (parent, why) tuples over
+        # skeleton trees left 8.2 tracked objects a union, nodes and classes
+        # included; no skeleton is built until the explainer reads one.
+        rules = baseline_rules()
+
+        def run():
+            g = init_pair(*load_pair("vbsme8"))
+            gc.collect()
+            tracked = gc.get_objects()
+            count = len(tracked)
+            skeletons = sum(type(o) is Skeleton for o in tracked)
+            del tracked
+            saturate(g, rules, {"iter": 5, "nodes": 10 ** 9},
+                     stop_on_merge=False)
+            gc.collect()
+            tracked = gc.get_objects()
+            return (g, len(tracked) - count,
+                    sum(type(o) is Skeleton for o in tracked) - skeletons)
+
+        run()  # compiles the rule programs and makes their shapes
+        g, tracked, skeletons = run()
+        assert g.unions > 100_000
+        assert tracked < 3 * g.unions, tracked / g.unions
+        assert skeletons == 0
+
     @pytest.mark.parametrize("name", names())
     def test_nodes_share_one_slot_tuple_per_value(self, name):
         g = init_pair(*load_pair(name))
@@ -660,6 +764,24 @@ def full_sweep_refine(g: EGraph) -> None:
                 changed = True
 
 
+def forest_edges(g: EGraph) -> list[tuple]:
+    """Each explanation-forest edge as (node, parent, rule id, lhs, rhs),
+    in node order, with a rule justification's two sides materialised; any
+    other justification stands for its own rule id, with no sides."""
+    assert len(g.up) == len(g.why) == len(g.nodes)
+    edges = []
+    for v, (up, why) in enumerate(zip(g.up, g.why)):
+        if up == -1:
+            assert why is None, v
+        elif isinstance(why, RuleJust):
+            # the one record a union keeps is the one its sides make
+            assert RuleJust.of(why.rule_id, why.lhs, why.rhs) == why, v
+            edges.append((v, up, why.rule_id, why.lhs, why.rhs))
+        else:
+            edges.append((v, up, why, None, None))
+    return edges
+
+
 def assert_same_graph(g: EGraph, ref: EGraph) -> None:
     assert g.nodes == ref.nodes
     assert [g.find(i) for i in range(len(g.parent))] \
@@ -667,7 +789,7 @@ def assert_same_graph(g: EGraph, ref: EGraph) -> None:
     assert {c: (cls.node_ids, cls.interval) for c, cls in g.classes.items()} \
         == {c: (cls.node_ids, cls.interval)
             for c, cls in ref.classes.items()}
-    assert g.proof_parent == ref.proof_parent
+    assert forest_edges(g) == forest_edges(ref)
     assert g.hashcons == ref.hashcons
     assert g.unions == ref.unions
 

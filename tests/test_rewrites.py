@@ -23,6 +23,8 @@ from wordec.rewrites import (CATALOGUE_TEXT, BlockedMatch, PatConst, PatOp,
                              parse_expr, parse_rules, pattern_slots,
                              baseline_rules, validate_rule)
 
+from test_egraph import forest_edges
+
 
 def _eval_ann(w, s, env):
     return Annotation(_width(eval_expr(w, env)), _is_signed(eval_expr(s, env)))
@@ -823,7 +825,7 @@ def reference_apply(rule, ref, g):
     if tgt_ann != rhs_ann:
         raise RuleError(f"{rule.id}: rhs annotation ({rhs_ann}) differs "
                         f"from matched class ({tgt_ann})")
-    return g.union(lhs.node, rnid, RuleJust(rule.id, lhs, rskel))
+    return g.union(lhs.node, rnid, RuleJust.of(rule.id, lhs, rskel))
 
 
 def _preorder(skel):
@@ -861,7 +863,7 @@ def _outcome(fn, *args):
 
 
 def _state(g):
-    return (repr(g.nodes), g.parent, repr(sorted(g.proof_parent.items())),
+    return (repr(g.nodes), g.parent, repr(forest_edges(g)),
             repr(sorted(g.classes.items())), g.unions)
 
 
