@@ -13,8 +13,8 @@ sides over all operand values.  This module does that work in batches:
   `eval_expr` itself is not called;
 - the grid is read in blocks of at most AUDIT_VECTORS vectors;
 - the operand grids of a block's surviving instances run back to back
-  through `ir.first_mismatches` in batches of at most AUDIT_ROWS rows,
-  whose annotations differ row by row.
+  through `ir.first_mismatches` in batches of at most `ir.ROWS` rows, the
+  one batch size of the evaluator, whose annotations differ row by row.
 
 The violations and the blocked instances are those of checking one
 instance and one operand assignment at a time, in order.  Every expression
@@ -31,19 +31,15 @@ import numpy as np
 
 from . import rewrites
 from .ir import (SIGNED, UNSIGNED, Annotation, RowAnnotation, RowTerm,
-                 first_mismatches)
+                 first_mismatches, rows_to_inputs)
 from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
                        RuleError, _is_signed, _width, expr_params,
                        pattern_slots)
 
-# Grid vectors per block, and operand rows per evaluator batch.  Each block
-# and batch holds a few dozen arrays of its length; a batch gathers only
-# the annotation fields the evaluator reads.  On the built-in catalogue at
-# maxw=3 (perfbench audit-rules, rescaled, 2-vCPU x86_64 VM), 2048, 4096
-# and 8192 rows took about 1.17, 0.96 and 0.94 s at 33.0, 32.9 and 33.7 MB
-# peak RSS: past 4096, rows buy little time for their memory.
+# Grid vectors per block.  A block holds a few dozen arrays of its length,
+# and its operand rows run through `ir.first_mismatches` in batches of
+# `ir.ROWS`, each gathering only the annotation fields the evaluator reads.
 AUDIT_VECTORS = 1 << 10
-AUDIT_ROWS = 1 << 12
 # Widest operand space, in bits, that the audit enumerates for one instance.
 MAX_OPERAND_BITS = 22
 
@@ -184,11 +180,9 @@ class RuleAudit:
         starts = np.cumsum(counts) - counts
         vec = np.repeat(np.arange(n), counts)
         cols = {p: c[vec] for p, c in b.cols.items()}
-        local = np.arange(len(vec)) - starts[vec]
-        for v, a in reversed(list(zip(self.vals, anns))):
-            value = (local & a.mask[vec]) - a.sign[vec]
+        values = rows_to_inputs(np.arange(len(vec)) - starts[vec], anns, vec)
+        for v, value in zip(self.vals, values):
             cols[v] = value - self.domains[v].start
-            local >>= a.width[vec]
         return _Block(cols, len(vec))
 
     def term(self, b: _Block, p: Pattern, var_anns: dict) -> RowTerm:
@@ -245,7 +239,7 @@ class RuleAudit:
                  for i in np.flatnonzero(mismatch)}
         rows = np.flatnonzero(b.live & ~mismatch)
         for i, (witness, lv, rv) in first_mismatches(
-                lhs, rhs, inputs, rows, AUDIT_ROWS).items():
+                lhs, rhs, inputs, rows).items():
             found[i] = {"witness": witness, "lhs": lv, "rhs": rv}
         return [{"rule": rule.id, "params": self.params(b, i), **found[i]}
                 for i in sorted(found)]

@@ -231,24 +231,30 @@ class EGraph:
 
     def add_term(self, t: Term) -> tuple[int, int]:
         """Insert a term bottom-up; returns (class id, node id) of the root."""
-        nid = self._term_node(t, insert=True)
+        nid = self._term_node(t, True, {})
         return self.find(nid), nid
 
     def lookup(self, t: Term) -> int | None:
         """Node id of the canonical node heading term t, or None when some
         subterm of t is not in the graph."""
-        return self._term_node(t, insert=False)
+        return self._term_node(t, False, {})
 
-    def _term_node(self, t: Term, insert: bool) -> int | None:
+    def _term_node(self, t: Term, insert: bool, memo: dict) -> int | None:
+        """t's node id; `memo` holds each subterm object already reached in
+        this call by id, so a subterm shared by many parents is walked
+        once."""
+        if id(t) in memo:
+            return memo[id(t)]
         kids = []
         for _, child in t.operands:
-            nid = self._term_node(child, insert)
+            nid = self._term_node(child, insert, memo)
             if nid is None:
                 return None
             kids.append(self.find(nid))
         n = NodeRec(t.kind, t.out, tuple(s for s, _ in t.operands),
                     tuple(kids), t.name, t.value, t.indices)
-        return self.add(n)[1] if insert else self.hashcons.get(n)
+        memo[id(t)] = nid = self.add(n)[1] if insert else self.hashcons.get(n)
+        return nid
 
     def congruent(self, a: int, b: int) -> bool:
         """Nodes a and b have the same head and the same child classes."""

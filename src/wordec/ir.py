@@ -10,7 +10,6 @@ term language self-contained: no context-dependent sizing remains.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -399,12 +398,9 @@ def _program(steps: list[Step], top: list[int]) -> Program:
     for j, i in {j: i for i, s in enumerate(steps) for j in s.args}.items():
         if j not in kept:
             drops[i].append(j)
-    return Program(steps, top, drops, _narrow(steps, top))
-
-
-def _narrow(steps: list[Step], roots: Sequence[int]) -> bool:
-    """Whether every exact intermediate of `roots` fits in 62 bits."""
-    return max([steps[r].bits for r in roots], default=0) <= 62
+    # every exact intermediate fits in 62 bits: int64 lanes
+    narrow = max([steps[r].bits for r in top], default=0) <= 62
+    return Program(steps, top, drops, narrow)
 
 
 def vectorizable(t: Term) -> bool:
@@ -428,6 +424,10 @@ class RowAnnotation(NamedTuple):
             width = width.astype(object)
         mask = (1 << width) - 1
         return cls(width, mask, np.where(signed, (mask >> 1) + 1, 0))
+
+    def take(self, at: np.ndarray) -> "RowAnnotation":
+        """This annotation read at rows `at`."""
+        return RowAnnotation(self.width[at], self.mask[at], self.sign[at])
 
 
 def _bits(v, a):
@@ -511,17 +511,31 @@ def evaluate_many(t: Term | Program, env: Mapping[str, np.ndarray]):
     return vals if p is t else vals[0]
 
 
-# Rows per batch in pair_mismatches, by lane type.  Samples are drawn per
-# batch, so the int64 cap also fixes which inputs a seed draws on int64
-# lanes.  Object lanes hold one boxed int per value: a smaller cap bounds
-# peak memory.  A batch is evaluated SLICE_ROWS rows at a time, which bounds
-# the arrays that a program of many designs holds at once: on `check` of
-# fir8 and vbsme8 (2-vCPU x86_64 VM), slices of 4096, 8192 and 65536 rows
-# took about 0.20, 0.20 and 0.28 s a pass, at 55.1, 55.6 and 61.3 MB peak
-# RSS over four passes.
-INT64_ROWS = 1 << 16
-OBJECT_ROWS = 1 << 12
-SLICE_ROWS = 1 << 12
+# Rows per batch, on either lane type: every input batch is enumerated or
+# drawn, and evaluated, ROWS rows at a time, so the rows a pair meets do
+# not depend on the pairs checked with it.  A batch holds a few arrays of
+# ROWS entries per step of its program.  On `check` of fir8 and vbsme8
+# (perfbench check-extract, medians of 10 runs, 2-vCPU x86_64 VM), this
+# one size took 0.197 s a pass at 41.2 MB peak RSS, against 0.198 s and
+# 53.0 MB for 65,536-row int64 batches evaluated in 4,096-row slices.
+ROWS = 1 << 12
+
+
+def rows_to_inputs(local: np.ndarray, anns: Sequence,
+                   at: np.ndarray | None = None) -> list[np.ndarray]:
+    """The input values at flat row indices `local` of a joint input space:
+    the first input most significant, each low to high.  `anns` holds one
+    annotation per input: `Annotation`s, or `RowAnnotation`s read at the
+    entries `at` gives each row, one input at a time so that each input's
+    gathered fields are freed before the next.  `local` is used up: it is
+    shifted in place."""
+    vals = []
+    for a in reversed(anns):
+        if at is not None:
+            a = a.take(at)
+        vals.append((local & a.mask) - a.sign)
+        local >>= a.width
+    return vals[::-1]
 
 
 def _draw(rng: np.random.Generator, a: Annotation, n: int) -> np.ndarray:
@@ -557,56 +571,34 @@ def pair_mismatches(pairs: Sequence[tuple[Term, Term]] | Program,
     """`first_mismatch` of each of `pairs` over the same `inputs`, in one
     pass: one program of all their terms (or `pairs` itself, a compiled
     `Program` whose roots are the pairs' terms in order), each batch of
-    inputs enumerated or drawn once, until every pair has a mismatch or the
-    space is used up.  Each pair meets the rows that it meets alone: pairs
-    whose own program would run on the other lane type, and so draw
-    batches of another size, are checked in a pass of their own."""
+    ROWS inputs enumerated or drawn once, until every pair has a mismatch
+    or the space is used up.  Every batch has that one size, so each pair
+    meets the rows that it meets alone, whichever lane type the program
+    runs on (object lanes when any pair needs them)."""
     p = pairs if isinstance(pairs, Program) else program(
         [t for pair in pairs for t in pair])
     found: list[Mismatch | None] = [None] * (len(p.roots) // 2)
-    if not found:
-        return found
-    lanes = [_narrow(p.steps, p.roots[2 * k:2 * k + 2])
-             for k in range(len(found))]
-    if len(set(lanes)) > 1:
-        for lane in (True, False):
-            at = [k for k, x in enumerate(lanes) if x is lane]
-            sub = select(p, [r for k in at for r in p.roots[2 * k:2 * k + 2]])
-            for k, cex in zip(at, pair_mismatches(sub, inputs, samples,
-                                                  seed)):
-                found[k] = cex
-        return found
     names = [n for n, _ in inputs]
     anns = [x for _, x in inputs]
-    sizes = [x.hi - x.lo + 1 for x in anns]
-    total = math.prod(sizes) if samples is None else samples  # no inputs: 1
-    rows = (INT64_ROWS if total > OBJECT_ROWS and p.vectorizable
-            else OBJECT_ROWS)
+    total = 1 << sum(x.width for x in anns) if samples is None else samples
     rng = np.random.default_rng(seed) if samples is not None else None
     pending = list(range(len(found)))
-    for start in range(0, total, rows):
-        n = min(rows, total - start)
-        if samples is None:
-            idx = (np.unravel_index(np.arange(start, start + n), sizes)
-                   if sizes else ())
-            for i, x in zip(idx, anns):
-                i += x.lo
-            env = dict(zip(names, idx))
-        else:
-            env = {nm: _draw(rng, x, n) for nm, x in zip(names, anns)}
-        for lo in range(0, n, SLICE_ROWS):
-            vals = evaluate_many(p, {nm: v[lo:lo + SLICE_ROWS]
-                                     for nm, v in env.items()})
-            for k in pending:
-                va, vb = vals[2 * k], vals[2 * k + 1]
-                bad = np.flatnonzero(va != vb)
-                if bad.size:
-                    i = int(bad[0])
-                    found[k] = ({nm: int(env[nm][lo + i]) for nm in names},
-                                int(va[i]), int(vb[i]))
-            pending = [k for k in pending if found[k] is None]
-            if not pending:
-                return found
+    for start in range(0, total, ROWS):
+        if not pending:
+            break
+        n = min(ROWS, total - start)
+        env = dict(zip(names, rows_to_inputs(np.arange(start, start + n), anns)
+                       if samples is None else
+                       [_draw(rng, x, n) for x in anns]))
+        vals = evaluate_many(p, env)
+        for k in pending:
+            va, vb = vals[2 * k], vals[2 * k + 1]
+            bad = np.flatnonzero(va != vb)
+            if bad.size:
+                i = int(bad[0])
+                found[k] = ({nm: int(env[nm][i]) for nm in names},
+                            int(va[i]), int(vb[i]))
+        pending = [k for k in pending if found[k] is None]
     return found
 
 
@@ -659,17 +651,16 @@ class RowTerm(NamedTuple):
 
 def first_mismatches(a: RowTerm, b: RowTerm,
                      inputs: Sequence[tuple[str, RowAnnotation]],
-                     instances: np.ndarray, rows: int
+                     instances: np.ndarray
                      ) -> dict[int, tuple[dict[str, int], int, int]]:
     """`first_mismatch` for each of `instances`: the first input assignment
     on which `a` and `b` differ, with both values.  Each instance's joint
     input space is enumerated in lexicographic order (inputs in the given
     order, each low to high); the spaces run back to back through batches
-    of at most `rows` rows."""
+    of at most ROWS rows."""
     if not len(instances):
         return {}
-    inputs = [(name, RowAnnotation(*(x[instances] for x in ann)))
-              for name, ann in inputs]
+    inputs = [(name, x.take(instances)) for name, x in inputs]
     counts = 1 << sum((x.width for _, x in inputs), np.zeros_like(instances))
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -680,18 +671,16 @@ def first_mismatches(a: RowTerm, b: RowTerm,
                 for x in anns.values()) > ROW_INT64_WIDTH
     found: dict[int, tuple[dict[str, int], int, int]] = {}
     total = int(ends[-1])
-    for begin in range(0, total, rows):
-        stop = min(begin + rows, total)
+    for begin in range(0, total, ROWS):
+        stop = min(begin + ROWS, total)
         # the instance of each row: instances lo..hi meet this batch
         lo, hi = np.searchsorted(ends, (begin, stop - 1), side="right")
         inst = np.repeat(np.arange(lo, hi + 1),
                          np.minimum(ends[lo:hi + 1], stop)
                          - np.maximum(starts[lo:hi + 1], begin))
         local = np.arange(begin, stop) - starts[inst]
-        env = {}
-        for name, x in reversed(inputs):
-            env[name] = (local & x.mask[inst]) - x.sign[inst]
-            local >>= x.width[inst]
+        env = dict(zip([n for n, _ in inputs], rows_to_inputs(
+            local, [x for _, x in inputs], inst)))
         at = instances[inst]
         # each annotation read at instances `at`, each field on first read
         taken = {k: _TakenAnnotation(x, at, exact) for k, x in anns.items()}

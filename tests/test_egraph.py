@@ -259,6 +259,30 @@ class TestInitPair:
         assert g.lookup(absent) is None
         assert g.lookup(_add(absent, absent, 5)) is None
 
+    def test_doubling_chain_is_linear(self):
+        """A subterm shared by many parents is inserted and looked up once
+        per call: the chain w_i = w_{i-1} + w_{i-1} of 40 wires, a tree of
+        2^40 leaves, is 41 nodes."""
+        a8 = ann(8)
+
+        def chain():
+            w = var("x", a8)
+            for _ in range(40):
+                w = _add(w, w, 8)
+            return w
+
+        w = chain()
+        t0 = time.perf_counter()
+        g = EGraph()
+        _, root = g.add_term(w)
+        assert len(g.nodes) == 41
+        assert g.lookup(w) == root
+        # and the chain against a separately built copy of itself
+        d = Design("chain", (("x", a8),), "y", w)
+        g = init_pair(d, Design("copy", (("x", a8),), "y", chain()))
+        assert len(g.nodes) == 41 and g.roots_merged()
+        assert time.perf_counter() - t0 < 1.0
+
     def test_port_mismatch_rejected(self):
         spec, _ = load_pair("fig1")
         other = Design("other", (("Z", ann(4)),), "O", var("Z", ann(4)))

@@ -326,8 +326,8 @@ class TestFirstMismatches:
                     (y_slot, RowTerm("var", y, name="y")))
         a, b = (RowTerm(k, out, operands) for k in kinds)
         instances = np.flatnonzero(np.arange(len(grid)) % 5 != 3)
-        got = first_mismatches(a, b, [("x", x), ("y", y)], instances,
-                               rows=7)
+        monkeypatch.setattr(ir, "ROWS", 7)  # spaces span batches
+        got = first_mismatches(a, b, [("x", x), ("y", y)], instances)
         assert got and set(got) <= set(instances.tolist())
         for i in instances.tolist():
             wx, sx, wy, sy, wo, so = grid[i]
@@ -525,12 +525,9 @@ def _reference_first_mismatch(a, b, inputs, samples=None, seed=0):
     anns = [x for _, x in inputs]
     sizes = [x.hi - x.lo + 1 for x in anns]
     total = math.prod(sizes) if samples is None else samples
-    rows = (ir.INT64_ROWS if total > ir.OBJECT_ROWS
-            and _reference_bound(a) <= 62 and _reference_bound(b) <= 62
-            else ir.OBJECT_ROWS)
     rng = np.random.default_rng(seed) if samples is not None else None
-    for start in range(0, total, rows):
-        n = min(rows, total - start)
+    for start in range(0, total, ir.ROWS):
+        n = min(ir.ROWS, total - start)
         if samples is None:
             idx = (np.unravel_index(np.arange(start, start + n), sizes)
                    if sizes else ())
@@ -640,8 +637,7 @@ class TestProgram:
             assert [evaluate(a, e), evaluate(b, e)] == [g[row] for g in got]
         # batches of a few rows, so that a space spans several
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ir, "INT64_ROWS", 96)
-            mp.setattr(ir, "OBJECT_ROWS", 40)
+            mp.setattr(ir, "ROWS", 40)
             assert (first_mismatch(a, b, _PAIR_INPUTS)
                     == _reference_first_mismatch(a, b, _PAIR_INPUTS))
             samples = data.draw(st.integers(1, 300))
@@ -746,8 +742,8 @@ class TestPairMismatches:
         got = pair_mismatches(pairs, inputs)
         assert got == [({"x": 0, "y": 0}, 1, 0), None,
                        ({"x": 255, "y": 255}, 1, 0)]
-        # one batch of 2^16 rows, evaluated a slice at a time to its end
-        assert calls == [ir.SLICE_ROWS] * ((1 << 16) // ir.SLICE_ROWS)
+        # 2^16 rows, a batch of ROWS at a time, to the end of the space
+        assert calls == [ir.ROWS] * ((1 << 16) // ir.ROWS)
         assert got == [first_mismatch(a, b, inputs) for a, b in pairs]
         p = ir.program([t for pair in pairs for t in pair])
         assert pair_mismatches(p, inputs) == got
@@ -756,10 +752,11 @@ class TestPairMismatches:
             assert pair_mismatches(pairs, inputs, samples, seed) == [
                 first_mismatch(a, b, inputs, samples, seed) for a, b in pairs]
 
-    def test_each_lane_type_meets_its_own_rows(self):
-        """A pair on object lanes draws batches of OBJECT_ROWS, a pair on
-        int64 lanes of INT64_ROWS, so the same seed gives them different
-        inputs; checked together, each still meets its own."""
+    def test_mixed_lanes_meet_the_same_rows(self):
+        """A pair whose own program runs on object lanes and pairs on int64
+        lanes, checked together, run on object lanes; every batch has one
+        size on either lane type, so a seed draws the same rows for each
+        pair as it draws for that pair alone."""
         u16, u17 = ann(16), ann(17)
         x, y = var("x", u16), var("y", u16)
         add = op("+", u17, (u16, x), (u16, y))
@@ -769,10 +766,50 @@ class TestPairMismatches:
         pairs = [(add, orr), (wide, orr), (add, orr)]
         assert [ir.program(pair).vectorizable for pair in pairs] \
             == [True, False, True]
-        got = pair_mismatches(pairs, inputs, 100_000, 7)
-        assert got == [first_mismatch(a, b, inputs, 100_000, 7)
-                       for a, b in pairs]
-        assert got[0] == got[2] != got[1]
+        assert not ir.program([t for pair in pairs for t in pair]).vectorizable
+        for samples, seed in ((100_000, 7), (None, 0)):
+            got = pair_mismatches(pairs, inputs, samples, seed)
+            assert got == [first_mismatch(a, b, inputs, samples, seed)
+                           for a, b in pairs]
+            # `wide` computes `add`: the three pairs meet the same rows
+            assert got[0] is not None and got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("samples", [None, 10_000],
+                             ids=["enumerated", "drawn"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+    def test_no_batch_longer_than_rows(self, wide, samples, monkeypatch):
+        """Every batch is enumerated or drawn, and evaluated, at most ROWS
+        rows at a time, on either lane type, and together the batches
+        cover the space or the samples."""
+        u8, u9 = ann(8), ann(9)
+        x, y = var("x", u8), var("y", u8)
+        a = op("+", u9, (u8, x), (u8, y))
+        if wide:
+            a = op("+", u9, (ann(70, True), a), (ann(1), const(0, ann(1))))
+        b = op("+", u9, (u8, y), (u8, x))
+        assert ir.program([a, b]).vectorizable != wide
+        evaluated, drawn = [], []
+        run, draw = ir.evaluate_many, ir._draw
+
+        def counted_run(p, env):
+            evaluated.append(len(env["x"]))
+            return run(p, env)
+
+        def counted_draw(rng, a, n):
+            drawn.append(n)
+            return draw(rng, a, n)
+
+        monkeypatch.setattr(ir, "evaluate_many", counted_run)
+        monkeypatch.setattr(ir, "_draw", counted_draw)
+        inputs = [("x", u8), ("y", u8)]
+        assert pair_mismatches([(a, b)], inputs, samples, 3) == [None]
+        assert max(evaluated) == ir.ROWS
+        assert sum(evaluated) == (1 << 16 if samples is None else samples)
+        if samples is None:
+            assert drawn == []
+        else:
+            assert max(drawn) <= ir.ROWS
+            assert drawn == [n for n in evaluated for _ in inputs]
 
 
 class TestDeepAndSharedTerms:

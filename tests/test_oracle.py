@@ -701,9 +701,8 @@ class TestSharedPass:
            samples=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
     def test_each_verdict_as_alone(self, chain, bits, samples, seed):
         """Over 9 input bits, 4 exhaustive bits leave most pairs to the
-        grid and to sampling.  Batches and slices of a few rows make a
-        space span several, and the two lane types draw batches of
-        different sizes."""
+        grid and to sampling.  Batches of a few rows make a space span
+        several."""
         cfg = OracleConfig(max_exhaustive_bits=bits, samples=samples,
                            seed=seed)
         steps = [{"kind": "step", "rule": "r", "left": f"d{i}",
@@ -714,9 +713,7 @@ class TestSharedPass:
                 "kind": "assume-guarantee", "rule": None, "left": "d0",
                 "right": chain[-1].name}])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ir, "INT64_ROWS", 96)
-            mp.setattr(ir, "OBJECT_ROWS", 40)
-            mp.setattr(ir, "SLICE_ROWS", 32)
+            mp.setattr(ir, "ROWS", 40)
             rep = run_waterfall(w, cfg)
             for (ob, v), d1, d2 in zip(rep.verdicts, chain, chain[1:]):
                 alone = check_equiv(d1, d2, cfg)
