@@ -12,9 +12,10 @@ sides over all operand values.  This module does that work in batches:
   generator of the rule programs, which computes what `eval_expr` does;
   `eval_expr` itself is not called;
 - the grid is read in blocks of at most AUDIT_VECTORS vectors;
-- the operand grids of a block's surviving instances run back to back
-  through `ir.first_mismatches` in batches of at most `ir.ROWS` rows, the
-  one batch size of the evaluator, whose annotations differ row by row.
+- the operand grids of a block's surviving instances run through
+  `ir.first_mismatches`, one row per instance in 2-D batches of at most
+  `ir.ROWS` entries, the one batch size of the evaluator, grouped by the
+  bits of their operand space; each annotation is read once per batch.
 
 The violations and the blocked instances are those of checking one
 instance and one operand assignment at a time, in order.  Every expression
@@ -37,8 +38,8 @@ from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
                        pattern_slots)
 
 # Grid vectors per block.  A block holds a few dozen arrays of its length,
-# and its operand rows run through `ir.first_mismatches` in batches of
-# `ir.ROWS`, each gathering only the annotation fields the evaluator reads.
+# and its operand grids run through `ir.first_mismatches` in batches of at
+# most `ir.ROWS` entries, each reading its instances' annotations once.
 AUDIT_VECTORS = 1 << 10
 # Widest operand space, in bits, that the audit enumerates for one instance.
 MAX_OPERAND_BITS = 22
@@ -180,7 +181,8 @@ class RuleAudit:
         starts = np.cumsum(counts) - counts
         vec = np.repeat(np.arange(n), counts)
         cols = {p: c[vec] for p, c in b.cols.items()}
-        values = rows_to_inputs(np.arange(len(vec)) - starts[vec], anns, vec)
+        values = rows_to_inputs(np.arange(len(vec)) - starts[vec],
+                                [a.take(vec) for a in anns])
         for v, value in zip(self.vals, values):
             cols[v] = value - self.domains[v].start
         return _Block(cols, len(vec))

@@ -202,6 +202,30 @@ class Term:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __eq__(self, other) -> bool:
+        # the stored hashes first, then each pair of distinct subterm objects
+        # once, on a stack: over shared wires the trees are exponential
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self is other:
+            return True
+        if hash(self) != hash(other):
+            return False
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if (a.kind != b.kind or a.out is not b.out or a.name != b.name
+                    or a.value != b.value or a.indices != b.indices
+                    or len(a.operands) != len(b.operands)):
+                return False
+            for (sa, ca), (sb, cb) in zip(a.operands, b.operands):
+                if sa is not sb:
+                    return False
+                if ca is not cb and (id(ca), id(cb)) not in seen:
+                    seen.add((id(ca), id(cb)))
+                    stack.append((ca, cb))
+        return True
+
     def __reduce__(self):  # not the stored hash: a str's varies by process
         return Term, (self.kind, self.out, self.name, self.value,
                       self.operands, self.indices)
@@ -409,10 +433,10 @@ def vectorizable(t: Term) -> bool:
 
 
 class RowAnnotation(NamedTuple):
-    """Annotations that differ from row to row of one batch, one array entry
-    per row: the `width`, `mask` and `sign` that `Annotation` computes
-    (`sign` is 0 exactly on unsigned rows).  `_run` takes one wherever it
-    takes an `Annotation`."""
+    """Annotations that differ from instance to instance, one array entry
+    per instance: the `width`, `mask` and `sign` that `Annotation` computes
+    (`sign` is 0 exactly on unsigned instances).  `_run` takes one wherever
+    it takes an `Annotation`."""
 
     width: np.ndarray
     mask: np.ndarray
@@ -426,7 +450,7 @@ class RowAnnotation(NamedTuple):
         return cls(width, mask, np.where(signed, (mask >> 1) + 1, 0))
 
     def take(self, at: np.ndarray) -> "RowAnnotation":
-        """This annotation read at rows `at`."""
+        """This annotation read at instances `at`."""
         return RowAnnotation(self.width[at], self.mask[at], self.sign[at])
 
 
@@ -443,12 +467,13 @@ def _interpret(bits, a):
 
 
 def _run(p: Program, env: Mapping[str, np.ndarray], exact: bool,
-         rows: int | None = None, nodes: list | None = None) -> list:
-    """`p`'s root values on one batch of rows, on int64 lanes or exact ints
-    (`nodes`, if given, in place of the steps' own): the one opcode table."""
+         shape: int | tuple | None = None, nodes: list | None = None) -> list:
+    """`p`'s root values on one batch of shape `shape` (by default its first
+    input's), on int64 lanes or exact ints (`nodes`, if given, in place of
+    the steps' own): the one opcode table."""
     dtype = object if exact else np.int64
-    if rows is None:
-        rows = len(next(iter(env.values()))) if env else 1
+    if shape is None:
+        shape = np.shape(next(iter(env.values()))) if env else 1
     vals: list = [None] * len(p.steps)
     for i, s in enumerate(p.steps):
         t = s.node if nodes is None else nodes[i]
@@ -459,7 +484,7 @@ def _run(p: Program, env: Mapping[str, np.ndarray], exact: bool,
             vals[i] = np.asarray(env[t.name], dtype=dtype)
             continue
         if k == "const":
-            vals[i] = np.broadcast_to(np.asarray(t.value, dtype=dtype), rows)
+            vals[i] = np.broadcast_to(np.asarray(t.value, dtype=dtype), shape)
             continue
         slots = [slot for slot, _ in t.operands]
         v = [vals[j] if same else _interpret(_bits(vals[j], a), a)
@@ -521,18 +546,13 @@ def evaluate_many(t: Term | Program, env: Mapping[str, np.ndarray]):
 ROWS = 1 << 12
 
 
-def rows_to_inputs(local: np.ndarray, anns: Sequence,
-                   at: np.ndarray | None = None) -> list[np.ndarray]:
+def rows_to_inputs(local: np.ndarray, anns: Sequence) -> list[np.ndarray]:
     """The input values at flat row indices `local` of a joint input space:
     the first input most significant, each low to high.  `anns` holds one
-    annotation per input: `Annotation`s, or `RowAnnotation`s read at the
-    entries `at` gives each row, one input at a time so that each input's
-    gathered fields are freed before the next.  `local` is used up: it is
-    shifted in place."""
+    annotation per input: `Annotation`s, or `RowAnnotation`s of columns, an
+    entry per row of `local`.  `local` is used up: it is shifted in place."""
     vals = []
     for a in reversed(anns):
-        if at is not None:
-            a = a.take(at)
         vals.append((local & a.mask) - a.sign)
         local >>= a.width
     return vals[::-1]
@@ -611,25 +631,6 @@ def pair_mismatches(pairs: Sequence[tuple[Term, Term]] | Program,
 ROW_INT64_WIDTH = 31
 
 
-class _TakenAnnotation:
-    """A `RowAnnotation` read at instances `at`, one field at a time: a
-    field is gathered on its first read and kept as an attribute.  `_run`
-    reads `width` only for shifts, `concat` and `sext`."""
-
-    def __init__(self, rows: RowAnnotation, at: np.ndarray, exact: bool):
-        self.rows, self.at, self.exact = rows, at, exact
-
-    def __getattr__(self, field: str) -> np.ndarray:
-        # called only while `field` is not yet an attribute
-        if field not in RowAnnotation._fields:
-            raise AttributeError(field)
-        x = getattr(self.rows, field)[self.at]
-        if self.exact:
-            x = x.astype(object)
-        setattr(self, field, x)
-        return x
-
-
 class RowTerm(NamedTuple):
     """A term whose annotations and constants differ per instance.
     `program` compiles one like a `Term`, into one step per object."""
@@ -642,7 +643,7 @@ class RowTerm(NamedTuple):
 
     def take(self, at: np.ndarray, taken: dict) -> "RowTerm":
         """This node with each annotation as `taken` holds it by id, and its
-        constant read at instances `at`."""
+        constant read at instances `at`, a column."""
         value = None if self.value is None else self.value[at]
         return RowTerm(self.kind, taken[id(self.out)],
                        tuple([(taken[id(s)], c) for s, c in self.operands]),
@@ -656,44 +657,45 @@ def first_mismatches(a: RowTerm, b: RowTerm,
     """`first_mismatch` for each of `instances`: the first input assignment
     on which `a` and `b` differ, with both values.  Each instance's joint
     input space is enumerated in lexicographic order (inputs in the given
-    order, each low to high); the spaces run back to back through batches
-    of at most ROWS rows."""
+    order, each low to high), as one row of a 2-D batch of at most ROWS
+    entries that holds only spaces of as many bits; each annotation and
+    constant is read once per batch, as a column.  A space wider than ROWS
+    runs ROWS columns at a time, until it has a mismatch."""
     if not len(instances):
         return {}
-    inputs = [(name, x.take(instances)) for name, x in inputs]
-    counts = 1 << sum((x.width for _, x in inputs), np.zeros_like(instances))
-    ends = np.cumsum(counts)
-    starts = ends - counts
     p = program([a, b])
     anns = {id(x): x for s in p.steps
             for x in (s.node.out, *(slot for slot, _ in s.node.operands))}
     exact = max(int(x.width[instances].max())
                 for x in anns.values()) > ROW_INT64_WIDTH
+    dtype = object if exact else np.int64
+    names = [n for n, _ in inputs]
+    bits = sum((x.width[instances] for _, x in inputs),
+               np.zeros_like(instances))
     found: dict[int, tuple[dict[str, int], int, int]] = {}
-    total = int(ends[-1])
-    for begin in range(0, total, ROWS):
-        stop = min(begin + ROWS, total)
-        # the instance of each row: instances lo..hi meet this batch
-        lo, hi = np.searchsorted(ends, (begin, stop - 1), side="right")
-        inst = np.repeat(np.arange(lo, hi + 1),
-                         np.minimum(ends[lo:hi + 1], stop)
-                         - np.maximum(starts[lo:hi + 1], begin))
-        local = np.arange(begin, stop) - starts[inst]
-        env = dict(zip([n for n, _ in inputs], rows_to_inputs(
-            local, [x for _, x in inputs], inst)))
-        at = instances[inst]
-        # each annotation read at instances `at`, each field on first read
-        taken = {k: _TakenAnnotation(x, at, exact) for k, x in anns.items()}
-        nodes = [s.node.take(at, taken) for s in p.steps]
-        va, vb = _run(p, env, exact, stop - begin, nodes)
-        bad = np.flatnonzero(va != vb)
-        first = np.ones(len(bad), dtype=bool)  # rows run instance by instance
-        first[1:] = inst[bad[1:]] != inst[bad[:-1]]
-        for r in bad[first]:
-            i = int(at[r])
-            if i not in found:
-                found[i] = ({n: int(env[n][r]) for n, _ in inputs},
-                            int(va[r]), int(vb[r]))
+    for w in sorted(set(bits.tolist())):
+        group, size = instances[bits == w], 1 << w
+        span, per = min(size, ROWS), max(1, ROWS >> w)
+        for g in range(0, len(group), per):
+            at = group[g:g + per, None]
+            taken = {k: RowAnnotation._make(
+                f[at].astype(dtype, copy=False) for f in x)
+                for k, x in anns.items()}
+            nodes = [s.node.take(at, taken) for s in p.steps]
+            xs = [x.take(at) for _, x in inputs]
+            for begin in range(0, size, span):
+                # one row of indices per instance, shifted in place
+                local = np.arange(begin, min(begin + span, size)) + 0 * at
+                env = dict(zip(names, rows_to_inputs(local, xs)))
+                va, vb = _run(p, env, exact, local.shape, nodes)
+                bad = va != vb
+                hit = np.flatnonzero(bad.any(axis=1))
+                for r in hit:
+                    i = r, bad[r].argmax()
+                    found[int(at[r, 0])] = ({n: int(env[n][i]) for n in names},
+                                            int(va[i]), int(vb[i]))
+                if len(hit):  # a space past ROWS has its batch to itself
+                    break
     return found
 
 

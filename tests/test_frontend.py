@@ -182,6 +182,26 @@ class TestParseSv:
         assert time.perf_counter() - t0 < 0.5
         assert text.count(" + ") == 40
 
+    @pytest.mark.parametrize("n", [40, 64])
+    def test_shared_wires_compare_once(self, n):
+        # two separately read copies of w_i = w_{i-1} + w_{i-1}: `==` that
+        # walks both bodies as trees visits 2^n pairs of leaves
+        def chain(minus_at=None):
+            lines = ["module dbl(x, o);", "input [7:0] x; output [7:0] o;"]
+            for i in range(1, n + 1):
+                v = "x" if i == 1 else f"w{i - 1}"
+                o = "-" if i == minus_at else "+"
+                lines.append(f"wire [7:0] w{i}; assign w{i} = {v} {o} {v};")
+            lines += [f"assign o = w{n};", "endmodule"]
+            return parse_sv("\n".join(lines)).body
+
+        a, b, c = chain(), chain(), chain(minus_at=n // 2)
+        assert a is not b
+        for other, equal in ((b, True), (c, False)):
+            t0 = time.perf_counter()
+            assert (a == other) is equal
+            assert time.perf_counter() - t0 < 1.0
+
     def test_multiply_driven_rejected(self):
         with pytest.raises(ParseError, match="driv"):
             parse_sv("module m(a, o); input [3:0] a; output [3:0] o;\n"

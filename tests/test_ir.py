@@ -306,15 +306,13 @@ class TestFirstMismatches:
     @pytest.mark.parametrize("kinds", [("*", "|"), ("<<", "*")])
     def test_each_instance_as_first_mismatch(self, kinds, wide,
                                              monkeypatch):
-        fields, lanes = set(), set()
-        gather = ir._TakenAnnotation.__getattr__
+        lanes, sizes, run = set(), [], ir._run
 
-        def recording(self, field):
-            fields.add(field)
-            lanes.add(self.exact)
-            return gather(self, field)
+        def recording(p, env, exact, shape, *args):
+            lanes.add(exact)
+            sizes.append(math.prod(shape))
+            return run(p, env, exact, shape, *args)
 
-        monkeypatch.setattr(ir._TakenAnnotation, "__getattr__", recording)
         grid = list(itertools.product(
             (1, 2, 3), (False, True), (1, 2), (False, True),
             (2, ROW_INT64_WIDTH + 9) if wide else (2, 3), (False, True)))
@@ -327,7 +325,9 @@ class TestFirstMismatches:
         a, b = (RowTerm(k, out, operands) for k in kinds)
         instances = np.flatnonzero(np.arange(len(grid)) % 5 != 3)
         monkeypatch.setattr(ir, "ROWS", 7)  # spaces span batches
-        got = first_mismatches(a, b, [("x", x), ("y", y)], instances)
+        with monkeypatch.context() as m:  # the scalar reference runs too
+            m.setattr(ir, "_run", recording)
+            got = first_mismatches(a, b, [("x", x), ("y", y)], instances)
         assert got and set(got) <= set(instances.tolist())
         for i in instances.tolist():
             wx, sx, wy, sy, wo, so = grid[i]
@@ -338,8 +338,16 @@ class TestFirstMismatches:
             want = first_mismatch(*scalar, [("x", xa), ("y", ya)])
             assert got.get(i) == want, grid[i]
         assert lanes == {wide}
-        # only a shift, concat or sext reads a width
-        assert ("width" in fields) == (kinds[0] in SHIFT_OPS)
+        # a pair that never differs runs every space whole, each assignment
+        # once, in batches of at most ROWS entries
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ir, "_run", recording)
+            assert first_mismatches(a, a, [("x", x), ("y", y)],
+                                    instances) == {}
+        assert max(sizes) <= 7
+        assert sum(sizes) == sum(2 ** (grid[i][0] + grid[i][2])
+                                 for i in instances.tolist())
 
 
 class TestOpValueRange:
@@ -384,6 +392,21 @@ class TestTermStructure:
         t2 = t.replace((1,), a)
         assert t2.at((1,)) == a
         assert t2 != t
+
+    def test_equality_reads_every_field_past_equal_hashes(self):
+        # with every stored hash forced equal, only the walk tells apart
+        def make(kind="+", out=5, slot=4, name="x", value=3):
+            t = op(kind, ann(out), (ann(slot), var(name, ann(4))),
+                   (ann(4), const(value, ann(4))))
+            for node in (t, t.operands[0][1], t.operands[1][1]):
+                object.__setattr__(node, "_hash", 0)
+            return t
+
+        base = make()
+        assert base == make() and base is not make()
+        for field, other in [("kind", "-"), ("out", 6), ("slot", 5),
+                             ("name", "y"), ("value", 2)]:
+            assert base != make(**{field: other}), field
 
     def test_bad_arity_rejected(self):
         with pytest.raises(IrError):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordec import rewrites
+from wordec import ir, rewrites
 from wordec.analysis import AnalysisError
 from wordec.audit import RuleAudit, _Table
 from wordec.egraph import EGraph, NodeRec, RuleJust, Skeleton, \
@@ -622,6 +622,16 @@ class TestBatchedAudit:
         assert got == want
         # keys in the same order too, as the dicts are printed
         assert [list(v) for v in got] == [list(v) for v in want]
+
+    @pytest.mark.parametrize(
+        "rule", parse_rules(CATALOGUE_TEXT + UNSOUND_TEXT + WIDE_TEXT),
+        ids=lambda r: r.id)
+    def test_matches_scalar_reference_in_rows_of_7(self, rule, monkeypatch):
+        # at maxw=2 every operand space fits one batch of the real ROWS; 7
+        # splits the instance groups across batches, and runs the widest
+        # spaces past one batch, clamping their last chunk
+        monkeypatch.setattr(ir, "ROWS", 7)
+        self.test_matches_scalar_reference(rule)
 
     def test_unsound_set_is_flagged(self):
         for rule in parse_rules(UNSOUND_TEXT):
