@@ -11,11 +11,13 @@ sides over all operand values.  This module does that work in batches:
   function compiled from the expression by `rewrites._expr_code`, the code
   generator of the rule programs, which computes what `eval_expr` does;
   `eval_expr` itself is not called;
-- the grid is read in blocks of at most AUDIT_VECTORS vectors;
+- both sides are compiled once into one `ir.program` whose annotations
+  and constants are columns, read from the tables per block of at most
+  AUDIT_VECTORS grid vectors;
 - the operand grids of a block's surviving instances run through
   `ir.first_mismatches`, one row per instance in 2-D batches of at most
-  `ir.ROWS` entries, the one batch size of the evaluator, grouped by the
-  bits of their operand space; each annotation is read once per batch.
+  `ir.ROWS` entries (the evaluator's one batch size) grouped by the bits
+  of their operand space, each batch gathering every column once.
 
 The violations and the blocked instances are those of checking one
 instance and one operand assignment at a time, in order.  Every expression
@@ -30,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import rewrites
+from . import ir, rewrites
 from .ir import (SIGNED, UNSIGNED, Annotation, RowAnnotation, RowTerm,
                  first_mismatches, rows_to_inputs)
 from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
@@ -39,9 +41,9 @@ from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
 
 # Grid vectors per block.  A block holds a few dozen arrays of its length,
 # and its operand grids run through `ir.first_mismatches` in batches of at
-# most `ir.ROWS` entries, each reading its instances' annotations once.
+# most `ir.ROWS` entries, each gathering its instances' columns once.
 AUDIT_VECTORS = 1 << 10
-# Widest operand space, in bits, that the audit enumerates for one instance.
+# Widest operand or constant-value space, in bits, that the audit enumerates.
 MAX_OPERAND_BITS = 22
 
 
@@ -91,7 +93,6 @@ class _Block:
     def __init__(self, cols: dict[str, np.ndarray], n: int):
         self.cols = cols
         self.live = np.ones(n, dtype=bool)
-        self.anns: dict[tuple[int, int], RowAnnotation] = {}
 
     def read(self, table: _Table) -> np.ndarray:
         """`table`'s entry for every instance; an instance that reads a
@@ -109,8 +110,8 @@ class _Block:
 
 class RuleAudit:
     """One pattern rule's audit: its parameter grid (widths, then signages,
-    each sorted, in C order) and the tables of its expressions, built once
-    and read by every block."""
+    each sorted, in C order), the program of its two sides and the tables
+    of its expressions, built once and read by every block."""
 
     def __init__(self, rule: Rule, maxw: int):
         self.rule = rule
@@ -140,6 +141,30 @@ class RuleAudit:
                     for sv in set(s.value[~s.blocked].tolist())]
             self.domains[v] = range(min((a.lo for a in anns), default=0),
                                     max((a.hi for a in anns), default=-1) + 1)
+        # each column's index by its key, in the order the applier reads them
+        self.columns: dict[tuple, int] = {}
+        var_cols: dict[str, int] = {}
+
+        def column(*key) -> int:
+            return self.columns.setdefault(key, len(self.columns))
+
+        def term(p: Pattern, slot: int | None = None) -> RowTerm:
+            if isinstance(p, PatVar):  # the column of its first lhs slot
+                col = var_cols.setdefault(p.name, slot)
+                return RowTerm("var", col, (), p.name.lstrip("?"))
+            if isinstance(p, PatConst):
+                a = column("ann", p.width, p.sig)
+                return RowTerm("const", a, value=column("const", p.value, a))
+            out = column("ann", p.out_w, p.out_s)
+            operands = []
+            for w, s, sub in p.operands:
+                col = column("ann", w, s)
+                operands.append((col, term(sub, col)))
+            return RowTerm(p.op, out, tuple(operands))
+
+        self.sides = term(rule.lhs), term(rule.rhs)
+        self.program = ir.program(self.sides)
+        self.inputs = [(v.lstrip("?"), var_cols[v]) for v in sorted(var_cols)]
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         total = math.prod(self.shape)
@@ -154,16 +179,9 @@ class RuleAudit:
         return self.tables[key]
 
     def ann(self, b: _Block, w, s) -> RowAnnotation:
-        """The annotation (w, s) of every instance in the block.  Reading
-        the same tables again blocks and raises nothing new, so the block
-        keeps one annotation per pair of tables."""
-        wt = self.table(w, _width, fill=1)
-        st = self.table(s, _is_signed)
-        key = (id(wt), id(st))
-        if key not in b.anns:
-            b.anns[key] = RowAnnotation.of(b.read(wt),
-                                           b.read(st).astype(bool))
-        return b.anns[key]
+        """The annotation (w, s) of every instance in the block."""
+        return RowAnnotation.of(b.read(self.table(w, _width, fill=1)),
+                                b.read(self.table(s, _is_signed)).astype(bool))
 
     def block(self, start: int, stop: int) -> _Block:
         """The instances of grid vectors start..stop-1: each vector once per
@@ -177,7 +195,11 @@ class RuleAudit:
         if not self.vals:
             return b
         anns = [self.ann(b, *self.val_ann[v]) for v in self.vals]
-        counts = np.where(b.live, 1 << sum(a.width for a in anns), 0)
+        bits = sum(a.width for a in anns)
+        if (b.live & (bits > MAX_OPERAND_BITS)).any():
+            raise RuleError(f"{self.rule.id}: constant space too large to "
+                            "enumerate")
+        counts = np.where(b.live, 1 << bits, 0)
         starts = np.cumsum(counts) - counts
         vec = np.repeat(np.arange(n), counts)
         cols = {p: c[vec] for p, c in b.cols.items()}
@@ -186,27 +208,6 @@ class RuleAudit:
         for v, value in zip(self.vals, values):
             cols[v] = value - self.domains[v].start
         return _Block(cols, len(vec))
-
-    def term(self, b: _Block, p: Pattern, var_anns: dict) -> RowTerm:
-        """`p` instantiated for the block's instances, reading expressions
-        in the order the rule's applier evaluates them.  An instance with a
-        blocked expression or an unrepresentable constant stops being live.
-        A variable takes the annotation of its first lhs slot."""
-        if isinstance(p, PatVar):
-            return RowTerm("var", var_anns[p.name], name=p.name.lstrip("?"))
-        if isinstance(p, PatConst):
-            a = self.ann(b, p.width, p.sig)
-            v = b.read(self.table(p.value, int))
-            b.live &= ((-a.sign <= v) & (v <= a.mask - a.sign)).astype(bool)
-            return RowTerm("const", a, value=v)
-        out = self.ann(b, p.out_w, p.out_s)
-        operands = []
-        for w, s, sub in p.operands:
-            slot = self.ann(b, w, s)
-            if isinstance(sub, PatVar):
-                var_anns.setdefault(sub.name, slot)
-            operands.append((slot, self.term(b, sub, var_anns)))
-        return RowTerm(p.op, out, tuple(operands))
 
     def params(self, b: _Block, i: int) -> dict:
         return {p: self.domains[p][int(b.cols[p][i])]
@@ -222,13 +223,18 @@ class RuleAudit:
         if rule.cond is not True:
             holds = b.read(self.table(rule.cond, bool))
             b.keep(b.live & holds.astype(bool))
-        var_anns: dict[str, RowAnnotation] = {}
-        lhs = self.term(b, rule.lhs, var_anns)
-        rhs = self.term(b, rule.rhs, var_anns)
-        inputs = [(v.lstrip("?"), var_anns[v]) for v in sorted(var_anns)]
-        mismatch = b.live & ((lhs.out.width != rhs.out.width)
-                             | (lhs.out.sign != rhs.out.sign))
-        bits = sum(a.width for _, a in inputs)
+        # a blocked expression or an unrepresentable constant ends an instance
+        cols: list = []
+        for kind, e, x in self.columns:
+            if kind == "ann":
+                cols.append(self.ann(b, e, x))
+                continue
+            a, v = cols[x], b.read(self.table(e, int))
+            b.live &= ((-a.sign <= v) & (v <= a.mask - a.sign)).astype(bool)
+            cols.append(v)
+        lhs, rhs = (cols[t.out] for t in self.sides)
+        mismatch = b.live & ((lhs.width != rhs.width) | (lhs.sign != rhs.sign))
+        bits = sum(cols[c].width for _, c in self.inputs)
         if (b.live & ~mismatch & (bits > MAX_OPERAND_BITS)).any():
             raise RuleError(f"{rule.id}: operand space too large to "
                             "enumerate")
@@ -236,12 +242,12 @@ class RuleAudit:
         def ann_at(a: RowAnnotation, i: int) -> Annotation:
             return Annotation(int(a.width[i]), bool(a.sign[i]))
 
-        found = {int(i): {"error": f"annotation mismatch {ann_at(lhs.out, i)}"
-                                   f" vs {ann_at(rhs.out, i)}"}
+        found = {int(i): {"error": f"annotation mismatch {ann_at(lhs, i)}"
+                                   f" vs {ann_at(rhs, i)}"}
                  for i in np.flatnonzero(mismatch)}
         rows = np.flatnonzero(b.live & ~mismatch)
         for i, (witness, lv, rv) in first_mismatches(
-                lhs, rhs, inputs, rows).items():
+                self.program, cols, self.inputs, rows).items():
             found[i] = {"witness": witness, "lhs": lv, "rhs": rv}
         return [{"rule": rule.id, "params": self.params(b, i), **found[i]}
                 for i in sorted(found)]

@@ -197,9 +197,16 @@ class Term:
         # stored on first use: over shared wires the tree is exponential
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.kind, self.out, self.name, self.value,
-                      self.operands, self.indices))
-            object.__setattr__(self, "_hash", h)
+            stack = [self]  # children first, so no hash recurses
+            while stack:
+                t = stack.pop()
+                todo = [c for _, c in t.operands if "_hash" not in c.__dict__]
+                if todo:
+                    stack += [t, *todo]
+                else:
+                    object.__setattr__(t, "_hash", hash((t.kind, t.out, t.name,
+                                       t.value, t.operands, t.indices)))
+            h = self._hash
         return h
 
     def __eq__(self, other) -> bool:
@@ -329,7 +336,7 @@ class Step(NamedTuple):
     the node's value range, and the bits (+1 for the sign) an exact
     intermediate of this step or of any step below it can need."""
 
-    node: Term  # or a RowTerm
+    node: Term  # or a RowTerm, whose annotations and constant are columns
     args: tuple[int, ...]
     same: tuple[bool, ...]
     fits: bool = False
@@ -350,12 +357,12 @@ class Program(NamedTuple):
 def program(roots: Sequence[Term | RowTerm]) -> Program:
     """Compile `roots` into one `Program`, walking each root in turn, a node
     at a time, so designs that share most subterms reach each together.
-    `Term`s alike in kind, annotations, name, value, indices and operand
-    steps are one step, and none is hashed or compared whole; a `RowTerm`,
-    with array annotations, is one step per object.  A `Term`'s bottom-up
-    range (`op_value_range`, `fit`) tells which coercions are identities."""
+    Nodes alike in kind, annotations, name, value, indices and operand
+    steps are one step, and none is hashed or compared whole.  A `Term`'s
+    bottom-up range (`op_value_range`, `fit`) tells which coercions are
+    identities; in a `RowTerm`, a slot that is its operand's output column."""
     steps: list[Step] = []
-    index: dict = {}  # id of a walked node, or a Term step's key -> step
+    index: dict = {}  # id of a walked node, or a step's key -> step
     walks = [[(t, False)] for t in roots]
     while walks:
         todo = walks.pop(0)
@@ -372,18 +379,17 @@ def program(roots: Sequence[Term | RowTerm]) -> Program:
         slots = tuple([s for s, _ in t.operands])
         args = tuple([index[id(c)] for _, c in t.operands])
         term = isinstance(t, Term)
-        key = (t.kind, t.out, t.name, t.value, t.indices, slots, args) \
-            if term else id(t)
+        key = (t.kind, t.out, t.name, t.value, t.indices if term else None,
+               slots, args)
         if key in index:
             index[id(t)] = index[key]
             continue
         index[id(t)] = index[key] = len(steps)
-        below = max([steps[j].bits for j in args], default=0)
         if not term:
             steps.append(Step(t, args, tuple(
-                s is steps[j].node.out for s, j in zip(slots, args)),
-                bits=below))
+                s == steps[j].node.out for s, j in zip(slots, args))))
             continue
+        below = max([steps[j].bits for j in args], default=0)
         bits = max(below, t.out.width + 1, *(s.width + 1 for s in slots))
         fitted = [fit(*steps[j].range, s) for s, j in zip(slots, args)]
         if t.kind in ARITY:
@@ -435,8 +441,8 @@ def vectorizable(t: Term) -> bool:
 class RowAnnotation(NamedTuple):
     """Annotations that differ from instance to instance, one array entry
     per instance: the `width`, `mask` and `sign` that `Annotation` computes
-    (`sign` is 0 exactly on unsigned instances).  `_run` takes one wherever
-    it takes an `Annotation`."""
+    (`sign` is 0 exactly on unsigned instances).  `_run` reads one, as a
+    column, wherever it reads an `Annotation`."""
 
     width: np.ndarray
     mask: np.ndarray
@@ -467,16 +473,16 @@ def _interpret(bits, a):
 
 
 def _run(p: Program, env: Mapping[str, np.ndarray], exact: bool,
-         shape: int | tuple | None = None, nodes: list | None = None) -> list:
+         shape: int | tuple | None = None, cols: list | None = None) -> list:
     """`p`'s root values on one batch of shape `shape` (by default its first
-    input's), on int64 lanes or exact ints (`nodes`, if given, in place of
-    the steps' own): the one opcode table."""
+    input's), on int64 lanes or exact ints, a `RowTerm` program reading its
+    annotations and constants from `cols`: the one opcode table."""
     dtype = object if exact else np.int64
     if shape is None:
         shape = np.shape(next(iter(env.values()))) if env else 1
     vals: list = [None] * len(p.steps)
     for i, s in enumerate(p.steps):
-        t = s.node if nodes is None else nodes[i]
+        t = s.node
         k = t.kind
         if k == "var":
             if t.name not in env:
@@ -484,9 +490,12 @@ def _run(p: Program, env: Mapping[str, np.ndarray], exact: bool,
             vals[i] = np.asarray(env[t.name], dtype=dtype)
             continue
         if k == "const":
-            vals[i] = np.broadcast_to(np.asarray(t.value, dtype=dtype), shape)
+            value = t.value if cols is None else cols[t.value]
+            vals[i] = np.broadcast_to(np.asarray(value, dtype=dtype), shape)
             continue
-        slots = [slot for slot, _ in t.operands]
+        out, slots = t.out, [slot for slot, _ in t.operands]
+        if cols is not None:
+            out, slots = cols[out], [cols[j] for j in slots]
         v = [vals[j] if same else _interpret(_bits(vals[j], a), a)
              for j, a, same in zip(s.args, slots, s.same)]
         if k in _ARITH:
@@ -498,7 +507,7 @@ def _run(p: Program, env: Mapping[str, np.ndarray], exact: bool,
             # count, and object lanes would build huge ints.
             amt = _bits(v[1], slots[1])
             if k == "<<":
-                r = v[0] << np.minimum(amt, t.out.width)
+                r = v[0] << np.minimum(amt, out.width)
             elif k == ">>":
                 r = _bits(v[0], slots[0]) >> np.minimum(amt, slots[0].width)
             else:
@@ -520,7 +529,7 @@ def _run(p: Program, env: Mapping[str, np.ndarray], exact: bool,
             r = (_bits(v[0], slots[0]) ^ sign) - sign
         else:
             raise IrError(f"unknown opcode: {k}")
-        vals[i] = r if s.fits else _interpret(_bits(r, t.out), t.out)
+        vals[i] = r if s.fits else _interpret(_bits(r, out), out)
         for j in p.drops[i]:
             vals[j] = None
     return [vals[r] for r in p.roots]
@@ -622,55 +631,41 @@ def pair_mismatches(pairs: Sequence[tuple[Term, Term]] | Program,
     return found
 
 
-# A batch may mix instances of one term pair whose annotations differ: a
-# `RowTerm` holds each annotation as a `RowAnnotation` and each constant as
-# an array, both indexed by instance.  Such a batch runs on int64 lanes when
-# no annotation is wider than ROW_INT64_WIDTH: with slots at most W bits
-# wide and shift amounts clamped, every exact intermediate fits in 2W + 1
-# bits.
+# A batch may mix instances of one `RowTerm` pair whose annotations differ.
+# It runs on int64 lanes when no annotation is wider than ROW_INT64_WIDTH:
+# with slots at most W bits wide and shift amounts clamped, every exact
+# intermediate fits in 2W + 1 bits.
 ROW_INT64_WIDTH = 31
 
 
 class RowTerm(NamedTuple):
-    """A term whose annotations and constants differ per instance.
-    `program` compiles one like a `Term`, into one step per object."""
+    """A term whose annotations and constant differ per instance: `out`,
+    each slot and `value` index a list of columns (`RowAnnotation`s or
+    arrays of constants).  `program` compiles one like a `Term`."""
 
     kind: str
-    out: RowAnnotation
+    out: int
     operands: tuple = ()
     name: str | None = None
-    value: np.ndarray | None = None
-
-    def take(self, at: np.ndarray, taken: dict) -> "RowTerm":
-        """This node with each annotation as `taken` holds it by id, and its
-        constant read at instances `at`, a column."""
-        value = None if self.value is None else self.value[at]
-        return RowTerm(self.kind, taken[id(self.out)],
-                       tuple([(taken[id(s)], c) for s, c in self.operands]),
-                       self.name, value)
+    value: int | None = None
 
 
-def first_mismatches(a: RowTerm, b: RowTerm,
-                     inputs: Sequence[tuple[str, RowAnnotation]],
-                     instances: np.ndarray
+def first_mismatches(p: Program, cols: Sequence,
+                     inputs: Sequence[tuple[str, int]], instances: np.ndarray
                      ) -> dict[int, tuple[dict[str, int], int, int]]:
-    """`first_mismatch` for each of `instances`: the first input assignment
-    on which `a` and `b` differ, with both values.  Each instance's joint
-    input space is enumerated in lexicographic order (inputs in the given
-    order, each low to high), as one row of a 2-D batch of at most ROWS
-    entries that holds only spaces of as many bits; each annotation and
-    constant is read once per batch, as a column.  A space wider than ROWS
-    runs ROWS columns at a time, until it has a mismatch."""
+    """`first_mismatch` for each of `instances` of the `RowTerm` pair `p`
+    compiles, over its columns `cols`, each input naming its annotation's.
+    Each instance's joint input space is enumerated in lexicographic order
+    (inputs in the given order, each low to high), as one row of a 2-D
+    batch of at most ROWS entries that holds only spaces of as many bits;
+    each column is gathered once per batch, at its instances.  A space
+    wider than ROWS runs ROWS columns at a time, until it has a mismatch."""
     if not len(instances):
         return {}
-    p = program([a, b])
-    anns = {id(x): x for s in p.steps
-            for x in (s.node.out, *(slot for slot, _ in s.node.operands))}
-    exact = max(int(x.width[instances].max())
-                for x in anns.values()) > ROW_INT64_WIDTH
-    dtype = object if exact else np.int64
+    exact = max(int(c.width[instances].max()) for c in cols
+                if isinstance(c, RowAnnotation)) > ROW_INT64_WIDTH
     names = [n for n, _ in inputs]
-    bits = sum((x.width[instances] for _, x in inputs),
+    bits = sum((cols[c].width[instances] for _, c in inputs),
                np.zeros_like(instances))
     found: dict[int, tuple[dict[str, int], int, int]] = {}
     for w in sorted(set(bits.tolist())):
@@ -678,16 +673,14 @@ def first_mismatches(a: RowTerm, b: RowTerm,
         span, per = min(size, ROWS), max(1, ROWS >> w)
         for g in range(0, len(group), per):
             at = group[g:g + per, None]
-            taken = {k: RowAnnotation._make(
-                f[at].astype(dtype, copy=False) for f in x)
-                for k, x in anns.items()}
-            nodes = [s.node.take(at, taken) for s in p.steps]
-            xs = [x.take(at) for _, x in inputs]
+            taken = [c.take(at) if isinstance(c, RowAnnotation) else c[at]
+                     for c in cols]
+            xs = [taken[c] for _, c in inputs]
             for begin in range(0, size, span):
                 # one row of indices per instance, shifted in place
                 local = np.arange(begin, min(begin + span, size)) + 0 * at
                 env = dict(zip(names, rows_to_inputs(local, xs)))
-                va, vb = _run(p, env, exact, local.shape, nodes)
+                va, vb = _run(p, env, exact, local.shape, taken)
                 bad = va != vb
                 hit = np.flatnonzero(bad.any(axis=1))
                 for r in hit:

@@ -501,6 +501,20 @@ class TestValidateRules:
         assert r.exit_code == 3, r.output
         assert "error: wide: operand space too large" in r.output
 
+    def test_constant_space_past_guard_is_error(self, runner, tmp_path):
+        # 2^40 values of ?v per grid vector: refused before any is made
+        p = tmp_path / "wide.rules"
+        p.write_text("r : (+ ?wo ?so ?wa ?sa ?a 40 unsigned"
+                     " (const ?v 40 unsigned)) => (+ ?wo ?so 40 unsigned"
+                     " (const ?v 40 unsigned) ?wa ?sa ?a) ;\n")
+        r = runner.invoke(main, ["validate-rules", "--rules", str(p),
+                                 "--maxw", "2"])
+        assert r.exit_code == 3, r.output
+        assert [line for line in r.output.splitlines()
+                if line.startswith("error:")] == [
+            "error: r: constant space too large to enumerate"]
+        assert "Traceback" not in r.output
+
     def test_unbound_condition_parameter_is_error(self, runner, tmp_path):
         p = tmp_path / "cond.rules"
         p.write_text("r : (+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"

@@ -300,7 +300,7 @@ class TestFirstMismatches:
     annotation in a small range, the output past ROW_INT64_WIDTH when
     `wide`.  y is coerced into the output annotation too, where a product
     then needs 80 bits, except as a shift amount, which keeps y's own
-    annotation."""
+    annotation.  The annotations are columns 0 (x), 1 (y) and 2 (output)."""
 
     @pytest.mark.parametrize("wide", [False, True], ids=["int64", "exact"])
     @pytest.mark.parametrize("kinds", [("*", "|"), ("<<", "*")])
@@ -317,17 +317,18 @@ class TestFirstMismatches:
             (1, 2, 3), (False, True), (1, 2), (False, True),
             (2, ROW_INT64_WIDTH + 9) if wide else (2, 3), (False, True)))
         cols = [np.array(c) for c in zip(*grid)]
-        x, y, out = (RowAnnotation.of(cols[i], cols[i + 1])
-                     for i in (0, 2, 4))
-        y_slot = y if kinds[0] in SHIFT_OPS else out
-        operands = ((out, RowTerm("var", x, name="x")),
-                    (y_slot, RowTerm("var", y, name="y")))
-        a, b = (RowTerm(k, out, operands) for k in kinds)
+        columns = [RowAnnotation.of(cols[i], cols[i + 1]) for i in (0, 2, 4)]
+        operands = ((2, RowTerm("var", 0, name="x")),
+                    (1 if kinds[0] in SHIFT_OPS else 2,
+                     RowTerm("var", 1, name="y")))
+        a, b = (RowTerm(k, 2, operands) for k in kinds)
+        inputs = [("x", 0), ("y", 1)]
         instances = np.flatnonzero(np.arange(len(grid)) % 5 != 3)
         monkeypatch.setattr(ir, "ROWS", 7)  # spaces span batches
         with monkeypatch.context() as m:  # the scalar reference runs too
             m.setattr(ir, "_run", recording)
-            got = first_mismatches(a, b, [("x", x), ("y", y)], instances)
+            got = first_mismatches(ir.program([a, b]), columns, inputs,
+                                   instances)
         assert got and set(got) <= set(instances.tolist())
         for i in instances.tolist():
             wx, sx, wy, sy, wo, so = grid[i]
@@ -343,7 +344,7 @@ class TestFirstMismatches:
         sizes.clear()
         with monkeypatch.context() as m:
             m.setattr(ir, "_run", recording)
-            assert first_mismatches(a, a, [("x", x), ("y", y)],
+            assert first_mismatches(ir.program([a, a]), columns, inputs,
                                     instances) == {}
         assert max(sizes) <= 7
         assert sum(sizes) == sum(2 ** (grid[i][0] + grid[i][2])
@@ -724,15 +725,19 @@ class TestProgram:
         assert w.same == (True, False) and not w.fits
         assert w.range == (0, 15)
 
-    def test_row_terms_are_one_step_per_object(self):
-        a = RowAnnotation.of(np.array([2, 3]), np.array([False, True]))
-        x = RowTerm("var", a, name="x")
-        s1 = RowTerm("+", a, ((a, x), (a, x)))
-        s2 = RowTerm("+", a, ((a, x), (a, x)))  # equal, not the same
-        p = ir.program([RowTerm("*", a, ((a, s1), (a, s1))),
-                        RowTerm("*", a, ((a, s2), (a, s1)))])
-        assert len(p.steps) == 5
-        assert all(s.same == (True,) * len(s.args) for s in p.steps)
+    def test_row_terms_alike_are_one_step(self):
+        # annotations are column indices: a slot that reads its operand's
+        # output column coerces nothing
+        x = RowTerm("var", 0, name="x")
+        s1 = RowTerm("+", 0, ((0, x), (0, x)))
+        s2 = RowTerm("+", 0, ((0, x), (0, x)))  # equal, not the same
+        p = ir.program([RowTerm("*", 0, ((0, s1), (0, s1))),
+                        RowTerm("*", 0, ((0, s2), (0, s1))),
+                        RowTerm("-", 1, ((0, s2), (1, x)))])
+        assert len(p.steps) == 4
+        assert p.roots == [2, 2, 3]
+        assert [s.same for s in p.steps] == [
+            (), (True, True), (True, True), (True, False)]
 
 
 class TestPairMismatches:
@@ -859,6 +864,29 @@ class TestDeepAndSharedTerms:
             assert first_mismatch(t, x, [("x", a8)]) == ({"x": 0}, 208, 0)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_hash_and_equality_of_deep_chain(self):
+        a8 = ann(8)
+
+        def chain(minus_at=None):
+            t = var("x", a8)
+            for i in range(2000):
+                t = op("-" if i == minus_at else "+", a8, (a8, t),
+                       (a8, const(1, a8)))
+            return t
+
+        t, copy_, changed = chain(), chain(), chain(minus_at=1000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert hash(t) == hash(copy_)
+            assert t == copy_ and t is not copy_
+            assert t != changed
+        finally:
+            sys.setrecursionlimit(limit)
+        # the value is the hash of the fields, the operand tuples included
+        assert hash(t) == hash((t.kind, t.out, t.name, t.value, t.operands,
+                                t.indices))
 
     def test_doubling_chain_is_linear(self):
         a8 = ann(8)

@@ -633,6 +633,20 @@ class TestBatchedAudit:
         monkeypatch.setattr(ir, "ROWS", 7)
         self.test_matches_scalar_reference(rule)
 
+    @pytest.mark.parametrize(
+        "rule", [r for r in baseline_rules() if not hasattr(r, "validate")],
+        ids=lambda r: r.id)
+    def test_one_program_per_rule(self, rule, monkeypatch):
+        calls, compile_ = [], ir.program
+
+        def counted(roots):
+            calls.append(len(roots))
+            return compile_(roots)
+
+        monkeypatch.setattr(ir, "program", counted)
+        validate_rule(rule, maxw=3)
+        assert calls == [2]
+
     def test_unsound_set_is_flagged(self):
         for rule in parse_rules(UNSOUND_TEXT):
             assert validate_rule(rule, maxw=2), rule.id
