@@ -13,7 +13,7 @@ from functools import cache
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple
 
-from .ir import Annotation, fit, min_width, op_value_range
+from .ir import _INTERNED, Annotation, fit, min_width, op_value_range
 
 if TYPE_CHECKING:
     from .egraph import EGraph, NodeRec, Skeleton
@@ -41,14 +41,24 @@ def interval_make(node: "NodeRec", child_intervals: list[Interval]) -> Interval:
     """Sound output interval of one node from its child class intervals,
     each read through its slot, and the result through the output
     annotation, by `ir.fit`."""
-    out = node.out
-    if node.op == "var":
+    op, out = node.op, node.out
+    if op == "+":  # the AC rules' opcode: fit, op_value_range and fit, inline
+        (alo, ahi), (blo, bhi) = child_intervals
+        sa, sb = node.slots
+        if not (sa.lo <= alo and ahi <= sa.hi):
+            alo, ahi = sa.lo, sa.hi
+        if not (sb.lo <= blo and bhi <= sb.hi):
+            blo, bhi = sb.lo, sb.hi
+        lo, hi = alo + blo, ahi + bhi
+        if out.lo <= lo and hi <= out.hi:
+            return Interval(lo, hi)
         return Interval(out.lo, out.hi)
-    if node.op == "const":
+    if op == "var":
+        return Interval(out.lo, out.hi)
+    if op == "const":
         return Interval(node.value, node.value)
     ranges = [fit(*iv, slot) for iv, slot in zip(child_intervals, node.slots)]
-    lo, hi = op_value_range(node.op, node.slots, ranges, node.indices,
-                            out.width)
+    lo, hi = op_value_range(op, node.slots, ranges, node.indices, out.width)
     return Interval(*fit(lo, hi, out))
 
 
@@ -116,31 +126,38 @@ def width_reduction_pass(g: "EGraph", node_limit: int) -> int:
     added."""
     from .egraph import RuleJust
 
+    classes, nodes, hashcons, add = g.classes, g.nodes, g.hashcons, g.add
+    room = node_limit - NARROWING_NODES
     applied = 0
-    for cid in sorted(g.classes):
+    for cid in sorted(classes):
         if g.find(cid) != cid:
             continue  # merged away by an earlier narrowing this pass
-        cls = g.classes[cid]
+        cls = classes[cid]
+        widths: dict[bool, int] = {}  # min_width by signage, over `iv`
+        iv = None
         for nid in list(cls.node_ids):
-            n = g.nodes[nid]
+            n = nodes[nid]
             if n.op in ("var", "const", "zext", "sext"):
                 continue
             out = n.out
-            iv = cls.interval
-            narrow_w = min_width(iv.lo, iv.hi, out.signed)
+            if cls.interval is not iv:  # first, or a union narrowed it
+                iv, widths = cls.interval, {}
+            signed = out.signed
+            narrow_w = widths.get(signed)
+            if narrow_w is None:
+                narrow_w = widths[signed] = min_width(iv.lo, iv.hi, signed)
             if narrow_w >= out.width:
                 continue
-            if g.num_nodes() + NARROWING_NODES > node_limit:
+            if len(hashcons) > room:
                 return applied
             g.narrowings += 1
-            narrow = Annotation(narrow_w, out.signed)
-            ncid, nnid = g.add((n.op, narrow, n.slots, n.children, n.name,
-                                n.value, n.indices))
-            wrap_op = "sext" if out.signed else "zext"
-            _, wnid = g.add((wrap_op, out, (narrow,), (ncid,), None, None,
-                             None))
-            if g.union(nid, wnid, RuleJust(
+            narrow = (_INTERNED.get((narrow_w, signed))
+                      or Annotation(narrow_w, signed))
+            ncid, nnid = add((n.op, narrow) + n[2:])
+            _, wnid = add(("sext" if signed else "zext", out, (narrow,),
+                           (ncid,), None, None, None))
+            if g.union(nid, wnid, RuleJust._make((
                     WIDTH_REDUCE_RULE, _narrowing_shape(len(n.children)),
-                    (nid, wnid, nnid))):
+                    (nid, wnid, nnid)))):
                 applied += 1
     return applied

@@ -45,6 +45,9 @@ from .rewrites import (BlockedMatch, PatConst, PatVar, Pattern, Rule,
 AUDIT_VECTORS = 1 << 10
 # Widest operand or constant-value space, in bits, that the audit enumerates.
 MAX_OPERAND_BITS = 22
+# Instances per piece of a block: its vectors' constant values are expanded
+# this many at a time, where one vector alone can have 2^MAX_OPERAND_BITS.
+AUDIT_INSTANCES = 4 * ir.ROWS
 
 
 def _compile(e, params: list[str], kinds: dict, convert):
@@ -183,31 +186,35 @@ class RuleAudit:
         return RowAnnotation.of(b.read(self.table(w, _width, fill=1)),
                                 b.read(self.table(s, _is_signed)).astype(bool))
 
-    def block(self, start: int, stop: int) -> _Block:
-        """The instances of grid vectors start..stop-1: each vector once per
-        assignment of its constant values (each low to high).  A constant's
-        annotation reads only grid parameters and literals, so it can block
-        a vector."""
+    def block(self, start: int, stop: int) -> Iterator[_Block]:
+        """The instances of grid vectors start..stop-1, in pieces of at most
+        AUDIT_INSTANCES: each vector once per assignment of its constant
+        values (each low to high).  A constant's annotation reads only grid
+        parameters and literals, so it can block a vector."""
         n = stop - start
         idx = np.unravel_index(np.arange(start, stop), self.shape) \
             if self.shape else ()
         b = _Block(dict(zip(self.grid, idx)), n)
         if not self.vals:
-            return b
+            yield b
+            return
         anns = [self.ann(b, *self.val_ann[v]) for v in self.vals]
         bits = sum(a.width for a in anns)
         if (b.live & (bits > MAX_OPERAND_BITS)).any():
             raise RuleError(f"{self.rule.id}: constant space too large to "
                             "enumerate")
         counts = np.where(b.live, 1 << bits, 0)
-        starts = np.cumsum(counts) - counts
-        vec = np.repeat(np.arange(n), counts)
-        cols = {p: c[vec] for p, c in b.cols.items()}
-        values = rows_to_inputs(np.arange(len(vec)) - starts[vec],
-                                [a.take(vec) for a in anns])
-        for v, value in zip(self.vals, values):
-            cols[v] = value - self.domains[v].start
-        return _Block(cols, len(vec))
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        for lo in range(0, total, AUDIT_INSTANCES):
+            k = np.arange(lo, min(lo + AUDIT_INSTANCES, total))
+            vec = np.searchsorted(ends, k, side="right")  # k's vector
+            cols = {p: c[vec] for p, c in b.cols.items()}
+            values = rows_to_inputs(k - (ends - counts)[vec],
+                                    [a.take(vec) for a in anns])
+            for v, value in zip(self.vals, values):
+                cols[v] = value - self.domains[v].start
+            yield _Block(cols, len(vec))
 
     def params(self, b: _Block, i: int) -> dict:
         return {p: self.domains[p][int(b.cols[p][i])]
@@ -218,8 +225,11 @@ class RuleAudit:
         condition holds and whose expressions are not blocked, then report,
         per instance in enumeration order, an annotation mismatch or the
         first operand assignment on which the sides differ."""
+        return [v for b in self.block(start, stop) for v in self._check(b)]
+
+    def _check(self, b: _Block) -> list[dict]:
+        """`check` of the instances of one piece of a block."""
         rule = self.rule
-        b = self.block(start, stop)
         if rule.cond is not True:
             holds = b.read(self.table(rule.cond, bool))
             b.keep(b.live & holds.astype(bool))

@@ -110,7 +110,7 @@ CONGRUENCE = "congruence"
 _SLOTS: dict[tuple[Annotation, ...], tuple[Annotation, ...]] = {}
 
 
-@dataclass
+@dataclass(slots=True)
 class EClass:
     node_ids: list[int] = field(default_factory=list)
     interval: "analysis.Interval | None" = None
@@ -203,12 +203,13 @@ class EGraph:
         node with those slot annotations shares."""
         parent = self.parent
         for c in node[3]:
-            if parent[c] != c:
-                node = self._key(NodeRec._make(node))
+            if parent[c] != c:  # the key, built once, as _key builds it
+                node = (*node[:3], tuple(map(self.find, node[3])), *node[4:])
                 break
         nid = self.hashcons.get(node)
         if nid is not None:
-            return self.find(nid), nid
+            c = parent[nid]  # find's fast path: no path to halve
+            return (c if parent[c] == c else self.find(nid)), nid
         op, out, slots, children, name, value, indices = node
         node = NodeRec._make((op, out, _SLOTS.setdefault(slots, slots),
                               children, name, value, indices))
@@ -220,13 +221,14 @@ class EGraph:
         self.why.append(None)
         self.hashcons[node] = nid
         classes = self.classes
-        for c in node.children:
-            uses = classes[c].uses
+        kids = []
+        for c in children:
+            cls = classes[c]
+            kids.append(cls.interval)
+            uses = cls.uses
             if not uses or uses[-1] != nid:  # once per distinct child class
                 uses.append(nid)
-        iv = analysis.interval_make(
-            node, [classes[c].interval for c in node.children])
-        classes[nid] = EClass([nid], iv, [])
+        classes[nid] = EClass([nid], analysis.interval_make(node, kids), [])
         return nid, nid
 
     def add_term(self, t: Term) -> tuple[int, int]:
@@ -299,20 +301,32 @@ class EGraph:
         the smaller class id is kept and the forest gains the edge
         (a, b, why).  Returns False, recording nothing, when they are one
         class already."""
-        c1, c2 = self.find(a), self.find(b)
+        parent = self.parent
+        c1, c2 = parent[a], parent[b]  # find's fast path, as in add
+        if parent[c1] != c1:
+            c1 = self.find(a)
+        if parent[c2] != c2:
+            c2 = self.find(b)
         if c1 == c2:
             return False
         keep, drop = (c1, c2) if c1 < c2 else (c2, c1)
-        try:
-            iv = analysis.interval_merge(self.classes[keep].interval,
-                                         self.classes[drop].interval)
-        except analysis.AnalysisError as e:
-            rule = getattr(why, "rule_id", why)
-            raise analysis.AnalysisError(f"merge by {rule}: {e}") from None
-        self.parent[drop] = keep
-        kc, dc = self.classes[keep], self.classes.pop(drop)
+        kc, dc = self.classes[keep], self.classes[drop]
+        ki, di = kc.interval, dc.interval
+        # the inner interval when one holds the other, else the intersection
+        if ki.lo <= di.lo and di.hi <= ki.hi:
+            iv = di
+        elif di.lo <= ki.lo and ki.hi <= di.hi:
+            iv = ki
+        else:
+            try:
+                iv = analysis.interval_merge(ki, di)
+            except analysis.AnalysisError as e:
+                rule = getattr(why, "rule_id", why)
+                raise analysis.AnalysisError(f"merge by {rule}: {e}") from None
+        parent[drop] = keep
+        del self.classes[drop]
         kc.node_ids.extend(dc.node_ids)
-        if iv != kc.interval or iv != dc.interval:
+        if iv != ki or iv != di:
             self.narrowed.add(keep)
         kc.interval = iv
         kc.uses.extend(dc.uses)
@@ -515,6 +529,7 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
             return "timeout"
         return None
 
+    hashcons, monotonic = g.hashcons, time.monotonic
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -540,9 +555,12 @@ def saturate(g: EGraph, rules: Sequence, limits: dict | None = None,
             for counts, matches, room in found:
                 if spent:
                     break  # finish the iteration: leave it congruent
+                cap = node_limit - room
                 for i, m in enumerate(matches):
-                    spent = over_budget(room)
-                    if spent:
+                    # over_budget(room), inline; it only names the budget
+                    if (len(hashcons) > cap
+                            or monotonic() - start > time_limit):
+                        spent = over_budget(room)
                         break
                     matches[i] = None  # freed once applied
                     if m.apply(g):

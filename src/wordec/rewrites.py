@@ -593,6 +593,12 @@ class _Code:
         self.consts[name] = value
         return name
 
+    def find(self, name: str, node: str) -> None:
+        """Emit `name = find(node)`, find's fast path inline: one parent
+        hop, which leaves no path to halve."""
+        self.emit(f"{name} = parent[{node}]")
+        self.emit(f"if parent[{name}] != {name}: {name} = find({node})")
+
     def run(self, filename: str, **names) -> dict:
         text = "\n".join(self.lines) + "\n"
         # for tracebacks; an mtime of None keeps it past checkcache
@@ -603,23 +609,46 @@ class _Code:
         return ns
 
 
+def _matcher_reads(rule: Rule) -> set:
+    """The lhs bindings a matcher reads: the condition's parameters, each
+    parameter or variable that more than one slot binds, and a bare-variable
+    rhs's class.  Variables are keyed ('class', name)."""
+    reads: set = set()
+    expr_params(rule.cond, reads)
+    if isinstance(rule.rhs, PatVar):
+        reads.add(("class", rule.rhs.name))
+    seen = set()
+    for kind, e, _ in pattern_slots(rule.lhs):
+        if isinstance(e, str):
+            key = ("class", e) if kind == "class" else e
+            if key in seen:
+                reads.add(key)
+            seen.add(key)
+    return reads
+
+
 def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
     """Walk the lhs in pre-order, the node at position k in `pk`.  Matching,
     emit a loop per position that checks every slot of a node before it
-    descends, and reads each child class once per node; with `bind`, emit
-    nothing.  Returns the sources of each parameter, of each variable's class
-    (keyed ('class', name)), of each (?w, ?s) pair's annotation (keyed
-    ('ann', w, s)) and of each signage parameter as a bool (keyed
-    ('signed', s)); and the names of the positions' nodes, in pre-order."""
+    descends, and binds only what `_matcher_reads` names and the classes
+    it descends into, each once per node; with `bind`, emit nothing, and
+    read position k's record as `Nk`.  Returns the sources of each
+    parameter, of each variable's class (keyed ('class', name)), of each
+    (?w, ?s) pair's annotation (keyed ('ann', w, s)) and of each signage
+    parameter as a bool (keyed ('signed', s)); and the names of the
+    positions' nodes, in pre-order."""
     local: dict[object, str] = {}
+    reads = set() if bind else _matcher_reads(rule)
     positions = 0
 
     def unify(key, value: str) -> None:
         # a slot holds a parameter or an int literal; a signage literal is
         # tested by `annotation`
         if isinstance(key, str) and key not in local:
-            local[key] = value if bind else code.fresh("v")
-            if not bind:
+            if bind:
+                local[key] = value
+            elif key in reads:
+                local[key] = code.fresh("v")
                 code.emit(f"{local[key]} = {value}")
         elif not bind:
             want = local[key] if isinstance(key, str) else repr(key)
@@ -640,14 +669,14 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
         """Walk the nodes of class `cls` that match p."""
         nonlocal positions
         n, N = f"p{positions}", "N"
-        positions += 1
         if bind:
-            N = f"gnodes[{n}]"
+            N = f"N{positions}"
         else:
             code.emit(f"for {n} in classes[{cls}].node_ids:")
             code.depth += 1
             code.emit(f"N = gnodes[{n}]")
             code.emit(f"if N.op != {getattr(p, 'op', 'const')!r}: continue")
+        positions += 1
         if isinstance(p, PatConst):
             unify(p.value, f"{N}.value")
             annotation(p.width, p.sig, f"{N}.out")
@@ -660,10 +689,10 @@ def _walk_lhs(code: _Code, rule: Rule, bind: bool) -> tuple:
             key = ("class", sub.name) if isinstance(sub, PatVar) else None
             c = f"{N}.children[{i}]"
             if not bind:
+                if key is not None and key not in reads:
+                    continue
                 c = code.fresh("c")
-                code.emit(f"{c} = parent[N.children[{i}]]")
-                code.emit(f"if parent[{c}] != {c}: "
-                          f"{c} = find(N.children[{i}])")
+                code.find(c, f"N.children[{i}]")
             if key is None:
                 kids.append((i, sub, c))
             elif key not in local:
@@ -747,7 +776,7 @@ def _emit_rhs(code: _Code, rule: Rule, local: dict) -> tuple[str, str, list]:
     def node(p: Pattern, top: bool) -> tuple[str, str]:
         c, n = code.fresh("c"), code.fresh("n")
         if isinstance(p, PatVar):
-            code.emit(f"{c} = find({local[('class', p.name)]})")
+            code.find(c, local[("class", p.name)])
             if not top:
                 return c, ""
             code.emit(f"{n} = min(classes[{c}].node_ids)")
@@ -779,11 +808,14 @@ def _compile_applier(rule: Rule):
     """`apply(g, nodes)`, as Match.apply; the rhs reads each parameter,
     class and annotation from the nodes where it needs it."""
     code = _Code(["def apply(g, nodes):",
-                  "    gnodes, add, find, classes = "
-                  "g.nodes, g.add, g.find, g.classes"])
+                  "    gnodes, add, find, classes, parent = "
+                  "g.nodes, g.add, g.find, g.classes, g.parent"])
     local, nodes = _walk_lhs(code, rule, bind=True)
-    code.lines += [f"    {_tuple_code(nodes)[1:-1]} = nodes",
-                   "    target = find(p0)", "    try:"]
+    code.emit(f"{_tuple_code(nodes)[1:-1]} = nodes")
+    code.emit(_tuple_code([f"N{k}" for k in range(len(nodes))])[1:-1]
+              + " = " + _tuple_code([f"gnodes[{p}]" for p in nodes])[1:-1])
+    code.find("target", "p0")
+    code.emit("try:")
     code.depth = 2
     c, n, rnodes = _emit_rhs(code, rule, local)
     code.depth = 1
@@ -795,8 +827,8 @@ def _compile_applier(rule: Rule):
     rid = code.const(rule.id)
     code.emit(f"if a != t: raise RuleError(f'{{{rid}}}: rhs annotation "
               "({a}) differs from matched class ({t})')")
-    code.emit(f"return g.union(p0, {n}, RuleJust({rid}, "
-              f"{code.const(rule.shape)}, {_tuple_code(nodes + rnodes)}))")
+    code.emit(f"return g.union(p0, {n}, RuleJust._make(({rid}, "
+              f"{code.const(rule.shape)}, {_tuple_code(nodes + rnodes)})))")
     return code.run(f"<rule {rule.id} applier>")["apply"]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_frontend import _designs
 
-from wordec.analysis import (AnalysisError, Interval, interval_merge,
-                             refine_intervals, width_reduction_pass)
-from wordec.egraph import EGraph, init_pair, saturate
+from wordec.analysis import (AnalysisError, Interval, interval_make,
+                             interval_merge, refine_intervals,
+                             width_reduction_pass)
+from wordec.egraph import EGraph, NodeRec, init_pair, saturate
 from wordec.extract import pick_nodes
 from wordec.fixtures import load_pair
 from wordec.frontend import Design, parse_sexpr
-from wordec.ir import Annotation, const, evaluate, op, var
+from wordec.ir import (ARITY, Annotation, const, evaluate, fit, min_width,
+                       op, op_value_range, var)
 from wordec.rewrites import baseline_rules
 
 
@@ -99,6 +102,25 @@ class TestWidthReduction:
         kinds = {g.nodes[n].op for n in g.classes[g.find(root)].node_ids}
         assert "zext" in kinds
 
+    def test_later_nodes_read_the_interval_a_narrowing_left(self):
+        # class {x + y, y + x} spans [0, 30], 5 bits; x + y's zext'd 5-bit
+        # copy is already in a class pinned to 3.  Narrowing x + y joins
+        # that class, so y + x is narrowed to the 2 bits of [3, 3]
+        a4, a5, a8 = ann(4), ann(5), ann(8)
+        x, y = var("x", a4), var("y", a4)
+        g = EGraph()
+        _, xy = g.add_term(op("+", a8, (a4, x), (a4, y)))
+        _, yx = g.add_term(op("+", a8, (a4, y), (a4, x)))
+        _, wide = g.add_term(op("zext", a8, (a5, op("+", a5, (a4, x),
+                                                   (a4, y)))))
+        _, three = g.add_term(const(3, a8))
+        g.union(xy, yx, "test")
+        g.union(wide, three, "test")
+        g.rebuild()
+        width_reduction_pass(g, node_limit=1000)
+        assert sorted({n.out.width for n in g.nodes if n.op == "+"}) \
+            == [2, 5, 8]
+
     def test_minimal_width_untouched(self):
         a, b = var("a", ann(8)), var("b", ann(8))
         t = op("+", ann(9), (ann(8), a), (ann(8), b))
@@ -109,6 +131,79 @@ class TestWidthReduction:
         g.rebuild()
         kinds = {g.nodes[n].op for n in g.classes[g.find(root)].node_ids}
         assert kinds == {"+"}
+
+
+# Every slot annotation up to 3 bits and output annotation up to 4 bits.
+_SLOT_ANNS = [Annotation(w, s) for w in (1, 2, 3) for s in (False, True)]
+_OUT_ANNS = [Annotation(w, s) for w in (1, 2, 3, 4) for s in (False, True)]
+
+
+def _narrowing_mismatches(too_far: int) -> tuple[dict[str, int], int]:
+    """Narrow every node the width-reduction pass narrows, one opcode over
+    variables of its slot annotations, to `too_far` bits below the width
+    its interval needs, as the pass does at 0: the node's interval is
+    taken bottom-up through `interval_make`.  Returns the narrowings per
+    opcode, and the number whose zext/sext differs from the node on some
+    input."""
+    cases: dict[str, int] = {}
+    mismatches = 0
+    for kind, arity in ARITY.items():
+        if kind in ("zext", "sext"):
+            continue  # the pass does not narrow them
+        for slots in itertools.product(_SLOT_ANNS, repeat=arity):
+            index_pairs = [None] if kind != "slice" else [
+                (hi, lo) for hi in range(slots[0].width)
+                for lo in range(hi + 1)]
+            xs = [var(f"x{i}", a) for i, a in enumerate(slots)]
+            kids = [interval_make(NodeRec("var", a, (), (), x.name), [])
+                    for x, a in zip(xs, slots)]
+            operands = list(zip(slots, xs))
+            envs = [dict(zip((x.name for x in xs), values))
+                    for values in itertools.product(
+                        *(range(a.lo, a.hi + 1) for a in slots))]
+            for indices, out in itertools.product(index_pairs, _OUT_ANNS):
+                lo, hi = interval_make(NodeRec(
+                    kind, out, slots, tuple(range(arity)),
+                    indices=indices), kids)
+                narrow_w = min_width(lo, hi, out.signed) - too_far
+                if narrow_w >= out.width or narrow_w < 1:
+                    continue
+                cases[kind] = cases.get(kind, 0) + 1
+                narrow = Annotation(narrow_w, out.signed)
+                wide = op(kind, out, *operands, indices=indices)
+                wrapped = op("sext" if out.signed else "zext", out, (
+                    narrow, op(kind, narrow, *operands, indices=indices)))
+                mismatches += any(evaluate(wide, env) != evaluate(wrapped, env)
+                                  for env in envs)
+    return cases, mismatches
+
+
+class TestNarrowingSoundness:
+    """What the width-reduction pass adds equals the node it narrows, on
+    every opcode it narrows.  `WidthReduceRule.validate`, the catalogue
+    audit's check of the pass, covers only `+`."""
+
+    def test_every_narrowed_opcode(self):
+        cases, mismatches = _narrowing_mismatches(0)
+        assert set(cases) == set(ARITY) - {"zext", "sext"}
+        assert sum(cases.values()) > 1000 and mismatches == 0
+
+    def test_one_bit_too_far_is_caught(self):
+        cases, mismatches = _narrowing_mismatches(1)
+        assert mismatches > sum(cases.values()) // 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(slots=st.tuples(*[st.sampled_from(_OUT_ANNS)] * 2),
+           out=st.sampled_from(_OUT_ANNS),
+           ends=st.lists(st.integers(-20, 20), min_size=4, max_size=4))
+    def test_sum_fast_path_is_the_general_rule(self, slots, out, ends):
+        # `+` has its own path in interval_make; the general one fits each
+        # child into its slot, takes op_value_range and fits the output
+        kids = [Interval(min(ends[:2]), max(ends[:2])),
+                Interval(min(ends[2:]), max(ends[2:]))]
+        ranges = [fit(*iv, a) for iv, a in zip(kids, slots)]
+        want = fit(*op_value_range("+", slots, ranges, None, out.width), out)
+        assert interval_make(NodeRec("+", out, slots, (0, 1)), kids) == want
 
 
 class TestSoundnessOnFixtures:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import time
@@ -616,6 +617,56 @@ class TestSaturate:
         g = init_pair(spec, impl)
         rep = saturate(g, baseline_rules(), stop_on_merge=False)
         assert rep.node_counts == sorted(rep.node_counts)
+
+
+# Four iterations past the merge, recorded before the saturation hot path
+# was made lean: nodes and classes after each iteration, unions, each
+# iteration's (matches, redundant applications, rekeyed, congruences), each
+# rule's (matches, useful applications) where either is not 0, and the
+# first 16 hex digits of sha256(repr((g.up, g.why, g.parent))).
+_EXACT = {
+    "vbsme8": (
+        [61, 196, 626, 3214, 16601], [61, 97, 246, 1067, 4234], 16360,
+        [(70, 1, 2, 0), (384, 190, 21, 2), (2234, 862, 351, 10),
+         (16109, 6324, 5200, 301)],
+        {"comm-add": (2881, 1713), "assoc-add": (7021, 4702),
+         "assoc-add-rev": (6836, 4416), "zext-fold": (652, 0),
+         "zext-intro": (1407, 589), "width-reduce": (6681, 4627)},
+        "0a422341a608ceaf"),
+    "fir8": (
+        [44, 115, 384, 2332, 14462], [44, 52, 149, 857, 4373], 13044,
+        [(83, 16, 38, 6), (228, 110, 3, 0), (1364, 460, 153, 4),
+         (12328, 4480, 3657, 147)],
+        {"comm-add": (2020, 1365), "comm-mul": (56, 8),
+         "assoc-add": (5367, 3574), "assoc-add-rev": (5050, 3447),
+         "shift-to-mult": (31, 7), "mult-to-shift": (32, 1),
+         "mult-to-add": (8, 2), "zext-fold": (393, 1),
+         "zext-intro": (1046, 532), "width-reduce": (5464, 3950)},
+        "798674e6f2a7ced3"),
+}
+
+
+class TestSaturationIsExact:
+    """Saturation computes the same graph, merge for merge: the counts, the
+    explanation forest and the union-find's parent array, path halving
+    included, are pinned where the limits do not bind."""
+
+    @pytest.mark.parametrize("name", sorted(_EXACT))
+    def test_counts_and_forest_pinned(self, name):
+        nodes, classes, unions, iterations, rules, digest = _EXACT[name]
+        g = init_pair(*load_pair(name))
+        rep = saturate(g, baseline_rules(),
+                       {"iter": 4, "nodes": 10 ** 9, "time": 1e9},
+                       stop_on_merge=False)
+        assert (rep.node_counts, rep.class_counts, g.unions) \
+            == (nodes, classes, unions)
+        assert [(st.matches, st.redundant_applications, st.rekeyed,
+                 st.congruences) for st in rep.per_iteration] == iterations
+        assert {rid: (c.matches, c.useful_applications)
+                for rid, c in rep.rules.items()
+                if c.matches or c.useful_applications} == rules
+        assert hashlib.sha256(repr((g.up, g.why, g.parent)).encode()) \
+            .hexdigest()[:16] == digest
 
 
 class TestCollectorPause:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordec import ir, rewrites
+from wordec import audit, ir, rewrites
 from wordec.analysis import AnalysisError
 from wordec.audit import RuleAudit, _Table
 from wordec.egraph import EGraph, NodeRec, RuleJust, Skeleton, \
@@ -646,6 +646,31 @@ class TestBatchedAudit:
         monkeypatch.setattr(ir, "program", counted)
         validate_rule(rule, maxw=3)
         assert calls == [2]
+
+    def test_constant_expansion_in_bounded_pieces(self, monkeypatch):
+        # a 12-bit constant gives each of the 16 grid vectors at maxw=2
+        # 4,096 instances: the one block's 65,536 are expanded a piece of
+        # at most AUDIT_INSTANCES at a time, in enumeration order
+        rule = parse_rules(
+            "r : (+ ?wo ?so ?wa ?sa ?a 12 unsigned (const ?v 12 unsigned))"
+            " => (- ?wo ?so ?wa ?sa ?a 12 unsigned (const ?v 12 unsigned))"
+            " if ?v >= 4093 ;")[0]
+        sizes, block = [], RuleAudit.block
+
+        def spy(self, start, stop):
+            for b in block(self, start, stop):
+                sizes.append(len(b.live))
+                yield b
+
+        monkeypatch.setattr(RuleAudit, "block", spy)
+        got = validate_rule(rule, maxw=2)
+        assert sum(sizes) == 16 * 4096
+        assert max(sizes) <= audit.AUDIT_INSTANCES < sum(sizes)
+        assert got == reference_audit(rule, 2) and len(got) == 16
+        # in one piece, as the whole block was expanded before
+        monkeypatch.setattr(audit, "AUDIT_INSTANCES", 1 << 20)
+        sizes.clear()
+        assert validate_rule(rule, maxw=2) == got and sizes == [16 * 4096]
 
     def test_unsound_set_is_flagged(self):
         for rule in parse_rules(UNSOUND_TEXT):
