@@ -390,15 +390,18 @@ def validate_rules_cmd(rules, maxw):
 def bench_cmd(names, max_exhaustive_bits, samples, seed, external_checker,
               iter_limit, node_limit, time_limit):
     """Run bundled benchmark fixtures end to end and print a table."""
-    names = list(names) or fixtures.names()
+    # every fixture is read before the table starts, so that an unknown
+    # name is the one line of output
+    pairs = [(name, fixtures.load_pair(name))
+             for name in list(names) or fixtures.names()]
     rls = baseline_rules()
     ocfg = OracleConfig(max_exhaustive_bits, samples, seed, external_checker)
     click.echo(f"{'name':12s} {'iters':>5s} {'nodes':>6s} {'merged':>6s} "
                f"{'timed_out':>9s} {'obls':>4s} {'overall':>8s} {'time':>7s}")
     worst = EXIT_PASS
-    for name in names:
+    for name, pair in pairs:
         t0 = time.perf_counter()
-        g, rep, res, w, _ = _waterfall(*fixtures.load_pair(name), rls,
+        g, rep, res, w, _ = _waterfall(*pair, rls,
                                        iter_limit, node_limit, time_limit)
         report = run_waterfall(w, ocfg)
         worst = max(worst, _report_exit(report))

@@ -38,11 +38,10 @@ def load_design(stem: str, fmt: str = "ir") -> Design:
 
 
 def load_pair(name: str, fmt: str = "ir") -> tuple[Design, Design]:
-    try:
-        spec_stem, impl_stem = PAIRS[name]
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; "
-                       f"available: {', '.join(sorted(PAIRS))}") from None
+    if name not in PAIRS:
+        raise ValueError(f"unknown fixture {name!r}; "
+                         f"available: {', '.join(sorted(PAIRS))}")
+    spec_stem, impl_stem = PAIRS[name]
     return load_design(spec_stem, fmt), load_design(impl_stem, fmt)
 
 

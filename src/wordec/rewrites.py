@@ -30,8 +30,7 @@ from functools import cache, cached_property
 
 from .analysis import NARROWING_NODES
 from .egraph import EGraph, NodeRec, RuleJust, Skeleton
-from .ir import (_INTERNED, Annotation, ARITY, SHIFT_OPS, SIGNED, UNSIGNED,
-                 Term, first_mismatch)
+from .ir import _INTERNED, Annotation, ARITY, SHIFT_OPS, SIGNED, UNSIGNED
 from .tokens import ParseError, Tokens, lex
 
 
@@ -860,6 +859,12 @@ class ZextIntroRule:
     id = "zext-intro"
     checker_hint = "trivial"
     rhs_nodes = 1  # the zext/sext
+    # its soundness: an extension to the operand's own annotation is the
+    # operand
+    SOUNDNESS = r"""
+zext-intro : (zext ?w unsigned ?w unsigned ?a) => ?a ;
+sext-intro : (sext ?w signed ?w signed ?a) => ?a ;
+"""
 
     def matches(self, g: EGraph) -> list["ZextIntroMatch"]:
         out = []
@@ -872,20 +877,8 @@ class ZextIntroRule:
         return out
 
     def validate(self, maxw: int) -> list[dict]:
-        from .ir import var
-        violations = []
-        for w in range(1, maxw + 1):
-            for signed in (False, True):
-                a = Annotation(w, signed)
-                x = var("x", a)
-                wrapped = Term("sext" if signed else "zext", a,
-                               operands=((a, x),))
-                cex = first_mismatch(x, wrapped, [("x", a)])
-                if cex is not None:
-                    violations.append({"rule": self.id, "width": w,
-                                       "signed": signed,
-                                       "value": cex[0]["x"]})
-        return violations
+        return [v for r in _soundness(self.SOUNDNESS)
+                for v in validate_rule(r, maxw)]
 
 
 # an operator node (the whole lhs, a variable) and its zext/sext
@@ -912,30 +905,22 @@ class WidthReduceRule:
     id = "width-reduce"
     checker_hint = "simulation"
     rhs_nodes = NARROWING_NODES  # never matches: saturation narrows
+    # its soundness on `+`: the sum of two wa-bit operands fits wa + 1 bits.
+    # Audited at maxw + 1, so that the output width reaches one bit past
+    # maxw.
+    SOUNDNESS = r"""
+width-reduce : (+ ?wo unsigned ?wa unsigned ?a ?wa unsigned ?b)
+            => (zext ?wo unsigned (?wa + 1) unsigned
+                  (+ (?wa + 1) unsigned ?wa unsigned ?a ?wa unsigned ?b))
+            if ?wa + 1 < ?wo ;
+"""
 
     def matches(self, g: EGraph) -> list:
         return []
 
     def validate(self, maxw: int) -> list[dict]:
-        from .ir import op, var
-        violations = []
-        # additions whose exact result provably fits below the declared width
-        for wa in range(1, maxw + 1):
-            for wo in range(2, maxw + 2):
-                a = Annotation(wa)
-                o = Annotation(wo)
-                narrow_w = wa + 1  # exact width of wa+wa
-                if narrow_w >= wo:
-                    continue
-                x, y = var("x", a), var("y", a)
-                wide = op("+", o, (a, x), (a, y))
-                nar = Annotation(narrow_w)
-                reduced = op("zext", o, (nar, op("+", nar, (a, x), (a, y))))
-                cex = first_mismatch(wide, reduced, [("x", a), ("y", a)])
-                if cex is not None:
-                    violations.append({"rule": self.id, "wa": wa,
-                                       "wo": wo, "env": cex[0]})
-        return violations
+        return [v for r in _soundness(self.SOUNDNESS)
+                for v in validate_rule(r, maxw + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1111,6 +1096,12 @@ def _catalogue() -> tuple[Rule, ...]:
     return tuple(parse_rules(CATALOGUE_TEXT))
 
 
+@cache
+def _soundness(text: str) -> tuple[Rule, ...]:
+    """A dynamic rule's soundness statements, parsed once per process."""
+    return tuple(parse_rules(text))
+
+
 def baseline_rules() -> list:
     """The built-in conditional catalogue, including the dynamic rules: a
     new list each call, of the rules parsed once per process."""
@@ -1128,7 +1119,8 @@ def validate_rule(rule, maxw: int = 4) -> list[dict]:
     widths <= min(maxw, 3)) and both signages; wherever the condition holds,
     checks lhs == rhs over all operand values.  Returns the violations, one
     per violating instance, in enumeration order.  A pattern rule's grid is
-    checked in blocks by `_check_instance` (see `wordec.audit`)."""
+    checked in blocks by `_check_instance` (see `wordec.audit`); a dynamic
+    rule's `validate` audits the pattern rules stating its soundness."""
     if maxw < 1:
         raise RuleError("maxw must be >= 1")
     if hasattr(rule, "validate"):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import wordec
 from wordec.cli import _read_config, main
-from wordec.fixtures import load_pair
+from wordec.fixtures import load_pair, names
 from wordec.frontend import (ParseError, emit_sexpr, emit_sv, parse_sexpr,
                              parse_sv)
 
@@ -439,6 +439,12 @@ class TestProve:
         r = runner.invoke(main, ["prove", str(tmp_path / "nothing")])
         assert r.exit_code == 3, r.output
 
+    def test_manifest_without_obligations_is_error(self, runner, tmp_path):
+        (tmp_path / "manifest.json").write_text("{}")
+        r = runner.invoke(main, ["prove", str(tmp_path)])
+        assert r.exit_code == 3, r.output
+        assert r.stderr == "error: 'obligations'\n"
+
 
 _ADD = "(+ ?wo ?so ?wa ?sa ?a ?wb ?sb ?b)"
 _SWAP = "(+ ?wo ?so ?wb ?sb ?b ?wa ?sa ?a)"
@@ -565,8 +571,13 @@ class TestBench:
         assert "adpcm" in r.output
 
     def test_unknown_fixture_is_error(self, runner):
-        r = runner.invoke(main, ["bench", "no-such-pair"])
-        assert r.exit_code == 3, r.output
+        # checked before the table's header, after a known name too
+        for args in (["no-such-pair"], ["fig4", "no-such-pair"]):
+            r = runner.invoke(main, ["bench", *args])
+            assert r.exit_code == 3, r.output
+            assert r.stdout == ""
+            assert r.stderr == ("error: unknown fixture 'no-such-pair'; "
+                                f"available: {', '.join(names())}\n")
 
 
 class TestConfigFile:

@@ -17,6 +17,7 @@ from wordec.audit import RuleAudit, _Table
 from wordec.egraph import EGraph, NodeRec, RuleJust, Skeleton, \
     init_pair, saturate
 from wordec.fixtures import load_pair, names
+from wordec.frontend import parse_design
 from wordec.ir import SIGNED, UNSIGNED, Annotation, const, evaluate, op, var
 from wordec.rewrites import (CATALOGUE_TEXT, BlockedMatch, PatConst, PatOp,
                              PatVar, RuleError, _is_signed, _width, eval_expr,
@@ -613,19 +614,25 @@ def reference_audit(rule, maxw):
     return out
 
 
+# Every rule text the batched audit is checked against the reference on:
+# the catalogue, the dynamic rules' soundness statements and the unsound
+# and wide rules above.
+AUDITED_TEXT = (CATALOGUE_TEXT + rewrites.ZextIntroRule.SOUNDNESS
+                + rewrites.WidthReduceRule.SOUNDNESS + UNSOUND_TEXT
+                + WIDE_TEXT)
+
+
 class TestBatchedAudit:
-    @pytest.mark.parametrize(
-        "rule", parse_rules(CATALOGUE_TEXT + UNSOUND_TEXT + WIDE_TEXT),
-        ids=lambda r: r.id)
+    @pytest.mark.parametrize("rule", parse_rules(AUDITED_TEXT),
+                             ids=lambda r: r.id)
     def test_matches_scalar_reference(self, rule):
         got, want = validate_rule(rule, maxw=2), reference_audit(rule, 2)
         assert got == want
         # keys in the same order too, as the dicts are printed
         assert [list(v) for v in got] == [list(v) for v in want]
 
-    @pytest.mark.parametrize(
-        "rule", parse_rules(CATALOGUE_TEXT + UNSOUND_TEXT + WIDE_TEXT),
-        ids=lambda r: r.id)
+    @pytest.mark.parametrize("rule", parse_rules(AUDITED_TEXT),
+                             ids=lambda r: r.id)
     def test_matches_scalar_reference_in_rows_of_7(self, rule, monkeypatch):
         # at maxw=2 every operand space fits one batch of the real ROWS; 7
         # splits the instance groups across batches, and runs the widest
@@ -700,6 +707,94 @@ class TestBatchedAudit:
         violations = validate_rule(rule, maxw=2)
         assert violations
         assert all(v["params"]["?v"] >= 0 for v in violations)
+
+
+def _audited(rule, maxw, monkeypatch) -> list[tuple[str, dict]]:
+    """The instances `validate_rule(rule, maxw)` checks, as (statement id,
+    params): those whose condition holds and that are not blocked."""
+    seen, check = [], RuleAudit._check
+
+    def spy(self, b):
+        found = check(self, b)
+        seen.extend((self.rule.id, self.params(b, i))
+                    for i in np.flatnonzero(b.live))
+        return found
+
+    monkeypatch.setattr(RuleAudit, "_check", spy)
+    assert validate_rule(rule, maxw) == []
+    return seen
+
+
+class TestDynamicRuleAudit:
+    """`zext-intro` and `width-reduce` are audited through the statements
+    of their soundness, on the instances their own loops once checked."""
+
+    @pytest.mark.parametrize("maxw", [2, 3, 4])
+    def test_zext_intro_audits_every_width_and_signage(self, maxw,
+                                                       monkeypatch):
+        seen = _audited(rewrites.ZextIntroRule(), maxw, monkeypatch)
+        got = [(p["?w"], rid == "sext-intro") for rid, p in seen]
+        assert {rid for rid, _ in seen} == {"zext-intro", "sext-intro"}
+        assert sorted(got) == [(w, signed) for w in range(1, maxw + 1)
+                               for signed in (False, True)]
+
+    @pytest.mark.parametrize("maxw", [2, 3, 4])
+    def test_width_reduce_audits_one_bit_past_maxw(self, maxw, monkeypatch):
+        seen = _audited(rewrites.WidthReduceRule(), maxw, monkeypatch)
+        got = [(p["?wa"], p["?wo"]) for _, p in seen]
+        assert sorted(got) == [(wa, wo) for wa in range(1, maxw + 1)
+                               for wo in range(2, maxw + 2) if wa + 1 < wo]
+
+    def test_statements_parsed_once(self):
+        text = rewrites.WidthReduceRule.SOUNDNESS
+        assert rewrites._soundness(text) is rewrites._soundness(text)
+
+    def test_narrowed_width_reduce_is_reported(self, monkeypatch):
+        # the sum narrowed to the operands' own width: it drops the carry
+        narrowed = """
+        width-reduce : (+ ?wo unsigned ?wa unsigned ?a ?wa unsigned ?b)
+                    => (zext ?wo unsigned ?wa unsigned
+                          (+ ?wa unsigned ?wa unsigned ?a ?wa unsigned ?b))
+                    if ?wa < ?wo ;
+        """
+        monkeypatch.setattr(rewrites.WidthReduceRule, "SOUNDNESS", narrowed)
+        violations = validate_rule(rewrites.WidthReduceRule(), maxw=3)
+        assert [(v["params"]["?wa"], v["params"]["?wo"])
+                for v in violations] == [(1, 2), (1, 3), (1, 4), (2, 3),
+                                         (2, 4), (3, 4)]
+        for v in violations:
+            assert list(v) == ["rule", "params", "witness", "lhs", "rhs"]
+            assert v["rule"] == "width-reduce" and v["lhs"] != v["rhs"]
+            x, y, wa = v["witness"]["a"], v["witness"]["b"], v["params"]["?wa"]
+            assert (v["lhs"], v["rhs"]) == (x + y, (x + y) % (1 << wa))
+
+
+class TestAssocMul:
+    """The 8-bit pair `(a*b)*c` / `a*(b*c)` needs `assoc-mul` and
+    `assoc-mul-rev`: with them its roots merge, without them saturation
+    ends with the roots apart."""
+
+    @staticmethod
+    def _saturate(drop=()):
+        spec, impl = (parse_design(
+            f"module {name}(a, b, c, o);\n  input [7:0] a, b, c;\n"
+            f"  output [7:0] o;\n  assign o = {expr};\nendmodule\n")
+            for name, expr in (("spec", "(a * b) * c"),
+                               ("impl", "a * (b * c)")))
+        g = init_pair(spec, impl)
+        rep = saturate(g, [r for r in baseline_rules() if r.id not in drop])
+        return g, rep
+
+    def test_roots_merge_through_assoc_mul(self):
+        g, rep = self._saturate()
+        assert rep.stop_reason == "roots-merged" and g.roots_merged()
+        assert rep.rules["assoc-mul"].useful_applications == 4
+        assert rep.rules["assoc-mul-rev"].useful_applications == 3
+
+    def test_roots_apart_without_assoc_mul(self):
+        g, rep = self._saturate(drop=("assoc-mul", "assoc-mul-rev"))
+        assert rep.stop_reason == "saturated"
+        assert not rep.roots_merged and not g.roots_merged()
 
 
 class TestMatching:
