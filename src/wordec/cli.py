@@ -276,7 +276,7 @@ def check(spec_path, impl_path, outdir, extraction, extract_timeout,
     }, extraction={"method": res.method, "objective": res.objective,
                    "timed_out": res.timed_out,
                    "optimal": res.method == "ilp" and not res.timed_out,
-                   "visits": res.visits,
+                   "visits": res.visits, "bound": res.bound,
                    "seconds": round(extract_s, 6)}, waterfall=w.chains)
 
 
@@ -326,7 +326,7 @@ def extract_cmd(spec_path, impl_path, extraction, extract_timeout, lp_path,
         Path(lp_path).write_text(export_lp(g))
     res = _extract(g, extraction, extract_timeout)
     click.echo(f"method: {res.method}  objective: {res.objective}  "
-               f"shared nodes: {res.shared_node_count}  "
+               f"bound: {res.bound}  shared nodes: {res.shared_node_count}  "
                f"visits: {res.visits}  timed_out: {res.timed_out}")
     click.echo("S*: " + emit_sexpr(Design("s_star", spec.inputs, spec.output,
                                           res.s_star)).strip())

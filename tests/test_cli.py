@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import wordec
 from wordec.cli import _read_config, main
-from wordec.fixtures import load_pair, names
+from wordec.fixtures import PAIRS, load_pair, names
 from wordec.frontend import (ParseError, emit_sexpr, emit_sv, parse_sexpr,
                              parse_sv)
 
@@ -187,6 +187,8 @@ class TestCheck:
         rep = json.loads((out / "report.json").read_text())
         assert rep["extraction"]["method"] == "greedy"
         assert rep["extraction"]["timed_out"] is True
+        # the search stopped at once, but its root bound still caps the gap
+        assert rep["extraction"]["bound"] >= rep["extraction"]["objective"]
 
     def test_report_records_input_bits_and_extraction_seconds(
             self, runner, tmp_path):
@@ -237,6 +239,7 @@ class TestCheck:
         assert ext["optimal"] == (ext["method"] == "ilp"
                                   and not ext["timed_out"])
         assert (ext["visits"] > 0) is optimal  # greedy runs no search
+        assert (ext["bound"] is not None) is optimal
 
     def test_dump_graph(self, runner, tmp_path):
         sp, ip = _emit_pair(tmp_path, "fig4")
@@ -360,6 +363,23 @@ class TestSaturateExtract:
         assert method.startswith("method: ilp  objective: ")
         assert int(method.split("visits: ")[1].split()[0]) > 0
         assert "Maximize" in lp.read_text()
+
+    @pytest.mark.parametrize("name, fmt, gap", [
+        ("fig1", "ir", 0), ("vbsme8", "ir", 0), ("fir8", "sv", 2 * 52),
+        ("fir8", "ir", 2 * 52)])
+    def test_extract_states_its_gap(self, runner, name, fmt, gap):
+        # the root's bound caps the objective: it is tight on fig1 and
+        # vbsme8, and on fir8 it counts two shared classes (K = 52 each)
+        # more than the optimum holds
+        data = Path(wordec.__file__).parent / "data"
+        sp, ip = (str(data / f"{stem}.{fmt}") for stem in PAIRS[name])
+        r = runner.invoke(main, ["extract", "--spec", sp, "--impl", ip])
+        assert r.exit_code == 0, r.output
+        first = r.output.splitlines()[0]
+        assert "timed_out: False" in first
+        objective, bound = (int(first.split(f"{k}: ")[1].split()[0])
+                            for k in ("objective", "bound"))
+        assert bound >= objective and bound - objective == gap
 
 
 class TestWaterfall:
